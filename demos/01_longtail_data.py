@@ -15,8 +15,8 @@ import numpy as np
 
 from ltsrepr.data import (
     DatasetConfig,
-    class_balanced_batch,
-    instance_balanced_batch,
+    class_balanced_indices,
+    instance_balanced_indices,
     load_dataset_pair,
     longtail_class_counts,
     make_longtail_dataset,
@@ -37,8 +37,8 @@ print("split tags: ", train.splits)
 # Instance-balanced sampling reproduces the long tail; class-balanced
 # sampling flattens it to 1/K per class.
 rng = np.random.default_rng(1)
-_, labels_ib = instance_balanced_batch(train, 50_000, rng)
-_, labels_cb = class_balanced_batch(train, 50_000, rng)
+labels_ib = train.labels[instance_balanced_indices(train, 50_000, rng)]
+labels_cb = train.labels[class_balanced_indices(train, 50_000, rng)]
 print("\nempirical class share over 50k draws:")
 print("  instance-balanced:", np.round(np.bincount(labels_ib, minlength=10) / 50_000, 3))
 print("  class-balanced:   ", np.round(np.bincount(labels_cb, minlength=10) / 50_000, 3))

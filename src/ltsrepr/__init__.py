@@ -9,13 +9,13 @@ with Dirichlet self-distillation. Evaluation covers accuracy per
 class-frequency split, likelihood, calibration, and dispersion analysis.
 """
 
-from .balancing import BalancingSpec, balanced_ce_loss_and_grad, grw_weight, grw_weights, logit_adjust
+from .balancing import BalancingSpec, balanced_ce_loss_and_grad, grw_weights, logit_adjust
 from .data import (
     DatasetConfig,
     LongTailDataset,
     assign_splits,
-    class_balanced_batch,
-    instance_balanced_batch,
+    class_balanced_indices,
+    instance_balanced_indices,
     load_dataset,
     longtail_class_counts,
     make_longtail_dataset,
@@ -39,7 +39,6 @@ from .netcore import (
     OptimState,
     SgdHyper,
     backward,
-    ce_loss_and_grad,
     cosine_lr,
     cross_entropy,
     features,
@@ -48,6 +47,7 @@ from .netcore import (
     predict_proba,
     sgd_step,
     softmax,
+    softmax_ce,
 )
 from .pipeline import ExperimentConfig, run_analyze, run_eval, run_pretrain, run_retrain, run_sweep
 from .retrain import (
@@ -57,6 +57,7 @@ from .retrain import (
     dirichlet_kl,
     disalign,
     estimate_beta,
+    fit_head,
     kd_loss,
     lws,
     mean_ce_loss,
@@ -70,6 +71,7 @@ from .swag import (
     SwaSchedule,
     freeze,
     new_posterior,
+    posterior_features,
     sample_theta,
     should_capture,
     swa_learning_rate,

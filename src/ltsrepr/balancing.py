@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import cross_entropy, softmax
+from .netcore import softmax_ce
 
 KINDS = ("none", "cbs", "grw", "la")
 
@@ -49,10 +49,6 @@ def grw_weights(pi, rho: float) -> np.ndarray:
     return raw / raw.sum()
 
 
-def grw_weight(pi, rho: float, y: int) -> float:
-    return float(grw_weights(pi, rho)[y])
-
-
 def logit_adjust(logits, pi, rho: float) -> np.ndarray:
     """Shift logit k by rho * log(pi_k). Training-loss-side only."""
     pi = np.asarray(pi, dtype=np.float64)
@@ -69,29 +65,13 @@ def balanced_ce_loss_and_grad(logits: np.ndarray, labels: np.ndarray, spec: Bala
     is constant, so the gradient passes through unchanged).
     """
     spec.validate()
-    n = len(labels)
-    rows = np.arange(n)
     if spec.kind == "la":
-        adjusted = logit_adjust(logits, spec.frequencies, spec.rho)
-        p = softmax(adjusted)
-        loss = cross_entropy(p, labels).mean()
-        grad = p.copy()
-        grad[rows, labels] -= 1.0
-        return loss, grad / n
-    p = softmax(logits)
-    ce = cross_entropy(p, labels)
-    grad = p.copy()
-    grad[rows, labels] -= 1.0
+        logits = logit_adjust(logits, spec.frequencies, spec.rho)
+    return softmax_ce(logits, labels, example_weights(spec, labels))
+
+
+def example_weights(spec: BalancingSpec, labels: np.ndarray) -> np.ndarray | None:
+    """Per-example loss weights under grw; None (unweighted) otherwise."""
     if spec.kind == "grw":
-        w = grw_weights(spec.frequencies, spec.rho)[labels]
-        return (w * ce).mean(), (w[:, None] * grad) / n
-    return ce.mean(), grad / n
-
-
-def make_loss(spec: BalancingSpec):
-    """Adapt a BalancingSpec to the (logits, labels) loss-callback contract."""
-
-    def loss_fn(logits, labels):
-        return balanced_ce_loss_and_grad(logits, labels, spec)
-
-    return loss_fn
+        return grw_weights(spec.frequencies, spec.rho)[labels]
+    return None

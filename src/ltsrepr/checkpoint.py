@@ -37,11 +37,15 @@ class Checkpoint:
     metadata: dict | None = None
 
 
-def _write_array(f, a: np.ndarray) -> None:
+def _array_record(a: np.ndarray, what: str) -> bytes:
+    """(u32 rows, u32 cols) header plus float32 payload; rejects values that
+    are non-finite or overflow float32."""
     a2 = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    rows, cols = a2.shape
-    f.write(struct.pack("<II", rows, cols))
-    f.write(np.ascontiguousarray(a2, dtype="<f4").tobytes())
+    with np.errstate(over="ignore"):
+        data = np.ascontiguousarray(a2, dtype="<f4")
+    if not np.isfinite(data).all():
+        raise ValueError(f"cannot checkpoint {what}: non-finite or beyond float32 range")
+    return struct.pack("<II", *a2.shape) + data.tobytes()
 
 
 def _read_array(f) -> np.ndarray:
@@ -61,24 +65,23 @@ def _unflatten_to_arrays(flat: np.ndarray, template: ModelParams) -> list[np.nda
 
 def save_checkpoint(path, params: ModelParams, posterior: SwagPosterior | None = None,
                     metadata: dict | None = None) -> None:
+    """Write a checkpoint; every value is validated before the file opens."""
     arrays = params.arrays()
+    chunks = [MODEL_MAGIC, struct.pack("<II", FORMAT_VERSION, len(arrays))]
+    chunks += [_array_record(a, f"parameter array {i}") for i, a in enumerate(arrays)]
+    if posterior is not None:
+        if not posterior.frozen:
+            raise ValueError("only frozen posteriors are checkpointed")
+        chunks += [SWAG_MAGIC, struct.pack("<I", posterior.count)]
+        for name, flat in (("mean", posterior.mean), ("second moment", posterior.sq_mean),
+                           ("covariance", posterior.sigma)):
+            chunks += [_array_record(a, f"posterior {name} array {i}")
+                       for i, a in enumerate(_unflatten_to_arrays(flat, params))]
+    if metadata is not None:
+        blob = json.dumps(metadata, sort_keys=True, allow_nan=False).encode("utf-8")
+        chunks += [struct.pack("<I", len(blob)), blob]
     with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<II", FORMAT_VERSION, len(arrays)))
-        for a in arrays:
-            _write_array(f, a)
-        if posterior is not None:
-            if not posterior.frozen:
-                raise ValueError("only frozen posteriors are checkpointed")
-            f.write(SWAG_MAGIC)
-            f.write(struct.pack("<I", posterior.count))
-            for flat in (posterior.mean, posterior.sq_mean, posterior.sigma):
-                for a in _unflatten_to_arrays(flat, params):
-                    _write_array(f, a)
-        if metadata is not None:
-            blob = json.dumps(metadata, sort_keys=True).encode("utf-8")
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
+        f.writelines(chunks)
 
 
 def _params_from_arrays(arrays: list[np.ndarray]) -> ModelParams:
@@ -129,14 +132,5 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(params=params, posterior=posterior, metadata=metadata)
 
 
-def has_posterior(path) -> bool:
-    return load_checkpoint(path).posterior is not None
-
-
 def config_hash(config_text: str) -> str:
     return hashlib.sha256(config_text.encode("utf-8")).hexdigest()
-
-
-def checkpoint_bytes_equal(path_a, path_b) -> bool:
-    with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
-        return fa.read() == fb.read()

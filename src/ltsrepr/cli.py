@@ -163,9 +163,9 @@ def _outdir(cfg: pl.ExperimentConfig) -> str:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _write_report(outdir: str, stem: str, report) -> None:

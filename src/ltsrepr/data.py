@@ -242,16 +242,6 @@ def class_balanced_indices(dataset: LongTailDataset, batch_size: int, rng: np.ra
     return dataset._sorted_by_class[dataset._class_starts[classes] + member]
 
 
-def instance_balanced_batch(dataset, batch_size, rng):
-    idx = instance_balanced_indices(dataset, batch_size, rng)
-    return dataset.features[idx], dataset.labels[idx]
-
-
-def class_balanced_batch(dataset, batch_size, rng):
-    idx = class_balanced_indices(dataset, batch_size, rng)
-    return dataset.features[idx], dataset.labels[idx]
-
-
 def mixup_batch(
     x: np.ndarray,
     y: np.ndarray,

@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import FEW, MANY, MEDIUM
-from .netcore import classifier_logits, cross_entropy, features, softmax
-from .swag import SwagPosterior, sample_theta
-
-PROB_FLOOR = 1e-30
+from .netcore import PROB_FLOOR, cross_entropy, softmax
+from .swag import SwagPosterior, posterior_features
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +221,19 @@ def ensemble_predict(
     num_samples: int,
     rng: np.random.Generator,
     activation: str = "relu",
+    calibrate=None,
 ) -> np.ndarray:
-    """Average the softmax predictions of num_samples posterior draws."""
+    """Average the softmax predictions of num_samples posterior draws.
+
+    ``calibrate``, if given, maps the member logits (M, B, K) to calibrated
+    logits before the softmax.
+    """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    x = np.atleast_2d(x)
-    out = np.zeros((len(x), w.shape[1]))
-    for _ in range(num_samples):
-        theta = sample_theta(posterior, rng)
-        out += softmax(classifier_logits(w, b, features(theta, x, activation)))
-    return out / num_samples
+    logits = posterior_features(posterior, x, num_samples, rng, activation) @ w + b
+    if calibrate is not None:
+        logits = calibrate(logits)
+    return softmax(logits).mean(axis=0)
 
 
 @dataclass(frozen=True)

@@ -207,13 +207,20 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(py, PROB_FLOOR))
 
 
-def ce_loss_and_grad(logits: np.ndarray, labels: np.ndarray):
-    """Batch-mean cross-entropy; gradient wrt logits is (p - onehot) / B."""
+def softmax_ce(logits: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None):
+    """Batch-mean softmax cross-entropy and its gradient wrt the logits.
+
+    Unweighted: loss mean(ce), gradient (p - onehot) / B. With per-example
+    weights w: loss mean(w * ce), gradient (p - onehot) * w / B, with no
+    renormalization by the batch's total weight.
+    """
     p = softmax(logits)
-    loss = cross_entropy(p, labels).mean()
-    grad = p.copy()
-    grad[np.arange(len(labels)), labels] -= 1.0
-    return loss, grad / len(labels)
+    n = len(labels)
+    ce = cross_entropy(p, labels)
+    p[np.arange(n), labels] -= 1.0
+    if weights is None:
+        return ce.mean(), p / n
+    return (weights * ce).mean(), p * (weights / n)[:, None]
 
 
 def soft_ce_loss_and_grad(logits: np.ndarray, targets: np.ndarray):
@@ -232,7 +239,7 @@ def backward(
     params: ModelParams,
     x: np.ndarray,
     targets,
-    loss_and_grad=ce_loss_and_grad,
+    loss_and_grad=softmax_ce,
     activation: str = "relu",
 ):
     """Exact batch-mean gradients for every parameter.

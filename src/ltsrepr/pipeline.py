@@ -31,6 +31,7 @@ from .util import (
     STREAM_MIXUP,
     STREAM_RETRAIN_BATCH,
     rng_stream,
+    round_half_up,
 )
 
 RETRAIN_METHODS = ("crt", "lws", "disalign", "srepr")
@@ -311,17 +312,11 @@ def run_pretrain(cfg: ExperimentConfig, datasets=None, cache_path: str | None = 
             lr = net.cosine_lr(step, total, hyper.base_lr)
         idx = data_mod.instance_balanced_indices(train, hyper.batch_size, rng_batch)
         x, y = train.features[idx], train.labels[idx]
+        loss_fn = net.softmax_ce
         if cfg.optim.mixup_alpha > 0.0:
-            x, targets = data_mod.mixup_batch(
-                x, y, cfg.optim.mixup_alpha, train.num_classes, rng_mix
-            )
-            loss, grads = net.backward(
-                params, x, targets, net.soft_ce_loss_and_grad, cfg.model.activation
-            )
-        else:
-            loss, grads = net.backward(
-                params, x, y, net.ce_loss_and_grad, cfg.model.activation
-            )
+            x, y = data_mod.mixup_batch(x, y, cfg.optim.mixup_alpha, train.num_classes, rng_mix)
+            loss_fn = net.soft_ce_loss_and_grad
+        loss, grads = net.backward(params, x, y, loss_fn, cfg.model.activation)
         net.sgd_step(params, grads, state, lr)
         running += loss
         if cfg.swa.enabled and swag_mod.should_capture(step + 1, total, schedule):
@@ -360,7 +355,7 @@ class RetrainResult:
 
 
 def retrain_epochs(cfg: ExperimentConfig) -> int:
-    return max(1, round(cfg.optim.epochs * cfg.retrain.epochs_frac))
+    return max(1, int(round_half_up(cfg.optim.epochs * cfg.retrain.epochs_frac)))
 
 
 def balancing_spec(cfg: ExperimentConfig, train: data_mod.LongTailDataset) -> bal.BalancingSpec:
@@ -470,15 +465,13 @@ def predictive_probs(
     if m > 0:
         if posterior is None:
             raise ValueError("posterior required for ensemble evaluation")
+        calibrate = None
+        if disalign_params is not None:
+            calibrate = lambda z: retrain_mod.disalign_logits(z, disalign_params)  # noqa: E731
         rng = rng_stream(cfg.run.seed, STREAM_ENSEMBLE)
-        if disalign_params is None:
-            return metrics_mod.ensemble_predict(x, posterior, params.w, params.b, m, rng, act)
-        out = np.zeros((len(x), params.num_classes))
-        for _ in range(m):
-            theta = swag_mod.sample_theta(posterior, rng)
-            z = net.classifier_logits(params.w, params.b, net.features(theta, x, act))
-            out += net.softmax(retrain_mod.disalign_logits(z, disalign_params))
-        return out / m
+        return metrics_mod.ensemble_predict(
+            x, posterior, params.w, params.b, m, rng, act, calibrate
+        )
     z = net.model_logits(params, x, act)
     if disalign_params is not None:
         z = retrain_mod.disalign_logits(z, disalign_params)
@@ -523,13 +516,10 @@ def run_analyze(
         raise ValueError("posterior required for dispersion analysis")
     train, test = datasets if datasets is not None else build_datasets(cfg, cache_path)
     act = cfg.model.activation
-    m = cfg.swa.swag_samples
     rng = rng_stream(cfg.eval.analysis_seed, STREAM_ANALYSIS)
-    scfg = retrain_mod.SreprConfig(num_samples=max(m, 2))
-    reps = retrain_mod.stochastic_representations(
-        test.features, "posterior", posterior, scfg, rng, act
-    )
-    member_probs = net.softmax(np.einsum("mbl,lk->mbk", reps, params.w) + params.b)
+    m = max(cfg.swa.swag_samples, 2)
+    reps = swag_mod.posterior_features(posterior, test.features, m, rng, act)
+    member_probs = net.softmax(reps @ params.w + params.b)
     point_probs = net.predict_proba(params, test.features, act)
 
     nll_i = metrics_mod.per_instance_nll(point_probs, test.labels)

@@ -14,26 +14,37 @@ only through the student concentrations; the teacher side is constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import digamma, gammaln, polygamma
 
-from .balancing import BalancingSpec, balanced_ce_loss_and_grad, grw_weights, logit_adjust
-from .data import LongTailDataset, class_balanced_indices, instance_balanced_indices
+from .balancing import (
+    BalancingSpec,
+    balanced_ce_loss_and_grad,
+    example_weights,
+    grw_weights,
+    logit_adjust,
+)
+from .data import (
+    LongTailDataset,
+    class_balanced_indices,
+    instance_balanced_indices,
+    steps_per_epoch,
+)
 from .netcore import (
+    PROB_FLOOR,
     OptimState,
     SgdHyper,
     classifier_logits,
-    cross_entropy,
     features,
     init_classifier,
     sgd_update_arrays,
     softmax,
+    softmax_ce,
 )
-from .swag import SwagPosterior, sample_theta
+from .swag import SwagPosterior, posterior_features
 
-PROB_FLOOR = 1e-30
 LOGIT_CLAMP_SCALE = 30.0  # raw student logits clipped at +/- 30 * temperature
 
 STOCHASTIC_SOURCES = ("posterior", "input_jitter")
@@ -68,9 +79,26 @@ def _stage2_sampler(spec: BalancingSpec):
     return class_balanced_indices if spec.uses_class_balanced_sampler else instance_balanced_indices
 
 
-def _stage2_steps(dataset: LongTailDataset, optim: SgdHyper) -> int:
-    per_epoch = -(-dataset.num_examples // optim.batch_size)
-    return per_epoch * optim.epochs
+def fit_head(method: str, arrays, loss_and_grads, sampler, dataset: LongTailDataset,
+             optim: SgdHyper, rng: np.random.Generator) -> None:
+    """The stage-2 SGD loop shared by every method.
+
+    Each step draws batch indices with ``sampler``, takes the batch loss and
+    one gradient per array from ``loss_and_grads(idx)``, and moves ``arrays``
+    in place. Raises FloatingPointError naming the method and step when the
+    loss, or any array after the last step, is non-finite.
+    """
+    total = steps_per_epoch(dataset.num_examples, optim.batch_size) * optim.epochs
+    state = OptimState.for_arrays(arrays, optim, max(total, 1))
+    # overflow is detected below and reported once, not warned about per op
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(total):
+            loss, grads = loss_and_grads(sampler(dataset, optim.batch_size, rng))
+            if not np.isfinite(loss):
+                raise FloatingPointError(f"{method} diverged: non-finite loss at step {step}")
+            sgd_update_arrays(arrays, grads, state)
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise FloatingPointError(f"{method} diverged: non-finite parameters after step {total - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +121,15 @@ def crt(
     balancing.validate()
     feats = features(theta, dataset.features, activation)
     w, b = init_classifier(rng, feats.shape[1], dataset.num_classes)
-    total = _stage2_steps(dataset, optim)
-    state = OptimState.for_arrays([w, b], optim, max(total, 1))
-    sampler = _stage2_sampler(balancing)
-    for _ in range(total):
-        idx = sampler(dataset, optim.batch_size, rng)
+
+    def loss_and_grads(idx):
         f = feats[idx]
-        logits = classifier_logits(w, b, f)
-        _, dz = balanced_ce_loss_and_grad(logits, dataset.labels[idx], balancing)
-        sgd_update_arrays([w, b], [f.T @ dz, dz.sum(axis=0)], state)
+        loss, dz = balanced_ce_loss_and_grad(
+            classifier_logits(w, b, f), dataset.labels[idx], balancing
+        )
+        return loss, [f.T @ dz, dz.sum(axis=0)]
+
+    fit_head("crt", [w, b], loss_and_grads, _stage2_sampler(balancing), dataset, optim, rng)
     return w, b
 
 
@@ -131,19 +159,16 @@ def lws(
     log_norms = np.log(np.linalg.norm(w_star, axis=0) + 1e-12)
     base = feats @ w_star  # (N, K); logits(tau) = base * norms^-tau + b
     tau = np.zeros(1)
-    total = _stage2_steps(dataset, optim)
+
+    def loss_and_grads(idx):
+        scaled = base[idx] * np.exp(-tau[0] * log_norms)
+        loss, dz = balanced_ce_loss_and_grad(scaled + b_star, dataset.labels[idx], balancing)
+        return loss, [np.array([-(dz * scaled * log_norms).sum()])]
+
     # tau is a bare scalar: weight decay on it would pull toward the
     # unscaled classifier, so it is optimized without the L2 term.
-    hyper = SgdHyper(optim.base_lr, optim.momentum, 0.0, optim.epochs, optim.batch_size)
-    state = OptimState.for_arrays([tau], hyper, max(total, 1))
-    sampler = _stage2_sampler(balancing)
-    for _ in range(total):
-        idx = sampler(dataset, optim.batch_size, rng)
-        scaled = base[idx] * np.exp(-tau[0] * log_norms)
-        logits = scaled + b_star
-        _, dz = balanced_ce_loss_and_grad(logits, dataset.labels[idx], balancing)
-        gtau = -(dz * scaled * log_norms).sum()
-        sgd_update_arrays([tau], [np.array([gtau])], state)
+    fit_head("lws", [tau], loss_and_grads, _stage2_sampler(balancing), dataset,
+             replace(optim, weight_decay=0.0), rng)
     w, b = lws_classifier(w_star, b_star, float(tau[0]))
     return w, b, float(tau[0])
 
@@ -194,10 +219,17 @@ def _sigmoid(u):
     return out
 
 
+def _gate_and_affine(z: np.ndarray, params: DisAlignParams):
+    gate = _sigmoid(z @ params.gate_w + params.gate_b)[..., None]
+    return gate, params.scale * z + params.shift
+
+
 def disalign_logits(z: np.ndarray, params: DisAlignParams) -> np.ndarray:
-    """Calibrated logits: sigma(gate) * (scale*z + shift) + (1-sigma) * z."""
-    gate = _sigmoid(z @ params.gate_w + params.gate_b)[:, None]
-    return gate * (params.scale * z + params.shift) + (1.0 - gate) * z
+    """Calibrated logits: sigma(gate) * (scale*z + shift) + (1-sigma) * z.
+
+    z is (..., K); leading axes (batch, ensemble members) broadcast."""
+    gate, affine = _gate_and_affine(z, params)
+    return gate * affine + (1.0 - gate) * z
 
 
 def disalign_loss_and_grads(
@@ -205,23 +237,15 @@ def disalign_loss_and_grads(
 ):
     """Weighted CE over calibrated logits and its gradients wrt the four
     calibration parameter groups (scale, shift, gate_w, gate_b)."""
-    n = len(labels)
-    u = z @ params.gate_w + params.gate_b
-    gate = _sigmoid(u)
-    affine = params.scale * z + params.shift
-    zhat = gate[:, None] * affine + (1.0 - gate[:, None]) * z
+    gate, affine = _gate_and_affine(z, params)
+    zhat = gate * affine + (1.0 - gate) * z
+    loss, dzhat = softmax_ce(zhat, labels, class_weights[labels])
 
-    p = softmax(zhat)
-    w_ex = class_weights[labels]
-    loss = (w_ex * cross_entropy(p, labels)).mean()
-    dzhat = p.copy()
-    dzhat[np.arange(n), labels] -= 1.0
-    dzhat *= w_ex[:, None] / n
-
-    g_scale = (dzhat * gate[:, None] * z).sum(axis=0)
-    g_shift = (dzhat * gate[:, None]).sum(axis=0)
+    g_scale = (dzhat * gate * z).sum(axis=0)
+    g_shift = (dzhat * gate).sum(axis=0)
     dgate = (dzhat * (affine - z)).sum(axis=1)
-    du = dgate * gate * (1.0 - gate)
+    g = gate[:, 0]
+    du = dgate * g * (1.0 - g)
     g_gate_w = z.T @ du
     g_gate_b = du.sum()
     return loss, (g_scale, g_shift, g_gate_w, g_gate_b)
@@ -244,18 +268,17 @@ def disalign(
     params = DisAlignParams.identity(dataset.num_classes)
     class_weights = grw_weights(dataset.frequencies, rho)
     gate_b = np.zeros(1)
-    arrays = [params.scale, params.shift, params.gate_w, gate_b]
-    total = _stage2_steps(dataset, optim)
-    # identity blend must stay reachable: no L2 pull on calibration params
-    hyper = SgdHyper(optim.base_lr, optim.momentum, 0.0, optim.epochs, optim.batch_size)
-    state = OptimState.for_arrays(arrays, hyper, max(total, 1))
-    for _ in range(total):
-        idx = instance_balanced_indices(dataset, optim.batch_size, rng)
+
+    def loss_and_grads(idx):
         params.gate_b = float(gate_b[0])
         loss, (gs, gh, gw, gb) = disalign_loss_and_grads(
             params, z_all[idx], dataset.labels[idx], class_weights
         )
-        sgd_update_arrays(arrays, [gs, gh, gw, np.array([gb])], state)
+        return loss, [gs, gh, gw, np.array([gb])]
+
+    # identity blend must stay reachable: no L2 pull on calibration params
+    fit_head("disalign", [params.scale, params.shift, params.gate_w, gate_b], loss_and_grads,
+             instance_balanced_indices, dataset, replace(optim, weight_decay=0.0), rng)
     params.gate_b = float(gate_b[0])
     return params
 
@@ -279,24 +302,15 @@ def stochastic_representations(
     is the extractor layer list; each draw perturbs the inputs with Gaussian
     noise of std jitter_std.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if source == "posterior":
-        posterior: SwagPosterior = model
-        if not posterior.frozen:
-            raise ValueError("posterior must be frozen before drawing representations")
-        reps = [
-            features(sample_theta(posterior, rng), x, activation)
+        return posterior_features(model, x, config.num_samples, rng, activation)
+    if source == "input_jitter":
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        return np.stack([
+            features(model, x + config.jitter_std * rng.standard_normal(x.shape), activation)
             for _ in range(config.num_samples)
-        ]
-    elif source == "input_jitter":
-        theta = model
-        reps = [
-            features(theta, x + config.jitter_std * rng.standard_normal(x.shape), activation)
-            for _ in range(config.num_samples)
-        ]
-    else:
-        raise ValueError(f"unknown stochastic source {source!r}")
-    return np.stack(reps, axis=0)
+        ])
+    raise ValueError(f"unknown stochastic source {source!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -317,27 +331,19 @@ def mean_ce_loss_and_grad(
     loss and its gradients wrt the classifier (w, b).
     """
     balancing.validate()
-    m, n, _ = reps.shape
-    rows = np.arange(n)
-    if balancing.kind == "grw":
-        w_ex = grw_weights(balancing.frequencies, balancing.rho)[labels]
-    else:
-        w_ex = np.ones(n)
-
+    w_ex = example_weights(balancing, labels)
     loss = 0.0
     gw = np.zeros_like(w)
     gb = np.zeros_like(b)
-    for j in range(m):
-        z = classifier_logits(w, b, reps[j])
+    for r in reps:
+        z = classifier_logits(w, b, r)
         if balancing.kind == "la":
             z = logit_adjust(z, balancing.frequencies, balancing.rho)
-        p = softmax(z)
-        loss += (w_ex * cross_entropy(p, labels)).mean()
-        dz = p.copy()
-        dz[rows, labels] -= 1.0
-        dz *= w_ex[:, None] / n
-        gw += reps[j].T @ dz
+        loss_j, dz = softmax_ce(z, labels, w_ex)
+        loss += loss_j
+        gw += r.T @ dz
         gb += dz.sum(axis=0)
+    m = len(reps)
     return loss / m, gw / m, gb / m
 
 
@@ -509,7 +515,6 @@ def srepr_retrain(
     optim: SgdHyper,
     rng: np.random.Generator,
     activation: str = "relu",
-    loss_history: list | None = None,
 ):
     """Stochastic-representation re-training of the classifier.
 
@@ -524,19 +529,15 @@ def srepr_retrain(
     b = phi_init[1].copy()
     source_model = posterior if config.stochastic_source == "posterior" else theta_swa
     f_swa_all = features(theta_swa, dataset.features, activation)
-    total = _stage2_steps(dataset, optim)
-    state = OptimState.for_arrays([w, b], optim, max(total, 1))
-    sampler = _stage2_sampler(balancing)
-    for _ in range(total):
-        idx = sampler(dataset, optim.batch_size, rng)
-        x = dataset.features[idx]
+
+    def loss_and_grads(idx):
         reps = stochastic_representations(
-            x, config.stochastic_source, source_model, config, rng, activation
+            dataset.features[idx], config.stochastic_source, source_model, config, rng, activation
         )
         loss, gw, gb, _ = srepr_batch_loss_and_grad(
             w, b, reps, f_swa_all[idx], dataset.labels[idx], balancing, config
         )
-        if loss_history is not None:
-            loss_history.append(loss)
-        sgd_update_arrays([w, b], [gw, gb], state)
+        return loss, [gw, gb]
+
+    fit_head("srepr", [w, b], loss_and_grads, _stage2_sampler(balancing), dataset, optim, rng)
     return w, b

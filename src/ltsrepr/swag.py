@@ -2,9 +2,10 @@
 
 Tracks first and second moments of parameter snapshots captured late in
 training, freezes a diagonal covariance (second moment minus squared mean,
-clamped at zero), and samples feature-extractor parameters from the
-resulting Gaussian. The classifier part of the moments is kept for the
-averaged point estimate but excluded from sampling.
+clamped at zero), samples feature-extractor parameters from the resulting
+Gaussian, and runs the extractor under those draws. The classifier part of
+the moments is kept for the averaged point estimate but excluded from
+sampling.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import ModelParams, cosine_lr, flatten_params, theta_size, unflatten_params
+from .netcore import ModelParams, cosine_lr, features, flatten_params, theta_size, unflatten_params
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,16 @@ def sample_theta(posterior: SwagPosterior, rng: np.random.Generator):
     flat = posterior.mean.copy()
     flat[:td] += np.sqrt(posterior.sigma[:td]) * rng.standard_normal(td)
     return unflatten_params(flat, posterior.template).layers
+
+
+def posterior_features(posterior: SwagPosterior, x: np.ndarray, num_samples: int,
+                       rng: np.random.Generator, activation: str = "relu") -> np.ndarray:
+    """Representations of a batch under num_samples extractor draws, shape
+    (M, B, L); draws are taken from ``rng`` in member order."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return np.stack([
+        features(sample_theta(posterior, rng), x, activation) for _ in range(num_samples)
+    ])
 
 
 def should_capture(step: int, total_steps: int, schedule: SwaSchedule) -> bool:

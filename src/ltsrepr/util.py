@@ -28,11 +28,3 @@ def rng_stream(seed: int, stream: int) -> np.random.Generator:
 def round_half_up(x):
     """Round with ties away from the floor (0.5 -> 1), unlike banker's rounding."""
     return np.floor(np.asarray(x, dtype=np.float64) + 0.5)
-
-
-def moving_average(values, window: int) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64)
-    if window < 1 or window > v.size:
-        raise ValueError("window must be in [1, len(values)]")
-    kernel = np.ones(window) / window
-    return np.convolve(v, kernel, mode="valid")

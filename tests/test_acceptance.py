@@ -20,13 +20,13 @@ import ltsrepr.pipeline as pl
 from ltsrepr.balancing import BalancingSpec, balanced_ce_loss_and_grad, grw_weights, logit_adjust
 from ltsrepr.checkpoint import load_checkpoint
 from ltsrepr.cli import main as cli_main
-from ltsrepr.data import class_balanced_batch, make_longtail_dataset, DatasetConfig
+from ltsrepr.data import class_balanced_indices, make_longtail_dataset, DatasetConfig
 from ltsrepr.metrics import dispersion_prob, ece, ensemble_predict, nll
 from ltsrepr.netcore import (
     backward,
-    ce_loss_and_grad,
     flatten_params,
     init_params,
+    softmax_ce,
     unflatten_params,
 )
 from ltsrepr.retrain import (
@@ -72,11 +72,11 @@ def test_criterion_01_gradient_correctness():
         y = rng.integers(0, k, size=batch)
         kind = i % 5
         if kind == 0:  # plain cross-entropy through the whole network
-            _, grads = backward(params, x, y, ce_loss_and_grad, activation="tanh")
+            _, grads = backward(params, x, y, softmax_ce, activation="tanh")
             err = fd_check(
                 flatten_params(grads),
                 lambda flat: backward(
-                    unflatten_params(flat, params), x, y, ce_loss_and_grad, "tanh"
+                    unflatten_params(flat, params), x, y, softmax_ce, "tanh"
                 )[0],
                 flatten_params(params),
             )
@@ -376,11 +376,11 @@ def test_criterion_09_balancing_properties():
     la_loss, _ = balanced_ce_loss_and_grad(
         z, y, BalancingSpec("la", rho=1.7, frequencies=uniform_pi)
     )
-    plain_loss, _ = ce_loss_and_grad(z, y)
+    plain_loss, _ = softmax_ce(z, y)
     la_equal_ok = abs(la_loss - plain_loss) <= 1e-12
 
     train, _ = make_longtail_dataset(DatasetConfig(num_classes=5, max_count=300, seed=9))
-    _, labels = class_balanced_batch(train, 100_000, np.random.default_rng(910))
+    labels = train.labels[class_balanced_indices(train, 100_000, np.random.default_rng(910))]
     p_value = stats.chisquare(np.bincount(labels, minlength=5)).pvalue
     chi_ok = p_value > 0.001
 

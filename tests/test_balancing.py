@@ -9,12 +9,10 @@ from gradcheck import assert_grad_close, numeric_grad
 from ltsrepr.balancing import (
     BalancingSpec,
     balanced_ce_loss_and_grad,
-    grw_weight,
     grw_weights,
     logit_adjust,
-    make_loss,
 )
-from ltsrepr.netcore import ce_loss_and_grad, softmax
+from ltsrepr.netcore import softmax, softmax_ce
 
 
 class TestGrwWeights:
@@ -25,7 +23,6 @@ class TestGrwWeights:
 
     def test_hand_case(self):
         np.testing.assert_allclose(grw_weights([0.75, 0.25], 1.0), [0.25, 0.75], atol=1e-15)
-        assert grw_weight([0.75, 0.25], 1.0, 0) == pytest.approx(0.25)
 
     def test_uniform_frequencies_uniform_weights(self):
         for rho in (0.0, 0.5, 1.0, 3.0):
@@ -90,14 +87,14 @@ class TestBalancedLoss:
         loss_cbs, grad_cbs = balanced_ce_loss_and_grad(self.z, self.y, BalancingSpec("cbs"))
         assert loss_none == loss_cbs
         np.testing.assert_array_equal(grad_none, grad_cbs)
-        plain, _ = ce_loss_and_grad(self.z, self.y)
+        plain, _ = softmax_ce(self.z, self.y)
         assert loss_none == plain
 
     def test_grw_rho_zero_scales_by_k(self):
         loss, _ = balanced_ce_loss_and_grad(
             self.z, self.y, BalancingSpec("grw", rho=0.0, frequencies=self.pi)
         )
-        plain, _ = ce_loss_and_grad(self.z, self.y)
+        plain, _ = softmax_ce(self.z, self.y)
         np.testing.assert_allclose(loss, plain / 4, atol=1e-12)
 
     def test_la_uniform_pi_equals_plain_ce(self):
@@ -105,7 +102,7 @@ class TestBalancedLoss:
             loss, grad = balanced_ce_loss_and_grad(
                 self.z, self.y, BalancingSpec("la", rho=rho, frequencies=[0.25] * 4)
             )
-            plain, plain_grad = ce_loss_and_grad(self.z, self.y)
+            plain, plain_grad = softmax_ce(self.z, self.y)
             np.testing.assert_allclose(loss, plain, atol=1e-12)
             np.testing.assert_allclose(grad, plain_grad, atol=1e-12)
 
@@ -126,12 +123,12 @@ class TestBalancedLoss:
         with pytest.raises(ValueError):
             balanced_ce_loss_and_grad(self.z, self.y, BalancingSpec("grw"))
 
-    def test_make_loss_adapts_spec(self):
+    def test_grw_is_primitive_with_class_weights(self):
         spec = BalancingSpec("grw", rho=1.0, frequencies=self.pi)
-        loss_fn = make_loss(spec)
-        direct = balanced_ce_loss_and_grad(self.z, self.y, spec)
-        via_callback = loss_fn(self.z, self.y)
-        assert direct[0] == via_callback[0]
+        loss, grad = balanced_ce_loss_and_grad(self.z, self.y, spec)
+        ref_loss, ref_grad = softmax_ce(self.z, self.y, grw_weights(self.pi, 1.0)[self.y])
+        assert loss == ref_loss
+        np.testing.assert_array_equal(grad, ref_grad)
 
     def test_sampler_selection(self):
         assert BalancingSpec("cbs").uses_class_balanced_sampler

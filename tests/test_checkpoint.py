@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ltsrepr.checkpoint import (
-    checkpoint_bytes_equal,
     config_hash,
     load_checkpoint,
     save_checkpoint,
@@ -28,6 +27,24 @@ def make_posterior(params, extra_seed=1):
 
 
 class TestBaseSection:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+    def test_unrepresentable_value_rejected_before_writing(self, tmp_path, bad):
+        params = make_params()
+        params.w[1, 0] = bad
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="parameter array"):
+            save_checkpoint(path, params)
+        assert not path.exists()
+
+    def test_unrepresentable_posterior_rejected(self, tmp_path):
+        params = make_params()
+        post = make_posterior(params)
+        post.sigma[0] = np.nan
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="posterior covariance"):
+            save_checkpoint(path, params, post)
+        assert not path.exists()
+
     def test_roundtrip_quantizes_to_float32(self, tmp_path):
         params = make_params()
         path = tmp_path / "model.ckpt"
@@ -142,7 +159,7 @@ class TestMetadataTrailer:
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(a, params, post, meta)
         save_checkpoint(b, params, post, meta)
-        assert checkpoint_bytes_equal(a, b)
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_config_hash_stable():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ltsrepr.checkpoint import load_checkpoint
-from ltsrepr.cli import main
+from ltsrepr.cli import _write_json, main
 
 TINY_CONFIG = """\
 [dataset]
@@ -138,6 +138,17 @@ class TestRetrainCommand:
         meta = load_checkpoint(workdir / "da" / "retrain.ckpt").metadata
         assert set(meta["disalign"]) == {"scale", "shift", "gate_w", "gate_b"}
 
+    def test_divergent_retrain_fails_without_checkpoint(self, workdir, capsys):
+        ckpt = pretrain(workdir, out="swa")
+        code = run_cli(
+            "retrain", "--checkpoint", str(ckpt), "--output-dir", "div", "--retrain", "crt",
+            "--retrain-lr", "1e6", "--retrain-epochs-frac", "40",
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: crt diverged")
+        assert not (workdir / "div" / "retrain.ckpt").exists()
+
 
 class TestEvalCommand:
     def test_report_files_and_determinism(self, workdir):
@@ -245,6 +256,11 @@ class TestSweepCommand:
 
 
 class TestErrorPaths:
+    def test_json_writer_rejects_nan(self, workdir):
+        with pytest.raises(ValueError):
+            _write_json(str(workdir / "bad.json"), {"nll": float("nan")})
+        assert not (workdir / "bad.json").exists()
+
     def test_bad_config_key(self, workdir, capsys):
         (workdir / "bad.ini").write_text("[optim]\nunknown_key = 1\n")
         code = run_cli("pretrain", "--config", "bad.ini", "--output-dir", "x")

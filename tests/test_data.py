@@ -15,7 +15,6 @@ from ltsrepr.data import (
     LongTailDataset,
     _class_means,
     assign_splits,
-    class_balanced_batch,
     class_balanced_indices,
     instance_balanced_indices,
     load_dataset,
@@ -192,7 +191,7 @@ class TestClassBalancedSampling:
         ds = toy_dataset([200, 90, 40, 10, 2])
         rng = np.random.default_rng(9)
         n = 100_000
-        _, labels = class_balanced_batch(ds, n, rng)
+        labels = ds.labels[class_balanced_indices(ds, n, rng)]
         observed = np.bincount(labels, minlength=5)
         result = stats.chisquare(observed)
         assert result.pvalue > 0.001

@@ -12,7 +12,6 @@ from ltsrepr.netcore import (
     OptimState,
     SgdHyper,
     backward,
-    ce_loss_and_grad,
     cosine_lr,
     cross_entropy,
     features,
@@ -23,6 +22,7 @@ from ltsrepr.netcore import (
     sgd_update_arrays,
     soft_ce_loss_and_grad,
     softmax,
+    softmax_ce,
     unflatten_params,
 )
 
@@ -104,15 +104,16 @@ class TestCrossEntropy:
         for _ in range(20):
             z = rng.standard_normal((4, 5))
             y = rng.integers(0, 5, size=4)
-            _, grad = ce_loss_and_grad(z, y)
-            num = numeric_grad(lambda zz: ce_loss_and_grad(zz, y)[0], z.copy(), h=1e-4)
-            assert_grad_close(grad, num, rtol=1e-4, atol=1e-6)
+            for weights in (None, rng.uniform(0.1, 2.0, size=4)):
+                _, grad = softmax_ce(z, y, weights)
+                num = numeric_grad(lambda zz: softmax_ce(zz, y, weights)[0], z.copy(), h=1e-4)
+                assert_grad_close(grad, num, rtol=1e-4, atol=1e-6)
 
     def test_soft_targets_match_hard_when_onehot(self):
         rng = np.random.default_rng(8)
         z = rng.standard_normal((6, 4))
         y = rng.integers(0, 4, size=6)
-        hard_loss, hard_grad = ce_loss_and_grad(z, y)
+        hard_loss, hard_grad = softmax_ce(z, y)
         soft_loss, soft_grad = soft_ce_loss_and_grad(z, np.eye(4)[y])
         np.testing.assert_allclose(hard_loss, soft_loss, atol=1e-12)
         np.testing.assert_allclose(hard_grad, soft_grad, atol=1e-12)

@@ -7,7 +7,6 @@ import pytest
 
 import ltsrepr.pipeline as pl
 from ltsrepr.netcore import flatten_params
-from ltsrepr.util import moving_average
 
 
 def tiny_config(seed=0, swa=True, epochs=8, method="crt"):
@@ -111,7 +110,7 @@ class TestPretrain:
     def test_loss_decreases_over_first_ten_epochs(self):
         cfg = replace(pl.ExperimentConfig(), optim=replace(pl.ExperimentConfig().optim, epochs=10))
         result = pl.run_pretrain(cfg)
-        smoothed = moving_average(result.epoch_losses, 5)
+        smoothed = np.convolve(result.epoch_losses, np.ones(5) / 5, mode="valid")
         assert np.all(np.diff(smoothed) < 0)
 
     def test_mixup_path_runs(self):
@@ -155,6 +154,12 @@ class TestRetrain:
         assert pl.retrain_epochs(cfg) == 6
         cfg = replace(cfg, optim=replace(cfg.optim, epochs=5))
         assert pl.retrain_epochs(cfg) == 1  # floor of one epoch
+
+    def test_retrain_epochs_round_half_up(self):
+        # same rounding rule as the data module: 25 * 0.1 = 2.5 -> 3, not 2
+        cfg = pl.ExperimentConfig()
+        assert pl.retrain_epochs(replace(cfg, optim=replace(cfg.optim, epochs=25))) == 3
+        assert pl.retrain_epochs(replace(cfg, optim=replace(cfg.optim, epochs=4))) == 1
 
     def test_unknown_method_rejected(self):
         cfg = tiny_config()
