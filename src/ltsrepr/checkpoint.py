@@ -16,13 +16,14 @@ metadata (method, balancing, seed, full config, config hash).
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import ModelParams, theta_size
+from .netcore import ModelParams, param_views, theta_size
 from .swag import SwagPosterior
 
 MODEL_MAGIC = b"SREPR001"
@@ -48,21 +49,6 @@ def _array_record(a: np.ndarray, what: str) -> bytes:
     return struct.pack("<II", *a2.shape) + data.tobytes()
 
 
-def _read_array(f) -> np.ndarray:
-    rows, cols = struct.unpack("<II", f.read(8))
-    data = np.frombuffer(f.read(4 * rows * cols), dtype="<f4").astype(np.float64)
-    return data.reshape(rows, cols)
-
-
-def _unflatten_to_arrays(flat: np.ndarray, template: ModelParams) -> list[np.ndarray]:
-    arrays = []
-    offset = 0
-    for a in template.arrays():
-        arrays.append(flat[offset : offset + a.size].reshape(a.shape))
-        offset += a.size
-    return arrays
-
-
 def save_checkpoint(path, params: ModelParams, posterior: SwagPosterior | None = None,
                     metadata: dict | None = None) -> None:
     """Write a checkpoint; every value is validated before the file opens."""
@@ -76,12 +62,41 @@ def save_checkpoint(path, params: ModelParams, posterior: SwagPosterior | None =
         for name, flat in (("mean", posterior.mean), ("second moment", posterior.sq_mean),
                            ("covariance", posterior.sigma)):
             chunks += [_array_record(a, f"posterior {name} array {i}")
-                       for i, a in enumerate(_unflatten_to_arrays(flat, params))]
+                       for i, a in enumerate(param_views(flat, arrays))]
     if metadata is not None:
         blob = json.dumps(metadata, sort_keys=True, allow_nan=False).encode("utf-8")
         chunks += [struct.pack("<I", len(blob)), blob]
     with open(path, "wb") as f:
         f.writelines(chunks)
+
+
+class _Reader:
+    """Length-checked reads from an open checkpoint file."""
+
+    def __init__(self, f):
+        self.f = f
+        self.left = f.seek(0, io.SEEK_END)
+        f.seek(0)
+
+    def take(self, n: int, what: str) -> bytes:
+        if n > self.left:
+            raise ValueError(
+                f"truncated checkpoint: {what} needs {n} bytes at offset {self.f.tell()}, "
+                f"{self.left} left"
+            )
+        self.left -= n
+        return self.f.read(n)
+
+    def peek(self, n: int) -> bytes:
+        pos = self.f.tell()
+        data = self.f.read(n)
+        self.f.seek(pos)
+        return data
+
+    def array(self, what: str) -> np.ndarray:
+        rows, cols = struct.unpack("<II", self.take(8, f"{what} header"))
+        data = np.frombuffer(self.take(4 * rows * cols, what), dtype="<f4")
+        return data.astype(np.float64).reshape(rows, cols)
 
 
 def _params_from_arrays(arrays: list[np.ndarray]) -> ModelParams:
@@ -95,23 +110,33 @@ def _params_from_arrays(arrays: list[np.ndarray]) -> ModelParams:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint. Raises ValueError naming the section at fault
+    (header, base array i, posterior group array i, metadata trailer) for a
+    truncated or malformed file, and for any bytes after the trailer."""
     with open(path, "rb") as f:
-        magic = f.read(8)
+        r = _Reader(f)
+        magic = r.take(8, "magic")
         if magic != MODEL_MAGIC:
             raise ValueError(f"bad checkpoint magic {magic!r}")
-        version, count = struct.unpack("<II", f.read(8))
+        version, count = struct.unpack("<II", r.take(8, "header"))
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        params = _params_from_arrays([_read_array(f) for _ in range(count)])
+        base = [r.array(f"base array {i}") for i in range(count)]
+        params = _params_from_arrays(base)
 
         posterior = None
-        metadata = None
-        peek = f.read(8)
-        if peek == SWAG_MAGIC:
-            (n,) = struct.unpack("<I", f.read(4))
+        if r.peek(8) == SWAG_MAGIC:
+            r.take(8, "posterior magic")
+            (n,) = struct.unpack("<I", r.take(4, "posterior capture count"))
             groups = []
-            for _ in range(3):
-                flats = [_read_array(f).reshape(-1) for _ in range(count)]
+            for name in ("mean", "second moment", "covariance"):
+                flats = []
+                for i, ref in enumerate(base):
+                    a = r.array(f"posterior {name} array {i}")
+                    if a.shape != ref.shape:
+                        raise ValueError(f"posterior {name} array {i} has shape {a.shape}, "
+                                         f"base array is {ref.shape}")
+                    flats.append(a.reshape(-1))
                 groups.append(np.concatenate(flats))
             posterior = SwagPosterior(
                 mean=groups[0],
@@ -122,13 +147,18 @@ def load_checkpoint(path) -> Checkpoint:
                 sigma=groups[2],
                 frozen=True,
             )
-            peek = f.read(8)
-        if peek:
-            if len(peek) < 4:
-                raise ValueError("truncated metadata trailer")
-            (length,) = struct.unpack("<I", peek[:4])
-            blob = peek[4:] + f.read(length - (len(peek) - 4))
-            metadata = json.loads(blob.decode("utf-8"))
+
+        metadata = None
+        if r.left:
+            (length,) = struct.unpack("<I", r.take(4, "metadata trailer length"))
+            try:
+                metadata = json.loads(r.take(length, "metadata trailer").decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"metadata trailer is not UTF-8: {exc}") from None
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"metadata trailer is not valid JSON: {exc}") from None
+            if r.left:
+                raise ValueError(f"checkpoint has {r.left} unexpected bytes after the metadata trailer")
     return Checkpoint(params=params, posterior=posterior, metadata=metadata)
 
 

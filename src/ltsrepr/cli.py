@@ -147,14 +147,15 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 
 
 def load_config(args: argparse.Namespace, metadata: dict | None = None) -> pl.ExperimentConfig:
-    """Defaults <- checkpoint metadata <- config file <- flags."""
+    """Defaults <- checkpoint metadata <- config file <- flags, validated
+    before any command touches the output directory."""
     if getattr(args, "config", None):
         cfg = pl.ExperimentConfig.from_file(args.config)
     elif metadata and "config" in metadata:
         cfg = pl.ExperimentConfig.from_dict(metadata["config"])
     else:
         cfg = pl.ExperimentConfig()
-    return pl.apply_overrides(cfg, _overrides_from_args(args))
+    return pl.apply_overrides(cfg, _overrides_from_args(args)).validate()
 
 
 def _outdir(cfg: pl.ExperimentConfig) -> str:

@@ -119,15 +119,22 @@ def theta_size(params: ModelParams) -> int:
     return sum(a.size for a in params.theta_arrays())
 
 
-def unflatten_params(flat: np.ndarray, template: ModelParams) -> ModelParams:
-    """Rebuild a ModelParams with the template's shapes from a flat vector."""
-    arrays = []
+def param_views(flat: np.ndarray, arrays) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` shaped like ``arrays``, which must
+    account for every entry of ``flat``."""
+    views = []
     offset = 0
-    for a in template.arrays():
-        arrays.append(flat[offset : offset + a.size].reshape(a.shape).copy())
+    for a in arrays:
+        views.append(flat[offset : offset + a.size].reshape(a.shape))
         offset += a.size
     if offset != flat.size:
         raise ValueError(f"flat vector has {flat.size} entries, expected {offset}")
+    return views
+
+
+def unflatten_params(flat: np.ndarray, template: ModelParams) -> ModelParams:
+    """Rebuild a ModelParams with the template's shapes from a flat vector."""
+    arrays = [v.copy() for v in param_views(flat, template.arrays())]
     n_layers = len(template.layers)
     layers = [(arrays[2 * i], arrays[2 * i + 1]) for i in range(n_layers)]
     return ModelParams(layers, arrays[-2], arrays[-1])

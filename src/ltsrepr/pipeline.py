@@ -180,6 +180,56 @@ class ExperimentConfig:
     def hash(self) -> str:
         return ckpt_io.config_hash(self.canonical().to_text())
 
+    def validate(self) -> "ExperimentConfig":
+        """Reject out-of-range values before any training starts; returns self.
+
+        With averaging on, it also predicts how many snapshots stage 1 will
+        capture, since ``freeze`` needs at least two.
+        """
+        dataset_config(self).validate()
+        m, o, s, r, e = self.model, self.optim, self.swa, self.retrain, self.eval
+        for ok, what in (
+            (all(h >= 1 for h in m.hidden_sizes), "model.hidden_sizes must all be >= 1"),
+            (m.repr_dim >= 1, "model.repr_dim must be >= 1"),
+            (m.activation in net.ACTIVATIONS,
+             f"model.activation must be one of {sorted(net.ACTIVATIONS)}"),
+            (o.lr > 0.0, "optim.lr must be positive"),
+            (0.0 <= o.momentum < 1.0, "optim.momentum must be in [0, 1)"),
+            (o.weight_decay >= 0.0, "optim.weight_decay must be >= 0"),
+            (o.epochs >= 1, "optim.epochs must be >= 1"),
+            (o.batch_size >= 1, "optim.batch_size must be >= 1"),
+            (o.mixup_alpha >= 0.0, "optim.mixup_alpha must be >= 0 (0 disables mixup)"),
+            (s.swag_samples >= 1, "swa.swag_samples must be >= 1"),
+            (r.method in RETRAIN_METHODS,
+             f"unknown retrain method {r.method!r}; expected one of {RETRAIN_METHODS}"),
+            (r.balance in bal.KINDS, f"retrain.balance must be one of {bal.KINDS}"),
+            (r.balance_rho >= 0.0, "retrain.balance_rho must be >= 0"),
+            (r.epochs_frac > 0.0, "retrain.epochs_frac must be positive"),
+            (r.lr > 0.0, "retrain.lr must be positive"),
+            (e.ece_bins >= 1, "eval.ece_bins must be >= 1"),
+            (e.ensemble_m >= 0, "eval.ensemble_m must be >= 0 (0 means point predictions)"),
+            (all(v >= 0 for v in (self.run.seed, *self.run.seeds)), "run seeds must be >= 0"),
+        ):
+            if not ok:
+                raise ValueError(what)
+        srepr_config(self).validate()
+        if s.enabled:
+            d = self.dataset
+            counts = data_mod.longtail_class_counts(d.num_classes, d.max_count, d.imbalance_factor)
+            spe = data_mod.steps_per_epoch(int(counts.sum()), o.batch_size)
+            schedule = swa_schedule(self, spe)
+            schedule.validate()
+            total = spe * o.epochs
+            captures = sum(swag_mod.should_capture(k * spe, total, schedule)
+                           for k in range(1, o.epochs + 1))
+            if captures < 2:
+                raise ValueError(
+                    f"weight averaging would capture {captures} snapshot(s) over {o.epochs} epochs "
+                    f"with swa.start_frac {s.start_frac}; it needs >= 2 "
+                    "(raise optim.epochs or lower swa.start_frac)"
+                )
+        return self
+
 
 def _parse_value(text: str, default):
     if isinstance(default, bool):
@@ -231,6 +281,15 @@ def dataset_config(cfg: ExperimentConfig) -> data_mod.DatasetConfig:
     )
 
 
+def swa_schedule(cfg: ExperimentConfig, steps_per_epoch: int) -> swag_mod.SwaSchedule:
+    """Averaging schedule with captures on epoch boundaries."""
+    return swag_mod.SwaSchedule(
+        start_fraction=cfg.swa.start_frac,
+        capture_interval_steps=steps_per_epoch,
+        swa_lr=cfg.swa.swa_lr,
+    )
+
+
 def build_datasets(cfg: ExperimentConfig, cache_path: str | None = None):
     """Generate (or load from cache) the raw pair, then standardize both
     splits with training statistics."""
@@ -273,6 +332,7 @@ class PretrainResult:
 
 
 def run_pretrain(cfg: ExperimentConfig, datasets=None, cache_path: str | None = None) -> PretrainResult:
+    cfg.validate()
     train, test = datasets if datasets is not None else build_datasets(cfg, cache_path)
     seed = cfg.run.seed
     hyper = net.SgdHyper(
@@ -291,13 +351,7 @@ def run_pretrain(cfg: ExperimentConfig, datasets=None, cache_path: str | None = 
     )
     spe = data_mod.steps_per_epoch(train.num_examples, hyper.batch_size)
     total = spe * hyper.epochs
-    schedule = swag_mod.SwaSchedule(
-        start_fraction=cfg.swa.start_frac,
-        capture_interval_steps=spe,
-        swa_lr=cfg.swa.swa_lr,
-    )
-    if cfg.swa.enabled:
-        schedule.validate()
+    schedule = swa_schedule(cfg, spe)
     posterior = swag_mod.new_posterior(params) if cfg.swa.enabled else None
     state = net.OptimState.for_arrays(params.arrays(), hyper, total)
     rng_batch = rng_stream(seed, STREAM_BATCH)
@@ -384,10 +438,9 @@ def run_retrain(
     datasets=None,
     cache_path: str | None = None,
 ) -> RetrainResult:
+    cfg.validate()
     train, _ = datasets if datasets is not None else build_datasets(cfg, cache_path)
     method = cfg.retrain.method
-    if method not in RETRAIN_METHODS:
-        raise ValueError(f"unknown retrain method {method!r}; expected one of {RETRAIN_METHODS}")
     seed = cfg.run.seed
     act = cfg.model.activation
     spec = balancing_spec(cfg, train)
@@ -486,6 +539,7 @@ def run_eval(
     disalign_params: retrain_mod.DisAlignParams | None = None,
     cache_path: str | None = None,
 ) -> metrics_mod.MetricsReport:
+    cfg.validate()
     train, test = datasets if datasets is not None else build_datasets(cfg, cache_path)
     probs = predictive_probs(cfg, params, posterior, test.features, disalign_params)
     return metrics_mod.evaluate_probs(probs, test.labels, train.splits, cfg.eval.ece_bins)
@@ -512,6 +566,7 @@ def run_analyze(
     datasets=None,
     cache_path: str | None = None,
 ) -> AnalysisResult:
+    cfg.validate()
     if posterior is None:
         raise ValueError("posterior required for dispersion analysis")
     train, test = datasets if datasets is not None else build_datasets(cfg, cache_path)
@@ -615,6 +670,7 @@ class SweepResult:
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
+    cfg.validate()
     seeds = cfg.run.seeds
     if not seeds:
         raise ValueError("sweep needs at least one seed")

@@ -14,6 +14,9 @@ only through the student concentrations; the teacher side is constant.
 
 from __future__ import annotations
 
+import mmap
+import queue
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,7 +46,7 @@ from .netcore import (
     softmax,
     softmax_ce,
 )
-from .swag import SwagPosterior, posterior_features
+from .swag import SwagPosterior, fill_theta, posterior_features, theta_layers
 
 LOGIT_CLAMP_SCALE = 30.0  # raw student logits clipped at +/- 30 * temperature
 
@@ -79,26 +82,38 @@ def _stage2_sampler(spec: BalancingSpec):
     return class_balanced_indices if spec.uses_class_balanced_sampler else instance_balanced_indices
 
 
-def fit_head(method: str, arrays, loss_and_grads, sampler, dataset: LongTailDataset,
-             optim: SgdHyper, rng: np.random.Generator) -> None:
+def stage2_steps(dataset: LongTailDataset, optim: SgdHyper) -> int:
+    return steps_per_epoch(dataset.num_examples, optim.batch_size) * optim.epochs
+
+
+def sampled_batches(sampler, dataset: LongTailDataset, optim: SgdHyper, rng: np.random.Generator):
+    """Batch indices for every stage-2 step, each drawn from ``rng`` as its
+    step starts."""
+    for _ in range(stage2_steps(dataset, optim)):
+        yield sampler(dataset, optim.batch_size, rng)
+
+
+def fit_head(method: str, arrays, loss_and_grads, batches, dataset: LongTailDataset,
+             optim: SgdHyper) -> None:
     """The stage-2 SGD loop shared by every method.
 
-    Each step draws batch indices with ``sampler``, takes the batch loss and
-    one gradient per array from ``loss_and_grads(idx)``, and moves ``arrays``
-    in place. Raises FloatingPointError naming the method and step when the
-    loss, or any array after the last step, is non-finite.
+    Each item of ``batches`` is one step: ``loss_and_grads(item)`` returns
+    the batch loss and one gradient per array, and ``arrays`` move in
+    place. The learning-rate schedule spans the epochs ``optim`` sets over
+    ``dataset``. Raises FloatingPointError naming the method and step when
+    the loss, or any array after the last step, is non-finite.
     """
-    total = steps_per_epoch(dataset.num_examples, optim.batch_size) * optim.epochs
-    state = OptimState.for_arrays(arrays, optim, max(total, 1))
+    state = OptimState.for_arrays(arrays, optim, max(stage2_steps(dataset, optim), 1))
+    step = -1
     # overflow is detected below and reported once, not warned about per op
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(total):
-            loss, grads = loss_and_grads(sampler(dataset, optim.batch_size, rng))
+        for step, batch in enumerate(batches):
+            loss, grads = loss_and_grads(batch)
             if not np.isfinite(loss):
                 raise FloatingPointError(f"{method} diverged: non-finite loss at step {step}")
             sgd_update_arrays(arrays, grads, state)
     if not all(np.isfinite(a).all() for a in arrays):
-        raise FloatingPointError(f"{method} diverged: non-finite parameters after step {total - 1}")
+        raise FloatingPointError(f"{method} diverged: non-finite parameters after step {step}")
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +144,8 @@ def crt(
         )
         return loss, [f.T @ dz, dz.sum(axis=0)]
 
-    fit_head("crt", [w, b], loss_and_grads, _stage2_sampler(balancing), dataset, optim, rng)
+    batches = sampled_batches(_stage2_sampler(balancing), dataset, optim, rng)
+    fit_head("crt", [w, b], loss_and_grads, batches, dataset, optim)
     return w, b
 
 
@@ -167,8 +183,9 @@ def lws(
 
     # tau is a bare scalar: weight decay on it would pull toward the
     # unscaled classifier, so it is optimized without the L2 term.
-    fit_head("lws", [tau], loss_and_grads, _stage2_sampler(balancing), dataset,
-             replace(optim, weight_decay=0.0), rng)
+    optim = replace(optim, weight_decay=0.0)
+    batches = sampled_batches(_stage2_sampler(balancing), dataset, optim, rng)
+    fit_head("lws", [tau], loss_and_grads, batches, dataset, optim)
     w, b = lws_classifier(w_star, b_star, float(tau[0]))
     return w, b, float(tau[0])
 
@@ -277,8 +294,10 @@ def disalign(
         return loss, [gs, gh, gw, np.array([gb])]
 
     # identity blend must stay reachable: no L2 pull on calibration params
+    optim = replace(optim, weight_decay=0.0)
+    batches = sampled_batches(instance_balanced_indices, dataset, optim, rng)
     fit_head("disalign", [params.scale, params.shift, params.gate_w, gate_b], loss_and_grads,
-             instance_balanced_indices, dataset, replace(optim, weight_decay=0.0), rng)
+             batches, dataset, optim)
     params.gate_b = float(gate_b[0])
     return params
 
@@ -307,10 +326,123 @@ def stochastic_representations(
     if source == "input_jitter":
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return np.stack([
-            features(model, x + config.jitter_std * rng.standard_normal(x.shape), activation)
+            features(model, jitter_inputs(x, config.jitter_std, rng), activation)
             for _ in range(config.num_samples)
         ])
     raise ValueError(f"unknown stochastic source {source!r}")
+
+
+def jitter_inputs(x: np.ndarray, std: float, rng: np.random.Generator,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """x + std * eps with standard normal eps, filled into ``out`` (allocated
+    when omitted) in place; same stream and bits as a fresh draw."""
+    if out is None:
+        out = np.empty(x.shape)
+    rng.standard_normal(out=out)
+    out *= std
+    out += x
+    return out
+
+
+# A hand-off costs the consumer a GIL round trip, so members are drawn and
+# handed over in blocks of at least this many numbers.
+HANDOFF_NUMBERS = 1 << 15
+
+
+def member_ring(members: int, member_shape: tuple) -> np.ndarray:
+    """DrawAhead's ring: one step's members as float64 blocks, shape
+    (blocks, per_block, *member_shape).
+
+    It lives in its own anonymous memory map rather than on the malloc
+    heap, so its pages go back to the system when the last view of it is
+    dropped and later allocations do not land around a freed hole.
+    """
+    size = int(np.prod(member_shape))
+    per_block = min(members, -(-HANDOFF_NUMBERS // size))
+    shape = (-(-members // per_block), per_block, *member_shape)
+    pages = mmap.mmap(-1, 8 * int(np.prod(shape)))
+    return np.frombuffer(pages, dtype=np.float64).reshape(shape)
+
+
+class DrawAhead:
+    """srepr's random draws, made one step ahead on a producer thread.
+
+    While it runs, the producer is the only user of the RNG stream and
+    replays the inline loop's sequence in order: a step's batch indices
+    (``next_indices()``), then its M members (``len(out)``), drawn a block
+    at a time by ``fill(rows, x)`` into the leading rows of a block of the
+    caller-allocated ``ring`` (``member_ring``); ``x`` is the batch of
+    ``inputs``. A block is handed back once the consumer has run
+    ``represent(k, i, x)`` on each member it holds (row i of block k), so
+    the producer is at most one step ahead and allocates nothing large.
+    Iterating yields ``(idx, reps)`` per step, with reps the (M, B, L)
+    ``out`` buffer, rewritten every step. An exception raised in the
+    producer is re-raised by the iterator.
+
+    Use it as a context manager: leaving the block, normally or by an
+    exception, stops the producer and joins its thread. After an early exit
+    the stream may have advanced by up to one step more than was consumed.
+    """
+
+    def __init__(self, steps: int, next_indices, inputs: np.ndarray, fill, represent,
+                 ring: np.ndarray, out: np.ndarray):
+        self._steps = steps
+        self._next_indices = next_indices
+        self._inputs = inputs
+        self._fill = fill
+        self._represent = represent
+        self._ring = ring
+        self._out = out
+        per_block = len(ring[0])
+        self._rows = [min(per_block, len(out) - j) for j in range(0, len(out), per_block)]
+        self._free = queue.SimpleQueue()
+        for k in range(len(ring)):
+            self._free.put(k)
+        self._ready = queue.SimpleQueue()
+        self._stopping = False
+        self._thread = threading.Thread(target=self._produce, name="srepr-draws")
+
+    def _produce(self) -> None:
+        try:
+            for _ in range(self._steps):
+                idx = self._next_indices()
+                x = self._inputs[idx]
+                self._ready.put((idx, x))
+                for rows in self._rows:
+                    k = self._free.get()  # blocks come back in ring order
+                    if self._stopping:
+                        return
+                    self._fill(self._ring[k][:rows], x)
+                    self._ready.put(k)
+        except BaseException as exc:  # noqa: BLE001 - re-raised on the consumer side
+            self._ready.put(exc)
+
+    def _take(self):
+        item = self._ready.get()
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    def __iter__(self):
+        for _ in range(self._steps):
+            idx, x = self._take()
+            j = 0
+            for rows in self._rows:
+                k = self._take()
+                for i in range(rows):
+                    self._out[j] = self._represent(k, i, x)
+                    j += 1
+                self._free.put(k)
+            yield idx, self._out
+
+    def __enter__(self) -> "DrawAhead":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stopping = True
+        self._free.put(-1)  # wakes a producer waiting for a free block
+        self._thread.join()
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +652,9 @@ def srepr_retrain(
 
     Fresh extractor samples are drawn every batch; the teacher Dirichlet is
     re-fit from them under the current classifier, and only (w, b) move.
+    The batch indices and draws come from ``rng`` on a DrawAhead producer
+    thread one step ahead of the loop, in the inline order, so the result
+    is the same bits as drawing them inline.
     """
     config.validate()
     balancing.validate()
@@ -527,17 +662,37 @@ def srepr_retrain(
         raise ValueError("posterior required for stochastic source 'posterior'")
     w = phi_init[0].copy()
     b = phi_init[1].copy()
-    source_model = posterior if config.stochastic_source == "posterior" else theta_swa
     f_swa_all = features(theta_swa, dataset.features, activation)
+    m, batch = config.num_samples, optim.batch_size
+    if config.stochastic_source == "posterior":
+        ring = member_ring(m, (posterior.theta_dim,))
+        layers = [[theta_layers(posterior, row) for row in block] for block in ring]
 
-    def loss_and_grads(idx):
-        reps = stochastic_representations(
-            dataset.features[idx], config.stochastic_source, source_model, config, rng, activation
-        )
+        def fill(rows, x):
+            fill_theta(posterior, rng, rows)
+
+        def represent(k, i, x):
+            return features(layers[k][i], x, activation)
+    else:
+        ring = member_ring(m, (batch, dataset.input_dim))
+
+        def fill(rows, x):
+            jitter_inputs(x, config.jitter_std, rng, out=rows)
+
+        def represent(k, i, x):
+            return features(theta_swa, ring[k][i], activation)
+
+    def loss_and_grads(batch_and_reps):
+        idx, reps = batch_and_reps
         loss, gw, gb, _ = srepr_batch_loss_and_grad(
             w, b, reps, f_swa_all[idx], dataset.labels[idx], balancing, config
         )
         return loss, [gw, gb]
 
-    fit_head("srepr", [w, b], loss_and_grads, _stage2_sampler(balancing), dataset, optim, rng)
+    sampler = _stage2_sampler(balancing)
+    draws = DrawAhead(stage2_steps(dataset, optim), lambda: sampler(dataset, batch, rng),
+                      dataset.features, fill, represent, ring,
+                      np.empty((m, batch, f_swa_all.shape[1])))
+    with draws:
+        fit_head("srepr", [w, b], loss_and_grads, draws, dataset, optim)
     return w, b

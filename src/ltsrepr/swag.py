@@ -10,11 +10,19 @@ sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netcore import ModelParams, cosine_lr, features, flatten_params, theta_size, unflatten_params
+from .netcore import (
+    ModelParams,
+    cosine_lr,
+    features,
+    flatten_params,
+    param_views,
+    theta_size,
+    unflatten_params,
+)
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,14 @@ class SwagPosterior:
     template: ModelParams
     sigma: np.ndarray | None = None
     frozen: bool = False
+    _std: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def theta_std(self) -> np.ndarray:
+        """sqrt of the extractor's diagonal covariance, computed once per
+        ``sigma`` rather than once per draw."""
+        if self._std is None or self._std[0] is not self.sigma:
+            self._std = (self.sigma, np.sqrt(self.sigma[: self.theta_dim]))
+        return self._std[1]
 
 
 def new_posterior(template: ModelParams) -> SwagPosterior:
@@ -97,24 +113,52 @@ def swa_params(posterior: SwagPosterior) -> ModelParams:
     return unflatten_params(posterior.mean, posterior.template)
 
 
-def sample_theta(posterior: SwagPosterior, rng: np.random.Generator):
-    """Draw feature-extractor parameters mean + sqrt(diag) * eps."""
+def fill_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill every (theta_dim,) row of the float64 buffer ``out`` with one
+    feature-extractor draw mean + sqrt(diag) * eps, in place.
+
+    Rows are drawn in C order, so filling an (M, theta_dim) buffer consumes
+    ``rng`` exactly as M single draws do and yields the same bits.
+    """
     if not posterior.frozen:
         raise ValueError("posterior must be frozen before sampling")
-    td = posterior.theta_dim
-    flat = posterior.mean.copy()
-    flat[:td] += np.sqrt(posterior.sigma[:td]) * rng.standard_normal(td)
-    return unflatten_params(flat, posterior.template).layers
+    rng.standard_normal(out=out)
+    out *= posterior.theta_std()
+    out += posterior.mean[: posterior.theta_dim]
+
+
+def theta_layers(posterior: SwagPosterior, flat: np.ndarray):
+    """The extractor's (weight, bias) layer pairs as views into one
+    (theta_dim,) draw."""
+    views = param_views(flat, posterior.template.theta_arrays())
+    return list(zip(views[0::2], views[1::2]))
+
+
+def sample_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.ndarray | None = None):
+    """Draw feature-extractor parameters mean + sqrt(diag) * eps.
+
+    The draw fills ``out`` (a (theta_dim,) buffer, allocated when omitted)
+    and the returned layer pairs are views into it.
+    """
+    if out is None:
+        out = np.empty(posterior.theta_dim)
+    fill_theta(posterior, rng, out)
+    return theta_layers(posterior, out)
 
 
 def posterior_features(posterior: SwagPosterior, x: np.ndarray, num_samples: int,
                        rng: np.random.Generator, activation: str = "relu") -> np.ndarray:
     """Representations of a batch under num_samples extractor draws, shape
-    (M, B, L); draws are taken from ``rng`` in member order."""
+    (M, B, L); draws are taken from ``rng`` in member order into one reused
+    parameter buffer."""
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return np.stack([
-        features(sample_theta(posterior, rng), x, activation) for _ in range(num_samples)
-    ])
+    buf = np.empty(posterior.theta_dim)
+    reps = np.empty((num_samples, len(x), posterior.template.repr_dim))
+    for j in range(num_samples):
+        reps[j] = features(sample_theta(posterior, rng, out=buf), x, activation)
+    return reps
 
 
 def should_capture(step: int, total_steps: int, schedule: SwaSchedule) -> bool:

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltsrepr.checkpoint import (
     config_hash,
@@ -160,6 +162,126 @@ class TestMetadataTrailer:
         save_checkpoint(a, params, post, meta)
         save_checkpoint(b, params, post, meta)
         assert a.read_bytes() == b.read_bytes()
+
+
+def encode(directory, params, posterior=None, metadata=None) -> bytes:
+    path = directory / "encoded.ckpt"
+    save_checkpoint(path, params, posterior, metadata)
+    return path.read_bytes()
+
+
+def decode(directory, blob: bytes):
+    path = directory / "decoded.ckpt"
+    path.write_bytes(blob)
+    return load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("damaged")
+
+
+class TestDamagedFiles:
+    def full_checkpoint(self, directory):
+        params = make_params()
+        return encode(directory, params, make_posterior(params), {"stage": "pretrain"})
+
+    def test_truncated_magic_named(self, scratch):
+        with pytest.raises(ValueError, match="truncated checkpoint: magic needs 8 bytes"):
+            decode(scratch, b"SREP")
+
+    def test_truncated_base_array_named(self, scratch):
+        with pytest.raises(ValueError, match="truncated checkpoint: base array 1 needs 24 bytes"):
+            decode(scratch, self.full_checkpoint(scratch)[:160])
+
+    def test_truncated_posterior_named(self, scratch):
+        base_len = len(encode(scratch, make_params()))
+        with pytest.raises(ValueError, match="posterior mean array 0"):
+            decode(scratch, self.full_checkpoint(scratch)[: base_len + 20])
+
+    def test_truncated_trailer_named(self, scratch):
+        with pytest.raises(ValueError, match="metadata trailer needs"):
+            decode(scratch, self.full_checkpoint(scratch)[:-1])
+
+    def test_trailing_bytes_rejected(self, scratch):
+        with pytest.raises(ValueError, match="7 unexpected bytes after the metadata trailer"):
+            decode(scratch, self.full_checkpoint(scratch) + b"garbage")
+
+    def test_trailer_not_json_named(self, scratch):
+        blob = encode(scratch, make_params()) + struct.pack("<I", 3) + b"{x}"
+        with pytest.raises(ValueError, match="metadata trailer is not valid JSON"):
+            decode(scratch, blob)
+
+    def test_posterior_shape_mismatch_named(self, scratch):
+        params = make_params()
+        other = init_params(np.random.default_rng(0), 5, (6, 4), 3, 3)
+        swag = encode(scratch, params, make_posterior(params))[len(encode(scratch, params)):]
+        with pytest.raises(ValueError, match="posterior mean array .* shape"):
+            decode(scratch, encode(scratch, other) + swag)
+
+
+@st.composite
+def checkpoint_contents(draw):
+    """(params, posterior or None, metadata or None) of a random checkpoint."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    hidden = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    shape = (draw(st.integers(1, 4)), hidden, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    params = init_params(rng, *shape)
+    posterior = None
+    if draw(st.booleans()):
+        posterior = new_posterior(params)
+        update_moments(posterior, params)
+        update_moments(posterior, init_params(rng, *shape))
+        freeze(posterior)
+    metadata = draw(st.none() | st.dictionaries(
+        st.text(max_size=4), st.integers() | st.text(max_size=6) | st.booleans(), max_size=3
+    ))
+    return params, posterior, metadata
+
+
+class TestDamageProperties:
+    """A file format without an end marker cannot tell a file cut exactly at
+    a section boundary from a shorter valid file, so the prefix property
+    holds everywhere but there: such a prefix must be, byte for byte, the
+    checkpoint without its later sections."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(checkpoint_contents(), st.data())
+    def test_every_strict_prefix_rejected(self, scratch, contents, data):
+        params, posterior, metadata = contents
+        blob = encode(scratch, params, posterior, metadata)
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        shorter = [encode(scratch, params)]
+        if posterior is not None:
+            shorter.append(encode(scratch, params, posterior))
+        shorter = {len(b): b for b in shorter}
+        near_boundaries = {n + d for n in shorter for d in (-1, 0, 1)}
+        for n in sorted({cut} | near_boundaries & set(range(len(blob)))):
+            if n in shorter:
+                assert blob[:n] == shorter[n]
+                decode(scratch, blob[:n])
+            else:
+                with pytest.raises(ValueError):
+                    decode(scratch, blob[:n])
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(checkpoint_contents(), st.binary(min_size=1, max_size=64))
+    def test_any_suffix_after_trailer_rejected(self, scratch, contents, suffix):
+        params, posterior, metadata = contents
+        # without a trailer, appended bytes could form a well-formed one
+        blob = encode(scratch, params, posterior, {} if metadata is None else metadata)
+        with pytest.raises(ValueError):
+            decode(scratch, blob + suffix)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(checkpoint_contents())
+    def test_valid_checkpoint_roundtrips(self, scratch, contents):
+        params, posterior, metadata = contents
+        blob = encode(scratch, params, posterior, metadata)
+        loaded = decode(scratch, blob)
+        assert encode(scratch, loaded.params, loaded.posterior, loaded.metadata) == blob
+        assert (loaded.posterior is None) == (posterior is None)
+        assert loaded.metadata == metadata
 
 
 def test_config_hash_stable():

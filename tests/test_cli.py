@@ -268,6 +268,24 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "unknown" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("pretrain", "--epochs", "4"), "capture 1 snapshot"),
+        (("eval", "--ensemble-m", "-3"), "ensemble_m must be >= 0"),
+        (("retrain", "--retrain-epochs-frac", "-1"), "epochs_frac must be positive"),
+    ])
+    def test_bad_config_rejected_before_any_work(self, workdir, capsys, argv, message):
+        ckpt = pretrain(workdir, out="run")
+        capsys.readouterr()
+        command, *flags = argv
+        extra = () if command == "pretrain" else ("--checkpoint", str(ckpt))
+        code = run_cli(command, "--config", "tiny.ini", "--output-dir", "out",
+                       "--dataset-cache", "cache.bin", *extra, *flags)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+        assert not (workdir / "out").exists()
+        assert not (workdir / "cache.bin").exists()
+
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit):
             run_cli("--help")

@@ -1,6 +1,8 @@
 """Tests for the experiment config and the end-to-end drivers."""
 
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +82,56 @@ seeds = 1,2,3
     def test_none_overrides_ignored(self):
         cfg = pl.ExperimentConfig()
         assert pl.apply_overrides(cfg, {"optim.lr": None}) == cfg
+
+
+class TestValidate:
+    def test_default_is_valid(self):
+        cfg = pl.ExperimentConfig()
+        assert cfg.validate() is cfg
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("eval", "ensemble_m", -3, "ensemble_m must be >= 0"),
+        ("retrain", "epochs_frac", 0.0, "epochs_frac must be positive"),
+        ("retrain", "epochs_frac", -1.0, "epochs_frac must be positive"),
+        ("optim", "lr", float("nan"), "optim.lr must be positive"),
+        ("optim", "momentum", 1.0, "momentum"),
+        ("retrain", "srepr_m", 1, "num_samples must be >= 2"),
+        ("retrain", "balance", "magic", "retrain.balance"),
+        ("dataset", "num_classes", 1, "num_classes must be >= 2"),
+        ("swa", "start_frac", 1.0, "start_fraction"),
+    ])
+    def test_out_of_range_rejected(self, section, key, value, message):
+        cfg = pl.apply_overrides(tiny_config(), {f"{section}.{key}": value})
+        with pytest.raises(ValueError, match=message):
+            cfg.validate()
+
+    @pytest.mark.parametrize("epochs", [3, 4, 5, 8])
+    @pytest.mark.parametrize("start_frac", [0.5, 0.75, 0.9])
+    def test_capture_count_predicted(self, monkeypatch, epochs, start_frac):
+        cfg = tiny_config(epochs=epochs)
+        cfg = replace(cfg, swa=replace(cfg.swa, start_frac=start_frac))
+        try:
+            cfg.validate()
+            predicted_ok = True
+        except ValueError as exc:
+            assert "capture" in str(exc)
+            predicted_ok = False
+        monkeypatch.setattr(pl.ExperimentConfig, "validate", lambda self: self)
+        try:
+            captured = pl.run_pretrain(cfg).posterior.count
+        except ValueError as exc:
+            assert "need >= 2 captured snapshots" in str(exc)
+            captured = 1
+        assert predicted_ok == (captured >= 2)
+
+    def test_benchmark_configs_validate(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        for name in workloads.WORKLOADS:
+            wl = workloads.make(name, 0)
+            for seed in wl.program_seeds:
+                wl.config(seed).validate()
 
 
 class TestPretrain:
@@ -163,11 +215,13 @@ class TestRetrain:
 
     def test_unknown_method_rejected(self):
         cfg = tiny_config()
-        cfg = replace(cfg, retrain=replace(cfg.retrain, method="magic"))
         ds = pl.build_datasets(cfg)
         pre = pl.run_pretrain(cfg, datasets=ds)
+        cfg = replace(cfg, retrain=replace(cfg.retrain, method="magic"))
         with pytest.raises(ValueError, match="unknown retrain method"):
             pl.run_retrain(cfg, pre.params, pre.posterior, datasets=ds)
+        with pytest.raises(ValueError, match="unknown retrain method"):
+            pl.run_pretrain(cfg, datasets=ds)
 
 
 class TestEval:
@@ -290,6 +344,18 @@ class TestSweepWorkers:
             assert row_s.keys() == row_p.keys()
             for key in row_s:
                 np.testing.assert_equal(row_s[key], row_p[key])  # nan-aware
+
+
+    def test_srepr_leaves_no_thread_before_the_pool_forks(self, monkeypatch):
+        cfg = replace(tiny_config(epochs=6, method="srepr"),
+                      run=replace(tiny_config().run, seeds=(0, 1)))
+        before = threading.active_count()
+        pre = pl.run_pretrain(cfg)
+        pl.run_retrain(cfg, pre.params, pre.posterior, datasets=(pre.train, pre.test))
+        assert threading.active_count() == before
+        monkeypatch.setenv("LTSREPR_THREADS", "2")
+        result = pl.run_sweep(cfg)
+        assert not result.failures and len(result.per_seed) == 2
 
 
 class TestDatasetCache:

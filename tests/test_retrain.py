@@ -2,6 +2,9 @@
 stochastic-representation re-training."""
 
 import math
+import sys
+import threading
+import traceback
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from scipy import stats
 from scipy.special import digamma, gammaln
 
 from ltsrepr.balancing import BalancingSpec
-from ltsrepr.data import LongTailDataset
+from ltsrepr.data import LongTailDataset, class_balanced_indices
 from ltsrepr.netcore import (
     SgdHyper,
     classifier_logits,
@@ -22,6 +25,7 @@ from ltsrepr.netcore import (
 )
 from ltsrepr.retrain import (
     DisAlignParams,
+    DrawAhead,
     SreprConfig,
     crt,
     dirichlet_kl,
@@ -29,19 +33,21 @@ from ltsrepr.retrain import (
     disalign_logits,
     disalign_loss_and_grads,
     estimate_beta,
+    jitter_inputs,
     kd_loss,
     kd_loss_and_alpha_grad,
     lws,
     lws_classifier,
     mean_ce_loss,
     mean_ce_loss_and_grad,
+    member_ring,
     srepr_batch_loss_and_grad,
     srepr_retrain,
     stochastic_representations,
     student_alpha_from_logits,
     teacher_probs,
 )
-from ltsrepr.swag import freeze, new_posterior, update_moments
+from ltsrepr.swag import fill_theta, freeze, new_posterior, theta_layers, update_moments
 
 
 def blob_dataset(counts, centers, noise=0.3, seed=0):
@@ -650,3 +656,121 @@ class TestSreprTraining:
             return srepr_batch_loss_and_grad(w, b, reps, f_swa, ds.labels, spec, config)[0]
 
         assert loss(w, b) < loss(params.w, params.b)
+
+
+class TestDrawAhead:
+    """srepr's producer thread: same stream as inline draws, no thread left
+    behind on return or on failure."""
+
+    def make_problem(self, seed=0):
+        return TestSreprTraining().make_problem(seed)
+
+    def run_srepr(self, ds, params, post, config=SreprConfig(num_samples=3), lr=0.1, epochs=2):
+        return srepr_retrain(
+            params.layers, post, (params.w, params.b), ds, BalancingSpec("cbs"), config,
+            SgdHyper(base_lr=lr, epochs=epochs, batch_size=16), np.random.default_rng(9),
+        )
+
+    @pytest.mark.parametrize("switch_interval", [None, 1e-6])
+    @pytest.mark.parametrize("source", ["posterior", "input_jitter"])
+    def test_same_stream_as_inline_draws(self, source, switch_interval):
+        # a tiny interpreter switch interval interleaves the two threads
+        # as finely as the interpreter allows
+        saved = sys.getswitchinterval()
+        try:
+            if switch_interval is not None:
+                sys.setswitchinterval(switch_interval)
+            self.check_same_stream(source, steps=7 if switch_interval is None else 60)
+        finally:
+            sys.setswitchinterval(saved)
+
+    def check_same_stream(self, source, steps):
+        ds, params, post = self.make_problem(seed=1)
+        config = SreprConfig(num_samples=3, stochastic_source=source)
+        model = post if source == "posterior" else params.layers
+        batch = 16
+        inline_rng = np.random.default_rng(4)
+        inline = []
+        for _ in range(steps):
+            idx = class_balanced_indices(ds, batch, inline_rng)
+            inline.append((idx, stochastic_representations(
+                ds.features[idx], source, model, config, inline_rng)))
+
+        rng = np.random.default_rng(4)
+        if source == "posterior":
+            ring = member_ring(3, (post.theta_dim,))
+            layers = [[theta_layers(post, row) for row in block] for block in ring]
+
+            def fill(rows, x):
+                fill_theta(post, rng, rows)
+
+            def represent(k, i, x):
+                return features(layers[k][i], x)
+        else:
+            ring = member_ring(3, (batch, ds.input_dim))
+
+            def fill(rows, x):
+                jitter_inputs(x, config.jitter_std, rng, out=rows)
+
+            def represent(k, i, x):
+                return features(params.layers, ring[k][i])
+
+        out = np.empty((3, batch, params.repr_dim))
+        with DrawAhead(steps, lambda: class_balanced_indices(ds, batch, rng), ds.features,
+                       fill, represent, ring, out) as draws:
+            got = [(idx, reps.copy()) for idx, reps in draws]
+        assert len(got) == steps
+        for (i0, r0), (i1, r1) in zip(inline, got):
+            np.testing.assert_array_equal(i0, i1)
+            assert r0.tobytes() == r1.tobytes()
+        assert rng.bit_generator.state == inline_rng.bit_generator.state
+
+    def test_no_thread_outlives_return(self):
+        ds, params, post = self.make_problem()
+        before = threading.active_count()
+        self.run_srepr(ds, params, post)
+        assert threading.active_count() == before
+
+    def test_divergence_raises_and_joins(self):
+        ds, params, post = self.make_problem()
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="srepr diverged: "):
+            self.run_srepr(ds, params, post, lr=1e6, epochs=20)
+        assert threading.active_count() == before
+
+    def test_producer_exception_surfaces_and_joins(self):
+        ds, params, _ = self.make_problem()
+        unfrozen = new_posterior(params)
+        update_moments(unfrozen, params)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="frozen") as info:
+            self.run_srepr(ds, params, unfrozen)
+        raised_in = [f.f_code.co_name for f, _ in traceback.walk_tb(info.value.__traceback__)]
+        assert "_produce" in raised_in
+        assert threading.active_count() == before
+
+    def test_consumer_leaving_early_joins(self):
+        ds, params, post = self.make_problem()
+        rng = np.random.default_rng(0)
+        ring = member_ring(3, (post.theta_dim,))
+        layers = [[theta_layers(post, row) for row in block] for block in ring]
+        before = threading.active_count()
+        with DrawAhead(1000, lambda: class_balanced_indices(ds, 16, rng), ds.features,
+                       lambda rows, x: fill_theta(post, rng, rows),
+                       lambda k, i, x: features(layers[k][i], x), ring,
+                       np.empty((3, 16, params.repr_dim))) as draws:
+            for step, _ in enumerate(draws):
+                if step == 2:
+                    break
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("members, shape, per_block, blocks", [
+        (10, (7584,), 5, 2),  # desk posterior draws
+        (10, (115328,), 1, 10),  # wide posterior draws
+        (10, (64, 20), 10, 1),  # desk input jitter
+        (3, (20000,), 2, 2),
+    ])
+    def test_member_ring_holds_one_step(self, members, shape, per_block, blocks):
+        ring = member_ring(members, shape)
+        assert ring.shape == (blocks, per_block, *shape)
+        assert ring.flags.writeable and ring[0].flags.c_contiguous

@@ -7,6 +7,7 @@ from scipy import stats
 from ltsrepr.netcore import ModelParams, flatten_params, init_params
 from ltsrepr.swag import (
     SwaSchedule,
+    fill_theta,
     freeze,
     new_posterior,
     sample_theta,
@@ -28,6 +29,10 @@ def scalarish_params(value: float) -> ModelParams:
 
 def random_params(rng) -> ModelParams:
     return init_params(rng, 3, (4,), 3, 2)
+
+
+def flat_theta(layers) -> np.ndarray:
+    return np.concatenate([a.ravel() for pair in layers for a in pair])
 
 
 class TestMoments:
@@ -153,6 +158,50 @@ class TestSampling:
         np.testing.assert_array_equal(theta[0][0], [[2.0]])
         np.testing.assert_array_equal(theta[0][1], [2.0])
 
+    def make_random_frozen(self, seed=5):
+        rng_build = np.random.default_rng(seed)
+        post = new_posterior(random_params(rng_build))
+        for _ in range(4):
+            update_moments(post, random_params(rng_build))
+        return freeze(post)
+
+    def test_out_buffer_draw_is_bitwise_a_fresh_draw(self):
+        post = self.make_random_frozen()
+        rng_fresh, rng_out = np.random.default_rng(11), np.random.default_rng(11)
+        fresh = sample_theta(post, rng_fresh)
+        buf = np.empty(post.theta_dim)
+        into = sample_theta(post, rng_out, out=buf)
+        for (w0, b0), (w1, b1) in zip(fresh, into):
+            assert w0.tobytes() == w1.tobytes() and b0.tobytes() == b1.tobytes()
+            assert np.shares_memory(w1, buf) and np.shares_memory(b1, buf)
+        assert rng_out.bit_generator.state == rng_fresh.bit_generator.state
+
+    def test_draw_matches_mean_plus_scaled_noise_reference(self):
+        # mean + sqrt(sigma) * eps on a full copy of the mean, drawn inline
+        post = self.make_random_frozen(seed=6)
+        td = post.theta_dim
+        ref_rng, rng = np.random.default_rng(12), np.random.default_rng(12)
+        for _ in range(3):
+            flat = post.mean.copy()
+            flat[:td] += np.sqrt(post.sigma[:td]) * ref_rng.standard_normal(td)
+            assert flat_theta(sample_theta(post, rng)).tobytes() == flat[:td].tobytes()
+
+    def test_block_fill_matches_single_draws(self):
+        post = self.make_random_frozen(seed=7)
+        rng_single, rng_block = np.random.default_rng(13), np.random.default_rng(13)
+        singles = [flat_theta(sample_theta(post, rng_single)) for _ in range(5)]
+        block = np.empty((5, post.theta_dim))
+        fill_theta(post, rng_block, block)
+        assert block.tobytes() == np.stack(singles).tobytes()
+        assert rng_block.bit_generator.state == rng_single.bit_generator.state
+
+    def test_replaced_sigma_is_used(self):
+        post = self.make_frozen(var_value=0.0)
+        sample_theta(post, np.random.default_rng(0))
+        post.sigma = np.full(4, 4.0)
+        theta = sample_theta(post, np.random.default_rng(0))
+        assert theta[0][0][0, 0] == 2.0 + 2.0 * np.random.default_rng(0).standard_normal()
+
     def test_standardized_samples_pass_ks(self):
         rng_build = np.random.default_rng(5)
         params = random_params(rng_build)
@@ -166,8 +215,7 @@ class TestSampling:
         assert td >= 10
         flats = []
         for _ in range(10_000 // td + 1):
-            layers = sample_theta(post, rng)
-            flats.append(np.concatenate([a.ravel() for pair in layers for a in pair]))
+            flats.append(flat_theta(sample_theta(post, rng)))
         samples = np.stack(flats)  # (draws, td)
         z = (samples - post.mean[:td]) / np.sqrt(post.sigma[:td])
         result = stats.kstest(z.ravel()[:10_000], "norm")
