@@ -348,6 +348,14 @@ def jitter_inputs(x: np.ndarray, std: float, rng: np.random.Generator,
 # handed over in blocks of at least this many numbers.
 HANDOFF_NUMBERS = 1 << 15
 
+# srepr draws on the producer thread only when one step draws at least this
+# many numbers. Below it the overlap saves little, and the thread's hand-offs
+# make the time hang on how the host schedules two threads: on a 2-vCPU VM a
+# desk-default srepr retrain (75,840 numbers a step) took 0.39-1.03 s threaded
+# from run to run and 0.50-0.71 s inline, while at 330,880 numbers a step
+# (hidden 128,128) the thread cut 2.0 s to 1.2 s.
+DRAW_AHEAD_NUMBERS = 1 << 18
+
 
 def member_ring(members: int, member_shape: tuple) -> np.ndarray:
     """DrawAhead's ring: one step's members as float64 blocks, shape
@@ -365,7 +373,8 @@ def member_ring(members: int, member_shape: tuple) -> np.ndarray:
 
 
 class DrawAhead:
-    """srepr's random draws, made one step ahead on a producer thread.
+    """srepr's random draws, made one step ahead on a producer thread, or
+    inline as the loop asks for them when ``ahead`` is false.
 
     While it runs, the producer is the only user of the RNG stream and
     replays the inline loop's sequence in order: a step's batch indices
@@ -379,13 +388,16 @@ class DrawAhead:
     ``out`` buffer, rewritten every step. An exception raised in the
     producer is re-raised by the iterator.
 
+    Inline, the same sequence is drawn on the calling thread, block by
+    block just before it is represented, and no thread is started.
+
     Use it as a context manager: leaving the block, normally or by an
     exception, stops the producer and joins its thread. After an early exit
     the stream may have advanced by up to one step more than was consumed.
     """
 
     def __init__(self, steps: int, next_indices, inputs: np.ndarray, fill, represent,
-                 ring: np.ndarray, out: np.ndarray):
+                 ring: np.ndarray, out: np.ndarray, ahead: bool = True):
         self._steps = steps
         self._next_indices = next_indices
         self._inputs = inputs
@@ -400,24 +412,37 @@ class DrawAhead:
             self._free.put(k)
         self._ready = queue.SimpleQueue()
         self._stopping = False
-        self._thread = threading.Thread(target=self._produce, name="srepr-draws")
+        self._thread = None
+        self._inline = None
+        if ahead:
+            self._thread = threading.Thread(target=self._produce, name="srepr-draws")
+        else:
+            self._inline = self._draws()
+
+    def _draws(self):
+        """The draws in stream order: ``(idx, x)`` for each step, then the
+        ring index of each block as it is filled."""
+        for _ in range(self._steps):
+            idx = self._next_indices()
+            x = self._inputs[idx]
+            yield idx, x
+            for rows in self._rows:
+                k = self._free.get()  # blocks come back in ring order
+                if self._stopping:
+                    return
+                self._fill(self._ring[k][:rows], x)
+                yield k
 
     def _produce(self) -> None:
         try:
-            for _ in range(self._steps):
-                idx = self._next_indices()
-                x = self._inputs[idx]
-                self._ready.put((idx, x))
-                for rows in self._rows:
-                    k = self._free.get()  # blocks come back in ring order
-                    if self._stopping:
-                        return
-                    self._fill(self._ring[k][:rows], x)
-                    self._ready.put(k)
+            for item in self._draws():
+                self._ready.put(item)
         except BaseException as exc:  # noqa: BLE001 - re-raised on the consumer side
             self._ready.put(exc)
 
     def _take(self):
+        if self._inline is not None:
+            return next(self._inline)
         item = self._ready.get()
         if isinstance(item, BaseException):
             raise item
@@ -436,13 +461,15 @@ class DrawAhead:
             yield idx, self._out
 
     def __enter__(self) -> "DrawAhead":
-        self._thread.start()
+        if self._thread is not None:
+            self._thread.start()
         return self
 
     def __exit__(self, *exc) -> None:
-        self._stopping = True
-        self._free.put(-1)  # wakes a producer waiting for a free block
-        self._thread.join()
+        if self._thread is not None:
+            self._stopping = True
+            self._free.put(-1)  # wakes a producer waiting for a free block
+            self._thread.join()
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +679,10 @@ def srepr_retrain(
 
     Fresh extractor samples are drawn every batch; the teacher Dirichlet is
     re-fit from them under the current classifier, and only (w, b) move.
-    The batch indices and draws come from ``rng`` on a DrawAhead producer
-    thread one step ahead of the loop, in the inline order, so the result
-    is the same bits as drawing them inline.
+    The batch indices and draws come from ``rng`` through a DrawAhead, in
+    the inline order, so the result is the same bits whether it runs them
+    one step ahead on its producer thread (when a step draws at least
+    ``DRAW_AHEAD_NUMBERS`` numbers) or inline.
     """
     config.validate()
     balancing.validate()
@@ -692,7 +720,8 @@ def srepr_retrain(
     sampler = _stage2_sampler(balancing)
     draws = DrawAhead(stage2_steps(dataset, optim), lambda: sampler(dataset, batch, rng),
                       dataset.features, fill, represent, ring,
-                      np.empty((m, batch, f_swa_all.shape[1])))
+                      np.empty((m, batch, f_swa_all.shape[1])),
+                      ahead=m * ring[0, 0].size >= DRAW_AHEAD_NUMBERS)
     with draws:
         fit_head("srepr", [w, b], loss_and_grads, draws, dataset, optim)
     return w, b

@@ -23,6 +23,7 @@ from ltsrepr.netcore import (
     init_params,
     softmax,
 )
+import ltsrepr.retrain as retrain_mod
 from ltsrepr.retrain import (
     DisAlignParams,
     DrawAhead,
@@ -660,7 +661,12 @@ class TestSreprTraining:
 
 class TestDrawAhead:
     """srepr's producer thread: same stream as inline draws, no thread left
-    behind on return or on failure."""
+    behind on return or on failure, and none started for small steps."""
+
+    @pytest.fixture
+    def threaded(self, monkeypatch):
+        """srepr_retrain runs its draws ahead however small a step is."""
+        monkeypatch.setattr(retrain_mod, "DRAW_AHEAD_NUMBERS", 0)
 
     def make_problem(self, seed=0):
         return TestSreprTraining().make_problem(seed)
@@ -684,7 +690,30 @@ class TestDrawAhead:
         finally:
             sys.setswitchinterval(saved)
 
-    def check_same_stream(self, source, steps):
+    @pytest.mark.parametrize("source", ["posterior", "input_jitter"])
+    def test_inline_mode_same_stream_without_thread(self, source):
+        before = threading.active_count()
+        self.check_same_stream(source, steps=7, ahead=False)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("limit, started", [(None, 0), (0, 1)])
+    def test_thread_only_for_large_steps(self, monkeypatch, limit, started):
+        # the test problem draws 3 x 77 numbers a step, far below the limit
+        if limit is not None:
+            monkeypatch.setattr(retrain_mod, "DRAW_AHEAD_NUMBERS", limit)
+        produced = []
+        produce = DrawAhead._produce
+        monkeypatch.setattr(DrawAhead, "_produce",
+                            lambda self: produced.append(1) or produce(self))
+        ds, params, post = self.make_problem()
+        w, b = self.run_srepr(ds, params, post)
+        assert len(produced) == started
+        if limit is not None:
+            monkeypatch.undo()
+            w0, b0 = self.run_srepr(ds, params, post)
+            assert w.tobytes() == w0.tobytes() and b.tobytes() == b0.tobytes()
+
+    def check_same_stream(self, source, steps, ahead=True):
         ds, params, post = self.make_problem(seed=1)
         config = SreprConfig(num_samples=3, stochastic_source=source)
         model = post if source == "posterior" else params.layers
@@ -717,7 +746,7 @@ class TestDrawAhead:
 
         out = np.empty((3, batch, params.repr_dim))
         with DrawAhead(steps, lambda: class_balanced_indices(ds, batch, rng), ds.features,
-                       fill, represent, ring, out) as draws:
+                       fill, represent, ring, out, ahead) as draws:
             got = [(idx, reps.copy()) for idx, reps in draws]
         assert len(got) == steps
         for (i0, r0), (i1, r1) in zip(inline, got):
@@ -725,20 +754,26 @@ class TestDrawAhead:
             assert r0.tobytes() == r1.tobytes()
         assert rng.bit_generator.state == inline_rng.bit_generator.state
 
-    def test_no_thread_outlives_return(self):
+    def test_no_thread_outlives_return(self, threaded):
         ds, params, post = self.make_problem()
         before = threading.active_count()
         self.run_srepr(ds, params, post)
         assert threading.active_count() == before
 
-    def test_divergence_raises_and_joins(self):
+    @pytest.mark.parametrize("ahead", [True, False])
+    def test_divergence_raises_and_joins(self, monkeypatch, ahead):
+        if ahead:
+            monkeypatch.setattr(retrain_mod, "DRAW_AHEAD_NUMBERS", 0)
         ds, params, post = self.make_problem()
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="srepr diverged: "):
             self.run_srepr(ds, params, post, lr=1e6, epochs=20)
         assert threading.active_count() == before
 
-    def test_producer_exception_surfaces_and_joins(self):
+    @pytest.mark.parametrize("ahead", [True, False])
+    def test_producer_exception_surfaces_and_joins(self, monkeypatch, ahead):
+        if ahead:
+            monkeypatch.setattr(retrain_mod, "DRAW_AHEAD_NUMBERS", 0)
         ds, params, _ = self.make_problem()
         unfrozen = new_posterior(params)
         update_moments(unfrozen, params)
@@ -746,7 +781,7 @@ class TestDrawAhead:
         with pytest.raises(ValueError, match="frozen") as info:
             self.run_srepr(ds, params, unfrozen)
         raised_in = [f.f_code.co_name for f, _ in traceback.walk_tb(info.value.__traceback__)]
-        assert "_produce" in raised_in
+        assert "_draws" in raised_in and ("_produce" in raised_in) == ahead
         assert threading.active_count() == before
 
     def test_consumer_leaving_early_joins(self):
