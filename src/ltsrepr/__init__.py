@@ -45,7 +45,7 @@ from .netcore import (
     init_params,
     model_logits,
     predict_proba,
-    sgd_step,
+    sgd_update_arrays,
     softmax,
     softmax_ce,
 )

@@ -16,15 +16,15 @@ metadata (method, balancing, seed, full config, config hash).
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import ModelParams, param_views, theta_size
+from .netcore import ModelParams, param_views
 from .swag import SwagPosterior
+from .util import SizedReader
 
 MODEL_MAGIC = b"SREPR001"
 SWAG_MAGIC = b"SWAGDIAG"
@@ -38,31 +38,33 @@ class Checkpoint:
     metadata: dict | None = None
 
 
-def _array_record(a: np.ndarray, what: str) -> bytes:
-    """(u32 rows, u32 cols) header plus float32 payload; rejects values that
-    are non-finite or overflow float32."""
-    a2 = np.atleast_2d(np.asarray(a, dtype=np.float64))
+def _records(flat: np.ndarray, shapes, what: str) -> list[bytes]:
+    """One (u32 rows, u32 cols) header plus float32 payload per array, each
+    a slice of ``flat`` converted once; rejects values that are non-finite
+    or overflow float32, naming the array as ``what`` and its index."""
     with np.errstate(over="ignore"):
-        data = np.ascontiguousarray(a2, dtype="<f4")
-    if not np.isfinite(data).all():
-        raise ValueError(f"cannot checkpoint {what}: non-finite or beyond float32 range")
-    return struct.pack("<II", *a2.shape) + data.tobytes()
+        data = flat.astype("<f4")
+    records = []
+    for i, a in enumerate(param_views(data, shapes)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"cannot checkpoint {what} {i}: non-finite or beyond float32 range")
+        a = np.atleast_2d(a)
+        records.append(struct.pack("<II", *a.shape) + a.tobytes())
+    return records
 
 
 def save_checkpoint(path, params: ModelParams, posterior: SwagPosterior | None = None,
                     metadata: dict | None = None) -> None:
     """Write a checkpoint; every value is validated before the file opens."""
-    arrays = params.arrays()
-    chunks = [MODEL_MAGIC, struct.pack("<II", FORMAT_VERSION, len(arrays))]
-    chunks += [_array_record(a, f"parameter array {i}") for i, a in enumerate(arrays)]
+    chunks = [MODEL_MAGIC, struct.pack("<II", FORMAT_VERSION, len(params.shapes))]
+    chunks += _records(params.flat, params.shapes, "parameter array")
     if posterior is not None:
         if not posterior.frozen:
             raise ValueError("only frozen posteriors are checkpointed")
         chunks += [SWAG_MAGIC, struct.pack("<I", posterior.count)]
         for name, flat in (("mean", posterior.mean), ("second moment", posterior.sq_mean),
                            ("covariance", posterior.sigma)):
-            chunks += [_array_record(a, f"posterior {name} array {i}")
-                       for i, a in enumerate(param_views(flat, arrays))]
+            chunks += _records(flat, params.shapes, f"posterior {name} array")
     if metadata is not None:
         blob = json.dumps(metadata, sort_keys=True, allow_nan=False).encode("utf-8")
         chunks += [struct.pack("<I", len(blob)), blob]
@@ -70,43 +72,18 @@ def save_checkpoint(path, params: ModelParams, posterior: SwagPosterior | None =
         f.writelines(chunks)
 
 
-class _Reader:
-    """Length-checked reads from an open checkpoint file."""
-
-    def __init__(self, f):
-        self.f = f
-        self.left = f.seek(0, io.SEEK_END)
-        f.seek(0)
-
-    def take(self, n: int, what: str) -> bytes:
-        if n > self.left:
-            raise ValueError(
-                f"truncated checkpoint: {what} needs {n} bytes at offset {self.f.tell()}, "
-                f"{self.left} left"
-            )
-        self.left -= n
-        return self.f.read(n)
-
-    def peek(self, n: int) -> bytes:
-        pos = self.f.tell()
-        data = self.f.read(n)
-        self.f.seek(pos)
-        return data
-
-    def array(self, what: str) -> np.ndarray:
-        rows, cols = struct.unpack("<II", self.take(8, f"{what} header"))
-        data = np.frombuffer(self.take(4 * rows * cols, what), dtype="<f4")
-        return data.astype(np.float64).reshape(rows, cols)
-
-
-def _params_from_arrays(arrays: list[np.ndarray]) -> ModelParams:
-    if len(arrays) < 4 or len(arrays) % 2 != 0:
-        raise ValueError(f"checkpoint has {len(arrays)} arrays; expected even count >= 4")
-    pairs = []
-    for i in range(0, len(arrays) - 2, 2):
-        w, b = arrays[i], arrays[i + 1]
-        pairs.append((w, b.reshape(-1)))
-    return ModelParams(pairs, arrays[-2], arrays[-1].reshape(-1))
+def _read_vector(r: SizedReader, count: int, what: str, expect=None):
+    """``count`` consecutive array records as one float64 vector plus their
+    stored (rows, cols) shapes; with ``expect``, every stored shape must
+    equal the base array's."""
+    shapes, payloads = [], []
+    for i in range(count):
+        shape = struct.unpack("<II", r.take(8, f"{what} array {i} header"))
+        if expect is not None and shape != expect[i]:
+            raise ValueError(f"{what} array {i} has shape {shape}, base array is {expect[i]}")
+        payloads.append(r.take(4 * shape[0] * shape[1], f"{what} array {i}"))
+        shapes.append(shape)
+    return np.frombuffer(b"".join(payloads), dtype="<f4").astype(np.float64), shapes
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -114,35 +91,32 @@ def load_checkpoint(path) -> Checkpoint:
     (header, base array i, posterior group array i, metadata trailer) for a
     truncated or malformed file, and for any bytes after the trailer."""
     with open(path, "rb") as f:
-        r = _Reader(f)
+        r = SizedReader(f, "checkpoint")
         magic = r.take(8, "magic")
         if magic != MODEL_MAGIC:
             raise ValueError(f"bad checkpoint magic {magic!r}")
         version, count = struct.unpack("<II", r.take(8, "header"))
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        base = [r.array(f"base array {i}") for i in range(count)]
-        params = _params_from_arrays(base)
+        if count < 4 or count % 2 != 0:
+            raise ValueError(f"checkpoint has {count} arrays; expected even count >= 4")
+        flat, stored = _read_vector(r, count, "base")
+        # biases are stored as 1 x n rows
+        params = ModelParams.from_flat(
+            flat, [s if i % 2 == 0 else (s[0] * s[1],) for i, s in enumerate(stored)]
+        )
 
         posterior = None
         if r.peek(8) == SWAG_MAGIC:
             r.take(8, "posterior magic")
             (n,) = struct.unpack("<I", r.take(4, "posterior capture count"))
-            groups = []
-            for name in ("mean", "second moment", "covariance"):
-                flats = []
-                for i, ref in enumerate(base):
-                    a = r.array(f"posterior {name} array {i}")
-                    if a.shape != ref.shape:
-                        raise ValueError(f"posterior {name} array {i} has shape {a.shape}, "
-                                         f"base array is {ref.shape}")
-                    flats.append(a.reshape(-1))
-                groups.append(np.concatenate(flats))
+            groups = [_read_vector(r, count, f"posterior {name}", expect=stored)[0]
+                      for name in ("mean", "second moment", "covariance")]
             posterior = SwagPosterior(
                 mean=groups[0],
                 sq_mean=groups[1],
                 count=n,
-                theta_dim=theta_size(params),
+                theta_dim=params.theta_dim,
                 template=params.copy(),
                 sigma=groups[2],
                 frozen=True,

@@ -17,6 +17,7 @@ from .util import (
     STREAM_CLASS_MEANS,
     STREAM_TEST_NOISE,
     STREAM_TRAIN_NOISE,
+    SizedReader,
     rng_stream,
     round_half_up,
 )
@@ -287,14 +288,26 @@ def write_dataset_record(f, dataset: LongTailDataset) -> None:
     f.write(dataset.labels.astype("<u4").tobytes())
 
 
-def read_dataset_record(f) -> LongTailDataset:
-    magic = f.read(8)
+def read_dataset_record(r: SizedReader, record: str) -> LongTailDataset:
+    """Read one record, named ``record`` ("train", "test") in errors.
+
+    Raises ValueError naming the record and the field at fault (magic,
+    header, features, labels) for a truncated or malformed record.
+    """
+    magic = r.take(8, f"{record} magic")
     if magic != DATASET_MAGIC:
-        raise ValueError(f"bad dataset magic {magic!r}")
-    n, k, d = struct.unpack("<III", f.read(12))
-    features = np.frombuffer(f.read(4 * n * d), dtype="<f4").reshape(n, d)
-    labels = np.frombuffer(f.read(4 * n), dtype="<u4").astype(np.int64)
+        raise ValueError(f"{record} record: bad dataset magic {magic!r}")
+    n, k, d = struct.unpack("<III", r.take(12, f"{record} header"))
+    features = np.frombuffer(r.take(4 * n * d, f"{record} features"), dtype="<f4").reshape(n, d)
+    labels = np.frombuffer(r.take(4 * n, f"{record} labels"), dtype="<u4").astype(np.int64)
+    if n and labels.max() >= k:
+        raise ValueError(f"{record} labels: label {labels.max()} outside [0, {k})")
     return LongTailDataset.from_arrays(features.astype(np.float64), labels, k)
+
+
+def _reject_trailing(r: SizedReader, after: str) -> None:
+    if r.left:
+        raise ValueError(f"dataset cache has {r.left} unexpected bytes after the {after} record")
 
 
 def save_dataset(path, dataset: LongTailDataset) -> None:
@@ -304,7 +317,10 @@ def save_dataset(path, dataset: LongTailDataset) -> None:
 
 def load_dataset(path) -> LongTailDataset:
     with open(path, "rb") as f:
-        return read_dataset_record(f)
+        r = SizedReader(f, "dataset cache")
+        dataset = read_dataset_record(r, "train")
+        _reject_trailing(r, "train")
+    return dataset
 
 
 def save_dataset_pair(path, train: LongTailDataset, test: LongTailDataset) -> None:
@@ -315,8 +331,12 @@ def save_dataset_pair(path, train: LongTailDataset, test: LongTailDataset) -> No
 
 
 def load_dataset_pair(path) -> tuple[LongTailDataset, LongTailDataset]:
+    """Read a cache written by `save_dataset_pair`; any byte after the test
+    record is rejected."""
     with open(path, "rb") as f:
-        train = read_dataset_record(f)
-        test = read_dataset_record(f)
+        r = SizedReader(f, "dataset cache")
+        train = read_dataset_record(r, "train")
+        test = read_dataset_record(r, "test")
+        _reject_trailing(r, "test")
     test.splits = list(train.splits)
     return train, test

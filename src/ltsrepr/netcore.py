@@ -7,11 +7,19 @@ penalty term, and a single-cycle cosine learning-rate schedule.
 
 All math is float64. Losses plug into `backward` as callables mapping
 (logits, targets) -> (batch-mean loss, d(mean loss)/d(logits)).
+
+Every ModelParams holds its parameters in one C-contiguous vector ``flat``
+laid out in checkpoint order (W0, b0, ..., W, b); its per-layer arrays are
+views into it, so the feature extractor is the prefix ``flat[:theta_dim]``.
+The pretraining loop hands ``backward`` one gradient ModelParams to write
+into, and `sgd_update_arrays` moves the whole vector with one fused
+Nesterov step using scratch buffers held in `OptimState`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -23,7 +31,8 @@ def _relu(z):
 
 
 def _drelu(z):
-    return (z > 0.0).astype(np.float64)
+    # a bool mask: multiplying by it gives the same bits as by its float64 cast
+    return z > 0.0
 
 
 def _tanh(z):
@@ -38,37 +47,74 @@ def _dtanh(z):
 ACTIVATIONS = {"relu": (_relu, _drelu), "tanh": (_tanh, _dtanh)}
 
 
-@dataclass
+def param_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` with the given shapes, which must
+    account for every entry of ``flat``."""
+    views = []
+    offset = 0
+    for shape in shapes:
+        n = prod(shape)
+        views.append(flat[offset : offset + n].reshape(shape))
+        offset += n
+    if offset != flat.size:
+        raise ValueError(f"flat vector has {flat.size} entries, expected {offset}")
+    return views
+
+
 class ModelParams:
     """Feature-extractor layer pairs plus the linear classifier.
 
     ``layers`` holds (weight (fan_in, fan_out), bias (fan_out,)) pairs; the
     classifier maps representations (L,) to class logits (K,) via ``w`` of
-    shape (L, K) and ``b`` of shape (K,).
+    shape (L, K) and ``b`` of shape (K,). All of them are views into one
+    C-contiguous float64 vector ``flat`` laid out in that order, extractor
+    first, so the extractor is ``flat[:theta_dim]``. The constructor packs
+    its inputs into a new vector; `from_flat` and `like` wrap an existing one.
     """
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    w: np.ndarray
-    b: np.ndarray
+    def __init__(self, layers, w, b):
+        arrays = [a for pair in layers for a in pair] + [w, b]
+        flat = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
+        self._bind(flat, [np.shape(a) for a in arrays])
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes) -> "ModelParams":
+        """Views into ``flat`` (no copy) with the given per-array shapes,
+        extractor pairs first, classifier pair last."""
+        params = cls.__new__(cls)
+        params._bind(flat, shapes)
+        return params
+
+    def _bind(self, flat: np.ndarray, shapes) -> None:
+        if flat.dtype != np.float64 or flat.ndim != 1 or not flat.flags.c_contiguous:
+            raise ValueError("parameters must be one C-contiguous float64 vector")
+        if len(shapes) < 2 or len(shapes) % 2:
+            raise ValueError(f"{len(shapes)} parameter arrays; expected an even count >= 2")
+        views = param_views(flat, shapes)
+        self.flat = flat
+        self.shapes = tuple(tuple(shape) for shape in shapes)
+        self.layers = list(zip(views[0:-2:2], views[1:-2:2]))
+        self.w, self.b = views[-2], views[-1]
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the views over one vector, not copies of each
+        return ModelParams.from_flat, (self.flat, self.shapes)
+
+    def like(self, flat: np.ndarray) -> "ModelParams":
+        """This layout over another vector (views, no copy)."""
+        return ModelParams.from_flat(flat, self.shapes)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            [(w.copy(), b.copy()) for w, b in self.layers], self.w.copy(), self.b.copy()
-        )
+        return self.like(self.flat.copy())
 
     def arrays(self) -> list[np.ndarray]:
         """All parameter arrays, extractor first, classifier last."""
-        out = []
-        for w, b in self.layers:
-            out.extend([w, b])
-        out.extend([self.w, self.b])
-        return out
+        return [a for pair in self.layers for a in pair] + [self.w, self.b]
 
-    def theta_arrays(self) -> list[np.ndarray]:
-        out = []
-        for w, b in self.layers:
-            out.extend([w, b])
-        return out
+    @property
+    def theta_dim(self) -> int:
+        """Size of the feature-extractor prefix of ``flat``."""
+        return self.flat.size - self.w.size - self.b.size
 
     @property
     def repr_dim(self) -> int:
@@ -109,35 +155,6 @@ def init_classifier(rng: np.random.Generator, repr_dim: int, num_classes: int):
         rng.uniform(-bound, bound, size=(repr_dim, num_classes)),
         rng.uniform(-bound, bound, size=num_classes),
     )
-
-
-def flatten_params(params: ModelParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in params.arrays()])
-
-
-def theta_size(params: ModelParams) -> int:
-    return sum(a.size for a in params.theta_arrays())
-
-
-def param_views(flat: np.ndarray, arrays) -> list[np.ndarray]:
-    """Consecutive views of ``flat`` shaped like ``arrays``, which must
-    account for every entry of ``flat``."""
-    views = []
-    offset = 0
-    for a in arrays:
-        views.append(flat[offset : offset + a.size].reshape(a.shape))
-        offset += a.size
-    if offset != flat.size:
-        raise ValueError(f"flat vector has {flat.size} entries, expected {offset}")
-    return views
-
-
-def unflatten_params(flat: np.ndarray, template: ModelParams) -> ModelParams:
-    """Rebuild a ModelParams with the template's shapes from a flat vector."""
-    arrays = [v.copy() for v in param_views(flat, template.arrays())]
-    n_layers = len(template.layers)
-    layers = [(arrays[2 * i], arrays[2 * i + 1]) for i in range(n_layers)]
-    return ModelParams(layers, arrays[-2], arrays[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +265,14 @@ def backward(
     targets,
     loss_and_grad=softmax_ce,
     activation: str = "relu",
+    out: ModelParams | None = None,
 ):
     """Exact batch-mean gradients for every parameter.
 
-    Returns (loss, ModelParams-shaped gradients). Raises if a forward
-    intermediate goes non-finite, naming the offending layer.
+    Returns (loss, ModelParams-shaped gradients). The gradients are written
+    into ``out`` (a ModelParams with the same layout, reused across steps)
+    when given, else into a new one. Raises if a forward intermediate goes
+    non-finite, naming the offending layer.
     """
     _, dact = ACTIVATIONS[activation]
     with np.errstate(invalid="ignore", over="ignore"):
@@ -265,18 +285,21 @@ def backward(
         raise FloatingPointError("non-finite logits in classifier layer")
     loss, dlogits = loss_and_grad(logits, targets)
 
-    gw = feats.T @ dlogits
-    gb = dlogits.sum(axis=0)
+    grads = params.like(np.empty_like(params.flat)) if out is None else out
+    np.matmul(feats.T, dlogits, out=grads.w)
+    np.sum(dlogits, axis=0, out=grads.b)
     d = dlogits @ params.w.T
 
     last = len(params.layers) - 1
-    glayers: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
     for i in range(last, -1, -1):
         a_in, z = cache[i]
         dz = d if i == last else d * dact(z)
-        glayers[i] = (a_in.T @ dz, dz.sum(axis=0))
-        d = dz @ params.layers[i][0].T
-    return loss, ModelParams(glayers, gw, gb)
+        gw, gb = grads.layers[i]
+        np.matmul(a_in.T, dz, out=gw)
+        np.sum(dz, axis=0, out=gb)
+        if i:
+            d = dz @ params.layers[i][0].T
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +328,19 @@ class SgdHyper:
 
 @dataclass
 class OptimState:
-    """Step counter plus Nesterov momentum buffers, one per parameter array."""
+    """Step counter plus, per parameter array, a Nesterov momentum buffer
+    and two scratch buffers the update writes its temporaries into."""
 
     hyper: SgdHyper
     total_steps: int
     t: int = 0
     buffers: list[np.ndarray] = field(default_factory=list)
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     @classmethod
     def for_arrays(cls, arrays, hyper: SgdHyper, total_steps: int) -> "OptimState":
-        return cls(hyper, total_steps, 0, [np.zeros_like(a) for a in arrays])
+        return cls(hyper, total_steps, 0, [np.zeros_like(a) for a in arrays],
+                   [(np.empty_like(a), np.empty_like(a)) for a in arrays])
 
 
 def sgd_update_arrays(arrays, grads, state: OptimState, lr: float | None = None) -> float:
@@ -322,24 +348,27 @@ def sgd_update_arrays(arrays, grads, state: OptimState, lr: float | None = None)
 
     The effective gradient adds the L2 penalty term 2 * wd * param; with
     momentum mu the buffer update is v <- mu v + g' and the parameter moves
-    along g' + mu v. Returns the learning rate actually used.
+    along g' + mu v. Temporaries go to the state's scratch buffers, with the
+    same operations in the same order as the allocating expressions, so the
+    result is the same bits. Pass a ModelParams as ``[params.flat]`` to move
+    it in one step. Returns the learning rate actually used.
     """
     if lr is None:
         lr = cosine_lr(state.t, state.total_steps, state.hyper.base_lr)
     mu = state.hyper.momentum
     wd = state.hyper.weight_decay
-    for p, g, v in zip(arrays, grads, state.buffers):
-        g_eff = g + 2.0 * wd * p
+    for p, g, v, (g_eff, step) in zip(arrays, grads, state.buffers, state.scratch, strict=True):
+        np.multiply(p, 2.0 * wd, out=g_eff)
+        g_eff += g
         if mu != 0.0:
             v *= mu
             v += g_eff
-            p -= lr * (g_eff + mu * v)
+            np.multiply(v, mu, out=step)
+            step += g_eff
+            step *= lr
+            p -= step
         else:
-            p -= lr * g_eff
+            g_eff *= lr
+            p -= g_eff
     state.t += 1
     return lr
-
-
-def sgd_step(params: ModelParams, grads: ModelParams, state: OptimState, lr: float | None = None) -> float:
-    """One optimizer step over all model parameters (in place)."""
-    return sgd_update_arrays(params.arrays(), grads.arrays(), state, lr)

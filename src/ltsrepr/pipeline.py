@@ -353,7 +353,10 @@ def run_pretrain(cfg: ExperimentConfig, datasets=None, cache_path: str | None = 
     total = spe * hyper.epochs
     schedule = swa_schedule(cfg, spe)
     posterior = swag_mod.new_posterior(params) if cfg.swa.enabled else None
-    state = net.OptimState.for_arrays(params.arrays(), hyper, total)
+    # backward writes into one reused gradient vector; SGD moves the whole model at once
+    grads = params.like(np.empty_like(params.flat))
+    flat_params, flat_grads = [params.flat], [grads.flat]
+    state = net.OptimState.for_arrays(flat_params, hyper, total)
     rng_batch = rng_stream(seed, STREAM_BATCH)
     rng_mix = rng_stream(seed, STREAM_MIXUP)
 
@@ -370,8 +373,8 @@ def run_pretrain(cfg: ExperimentConfig, datasets=None, cache_path: str | None = 
         if cfg.optim.mixup_alpha > 0.0:
             x, y = data_mod.mixup_batch(x, y, cfg.optim.mixup_alpha, train.num_classes, rng_mix)
             loss_fn = net.soft_ce_loss_and_grad
-        loss, grads = net.backward(params, x, y, loss_fn, cfg.model.activation)
-        net.sgd_step(params, grads, state, lr)
+        loss, _ = net.backward(params, x, y, loss_fn, cfg.model.activation, out=grads)
+        net.sgd_update_arrays(flat_params, flat_grads, state, lr)
         running += loss
         if cfg.swa.enabled and swag_mod.should_capture(step + 1, total, schedule):
             swag_mod.update_moments(posterior, params)
@@ -451,7 +454,7 @@ def run_retrain(
         epochs=retrain_epochs(cfg),
         batch_size=cfg.optim.batch_size,
     )
-    theta = [(w.copy(), b.copy()) for w, b in params.layers]
+    theta = params.layers
     rng = rng_stream(seed, STREAM_RETRAIN_BATCH)
 
     disalign_params = None
@@ -464,7 +467,7 @@ def run_retrain(
         disalign_params = retrain_mod.disalign(
             theta, (params.w, params.b), train, hyper, rng, act, rho=cfg.retrain.balance_rho
         )
-        w, b = params.w.copy(), params.b.copy()
+        w, b = params.w, params.b
     else:  # srepr
         if cfg.retrain.stochastic_source == "posterior" and posterior is None:
             raise ValueError("posterior required for srepr re-training")
@@ -479,6 +482,7 @@ def run_retrain(
             rng,
             act,
         )
+    # the constructor packs a new vector, so the result shares no memory with params
     new_params = net.ModelParams(theta, w, b)
     return RetrainResult(new_params, disalign_params, lws_tau, posterior)
 

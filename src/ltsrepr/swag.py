@@ -14,15 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netcore import (
-    ModelParams,
-    cosine_lr,
-    features,
-    flatten_params,
-    param_views,
-    theta_size,
-    unflatten_params,
-)
+from .netcore import ModelParams, cosine_lr, features, param_views
 
 
 @dataclass(frozen=True)
@@ -71,12 +63,12 @@ class SwagPosterior:
 
 
 def new_posterior(template: ModelParams) -> SwagPosterior:
-    size = flatten_params(template).size
+    size = template.flat.size
     return SwagPosterior(
         mean=np.zeros(size),
         sq_mean=np.zeros(size),
         count=0,
-        theta_dim=theta_size(template),
+        theta_dim=template.theta_dim,
         template=template.copy(),
     )
 
@@ -86,7 +78,7 @@ def update_moments(posterior: SwagPosterior, params: ModelParams) -> SwagPosteri
     m <- (n m + theta) / (n+1), m2 <- (n m2 + theta^2) / (n+1), n <- n+1."""
     if posterior.frozen:
         raise ValueError("cannot update a frozen posterior")
-    flat = flatten_params(params)
+    flat = params.flat
     if flat.size != posterior.mean.size:
         raise ValueError("snapshot shape does not match posterior")
     n = posterior.count
@@ -110,7 +102,7 @@ def swa_params(posterior: SwagPosterior) -> ModelParams:
     """The averaged point estimate (feature extractor and classifier)."""
     if posterior.count < 1:
         raise ValueError("no snapshots captured")
-    return unflatten_params(posterior.mean, posterior.template)
+    return posterior.template.like(posterior.mean.copy())
 
 
 def fill_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.ndarray) -> None:
@@ -130,7 +122,7 @@ def fill_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.ndarr
 def theta_layers(posterior: SwagPosterior, flat: np.ndarray):
     """The extractor's (weight, bias) layer pairs as views into one
     (theta_dim,) draw."""
-    views = param_views(flat, posterior.template.theta_arrays())
+    views = param_views(flat, posterior.template.shapes[:-2])
     return list(zip(views[0::2], views[1::2]))
 
 

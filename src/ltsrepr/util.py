@@ -1,6 +1,9 @@
-"""Shared helpers: labelled RNG streams and small numeric utilities."""
+"""Shared helpers: labelled RNG streams, small numeric utilities and
+length-checked reads from binary files."""
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 
@@ -28,3 +31,30 @@ def rng_stream(seed: int, stream: int) -> np.random.Generator:
 def round_half_up(x):
     """Round with ties away from the floor (0.5 -> 1), unlike banker's rounding."""
     return np.floor(np.asarray(x, dtype=np.float64) + 0.5)
+
+
+class SizedReader:
+    """Length-checked reads from an open binary file of the given kind
+    ("checkpoint", "dataset cache"): a read past the end raises ValueError
+    naming the field, before anything is read."""
+
+    def __init__(self, f, kind: str):
+        self.f = f
+        self.kind = kind
+        self.left = f.seek(0, io.SEEK_END)
+        f.seek(0)
+
+    def take(self, n: int, what: str) -> bytes:
+        if n > self.left:
+            raise ValueError(
+                f"truncated {self.kind}: {what} needs {n} bytes at offset {self.f.tell()}, "
+                f"{self.left} left"
+            )
+        self.left -= n
+        return self.f.read(n)
+
+    def peek(self, n: int) -> bytes:
+        pos = self.f.tell()
+        data = self.f.read(n)
+        self.f.seek(pos)
+        return data

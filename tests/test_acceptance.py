@@ -24,10 +24,8 @@ from ltsrepr.data import class_balanced_indices, make_longtail_dataset, DatasetC
 from ltsrepr.metrics import dispersion_prob, ece, ensemble_predict, nll
 from ltsrepr.netcore import (
     backward,
-    flatten_params,
     init_params,
     softmax_ce,
-    unflatten_params,
 )
 from ltsrepr.retrain import (
     DisAlignParams,
@@ -74,22 +72,22 @@ def test_criterion_01_gradient_correctness():
         if kind == 0:  # plain cross-entropy through the whole network
             _, grads = backward(params, x, y, softmax_ce, activation="tanh")
             err = fd_check(
-                flatten_params(grads),
+                grads.flat,
                 lambda flat: backward(
-                    unflatten_params(flat, params), x, y, softmax_ce, "tanh"
+                    params.like(flat), x, y, softmax_ce, "tanh"
                 )[0],
-                flatten_params(params),
+                params.flat,
             )
         elif kind == 1:  # rebalanced cross-entropy (re-weighting / adjustment)
             spec = BalancingSpec("grw" if i % 2 else "la", rho=1.0, frequencies=freqs)
             loss_fn = lambda z, yy: balanced_ce_loss_and_grad(z, yy, spec)
             _, grads = backward(params, x, y, loss_fn, activation="tanh")
             err = fd_check(
-                flatten_params(grads),
+                grads.flat,
                 lambda flat: backward(
-                    unflatten_params(flat, params), x, y, loss_fn, "tanh"
+                    params.like(flat), x, y, loss_fn, "tanh"
                 )[0],
-                flatten_params(params),
+                params.flat,
             )
         elif kind == 2:  # gated logit calibration loss
             z = rng.standard_normal((batch, k))
@@ -151,7 +149,7 @@ def test_criterion_02_swa_swag_exactness():
     snaps = []
     for _ in range(20):
         p = init_params(rng, 4, (5,), 3, 2)
-        snaps.append(flatten_params(p))
+        snaps.append(p.flat)
         update_moments(post, p)
     stacked = np.stack(snaps)
     mean_err = np.max(np.abs(post.mean - stacked.mean(axis=0)))

@@ -12,7 +12,7 @@ from ltsrepr.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from ltsrepr.netcore import flatten_params, init_params
+from ltsrepr.netcore import init_params
 from ltsrepr.swag import freeze, new_posterior, update_moments
 
 
@@ -54,8 +54,8 @@ class TestBaseSection:
         loaded = load_checkpoint(path)
         assert loaded.posterior is None and loaded.metadata is None
         np.testing.assert_array_equal(
-            flatten_params(loaded.params),
-            flatten_params(params).astype("<f4").astype(np.float64),
+            loaded.params.flat,
+            params.flat.astype("<f4").astype(np.float64),
         )
         assert len(loaded.params.layers) == 3
         assert loaded.params.w.shape == (3, 2)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ltsrepr.data import (
@@ -287,6 +289,101 @@ class TestBinaryFormat:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_dataset(path)
+
+
+def record(dataset: LongTailDataset) -> bytes:
+    buf = io.BytesIO()
+    write_dataset_record(buf, dataset)
+    return buf.getvalue()
+
+
+def encode_pair(train: LongTailDataset, test: LongTailDataset) -> bytes:
+    return record(train) + record(test)
+
+
+def decode_pair(directory, blob: bytes):
+    path = directory / "decoded.bin"
+    path.write_bytes(blob)
+    return load_dataset_pair(path)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("damaged_cache")
+
+
+class TestDamagedCache:
+    @pytest.fixture(scope="class")
+    def desk_cache(self):
+        return encode_pair(*make_longtail_dataset(DatasetConfig()))
+
+    def test_truncated_features_named(self, scratch, desk_cache):
+        with pytest.raises(ValueError, match="truncated dataset cache: train features needs 99360 bytes"):
+            decode_pair(scratch, desk_cache[:20_000])
+
+    def test_truncation_names_record_and_field(self, scratch):
+        train, test = toy_dataset([2, 1], dim=3), toy_dataset([1, 1], dim=3)
+        blob = encode_pair(train, test)
+        n = len(record(train))
+        for field, end in [("train magic", 4), ("train header", 10),
+                           ("test magic", n + 4), ("test labels", len(blob) - 1)]:
+            with pytest.raises(ValueError, match=f"truncated dataset cache: {field} needs"):
+                decode_pair(scratch, blob[:end])
+
+    def test_trailing_bytes_rejected(self, scratch, desk_cache):
+        with pytest.raises(ValueError, match="4 unexpected bytes after the test record"):
+            decode_pair(scratch, desk_cache + b"junk")
+
+    def test_trailing_bytes_after_single_record_rejected(self, tmp_path):
+        path = tmp_path / "one.bin"
+        path.write_bytes(record(toy_dataset([2, 1])) + b"x")
+        with pytest.raises(ValueError, match="1 unexpected bytes after the train record"):
+            load_dataset(path)
+
+    def test_label_outside_classes_named(self, scratch):
+        train, test = toy_dataset([2, 1]), toy_dataset([1, 1])
+        blob = bytearray(encode_pair(train, test))
+        blob[-4:] = (7).to_bytes(4, "little")  # last test label, K = 2
+        with pytest.raises(ValueError, match=r"test labels: label 7 outside \[0, 2\)"):
+            decode_pair(scratch, bytes(blob))
+
+
+@st.composite
+def dataset_pairs(draw):
+    """A random (train, test) pair: 1-4 classes, 1-3 examples each, 1-4 features."""
+    k = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**16))
+    counts = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    return toy_dataset(counts, dim, seed), toy_dataset([1] * k, dim, seed + 1)
+
+
+class TestCacheDamageProperties:
+    """Both records are required, so unlike a checkpoint no strict prefix of
+    a cache is itself a valid cache."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(dataset_pairs(), st.data())
+    def test_every_strict_prefix_rejected(self, scratch, pair, data):
+        blob = encode_pair(*pair)
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        near_boundary = {len(record(pair[0])) + d for d in (-1, 0, 1)}
+        for n in sorted({cut} | near_boundary):
+            with pytest.raises(ValueError):
+                decode_pair(scratch, blob[:n])
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(dataset_pairs(), st.binary(min_size=1, max_size=64))
+    def test_any_suffix_rejected(self, scratch, pair, suffix):
+        with pytest.raises(ValueError, match="unexpected bytes after the test record"):
+            decode_pair(scratch, encode_pair(*pair) + suffix)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(dataset_pairs())
+    def test_valid_cache_roundtrips(self, scratch, pair):
+        train, test = decode_pair(scratch, encode_pair(*pair))
+        assert encode_pair(train, test) == encode_pair(*pair)
+        assert test.splits == train.splits
 
 
 def test_steps_per_epoch():

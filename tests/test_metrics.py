@@ -22,7 +22,7 @@ from ltsrepr.metrics import (
     quartile_analysis,
     reliability_bins,
 )
-from ltsrepr.netcore import classifier_logits, features, flatten_params, init_params, softmax
+from ltsrepr.netcore import classifier_logits, features, init_params, softmax
 from ltsrepr.swag import freeze, new_posterior, sample_theta, update_moments
 
 
@@ -244,7 +244,7 @@ class TestEnsemble:
         update_moments(post, params)
         update_moments(post, params)
         freeze(post)
-        post.mean = flatten_params(params)
+        post.mean = params.flat.copy()
         post.sigma = np.full_like(post.mean, spread**2)
         return params, post, rng.standard_normal((6, 3))
 

@@ -1,11 +1,15 @@
 """Tests for the differentiable model core: forward pass, losses, gradients,
 and the SGD optimizer with its cosine schedule."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from gradcheck import assert_grad_close, max_grad_error, numeric_grad
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltsrepr.netcore import (
     ModelParams,
@@ -15,15 +19,12 @@ from ltsrepr.netcore import (
     cosine_lr,
     cross_entropy,
     features,
-    flatten_params,
     init_params,
     model_logits,
-    sgd_step,
     sgd_update_arrays,
     soft_ce_loss_and_grad,
     softmax,
     softmax_ce,
-    unflatten_params,
 )
 
 
@@ -139,11 +140,11 @@ class TestBackward:
             _, grads = backward(params, x, y, activation="tanh")
 
             def loss_of_flat(flat):
-                p = unflatten_params(flat, params)
+                p = params.like(flat)
                 return backward(p, x, y, activation="tanh")[0]
 
-            num = numeric_grad(loss_of_flat, flatten_params(params))
-            assert_grad_close(flatten_params(grads), num, rtol=1e-4, atol=1e-6)
+            num = numeric_grad(loss_of_flat, params.flat.copy())
+            assert_grad_close(grads.flat, num, rtol=1e-4, atol=1e-6)
 
     def test_gradient_check_invariant(self):
         # module invariant: max relative error <= 1e-4 over random draws
@@ -155,10 +156,10 @@ class TestBackward:
             y = rng.integers(0, 3, size=4)
             _, grads = backward(params, x, y, activation="tanh")
             num = numeric_grad(
-                lambda flat: backward(unflatten_params(flat, params), x, y, activation="tanh")[0],
-                flatten_params(params),
+                lambda flat: backward(params.like(flat), x, y, activation="tanh")[0],
+                params.flat.copy(),
             )
-            worst = max(worst, max_grad_error(flatten_params(grads), num))
+            worst = max(worst, max_grad_error(grads.flat, num))
         assert worst <= 1e-4
 
     def test_batch_gradient_is_mean_of_per_example(self):
@@ -167,11 +168,11 @@ class TestBackward:
         x = rng.standard_normal((6, 3))
         y = rng.integers(0, 3, size=6)
         _, batch_grads = backward(params, x, y)
-        acc = np.zeros_like(flatten_params(params))
+        acc = np.zeros_like(params.flat)
         for i in range(6):
             _, g = backward(params, x[i : i + 1], y[i : i + 1])
-            acc += flatten_params(g)
-        np.testing.assert_allclose(flatten_params(batch_grads), acc / 6, atol=1e-10)
+            acc += g.flat
+        np.testing.assert_allclose(batch_grads.flat, acc / 6, atol=1e-10)
 
     def test_relu_gradients_match_fd_off_kinks(self):
         rng = np.random.default_rng(12)
@@ -180,11 +181,24 @@ class TestBackward:
         y = rng.integers(0, 3, size=5)
         _, grads = backward(params, x, y, activation="relu")
         num = numeric_grad(
-            lambda flat: backward(unflatten_params(flat, params), x, y, activation="relu")[0],
-            flatten_params(params),
+            lambda flat: backward(params.like(flat), x, y, activation="relu")[0],
+            params.flat.copy(),
             h=1e-6,
         )
-        assert max_grad_error(flatten_params(grads), num, atol=1e-4) < 5e-3
+        assert max_grad_error(grads.flat, num, atol=1e-4) < 5e-3
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_out_equals_fresh_bitwise(self, activation):
+        rng = np.random.default_rng(21)
+        params = init_params(rng, 5, (7, 6), 4, 3)
+        out = params.like(np.full_like(params.flat, np.nan))  # every entry must be written
+        for _ in range(3):  # the same buffer, reused across steps
+            x = rng.standard_normal((9, 5))
+            y = rng.integers(0, 3, size=9)
+            loss, fresh = backward(params, x, y, activation=activation)
+            loss_out, grads = backward(params, x, y, activation=activation, out=out)
+            assert grads is out and loss_out == loss
+            assert np.array_equal(out.flat, fresh.flat)
 
     def test_nonfinite_intermediate_names_layer(self):
         params = small_params(np.random.default_rng(13))
@@ -209,16 +223,16 @@ class TestCosineSchedule:
 class TestSgd:
     def test_zero_gradient_no_decay_is_identity(self):
         params = small_params(np.random.default_rng(14))
-        before = flatten_params(params)
+        before = params.flat.copy()
         zero = ModelParams(
             [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers],
             np.zeros_like(params.w),
             np.zeros_like(params.b),
         )
         hyper = SgdHyper(base_lr=0.1, momentum=0.0, weight_decay=0.0)
-        state = OptimState.for_arrays(params.arrays(), hyper, 10)
-        sgd_step(params, zero, state, lr=0.1)
-        np.testing.assert_array_equal(flatten_params(params), before)
+        state = OptimState.for_arrays([params.flat], hyper, 10)
+        sgd_update_arrays([params.flat], [zero.flat], state, lr=0.1)
+        np.testing.assert_array_equal(params.flat, before)
 
     def test_weight_decay_hand_case(self):
         # scalar 1.0, zero gradient, wd 5e-4, lr 0.1: 1 - 0.1*(2*5e-4*1) = 0.9999
@@ -264,6 +278,93 @@ class TestSgd:
         assert state.t == 1
 
 
+def reference_sgd(arrays, grads, buffers, lr, mu, wd):
+    """The allocating per-array Nesterov loop the fused update must match."""
+    for p, g, v in zip(arrays, grads, buffers):
+        g_eff = g + 2.0 * wd * p
+        if mu != 0.0:
+            v *= mu
+            v += g_eff
+            p -= lr * (g_eff + mu * v)
+        else:
+            p -= lr * g_eff
+
+
+shapes = st.lists(
+    st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple), min_size=1, max_size=6
+)
+
+
+class TestFusedSgd:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(shapes, st.sampled_from([0.0, 0.9]), st.sampled_from([0.0, 1e-3]),
+           st.integers(0, 2**16), st.integers(1, 4))
+    def test_flat_update_equals_per_array_loop(self, layout, mu, wd, seed, steps):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(shape) for shape in layout]
+        flat = np.concatenate([a.ravel() for a in arrays])
+        buffers = [np.zeros_like(a) for a in arrays]
+        state = OptimState.for_arrays([flat], SgdHyper(momentum=mu, weight_decay=wd), steps)
+        for _ in range(steps):
+            grads = [rng.standard_normal(shape) for shape in layout]
+            lr = float(rng.uniform(0.01, 0.5))
+            reference_sgd(arrays, grads, buffers, lr, mu, wd)
+            sgd_update_arrays([flat], [np.concatenate([g.ravel() for g in grads])], state, lr)
+        assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
+        assert np.array_equal(state.buffers[0], np.concatenate([v.ravel() for v in buffers]))
+
+    def test_pretrain_step_moves_params_in_place(self):
+        rng = np.random.default_rng(22)
+        params = small_params(rng)
+        reference = [a.copy() for a in params.arrays()]
+        buffers = [np.zeros_like(a) for a in reference]
+        hyper = SgdHyper(momentum=0.9, weight_decay=5e-4)
+        grads = params.like(np.empty_like(params.flat))
+        state = OptimState.for_arrays([params.flat], hyper, 2)
+        for _ in range(2):
+            x, y = rng.standard_normal((5, 3)), rng.integers(0, 3, size=5)
+            backward(params, x, y, out=grads)
+            reference_sgd(reference, grads.arrays(), buffers, 0.1, 0.9, 5e-4)
+            sgd_update_arrays([params.flat], [grads.flat], state, 0.1)
+        for a, b in zip(params.arrays(), reference):
+            assert np.array_equal(a, b)
+
+    def test_mismatched_state_rejected(self):
+        params = small_params(np.random.default_rng(23))
+        state = OptimState.for_arrays(params.arrays(), SgdHyper(), 1)
+        with pytest.raises(ValueError):
+            sgd_update_arrays([params.flat], [np.zeros_like(params.flat)], state, 0.1)
+
+
+class TestFlatLayout:
+    def test_every_view_shares_the_flat_vector(self):
+        params = init_params(np.random.default_rng(24), 5, (7, 6), 4, 3)
+        assert params.flat.flags.c_contiguous and params.flat.dtype == np.float64
+        for a in params.arrays():
+            assert np.shares_memory(a, params.flat)
+        assert params.copy().flat is not params.flat
+        assert not np.shares_memory(params.copy().flat, params.flat)
+
+    def test_pickle_and_deepcopy_keep_the_views(self):
+        params = small_params(np.random.default_rng(27))
+        for clone in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params)):
+            np.testing.assert_array_equal(clone.flat, params.flat)
+            assert not np.shares_memory(clone.flat, params.flat)
+            for a in clone.arrays():
+                assert np.shares_memory(a, clone.flat)
+
+    def test_extractor_is_the_prefix(self):
+        params = init_params(np.random.default_rng(25), 5, (7,), 4, 3)
+        assert params.theta_dim == 5 * 7 + 7 + 7 * 4 + 4
+        theta = np.concatenate([a.ravel() for pair in params.layers for a in pair])
+        np.testing.assert_array_equal(params.flat[: params.theta_dim], theta)
+
+    def test_like_rejects_a_wrong_size(self):
+        params = small_params(np.random.default_rng(26))
+        with pytest.raises(ValueError, match="entries"):
+            params.like(np.zeros(params.flat.size + 1))
+
+
 class TestInit:
     def test_shapes_chain(self):
         params = init_params(np.random.default_rng(17), 20, (64, 64), 32, 10)
@@ -275,13 +376,19 @@ class TestInit:
 
     def test_flatten_roundtrip(self):
         params = small_params(np.random.default_rng(18))
-        flat = flatten_params(params)
-        back = unflatten_params(flat, params)
-        np.testing.assert_array_equal(flatten_params(back), flat)
+        # checkpoint order: every array's entries, extractor first
+        flat = np.concatenate([a.ravel() for a in params.arrays()])
+        np.testing.assert_array_equal(params.flat, flat)
+        back = params.like(flat)
+        for a, b in zip(back.arrays(), params.arrays()):
+            np.testing.assert_array_equal(a, b)
+        packed = ModelParams(params.layers, params.w, params.b)
+        np.testing.assert_array_equal(packed.flat, flat)
+        assert not np.shares_memory(packed.flat, params.flat)
 
     def test_all_finite(self):
         params = init_params(np.random.default_rng(19), 5, (7,), 3, 4)
-        assert np.all(np.isfinite(flatten_params(params)))
+        assert np.all(np.isfinite(params.flat))
 
     def test_logits_shape(self):
         params = small_params(np.random.default_rng(20))

@@ -18,7 +18,6 @@ from ltsrepr.netcore import (
     SgdHyper,
     classifier_logits,
     features,
-    flatten_params,
     init_classifier,
     init_params,
     softmax,
@@ -66,7 +65,7 @@ def frozen_posterior(params, spread=0.05, rng_seed=0):
     update_moments(post, params)
     update_moments(post, params)
     freeze(post)
-    post.mean = flatten_params(params)
+    post.mean = params.flat.copy()
     post.sigma = np.full_like(post.mean, spread**2)
     return post
 

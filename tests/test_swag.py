@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ltsrepr.netcore import ModelParams, flatten_params, init_params
+from ltsrepr.netcore import ModelParams, init_params
 from ltsrepr.swag import (
     SwaSchedule,
     fill_theta,
@@ -47,7 +47,7 @@ class TestMoments:
         params = random_params(rng)
         post = new_posterior(params)
         update_moments(post, params)
-        np.testing.assert_array_equal(post.mean, flatten_params(params))
+        np.testing.assert_array_equal(post.mean, params.flat)
 
     def test_scalar_hand_case(self):
         post = new_posterior(scalarish_params(0.0))
@@ -65,7 +65,7 @@ class TestMoments:
         snaps = []
         for _ in range(20):
             p = random_params(rng)
-            snaps.append(flatten_params(p))
+            snaps.append(p.flat)
             update_moments(post, p)
         stacked = np.stack(snaps)
         np.testing.assert_allclose(post.mean, stacked.mean(axis=0), atol=1e-12)
@@ -231,7 +231,7 @@ class TestSwaPoint:
         update_moments(post, b)
         avg = swa_params(post)
         np.testing.assert_allclose(
-            flatten_params(avg), (flatten_params(a) + flatten_params(b)) / 2, atol=1e-12
+            avg.flat, (a.flat + b.flat) / 2, atol=1e-12
         )
 
     def test_requires_a_capture(self):
