@@ -159,6 +159,8 @@ def load_config(args: argparse.Namespace, metadata: dict | None = None) -> pl.Ex
 
 
 def _outdir(cfg: pl.ExperimentConfig) -> str:
+    """Create the output directory. Commands call this just before their
+    first write, so one that fails earlier leaves no directory behind."""
     os.makedirs(cfg.run.output_dir, exist_ok=True)
     return cfg.run.output_dir
 
@@ -188,8 +190,8 @@ def _write_bins(path: str, bins) -> None:
 
 def cmd_pretrain(args) -> int:
     cfg = load_config(args)
-    outdir = _outdir(cfg)
     result = pl.run_pretrain(cfg, cache_path=args.dataset_cache)
+    outdir = _outdir(cfg)
     ckpt_path = os.path.join(outdir, "pretrain.ckpt")
     ckpt_io.save_checkpoint(
         ckpt_path, result.params, result.posterior, pl.pretrain_metadata(cfg)
@@ -207,9 +209,9 @@ def cmd_pretrain(args) -> int:
 def cmd_retrain(args) -> int:
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     cfg = load_config(args, ckpt.metadata)
-    outdir = _outdir(cfg)
     datasets = pl.build_datasets(cfg, args.dataset_cache)
     result = pl.run_retrain(cfg, ckpt.params, ckpt.posterior, datasets=datasets)
+    outdir = _outdir(cfg)
     out_path = os.path.join(outdir, "retrain.ckpt")
     ckpt_io.save_checkpoint(
         out_path, result.params, result.posterior, pl.retrain_metadata(cfg, result)
@@ -229,7 +231,6 @@ def _disalign_from_metadata(metadata: dict | None):
 def cmd_eval(args) -> int:
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     cfg = load_config(args, ckpt.metadata)
-    outdir = _outdir(cfg)
     datasets = pl.build_datasets(cfg, args.dataset_cache)
     report = pl.run_eval(
         cfg,
@@ -238,6 +239,7 @@ def cmd_eval(args) -> int:
         datasets=datasets,
         disalign_params=_disalign_from_metadata(ckpt.metadata),
     )
+    outdir = _outdir(cfg)
     _write_report(outdir, "eval_report", report)
     _write_bins(os.path.join(outdir, "eval_bins.csv"), report.bins)
     print(f"wrote {os.path.join(outdir, 'eval_report.json')}")
@@ -247,9 +249,9 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     cfg = load_config(args, ckpt.metadata)
-    outdir = _outdir(cfg)
     datasets = pl.build_datasets(cfg, args.dataset_cache)
     result = pl.run_analyze(cfg, ckpt.params, ckpt.posterior, datasets=datasets)
+    outdir = _outdir(cfg)
 
     with open(os.path.join(outdir, "instance_metrics.csv"), "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
@@ -303,8 +305,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args)
-    outdir = _outdir(cfg)
     result = pl.run_sweep(cfg)
+    outdir = _outdir(cfg)
     table_path = os.path.join(outdir, "sweep_table.csv")
     with open(table_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)

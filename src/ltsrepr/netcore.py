@@ -14,6 +14,11 @@ views into it, so the feature extractor is the prefix ``flat[:theta_dim]``.
 The pretraining loop hands ``backward`` one gradient ModelParams to write
 into, and `sgd_update_arrays` moves the whole vector with one fused
 Nesterov step using scratch buffers held in `OptimState`.
+
+`features` also runs stacked layers: R extractor draws as weights
+(R, fan_in, fan_out) and biases (R, 1, fan_out), or R inputs (R, B, D),
+give (R, B, L) in one call. numpy's matmul runs one gemm per member, so
+each member's representation is the same bits as its own 2-D call.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ import numpy as np
 PROB_FLOOR = 1e-30
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
+def _relu(z, out=None):
+    return np.maximum(z, 0.0, out=out)
 
 
 def _drelu(z):
@@ -35,8 +40,8 @@ def _drelu(z):
     return z > 0.0
 
 
-def _tanh(z):
-    return np.tanh(z)
+def _tanh(z, out=None):
+    return np.tanh(z, out=out)
 
 
 def _dtanh(z):
@@ -49,15 +54,17 @@ ACTIVATIONS = {"relu": (_relu, _drelu), "tanh": (_tanh, _dtanh)}
 
 def param_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     """Consecutive views of ``flat`` with the given shapes, which must
-    account for every entry of ``flat``."""
+    account for every entry of its last axis; leading axes of ``flat``
+    lead every view."""
     views = []
     offset = 0
+    lead = flat.shape[:-1]
     for shape in shapes:
         n = prod(shape)
-        views.append(flat[offset : offset + n].reshape(shape))
+        views.append(flat[..., offset : offset + n].reshape(*lead, *shape))
         offset += n
-    if offset != flat.size:
-        raise ValueError(f"flat vector has {flat.size} entries, expected {offset}")
+    if offset != flat.shape[-1]:
+        raise ValueError(f"flat vector has {flat.shape[-1]} entries, expected {offset}")
     return views
 
 
@@ -166,9 +173,17 @@ def features(
     x: np.ndarray,
     activation: str = "relu",
     return_cache: bool = False,
+    out=None,
 ):
     """Representations for a batch: linear layers with the nonlinearity
-    between layers (the final representation itself is linear)."""
+    between layers (the final representation itself is linear).
+
+    Leading axes broadcast through ``a @ w + b``: stacked layers (weights
+    (R, fan_in, fan_out), biases (R, 1, fan_out)) or stacked inputs
+    (R, B, D) give (R, B, L), one gemm per member. ``out``, when given,
+    holds one array per layer that receives that layer's output, so a loop
+    that repeats the same shapes allocates nothing large; the result is
+    then its last array."""
     act, _ = ACTIVATIONS[activation]
     a = np.asarray(x, dtype=np.float64)
     single = a.ndim == 1
@@ -177,13 +192,18 @@ def features(
     cache = []
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        if a.shape[1] != w.shape[0]:
+        if a.shape[-1] != w.shape[-2]:
             raise ValueError(
-                f"layer {i}: input width {a.shape[1]} != weight fan-in {w.shape[0]}"
+                f"layer {i}: input width {a.shape[-1]} != weight fan-in {w.shape[-2]}"
             )
-        z = a @ w + b
-        cache.append((a, z))
-        a = z if i == last else act(z)
+        z = np.matmul(a, w, out=None if out is None else out[i])
+        z += b
+        if return_cache:
+            cache.append((a, z))
+            a = z if i == last else act(z)
+        else:
+            # nothing keeps the pre-activation, so it is overwritten
+            a = z if i == last else act(z, out=z)
     if single:
         a = a[0]
     return (a, cache) if return_cache else a
@@ -225,10 +245,13 @@ def predict_proba(params: ModelParams, x: np.ndarray, activation: str = "relu") 
 # ---------------------------------------------------------------------------
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-example -log p[y], with the target probability floored before log."""
+    """Per-example -log p[y], with the target probability floored before log.
+    Probabilities (..., B, K) give (..., B)."""
     p = np.asarray(probs, dtype=np.float64)
-    py = p[np.arange(len(labels)), labels]
-    return -np.log(np.maximum(py, PROB_FLOOR))
+    # the fancy index lays (M, B) out column-major; C order keeps each
+    # member's row contiguous, so its mean sums as a 1-D call's does
+    py = np.maximum(p[..., np.arange(len(labels)), labels], PROB_FLOOR, order="C")
+    return -np.log(py)
 
 
 def softmax_ce(logits: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None):
@@ -236,15 +259,17 @@ def softmax_ce(logits: np.ndarray, labels: np.ndarray, weights: np.ndarray | Non
 
     Unweighted: loss mean(ce), gradient (p - onehot) / B. With per-example
     weights w: loss mean(w * ce), gradient (p - onehot) * w / B, with no
-    renormalization by the batch's total weight.
+    renormalization by the batch's total weight. Logits (M, B, K) for M
+    stacked members of one batch give M losses, each the same bits as that
+    member's own (B, K) call.
     """
     p = softmax(logits)
     n = len(labels)
     ce = cross_entropy(p, labels)
-    p[np.arange(n), labels] -= 1.0
+    p[..., np.arange(n), labels] -= 1.0
     if weights is None:
-        return ce.mean(), p / n
-    return (weights * ce).mean(), p * (weights / n)[:, None]
+        return ce.mean(axis=-1), p / n
+    return (weights * ce).mean(axis=-1), p * (weights / n)[:, None]
 
 
 def soft_ce_loss_and_grad(logits: np.ndarray, targets: np.ndarray):

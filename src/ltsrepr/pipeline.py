@@ -295,6 +295,8 @@ def build_datasets(cfg: ExperimentConfig, cache_path: str | None = None):
     splits with training statistics."""
     if cache_path and not os.path.exists(cache_path):
         train_raw, test_raw = data_mod.make_longtail_dataset(dataset_config(cfg))
+        # the cache may sit in an output directory the CLI has not created yet
+        os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
         data_mod.save_dataset_pair(cache_path, train_raw, test_raw)
     if cache_path:
         # read back even on first use so cached and fresh runs see the same

@@ -20,14 +20,12 @@ import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import digamma, gammaln, polygamma
+from scipy.special import digamma, gammaln, zeta
 
 from .balancing import (
     BalancingSpec,
     balanced_ce_loss_and_grad,
-    example_weights,
     grw_weights,
-    logit_adjust,
 )
 from .data import (
     LongTailDataset,
@@ -46,7 +44,7 @@ from .netcore import (
     softmax,
     softmax_ce,
 )
-from .swag import SwagPosterior, fill_theta, posterior_features, theta_layers
+from .swag import SwagPosterior, draw_normals, posterior_features, shift_theta, theta_layers
 
 LOGIT_CLAMP_SCALE = 30.0  # raw student logits clipped at +/- 30 * temperature
 
@@ -332,16 +330,9 @@ def stochastic_representations(
     raise ValueError(f"unknown stochastic source {source!r}")
 
 
-def jitter_inputs(x: np.ndarray, std: float, rng: np.random.Generator,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """x + std * eps with standard normal eps, filled into ``out`` (allocated
-    when omitted) in place; same stream and bits as a fresh draw."""
-    if out is None:
-        out = np.empty(x.shape)
-    rng.standard_normal(out=out)
-    out *= std
-    out += x
-    return out
+def jitter_inputs(x: np.ndarray, std: float, rng: np.random.Generator) -> np.ndarray:
+    """x + std * eps with standard normal eps."""
+    return x + std * rng.standard_normal(x.shape)
 
 
 # A hand-off costs the consumer a GIL round trip, so members are drawn and
@@ -357,19 +348,24 @@ HANDOFF_NUMBERS = 1 << 15
 DRAW_AHEAD_NUMBERS = 1 << 18
 
 
-def member_ring(members: int, member_shape: tuple) -> np.ndarray:
-    """DrawAhead's ring: one step's members as float64 blocks, shape
-    (blocks, per_block, *member_shape).
-
-    It lives in its own anonymous memory map rather than on the malloc
-    heap, so its pages go back to the system when the last view of it is
-    dropped and later allocations do not land around a freed hole.
-    """
-    size = int(np.prod(member_shape))
-    per_block = min(members, -(-HANDOFF_NUMBERS // size))
-    shape = (-(-members // per_block), per_block, *member_shape)
+def mapped_array(shape: tuple) -> np.ndarray:
+    """A float64 array in its own anonymous memory map rather than on the
+    malloc heap, so its pages go back to the system when the last view of
+    it is dropped, and neither the array nor its release moves where glibc
+    places later allocations."""
     pages = mmap.mmap(-1, 8 * int(np.prod(shape)))
     return np.frombuffer(pages, dtype=np.float64).reshape(shape)
+
+
+def member_ring(members: int, member_shape: tuple, ahead: bool = True) -> np.ndarray:
+    """DrawAhead's ring: one step's members as float64 blocks, shape
+    (blocks, per_block, *member_shape), in a `mapped_array`. A producer
+    thread (``ahead``) hands over blocks of at least ``HANDOFF_NUMBERS``
+    numbers; inline, one block holds the whole step.
+    """
+    size = int(np.prod(member_shape))
+    per_block = min(members, -(-HANDOFF_NUMBERS // size)) if ahead else members
+    return mapped_array((-(-members // per_block), per_block, *member_shape))
 
 
 class DrawAhead:
@@ -381,9 +377,10 @@ class DrawAhead:
     (``next_indices()``), then its M members (``len(out)``), drawn a block
     at a time by ``fill(rows, x)`` into the leading rows of a block of the
     caller-allocated ``ring`` (``member_ring``); ``x`` is the batch of
-    ``inputs``. A block is handed back once the consumer has run
-    ``represent(k, i, x)`` on each member it holds (row i of block k), so
-    the producer is at most one step ahead and allocates nothing large.
+    ``inputs``. The consumer turns each block into representations with
+    one ``represent(k, rows, x)`` call, shape (rows, B, L), for the leading
+    ``rows`` rows of block k, and then hands the block back, so the
+    producer is at most one step ahead and allocates nothing large.
     Iterating yields ``(idx, reps)`` per step, with reps the (M, B, L)
     ``out`` buffer, rewritten every step. An exception raised in the
     producer is re-raised by the iterator.
@@ -454,9 +451,8 @@ class DrawAhead:
             j = 0
             for rows in self._rows:
                 k = self._take()
-                for i in range(rows):
-                    self._out[j] = self._represent(k, i, x)
-                    j += 1
+                self._out[j : j + rows] = self._represent(k, rows, x)
+                j += rows
                 self._free.put(k)
             yield idx, self._out
 
@@ -488,20 +484,21 @@ def mean_ce_loss_and_grad(
     GRW multiplies each example's averaged loss by its class weight; LA
     adjusts the logits inside every per-sample term. Returns the batch-mean
     loss and its gradients wrt the classifier (w, b).
+
+    The (M, B, K) logits, their CE and the per-member gradients are computed
+    in one pass, one gemm per member; the member terms are then added in
+    member order, so the sums round as a loop over members would.
     """
-    balancing.validate()
-    w_ex = example_weights(balancing, labels)
+    losses, dz = balanced_ce_loss_and_grad(classifier_logits(w, b, reps), labels, balancing)
+    gw_m = np.matmul(reps.transpose(0, 2, 1), dz)
+    gb_m = dz.sum(axis=1)
     loss = 0.0
     gw = np.zeros_like(w)
     gb = np.zeros_like(b)
-    for r in reps:
-        z = classifier_logits(w, b, r)
-        if balancing.kind == "la":
-            z = logit_adjust(z, balancing.frequencies, balancing.rho)
-        loss_j, dz = softmax_ce(z, labels, w_ex)
-        loss += loss_j
-        gw += r.T @ dz
-        gb += dz.sum(axis=0)
+    for j in range(len(reps)):
+        loss += losses[j]
+        gw += gw_m[j]
+        gb += gb_m[j]
     m = len(reps)
     return loss / m, gw / m, gb / m
 
@@ -614,13 +611,16 @@ def kd_loss_and_alpha_grad(alpha: np.ndarray, beta: np.ndarray, p_bar: np.ndarra
 
     psi_a = digamma(a)
     psi_a0 = digamma(a0)
-    term1 = -(t * (psi_a - psi_a0[:, None])).sum(axis=1)
-    kl_flat = dirichlet_kl(a, np.ones_like(a))
-    kl_flat = np.atleast_1d(kl_flat)
+    dpsi = psi_a - psi_a0[:, None]
+    term1 = -(t * dpsi).sum(axis=1)
+    # dirichlet_kl(a, ones) from the digammas above; gammaln(1) is 0
+    kl_flat = gammaln(a0) - gammaln(a).sum(axis=1) - gammaln(k) + ((a - 1.0) * dpsi).sum(axis=1)
     loss = (term1 + kl_flat / b0).mean()
 
-    tri_a = polygamma(1, a)
-    tri_a0 = polygamma(1, a0)
+    # the trigamma: scipy's polygamma(1, x) is 1.0 * zeta(2, x) plus a
+    # digamma it discards
+    tri_a = zeta(2, a)
+    tri_a0 = zeta(2, a0)
     t_sum = t.sum(axis=1)
     g_term1 = -t * tri_a + (t_sum * tri_a0)[:, None]
     g_kl = (a - 1.0) * tri_a - ((a0 - k) * tri_a0)[:, None]
@@ -682,7 +682,9 @@ def srepr_retrain(
     The batch indices and draws come from ``rng`` through a DrawAhead, in
     the inline order, so the result is the same bits whether it runs them
     one step ahead on its producer thread (when a step draws at least
-    ``DRAW_AHEAD_NUMBERS`` numbers) or inline.
+    ``DRAW_AHEAD_NUMBERS`` numbers) or inline. Inline, a step's members
+    are drawn as one block; either way each block runs as one stacked
+    forward.
     """
     config.validate()
     balancing.validate()
@@ -692,23 +694,35 @@ def srepr_retrain(
     b = phi_init[1].copy()
     f_swa_all = features(theta_swa, dataset.features, activation)
     m, batch = config.num_samples, optim.batch_size
+    # the producer (or the inline draw) only fills normals; the consumer
+    # applies the affine step of fill_theta / jitter_inputs to a block just
+    # before its one stacked forward
     if config.stochastic_source == "posterior":
-        ring = member_ring(m, (posterior.theta_dim,))
-        layers = [[theta_layers(posterior, row) for row in block] for block in ring]
+        member_shape = (posterior.theta_dim,)
 
         def fill(rows, x):
-            fill_theta(posterior, rng, rows)
+            draw_normals(posterior, rng, rows)
 
-        def represent(k, i, x):
-            return features(layers[k][i], x, activation)
+        def represent(k, rows, x):
+            block = ring[k][:rows]
+            shift_theta(posterior, block)
+            return features(theta_layers(posterior, block), x, activation,
+                            out=[o[:rows] for o in layer_out])
     else:
-        ring = member_ring(m, (batch, dataset.input_dim))
+        member_shape = (batch, dataset.input_dim)
 
         def fill(rows, x):
-            jitter_inputs(x, config.jitter_std, rng, out=rows)
+            rng.standard_normal(out=rows)
 
-        def represent(k, i, x):
-            return features(theta_swa, ring[k][i], activation)
+        def represent(k, rows, x):
+            block = ring[k][:rows]
+            block *= config.jitter_std
+            block += x
+            return features(theta_swa, block, activation, out=[o[:rows] for o in layer_out])
+    ahead = m * int(np.prod(member_shape)) >= DRAW_AHEAD_NUMBERS
+    ring = member_ring(m, member_shape, ahead)
+    # every step's stacked forward writes into the same per-layer buffers
+    layer_out = [mapped_array((ring.shape[1], batch, wt.shape[-1])) for wt, _ in theta_swa]
 
     def loss_and_grads(batch_and_reps):
         idx, reps = batch_and_reps
@@ -720,8 +734,7 @@ def srepr_retrain(
     sampler = _stage2_sampler(balancing)
     draws = DrawAhead(stage2_steps(dataset, optim), lambda: sampler(dataset, batch, rng),
                       dataset.features, fill, represent, ring,
-                      np.empty((m, batch, f_swa_all.shape[1])),
-                      ahead=m * ring[0, 0].size >= DRAW_AHEAD_NUMBERS)
+                      np.empty((m, batch, f_swa_all.shape[1])), ahead)
     with draws:
         fit_head("srepr", [w, b], loss_and_grads, draws, dataset, optim)
     return w, b

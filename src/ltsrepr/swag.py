@@ -81,9 +81,15 @@ def update_moments(posterior: SwagPosterior, params: ModelParams) -> SwagPosteri
     flat = params.flat
     if flat.size != posterior.mean.size:
         raise ValueError("snapshot shape does not match posterior")
+    # in place, with the same operations in the same order as
+    # (n * m + theta) / (n + 1), so the same bits
     n = posterior.count
-    posterior.mean = (n * posterior.mean + flat) / (n + 1)
-    posterior.sq_mean = (n * posterior.sq_mean + flat * flat) / (n + 1)
+    posterior.mean *= n
+    posterior.mean += flat
+    posterior.mean /= n + 1
+    posterior.sq_mean *= n
+    posterior.sq_mean += flat * flat
+    posterior.sq_mean /= n + 1
     posterior.count = n + 1
     return posterior
 
@@ -105,6 +111,20 @@ def swa_params(posterior: SwagPosterior) -> ModelParams:
     return posterior.template.like(posterior.mean.copy())
 
 
+def draw_normals(posterior: SwagPosterior, rng: np.random.Generator, out: np.ndarray) -> None:
+    """The random half of `fill_theta`: fill ``out`` with standard normals."""
+    if not posterior.frozen:
+        raise ValueError("posterior must be frozen before sampling")
+    rng.standard_normal(out=out)
+
+
+def shift_theta(posterior: SwagPosterior, out: np.ndarray) -> None:
+    """The affine half of `fill_theta`: turn the normals in every
+    (theta_dim,) row of ``out`` into mean + sqrt(diag) * eps, in place."""
+    out *= posterior.theta_std()
+    out += posterior.mean[: posterior.theta_dim]
+
+
 def fill_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.ndarray) -> None:
     """Fill every (theta_dim,) row of the float64 buffer ``out`` with one
     feature-extractor draw mean + sqrt(diag) * eps, in place.
@@ -112,18 +132,20 @@ def fill_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.ndarr
     Rows are drawn in C order, so filling an (M, theta_dim) buffer consumes
     ``rng`` exactly as M single draws do and yields the same bits.
     """
-    if not posterior.frozen:
-        raise ValueError("posterior must be frozen before sampling")
-    rng.standard_normal(out=out)
-    out *= posterior.theta_std()
-    out += posterior.mean[: posterior.theta_dim]
+    draw_normals(posterior, rng, out)
+    shift_theta(posterior, out)
 
 
 def theta_layers(posterior: SwagPosterior, flat: np.ndarray):
     """The extractor's (weight, bias) layer pairs as views into one
-    (theta_dim,) draw."""
+    (theta_dim,) draw, or stacked views into an (R, theta_dim) block of R
+    draws: weights (R, fan_in, fan_out) and biases (R, 1, fan_out), which
+    `features` runs as R members at once."""
     views = param_views(flat, posterior.template.shapes[:-2])
-    return list(zip(views[0::2], views[1::2]))
+    weights, biases = views[0::2], views[1::2]
+    if flat.ndim == 2:
+        biases = [b[:, None, :] for b in biases]
+    return list(zip(weights, biases))
 
 
 def sample_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.ndarray | None = None):

@@ -66,6 +66,10 @@ class TestPretrainCommand:
         assert loaded.posterior is not None
         assert loaded.posterior.count >= 1
 
+    def test_cache_may_sit_in_the_output_dir(self, workdir):
+        pretrain(workdir, out="run", extra=("--dataset-cache", "run/cache.bin"))
+        assert (workdir / "run" / "cache.bin").is_file()
+
     def test_metrics_json_written(self, workdir):
         pretrain(workdir, out="run")
         payload = json.loads((workdir / "run" / "pretrain_metrics.json").read_text())
@@ -285,6 +289,19 @@ class TestErrorPaths:
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
         assert not (workdir / "out").exists()
         assert not (workdir / "cache.bin").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "retrain", "eval", "analyze"])
+    def test_truncated_cache_leaves_no_output_dir(self, workdir, capsys, command):
+        ckpt = pretrain(workdir, out="run", extra=("--dataset-cache", "cache.bin"))
+        (workdir / "short.bin").write_bytes((workdir / "cache.bin").read_bytes()[:200])
+        capsys.readouterr()
+        extra = (("--config", "tiny.ini") if command == "pretrain"
+                 else ("--checkpoint", str(ckpt)))
+        code = run_cli(command, *extra, "--output-dir", "out", "--dataset-cache", "short.bin")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: truncated dataset cache")
+        assert not (workdir / "out").exists()
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit):

@@ -55,6 +55,14 @@ class TestFeatures:
         with pytest.raises(ValueError, match="layer 0"):
             features(layers, np.zeros((2, 5)))
 
+    def test_stacked_shape_mismatch_names_layer(self):
+        stacked = [(np.zeros((2, 3, 4)), np.zeros((2, 1, 4))),
+                   (np.zeros((2, 5, 2)), np.zeros((2, 1, 2)))]
+        with pytest.raises(ValueError, match="layer 1: input width 4 != weight fan-in 5"):
+            features(stacked, np.zeros((6, 3)))
+        with pytest.raises(ValueError, match="layer 0: input width 5 != weight fan-in 3"):
+            features([(np.zeros((3, 4)), np.zeros(4))], np.zeros((2, 6, 5)))
+
     def test_single_vector_input(self):
         params = small_params(np.random.default_rng(3))
         x = np.random.default_rng(4).standard_normal(3)
@@ -109,6 +117,17 @@ class TestCrossEntropy:
                 _, grad = softmax_ce(z, y, weights)
                 num = numeric_grad(lambda zz: softmax_ce(zz, y, weights)[0], z.copy(), h=1e-4)
                 assert_grad_close(grad, num, rtol=1e-4, atol=1e-6)
+
+    def test_stacked_members_equal_their_own_calls(self):
+        rng = np.random.default_rng(9)
+        z = rng.standard_normal((3, 5, 4)) * 4.0
+        y = rng.integers(0, 4, size=5)
+        for weights in (None, rng.uniform(0.1, 2.0, size=5)):
+            losses, grad = softmax_ce(z, y, weights)
+            assert losses.shape == (3,) and grad.shape == z.shape
+            for j in range(3):
+                loss_j, grad_j = softmax_ce(z[j], y, weights)
+                assert losses[j] == loss_j and grad[j].tobytes() == grad_j.tobytes()
 
     def test_soft_targets_match_hard_when_onehot(self):
         rng = np.random.default_rng(8)

@@ -9,10 +9,12 @@ import traceback
 import numpy as np
 import pytest
 from gradcheck import assert_grad_close, numeric_grad
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, gammaln, polygamma
 
-from ltsrepr.balancing import BalancingSpec
+from ltsrepr.balancing import BalancingSpec, example_weights, logit_adjust
 from ltsrepr.data import LongTailDataset, class_balanced_indices
 from ltsrepr.netcore import (
     SgdHyper,
@@ -21,6 +23,7 @@ from ltsrepr.netcore import (
     init_classifier,
     init_params,
     softmax,
+    softmax_ce,
 )
 import ltsrepr.retrain as retrain_mod
 from ltsrepr.retrain import (
@@ -33,7 +36,6 @@ from ltsrepr.retrain import (
     disalign_logits,
     disalign_loss_and_grads,
     estimate_beta,
-    jitter_inputs,
     kd_loss,
     kd_loss_and_alpha_grad,
     lws,
@@ -47,7 +49,15 @@ from ltsrepr.retrain import (
     student_alpha_from_logits,
     teacher_probs,
 )
-from ltsrepr.swag import fill_theta, freeze, new_posterior, theta_layers, update_moments
+from ltsrepr.swag import (
+    draw_normals,
+    fill_theta,
+    freeze,
+    new_posterior,
+    shift_theta,
+    theta_layers,
+    update_moments,
+)
 
 
 def blob_dataset(counts, centers, noise=0.3, seed=0):
@@ -247,7 +257,39 @@ class TestStochasticRepresentations:
             SreprConfig(stochastic_source="dropout").validate()
 
 
+def reference_mean_ce(w, b, reps, labels, balancing):
+    """The per-member loop mean_ce_loss_and_grad must match bit for bit."""
+    w_ex = example_weights(balancing, labels)
+    loss = 0.0
+    gw = np.zeros_like(w)
+    gb = np.zeros_like(b)
+    for r in reps:
+        z = classifier_logits(w, b, r)
+        if balancing.kind == "la":
+            z = logit_adjust(z, balancing.frequencies, balancing.rho)
+        loss_j, dz = softmax_ce(z, labels, w_ex)
+        loss += loss_j
+        gw += r.T @ dz
+        gb += dz.sum(axis=0)
+    m = len(reps)
+    return loss / m, gw / m, gb / m
+
+
 class TestMeanCe:
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.sampled_from(["none", "cbs", "la", "grw"]), st.integers(1, 10), st.integers(1, 20),
+           st.integers(1, 8), st.integers(2, 6), st.integers(0, 2**16))
+    def test_stacked_equals_member_loop(self, kind, m, n, l, k, seed):
+        rng = np.random.default_rng(seed)
+        reps = rng.standard_normal((m, n, l)) * 3.0
+        y = rng.integers(0, k, size=n)
+        w, b = rng.standard_normal((l, k)), rng.standard_normal(k)
+        spec = BalancingSpec(kind, rho=1.0, frequencies=rng.dirichlet(np.ones(k)) + 1e-3)
+        got = mean_ce_loss_and_grad(w, b, reps, y, spec)
+        want = reference_mean_ce(w, b, reps, y, spec)
+        for a, e in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(e).tobytes()
+
     def test_single_sample_equals_plain_ce(self):
         # identity classifier on K=L=2 so representations are the logits
         w, b = np.eye(2), np.zeros(2)
@@ -441,7 +483,33 @@ class TestDirichletKl:
             dirichlet_kl(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
 
+def reference_kd(alpha, beta, p_bar):
+    """kd_loss_and_alpha_grad written with dirichlet_kl(a, ones) and
+    polygamma(1, .), which the module's version must match bit for bit."""
+    n, k = alpha.shape
+    a0 = alpha.sum(axis=1)
+    b0 = beta.sum(axis=1)
+    term1 = -(p_bar * (digamma(alpha) - digamma(a0)[:, None])).sum(axis=1)
+    loss = (term1 + dirichlet_kl(alpha, np.ones_like(alpha)) / b0).mean()
+    tri_a, tri_a0 = polygamma(1, alpha), polygamma(1, a0)
+    g_term1 = -p_bar * tri_a + (p_bar.sum(axis=1) * tri_a0)[:, None]
+    g_kl = (alpha - 1.0) * tri_a - ((a0 - k) * tri_a0)[:, None]
+    return float(loss), (g_term1 + g_kl / b0[:, None]) / n
+
+
 class TestKdLoss:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_polygamma_and_dirichlet_kl_form(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 12))
+        alpha = 1.0 + np.exp(rng.uniform(-20.0, 25.0, size=(64, k)))
+        beta = 1.0 + np.exp(rng.uniform(-5.0, 12.0, size=(64, k)))
+        p_bar = rng.dirichlet(np.ones(k), size=64)
+        loss, grad = kd_loss_and_alpha_grad(alpha, beta, p_bar)
+        ref_loss, ref_grad = reference_kd(alpha, beta, p_bar)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
     def test_symmetric_first_term(self):
         # uniform mean teacher and symmetric student: first term is
         # -(psi(a) - psi(K a))
@@ -690,6 +758,15 @@ class TestDrawAhead:
             sys.setswitchinterval(saved)
 
     @pytest.mark.parametrize("source", ["posterior", "input_jitter"])
+    def test_partial_last_block_same_stream(self, monkeypatch, source):
+        # hand-offs of 2 members: the step's 3 members come as blocks of 2 and 1
+        ds, params, post = self.make_problem(seed=1)
+        size = post.theta_dim if source == "posterior" else 16 * ds.input_dim
+        monkeypatch.setattr(retrain_mod, "HANDOFF_NUMBERS", size + 1)
+        assert member_ring(3, (size,)).shape == (2, 2, size)
+        self.check_same_stream(source, steps=7)
+
+    @pytest.mark.parametrize("source", ["posterior", "input_jitter"])
     def test_inline_mode_same_stream_without_thread(self, source):
         before = threading.active_count()
         self.check_same_stream(source, steps=7, ahead=False)
@@ -724,24 +801,30 @@ class TestDrawAhead:
             inline.append((idx, stochastic_representations(
                 ds.features[idx], source, model, config, inline_rng)))
 
+        # as in srepr_retrain: fill only draws normals, represent applies
+        # the affine step to the block and runs its members stacked
         rng = np.random.default_rng(4)
         if source == "posterior":
-            ring = member_ring(3, (post.theta_dim,))
-            layers = [[theta_layers(post, row) for row in block] for block in ring]
+            ring = member_ring(3, (post.theta_dim,), ahead)
 
             def fill(rows, x):
-                fill_theta(post, rng, rows)
+                draw_normals(post, rng, rows)
 
-            def represent(k, i, x):
-                return features(layers[k][i], x)
+            def represent(k, rows, x):
+                block = ring[k][:rows]
+                shift_theta(post, block)
+                return features(theta_layers(post, block), x)
         else:
-            ring = member_ring(3, (batch, ds.input_dim))
+            ring = member_ring(3, (batch, ds.input_dim), ahead)
 
             def fill(rows, x):
-                jitter_inputs(x, config.jitter_std, rng, out=rows)
+                rng.standard_normal(out=rows)
 
-            def represent(k, i, x):
-                return features(params.layers, ring[k][i])
+            def represent(k, rows, x):
+                block = ring[k][:rows]
+                block *= config.jitter_std
+                block += x
+                return features(params.layers, block)
 
         out = np.empty((3, batch, params.repr_dim))
         with DrawAhead(steps, lambda: class_balanced_indices(ds, batch, rng), ds.features,
@@ -787,11 +870,10 @@ class TestDrawAhead:
         ds, params, post = self.make_problem()
         rng = np.random.default_rng(0)
         ring = member_ring(3, (post.theta_dim,))
-        layers = [[theta_layers(post, row) for row in block] for block in ring]
         before = threading.active_count()
         with DrawAhead(1000, lambda: class_balanced_indices(ds, 16, rng), ds.features,
                        lambda rows, x: fill_theta(post, rng, rows),
-                       lambda k, i, x: features(layers[k][i], x), ring,
+                       lambda k, rows, x: features(theta_layers(post, ring[k][:rows]), x), ring,
                        np.empty((3, 16, params.repr_dim))) as draws:
             for step, _ in enumerate(draws):
                 if step == 2:
@@ -807,4 +889,10 @@ class TestDrawAhead:
     def test_member_ring_holds_one_step(self, members, shape, per_block, blocks):
         ring = member_ring(members, shape)
         assert ring.shape == (blocks, per_block, *shape)
+        assert ring.flags.writeable and ring[0].flags.c_contiguous
+
+    @pytest.mark.parametrize("members, shape", [(10, (7584,)), (10, (115328,)), (3, (20000,))])
+    def test_inline_ring_is_one_block(self, members, shape):
+        ring = member_ring(members, shape, ahead=False)
+        assert ring.shape == (1, members, *shape)
         assert ring.flags.writeable and ring[0].flags.c_contiguous

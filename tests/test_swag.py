@@ -2,18 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from ltsrepr.netcore import ModelParams, init_params
+from ltsrepr.netcore import ModelParams, features, init_params
 from ltsrepr.swag import (
     SwaSchedule,
+    draw_normals,
     fill_theta,
     freeze,
     new_posterior,
     sample_theta,
+    shift_theta,
     should_capture,
     swa_learning_rate,
     swa_params,
+    theta_layers,
     update_moments,
 )
 
@@ -79,6 +84,23 @@ class TestMoments:
         for _ in range(5):
             update_moments(post, random_params(rng))
             assert np.all(post.sq_mean >= post.mean**2 - 1e-9)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 12), st.integers(0, 2**16))
+    def test_in_place_update_equals_allocating_formula(self, d, h, count, seed):
+        rng = np.random.default_rng(seed)
+        post = new_posterior(init_params(rng, d, (h,), 2, 2))
+        mean, sq_mean = post.mean.copy(), post.sq_mean.copy()
+        for n in range(count):
+            snap = init_params(rng, d, (h,), 2, 2)
+            snap.flat[:] *= 10.0 ** rng.uniform(-3.0, 3.0, size=snap.flat.size)
+            update_moments(post, snap)
+            flat = snap.flat
+            mean = (n * mean + flat) / (n + 1)
+            sq_mean = (n * sq_mean + flat * flat) / (n + 1)
+            assert post.mean.tobytes() == mean.tobytes()
+            assert post.sq_mean.tobytes() == sq_mean.tobytes()
+        assert post.count == count
 
     def test_update_after_freeze_rejected(self):
         post = new_posterior(scalarish_params(0.0))
@@ -195,6 +217,15 @@ class TestSampling:
         assert block.tobytes() == np.stack(singles).tobytes()
         assert rng_block.bit_generator.state == rng_single.bit_generator.state
 
+    def test_draw_then_shift_is_fill_theta(self):
+        post = self.make_random_frozen(seed=8)
+        rng_fill, rng_split = np.random.default_rng(14), np.random.default_rng(14)
+        filled, split = np.empty((4, post.theta_dim)), np.empty((4, post.theta_dim))
+        fill_theta(post, rng_fill, filled)
+        draw_normals(post, rng_split, split)
+        shift_theta(post, split)
+        assert filled.tobytes() == split.tobytes()
+
     def test_replaced_sigma_is_used(self):
         post = self.make_frozen(var_value=0.0)
         sample_theta(post, np.random.default_rng(0))
@@ -269,3 +300,41 @@ class TestSchedule:
             SwaSchedule(swa_lr=0.0).validate()
         with pytest.raises(ValueError):
             SwaSchedule(capture_interval_steps=0).validate()
+
+
+class TestStackedLayers:
+    """theta_layers over an (R, theta_dim) block: stacked views that
+    `features` runs as R members, each the bits of its own call."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=3), st.integers(1, 9),
+           st.integers(1, 10), st.integers(1, 12), st.sampled_from(["relu", "tanh"]),
+           st.integers(0, 2**16))
+    def test_stacked_forward_equals_per_row_forwards(self, widths, d, rows, batch, activation,
+                                                     seed):
+        rng = np.random.default_rng(seed)
+        params = init_params(rng, d, tuple(widths[:-1]), widths[-1], 2)
+        post = new_posterior(params)
+        for _ in range(3):
+            update_moments(post, init_params(rng, d, tuple(widths[:-1]), widths[-1], 2))
+        freeze(post)
+        block = np.empty((rows, post.theta_dim))
+        fill_theta(post, rng, block)
+        x = rng.standard_normal((batch, d))
+        layers = theta_layers(post, block)
+        for xs in (x, x[:1]):
+            stacked = features(layers, xs, activation)
+            assert stacked.shape == (rows, len(xs), widths[-1])
+            for r in range(rows):
+                single = features(theta_layers(post, block[r]), xs, activation)
+                assert stacked[r].tobytes() == single.tobytes()
+            out = [np.full((rows, len(xs), w.shape[-1]), np.nan) for w, _ in layers]
+            into = features(layers, xs, activation, out=out)
+            assert into is out[-1] and into.tobytes() == stacked.tobytes()
+
+    def test_stacked_views_share_the_block(self):
+        post = TestSampling().make_random_frozen(seed=9)
+        block = np.empty((3, post.theta_dim))
+        for (w, b), (w0, b0) in zip(theta_layers(post, block), theta_layers(post, block[0])):
+            assert w.shape == (3, *w0.shape) and b.shape == (3, 1, *b0.shape)
+            assert np.shares_memory(w, block) and np.shares_memory(b, block)
