@@ -5,18 +5,15 @@ learnable weight scaling of the pre-trained classifier (lws), and gated
 affine logit calibration trained with generalized re-weighting (disalign).
 
 The stochastic-representation method (srepr) draws M feature-extractor
-samples per batch, treats their temperature-scaled predictions as a virtual
-teacher ensemble, fits a per-example Dirichlet to the ensemble, and trains
-the classifier with an equally weighted sum of the mean cross-entropy over
+samples per stage-2 epoch (or M input-jitter draws per batch), treats their
+temperature-scaled predictions on each batch as a virtual teacher ensemble,
+fits a per-example Dirichlet to the ensemble, and trains the classifier with an equally weighted sum of the mean cross-entropy over
 stochastic representations and a Dirichlet distillation loss. Gradients flow
 only through the student concentrations; the teacher side is constant.
 """
 
 from __future__ import annotations
 
-import mmap
-import queue
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,7 +41,7 @@ from .netcore import (
     softmax,
     softmax_ce,
 )
-from .swag import SwagPosterior, draw_normals, posterior_features, shift_theta, theta_layers
+from .swag import SwagPosterior, fill_theta, posterior_features, theta_layers
 
 LOGIT_CLAMP_SCALE = 30.0  # raw student logits clipped at +/- 30 * temperature
 
@@ -335,139 +332,6 @@ def jitter_inputs(x: np.ndarray, std: float, rng: np.random.Generator) -> np.nda
     return x + std * rng.standard_normal(x.shape)
 
 
-# A hand-off costs the consumer a GIL round trip, so members are drawn and
-# handed over in blocks of at least this many numbers.
-HANDOFF_NUMBERS = 1 << 15
-
-# srepr draws on the producer thread only when one step draws at least this
-# many numbers. Below it the overlap saves little, and the thread's hand-offs
-# make the time hang on how the host schedules two threads: on a 2-vCPU VM a
-# desk-default srepr retrain (75,840 numbers a step) took 0.39-1.03 s threaded
-# from run to run and 0.50-0.71 s inline, while at 330,880 numbers a step
-# (hidden 128,128) the thread cut 2.0 s to 1.2 s.
-DRAW_AHEAD_NUMBERS = 1 << 18
-
-
-def mapped_array(shape: tuple) -> np.ndarray:
-    """A float64 array in its own anonymous memory map rather than on the
-    malloc heap, so its pages go back to the system when the last view of
-    it is dropped, and neither the array nor its release moves where glibc
-    places later allocations."""
-    pages = mmap.mmap(-1, 8 * int(np.prod(shape)))
-    return np.frombuffer(pages, dtype=np.float64).reshape(shape)
-
-
-def member_ring(members: int, member_shape: tuple, ahead: bool = True) -> np.ndarray:
-    """DrawAhead's ring: one step's members as float64 blocks, shape
-    (blocks, per_block, *member_shape), in a `mapped_array`. A producer
-    thread (``ahead``) hands over blocks of at least ``HANDOFF_NUMBERS``
-    numbers; inline, one block holds the whole step.
-    """
-    size = int(np.prod(member_shape))
-    per_block = min(members, -(-HANDOFF_NUMBERS // size)) if ahead else members
-    return mapped_array((-(-members // per_block), per_block, *member_shape))
-
-
-class DrawAhead:
-    """srepr's random draws, made one step ahead on a producer thread, or
-    inline as the loop asks for them when ``ahead`` is false.
-
-    While it runs, the producer is the only user of the RNG stream and
-    replays the inline loop's sequence in order: a step's batch indices
-    (``next_indices()``), then its M members (``len(out)``), drawn a block
-    at a time by ``fill(rows, x)`` into the leading rows of a block of the
-    caller-allocated ``ring`` (``member_ring``); ``x`` is the batch of
-    ``inputs``. The consumer turns each block into representations with
-    one ``represent(k, rows, x)`` call, shape (rows, B, L), for the leading
-    ``rows`` rows of block k, and then hands the block back, so the
-    producer is at most one step ahead and allocates nothing large.
-    Iterating yields ``(idx, reps)`` per step, with reps the (M, B, L)
-    ``out`` buffer, rewritten every step. An exception raised in the
-    producer is re-raised by the iterator.
-
-    Inline, the same sequence is drawn on the calling thread, block by
-    block just before it is represented, and no thread is started.
-
-    Use it as a context manager: leaving the block, normally or by an
-    exception, stops the producer and joins its thread. After an early exit
-    the stream may have advanced by up to one step more than was consumed.
-    """
-
-    def __init__(self, steps: int, next_indices, inputs: np.ndarray, fill, represent,
-                 ring: np.ndarray, out: np.ndarray, ahead: bool = True):
-        self._steps = steps
-        self._next_indices = next_indices
-        self._inputs = inputs
-        self._fill = fill
-        self._represent = represent
-        self._ring = ring
-        self._out = out
-        per_block = len(ring[0])
-        self._rows = [min(per_block, len(out) - j) for j in range(0, len(out), per_block)]
-        self._free = queue.SimpleQueue()
-        for k in range(len(ring)):
-            self._free.put(k)
-        self._ready = queue.SimpleQueue()
-        self._stopping = False
-        self._thread = None
-        self._inline = None
-        if ahead:
-            self._thread = threading.Thread(target=self._produce, name="srepr-draws")
-        else:
-            self._inline = self._draws()
-
-    def _draws(self):
-        """The draws in stream order: ``(idx, x)`` for each step, then the
-        ring index of each block as it is filled."""
-        for _ in range(self._steps):
-            idx = self._next_indices()
-            x = self._inputs[idx]
-            yield idx, x
-            for rows in self._rows:
-                k = self._free.get()  # blocks come back in ring order
-                if self._stopping:
-                    return
-                self._fill(self._ring[k][:rows], x)
-                yield k
-
-    def _produce(self) -> None:
-        try:
-            for item in self._draws():
-                self._ready.put(item)
-        except BaseException as exc:  # noqa: BLE001 - re-raised on the consumer side
-            self._ready.put(exc)
-
-    def _take(self):
-        if self._inline is not None:
-            return next(self._inline)
-        item = self._ready.get()
-        if isinstance(item, BaseException):
-            raise item
-        return item
-
-    def __iter__(self):
-        for _ in range(self._steps):
-            idx, x = self._take()
-            j = 0
-            for rows in self._rows:
-                k = self._take()
-                self._out[j : j + rows] = self._represent(k, rows, x)
-                j += rows
-                self._free.put(k)
-            yield idx, self._out
-
-    def __enter__(self) -> "DrawAhead":
-        if self._thread is not None:
-            self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._thread is not None:
-            self._stopping = True
-            self._free.put(-1)  # wakes a producer waiting for a free block
-            self._thread.join()
-
-
 # ---------------------------------------------------------------------------
 # Loss pieces
 # ---------------------------------------------------------------------------
@@ -664,6 +528,52 @@ def srepr_batch_loss_and_grad(
     return loss, gw, gb, {"ce": ce, "kd": kd}
 
 
+def srepr_batches(
+    theta_swa,
+    posterior: SwagPosterior | None,
+    dataset: LongTailDataset,
+    balancing: BalancingSpec,
+    config: SreprConfig,
+    optim: SgdHyper,
+    rng: np.random.Generator,
+    activation: str = "relu",
+):
+    """srepr's stage-2 stream: ``(idx, reps)`` for every step, reps the
+    (M, B, L) stochastic representations of the batch ``idx``.
+
+    Source "posterior": at the start of each epoch, before that epoch's
+    first batch indices, M extractor draws fill one (M, theta_dim) block,
+    and every step of the epoch runs its batch through that block as one
+    stacked forward. Source "input_jitter": each step draws its indices,
+    then M x B x D normals for its rows. Everything comes from ``rng`` in
+    that order. ``reps`` is one buffer, rewritten every step.
+    """
+    m, batch = config.num_samples, optim.batch_size
+    sampler = _stage2_sampler(balancing)
+    per_epoch = steps_per_epoch(dataset.num_examples, batch)
+    by_epoch = config.stochastic_source == "posterior"
+    if by_epoch:
+        block = np.empty((m, posterior.theta_dim))
+        layers = theta_layers(posterior, block)
+    else:
+        block = np.empty((m, batch, dataset.input_dim))
+        layers = theta_swa
+    # every step's stacked forward writes into the same per-layer buffers
+    layer_out = [np.empty((m, batch, wt.shape[-1])) for wt, _ in theta_swa]
+    for _ in range(optim.epochs):
+        if by_epoch:
+            fill_theta(posterior, rng, block)
+        for _ in range(per_epoch):
+            idx = sampler(dataset, batch, rng)
+            x = dataset.features[idx]
+            if not by_epoch:
+                rng.standard_normal(out=block)
+                block *= config.jitter_std
+                block += x
+                x = block
+            yield idx, features(layers, x, activation, out=layer_out)
+
+
 def srepr_retrain(
     theta_swa,
     posterior: SwagPosterior | None,
@@ -677,14 +587,10 @@ def srepr_retrain(
 ):
     """Stochastic-representation re-training of the classifier.
 
-    Fresh extractor samples are drawn every batch; the teacher Dirichlet is
-    re-fit from them under the current classifier, and only (w, b) move.
-    The batch indices and draws come from ``rng`` through a DrawAhead, in
-    the inline order, so the result is the same bits whether it runs them
-    one step ahead on its producer thread (when a step draws at least
-    ``DRAW_AHEAD_NUMBERS`` numbers) or inline. Inline, a step's members
-    are drawn as one block; either way each block runs as one stacked
-    forward.
+    Each stage-2 epoch draws M fresh extractor samples (input jitter is
+    drawn per step instead), see `srepr_batches`; every batch re-fits the
+    teacher Dirichlet from its M representations under the current
+    classifier, and only (w, b) move.
     """
     config.validate()
     balancing.validate()
@@ -693,36 +599,6 @@ def srepr_retrain(
     w = phi_init[0].copy()
     b = phi_init[1].copy()
     f_swa_all = features(theta_swa, dataset.features, activation)
-    m, batch = config.num_samples, optim.batch_size
-    # the producer (or the inline draw) only fills normals; the consumer
-    # applies the affine step of fill_theta / jitter_inputs to a block just
-    # before its one stacked forward
-    if config.stochastic_source == "posterior":
-        member_shape = (posterior.theta_dim,)
-
-        def fill(rows, x):
-            draw_normals(posterior, rng, rows)
-
-        def represent(k, rows, x):
-            block = ring[k][:rows]
-            shift_theta(posterior, block)
-            return features(theta_layers(posterior, block), x, activation,
-                            out=[o[:rows] for o in layer_out])
-    else:
-        member_shape = (batch, dataset.input_dim)
-
-        def fill(rows, x):
-            rng.standard_normal(out=rows)
-
-        def represent(k, rows, x):
-            block = ring[k][:rows]
-            block *= config.jitter_std
-            block += x
-            return features(theta_swa, block, activation, out=[o[:rows] for o in layer_out])
-    ahead = m * int(np.prod(member_shape)) >= DRAW_AHEAD_NUMBERS
-    ring = member_ring(m, member_shape, ahead)
-    # every step's stacked forward writes into the same per-layer buffers
-    layer_out = [mapped_array((ring.shape[1], batch, wt.shape[-1])) for wt, _ in theta_swa]
 
     def loss_and_grads(batch_and_reps):
         idx, reps = batch_and_reps
@@ -731,10 +607,7 @@ def srepr_retrain(
         )
         return loss, [gw, gb]
 
-    sampler = _stage2_sampler(balancing)
-    draws = DrawAhead(stage2_steps(dataset, optim), lambda: sampler(dataset, batch, rng),
-                      dataset.features, fill, represent, ring,
-                      np.empty((m, batch, f_swa_all.shape[1])), ahead)
-    with draws:
-        fit_head("srepr", [w, b], loss_and_grads, draws, dataset, optim)
+    batches = srepr_batches(theta_swa, posterior, dataset, balancing, config, optim, rng,
+                            activation)
+    fit_head("srepr", [w, b], loss_and_grads, batches, dataset, optim)
     return w, b

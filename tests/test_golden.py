@@ -19,11 +19,11 @@ GOLDEN = {
     "crt/retrain.ckpt": "30509b1abd6d260c",
     "lws/retrain.ckpt": "a3e203cb9ce2a2cc",
     "disalign/retrain.ckpt": "570cc2f375dd3e75",
-    "srepr/retrain.ckpt": "cbbe5db1d22ed233",
+    "srepr/retrain.ckpt": "bb064e831d63f33f",
     "crt/eval_report.json": "f03ed92c70aaebac",
     "lws/eval_report.json": "838a7c0c81d35620",
     "disalign/eval_report.json": "15e5cac731cf4109",
-    "srepr/eval_report.json": "92e3548c8965fde7",
+    "srepr/eval_report.json": "e987ef4a9c74d886",
 }
 
 METHODS = ("crt", "lws", "disalign", "srepr")

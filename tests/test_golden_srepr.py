@@ -1,10 +1,10 @@
 """Golden digests of srepr re-training beyond the default options.
 
-srepr draws its batch indices and posterior (or input-jitter) samples on a
-producer thread that runs one step ahead of the training loop. These
-digests were recorded from the single-threaded loop that drew them inline,
-so any change to the draw order or to the arithmetic of a draw fails here.
-Runs the command line in-process at the desk defaults with seed 0.
+srepr draws one block of M posterior samples at the start of each stage-2
+epoch and its input-jitter noise per step, each after the draws before it
+in one RNG stream, so any change to the draw order or to the arithmetic
+of a draw fails here. Runs the command line in-process at the desk
+defaults with seed 0.
 """
 
 import hashlib
@@ -14,8 +14,8 @@ import pytest
 from ltsrepr.cli import main
 
 GOLDEN = {
-    "la": (("--balance", "la"), "cb0e38f0c08e2ad9"),
-    "grw": (("--balance", "grw"), "035aa8d419458e35"),
+    "la": (("--balance", "la"), "2c374f39e332466f"),
+    "grw": (("--balance", "grw"), "c1421c05a89c19d6"),
     "jitter": (("--stochastic-source", "jitter"), "f7a484c2dc9144fc"),
 }
 

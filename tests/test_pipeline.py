@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import ltsrepr.pipeline as pl
-import ltsrepr.retrain as rt
 
 
 def tiny_config(seed=0, swa=True, epochs=8, method="crt"):
@@ -358,7 +357,6 @@ class TestSweepWorkers:
 
 
     def test_srepr_leaves_no_thread_before_the_pool_forks(self, monkeypatch):
-        monkeypatch.setattr(rt, "DRAW_AHEAD_NUMBERS", 0)  # draw ahead at this size too
         cfg = replace(tiny_config(epochs=6, method="srepr"),
                       run=replace(tiny_config().run, seeds=(0, 1)))
         before = threading.active_count()

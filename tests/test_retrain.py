@@ -2,9 +2,7 @@
 stochastic-representation re-training."""
 
 import math
-import sys
 import threading
-import traceback
 
 import numpy as np
 import pytest
@@ -28,7 +26,6 @@ from ltsrepr.netcore import (
 import ltsrepr.retrain as retrain_mod
 from ltsrepr.retrain import (
     DisAlignParams,
-    DrawAhead,
     SreprConfig,
     crt,
     dirichlet_kl,
@@ -42,19 +39,17 @@ from ltsrepr.retrain import (
     lws_classifier,
     mean_ce_loss,
     mean_ce_loss_and_grad,
-    member_ring,
     srepr_batch_loss_and_grad,
+    srepr_batches,
     srepr_retrain,
     stochastic_representations,
     student_alpha_from_logits,
     teacher_probs,
 )
 from ltsrepr.swag import (
-    draw_normals,
     fill_theta,
     freeze,
     new_posterior,
-    shift_theta,
     theta_layers,
     update_moments,
 )
@@ -726,14 +721,10 @@ class TestSreprTraining:
         assert loss(w, b) < loss(params.w, params.b)
 
 
-class TestDrawAhead:
-    """srepr's producer thread: same stream as inline draws, no thread left
-    behind on return or on failure, and none started for small steps."""
-
-    @pytest.fixture
-    def threaded(self, monkeypatch):
-        """srepr_retrain runs its draws ahead however small a step is."""
-        monkeypatch.setattr(retrain_mod, "DRAW_AHEAD_NUMBERS", 0)
+class TestSreprDraws:
+    """srepr's stream: one posterior block per stage-2 epoch, input jitter
+    per step, drawn from the caller's rng in a fixed order on the calling
+    thread."""
 
     def make_problem(self, seed=0):
         return TestSreprTraining().make_problem(seed)
@@ -744,155 +735,67 @@ class TestDrawAhead:
             SgdHyper(base_lr=lr, epochs=epochs, batch_size=16), np.random.default_rng(9),
         )
 
-    @pytest.mark.parametrize("switch_interval", [None, 1e-6])
     @pytest.mark.parametrize("source", ["posterior", "input_jitter"])
-    def test_same_stream_as_inline_draws(self, source, switch_interval):
-        # a tiny interpreter switch interval interleaves the two threads
-        # as finely as the interpreter allows
-        saved = sys.getswitchinterval()
-        try:
-            if switch_interval is not None:
-                sys.setswitchinterval(switch_interval)
-            self.check_same_stream(source, steps=7 if switch_interval is None else 60)
-        finally:
-            sys.setswitchinterval(saved)
-
-    @pytest.mark.parametrize("source", ["posterior", "input_jitter"])
-    def test_partial_last_block_same_stream(self, monkeypatch, source):
-        # hand-offs of 2 members: the step's 3 members come as blocks of 2 and 1
-        ds, params, post = self.make_problem(seed=1)
-        size = post.theta_dim if source == "posterior" else 16 * ds.input_dim
-        monkeypatch.setattr(retrain_mod, "HANDOFF_NUMBERS", size + 1)
-        assert member_ring(3, (size,)).shape == (2, 2, size)
-        self.check_same_stream(source, steps=7)
-
-    @pytest.mark.parametrize("source", ["posterior", "input_jitter"])
-    def test_inline_mode_same_stream_without_thread(self, source):
-        before = threading.active_count()
-        self.check_same_stream(source, steps=7, ahead=False)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("limit, started", [(None, 0), (0, 1)])
-    def test_thread_only_for_large_steps(self, monkeypatch, limit, started):
-        # the test problem draws 3 x 77 numbers a step, far below the limit
-        if limit is not None:
-            monkeypatch.setattr(retrain_mod, "DRAW_AHEAD_NUMBERS", limit)
-        produced = []
-        produce = DrawAhead._produce
-        monkeypatch.setattr(DrawAhead, "_produce",
-                            lambda self: produced.append(1) or produce(self))
-        ds, params, post = self.make_problem()
-        w, b = self.run_srepr(ds, params, post)
-        assert len(produced) == started
-        if limit is not None:
-            monkeypatch.undo()
-            w0, b0 = self.run_srepr(ds, params, post)
-            assert w.tobytes() == w0.tobytes() and b.tobytes() == b0.tobytes()
-
-    def check_same_stream(self, source, steps, ahead=True):
+    def test_replays_hand_drawn_stream(self, source):
         ds, params, post = self.make_problem(seed=1)
         config = SreprConfig(num_samples=3, stochastic_source=source)
-        model = post if source == "posterior" else params.layers
-        batch = 16
-        inline_rng = np.random.default_rng(4)
-        inline = []
-        for _ in range(steps):
-            idx = class_balanced_indices(ds, batch, inline_rng)
-            inline.append((idx, stochastic_representations(
-                ds.features[idx], source, model, config, inline_rng)))
+        optim = SgdHyper(epochs=3, batch_size=16)
+        per_epoch = -(-ds.num_examples // 16)
 
-        # as in srepr_retrain: fill only draws normals, represent applies
-        # the affine step to the block and runs its members stacked
+        # by hand: a block of 3 draws at the start of each epoch, then each
+        # step's indices (and, for jitter, that step's 3 noisy copies)
         rng = np.random.default_rng(4)
-        if source == "posterior":
-            ring = member_ring(3, (post.theta_dim,), ahead)
+        expected, blocks = [], []
+        for _ in range(optim.epochs):
+            block = np.empty((3, post.theta_dim))
+            if source == "posterior":
+                fill_theta(post, rng, block)
+                blocks.append(block)
+            for _ in range(per_epoch):
+                idx = class_balanced_indices(ds, 16, rng)
+                x = ds.features[idx]
+                if source == "posterior":
+                    reps = np.stack([features(theta_layers(post, row), x) for row in block])
+                else:
+                    reps = stochastic_representations(x, source, params.layers, config, rng)
+                expected.append((idx, reps))
 
-            def fill(rows, x):
-                draw_normals(post, rng, rows)
-
-            def represent(k, rows, x):
-                block = ring[k][:rows]
-                shift_theta(post, block)
-                return features(theta_layers(post, block), x)
-        else:
-            ring = member_ring(3, (batch, ds.input_dim), ahead)
-
-            def fill(rows, x):
-                rng.standard_normal(out=rows)
-
-            def represent(k, rows, x):
-                block = ring[k][:rows]
-                block *= config.jitter_std
-                block += x
-                return features(params.layers, block)
-
-        out = np.empty((3, batch, params.repr_dim))
-        with DrawAhead(steps, lambda: class_balanced_indices(ds, batch, rng), ds.features,
-                       fill, represent, ring, out, ahead) as draws:
-            got = [(idx, reps.copy()) for idx, reps in draws]
-        assert len(got) == steps
-        for (i0, r0), (i1, r1) in zip(inline, got):
+        got_rng = np.random.default_rng(4)
+        before = threading.active_count()
+        got = []
+        for idx, reps in srepr_batches(params.layers, post, ds, BalancingSpec("cbs"), config,
+                                       optim, got_rng):
+            assert threading.active_count() == before
+            got.append((idx, reps.copy()))
+        assert len(got) == len(expected) == optim.epochs * per_epoch
+        for (i0, r0), (i1, r1) in zip(expected, got):
             np.testing.assert_array_equal(i0, i1)
             assert r0.tobytes() == r1.tobytes()
-        assert rng.bit_generator.state == inline_rng.bit_generator.state
+        assert got_rng.bit_generator.state == rng.bit_generator.state
+        for first, second in zip(blocks, blocks[1:]):
+            assert not np.array_equal(first, second)
 
-    def test_no_thread_outlives_return(self, threaded):
+    @pytest.mark.parametrize("source", ["posterior", "input_jitter"])
+    def test_no_thread_while_srepr_runs(self, monkeypatch, source):
+        counts = []
+        step = retrain_mod.srepr_batch_loss_and_grad
+        monkeypatch.setattr(retrain_mod, "srepr_batch_loss_and_grad",
+                            lambda *a: counts.append(threading.active_count()) or step(*a))
         ds, params, post = self.make_problem()
         before = threading.active_count()
-        self.run_srepr(ds, params, post)
+        self.run_srepr(ds, params, post, SreprConfig(num_samples=3, stochastic_source=source))
+        assert len(counts) == 2 * -(-ds.num_examples // 16)
+        assert set(counts) == {before}
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("ahead", [True, False])
-    def test_divergence_raises_and_joins(self, monkeypatch, ahead):
-        if ahead:
-            monkeypatch.setattr(retrain_mod, "DRAW_AHEAD_NUMBERS", 0)
+    def test_divergence_raises(self):
         ds, params, post = self.make_problem()
-        before = threading.active_count()
         with pytest.raises(FloatingPointError, match="srepr diverged: "):
             self.run_srepr(ds, params, post, lr=1e6, epochs=20)
-        assert threading.active_count() == before
 
-    @pytest.mark.parametrize("ahead", [True, False])
-    def test_producer_exception_surfaces_and_joins(self, monkeypatch, ahead):
-        if ahead:
-            monkeypatch.setattr(retrain_mod, "DRAW_AHEAD_NUMBERS", 0)
+    def test_unfrozen_posterior_raises(self):
         ds, params, _ = self.make_problem()
         unfrozen = new_posterior(params)
         update_moments(unfrozen, params)
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="frozen") as info:
+        with pytest.raises(ValueError, match="frozen"):
             self.run_srepr(ds, params, unfrozen)
-        raised_in = [f.f_code.co_name for f, _ in traceback.walk_tb(info.value.__traceback__)]
-        assert "_draws" in raised_in and ("_produce" in raised_in) == ahead
-        assert threading.active_count() == before
-
-    def test_consumer_leaving_early_joins(self):
-        ds, params, post = self.make_problem()
-        rng = np.random.default_rng(0)
-        ring = member_ring(3, (post.theta_dim,))
-        before = threading.active_count()
-        with DrawAhead(1000, lambda: class_balanced_indices(ds, 16, rng), ds.features,
-                       lambda rows, x: fill_theta(post, rng, rows),
-                       lambda k, rows, x: features(theta_layers(post, ring[k][:rows]), x), ring,
-                       np.empty((3, 16, params.repr_dim))) as draws:
-            for step, _ in enumerate(draws):
-                if step == 2:
-                    break
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("members, shape, per_block, blocks", [
-        (10, (7584,), 5, 2),  # desk posterior draws
-        (10, (115328,), 1, 10),  # wide posterior draws
-        (10, (64, 20), 10, 1),  # desk input jitter
-        (3, (20000,), 2, 2),
-    ])
-    def test_member_ring_holds_one_step(self, members, shape, per_block, blocks):
-        ring = member_ring(members, shape)
-        assert ring.shape == (blocks, per_block, *shape)
-        assert ring.flags.writeable and ring[0].flags.c_contiguous
-
-    @pytest.mark.parametrize("members, shape", [(10, (7584,)), (10, (115328,)), (3, (20000,))])
-    def test_inline_ring_is_one_block(self, members, shape):
-        ring = member_ring(members, shape, ahead=False)
-        assert ring.shape == (1, members, *shape)
-        assert ring.flags.writeable and ring[0].flags.c_contiguous
