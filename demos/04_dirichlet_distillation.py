@@ -39,7 +39,7 @@ x, y = train.features[:6], train.labels[:6]
 reps = stochastic_representations(x, "posterior", post, scfg, rng)
 print(f"stochastic representations: {reps.shape} (samples x batch x dims)")
 
-probs, p_bar = teacher_probs(pre.params.w, pre.params.b, reps, scfg.kd_temperature)
+probs, p_bar = teacher_probs(reps @ pre.params.w + pre.params.b, scfg.kd_temperature)
 print("teacher spread (max prob per example, across the ensemble):")
 print("  ", np.round(probs.max(axis=2).T[:3], 3))
 

@@ -7,9 +7,10 @@ affine logit calibration trained with generalized re-weighting (disalign).
 The stochastic-representation method (srepr) draws M feature-extractor
 samples per stage-2 epoch (or M input-jitter draws per batch), treats their
 temperature-scaled predictions on each batch as a virtual teacher ensemble,
-fits a per-example Dirichlet to the ensemble, and trains the classifier with an equally weighted sum of the mean cross-entropy over
-stochastic representations and a Dirichlet distillation loss. Gradients flow
-only through the student concentrations; the teacher side is constant.
+fits a per-example Dirichlet to the ensemble, and trains the classifier
+with an equally weighted sum of the mean cross-entropy over stochastic
+representations and a Dirichlet distillation loss. Gradients flow only
+through the student concentrations; the teacher side is constant.
 """
 
 from __future__ import annotations
@@ -342,6 +343,7 @@ def mean_ce_loss_and_grad(
     reps: np.ndarray,
     labels: np.ndarray,
     balancing: BalancingSpec,
+    logits: np.ndarray | None = None,
 ):
     """Average cross-entropy over the M stochastic representations.
 
@@ -349,11 +351,14 @@ def mean_ce_loss_and_grad(
     adjusts the logits inside every per-sample term. Returns the batch-mean
     loss and its gradients wrt the classifier (w, b).
 
-    The (M, B, K) logits, their CE and the per-member gradients are computed
-    in one pass, one gemm per member; the member terms are then added in
-    member order, so the sums round as a loop over members would.
+    The (M, B, K) logits (``classifier_logits(w, b, reps)``, computed here
+    unless the caller passes them), their CE and the per-member gradients
+    are computed in one pass, one gemm per member; the member terms are then
+    added in member order, so the sums round as a loop over members would.
     """
-    losses, dz = balanced_ce_loss_and_grad(classifier_logits(w, b, reps), labels, balancing)
+    if logits is None:
+        logits = classifier_logits(w, b, reps)
+    losses, dz = balanced_ce_loss_and_grad(logits, labels, balancing)
     gw_m = np.matmul(reps.transpose(0, 2, 1), dz)
     gb_m = dz.sum(axis=1)
     loss = 0.0
@@ -372,13 +377,12 @@ def mean_ce_loss(w, b, reps, labels, balancing: BalancingSpec) -> float:
     return loss
 
 
-def teacher_probs(w: np.ndarray, b: np.ndarray, reps: np.ndarray, tau_kd: float):
-    """Temperature-scaled predictions of the M virtual teachers and their
-    mean, shapes (M, B, K) and (B, K). Teachers are constants: no gradient
-    path exists through the returned arrays."""
+def teacher_probs(logits: np.ndarray, tau_kd: float):
+    """Temperature-scaled predictions of the M virtual teachers, given their
+    (M, B, K) logits, and their mean, shapes (M, B, K) and (B, K). Teachers
+    are constants: no gradient path exists through the returned arrays."""
     if tau_kd <= 0.0:
         raise ValueError("tau_kd must be positive")
-    logits = np.einsum("mbl,lk->mbk", reps, w) + b
     probs = softmax(logits / tau_kd)
     return probs, probs.mean(axis=0)
 
@@ -511,9 +515,10 @@ def srepr_batch_loss_and_grad(
     The rebalancing spec touches only the cross-entropy term; the
     distillation term always distills the unweighted teacher ensemble.
     """
-    ce, gw_ce, gb_ce = mean_ce_loss_and_grad(w, b, reps, labels, balancing)
+    logits = classifier_logits(w, b, reps)  # the M teachers' logits, shared by both terms
+    ce, gw_ce, gb_ce = mean_ce_loss_and_grad(w, b, reps, labels, balancing, logits)
 
-    probs, p_bar = teacher_probs(w, b, reps, config.kd_temperature)
+    probs, p_bar = teacher_probs(logits, config.kd_temperature)
     beta = estimate_beta(probs, config.beta_floor)
     z = classifier_logits(w, b, f_swa)
     alpha, dalpha_dz = student_alpha_from_logits(z, config.kd_temperature)

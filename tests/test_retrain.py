@@ -280,10 +280,12 @@ class TestMeanCe:
         y = rng.integers(0, k, size=n)
         w, b = rng.standard_normal((l, k)), rng.standard_normal(k)
         spec = BalancingSpec(kind, rho=1.0, frequencies=rng.dirichlet(np.ones(k)) + 1e-3)
-        got = mean_ce_loss_and_grad(w, b, reps, y, spec)
         want = reference_mean_ce(w, b, reps, y, spec)
-        for a, e in zip(got, want):
-            assert np.asarray(a).tobytes() == np.asarray(e).tobytes()
+        # computing the logits here or passing the caller's gives the same bits
+        for logits in (None, classifier_logits(w, b, reps)):
+            got = mean_ce_loss_and_grad(w, b, reps, y, spec, logits)
+            for a, e in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(e).tobytes()
 
     def test_single_sample_equals_plain_ce(self):
         # identity classifier on K=L=2 so representations are the logits
@@ -334,7 +336,7 @@ class TestTeachers:
         rng = np.random.default_rng(20)
         reps = rng.standard_normal((4, 3, 5))
         w, b = rng.standard_normal((5, 2)), rng.standard_normal(2)
-        probs, p_bar = teacher_probs(w, b, reps, tau_kd=1e9)
+        probs, p_bar = teacher_probs(classifier_logits(w, b, reps), tau_kd=1e9)
         np.testing.assert_allclose(probs, 0.5, atol=1e-6)
         np.testing.assert_allclose(p_bar, 0.5, atol=1e-6)
 
@@ -343,14 +345,14 @@ class TestTeachers:
         rep = rng.standard_normal((1, 4, 5))
         reps = np.repeat(rep, 3, axis=0)
         w, b = rng.standard_normal((5, 3)), rng.standard_normal(3)
-        probs, p_bar = teacher_probs(w, b, reps, tau_kd=2.0)
+        probs, p_bar = teacher_probs(classifier_logits(w, b, reps), tau_kd=2.0)
         for m in range(3):
             np.testing.assert_allclose(probs[m], p_bar, atol=1e-12)
 
     def test_unit_temperature_zero_logits_uniform(self):
         reps = np.zeros((2, 3, 4))
         w, b = np.zeros((4, 5)), np.zeros(5)
-        probs, _ = teacher_probs(w, b, reps, tau_kd=1.0)
+        probs, _ = teacher_probs(classifier_logits(w, b, reps), tau_kd=1.0)
         np.testing.assert_allclose(probs, 0.2, atol=1e-15)
 
 
@@ -618,7 +620,7 @@ class TestSreprLoss:
         spec = BalancingSpec("grw", rho=1.0, frequencies=np.array([0.5, 0.3, 0.2]))
         _, gw, gb, _ = srepr_batch_loss_and_grad(w0, b0, reps, f_swa, y, spec, config)
 
-        probs0, p_bar0 = teacher_probs(w0, b0, reps, config.kd_temperature)
+        probs0, p_bar0 = teacher_probs(classifier_logits(w0, b0, reps), config.kd_temperature)
         beta0 = estimate_beta(probs0, config.beta_floor)
 
         def frozen_teacher_loss(w, b):
