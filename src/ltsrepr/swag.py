@@ -163,15 +163,25 @@ def sample_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.nda
 def posterior_features(posterior: SwagPosterior, x: np.ndarray, num_samples: int,
                        rng: np.random.Generator, activation: str = "relu") -> np.ndarray:
     """Representations of a batch under num_samples extractor draws, shape
-    (M, B, L); draws are taken from ``rng`` in member order into one reused
-    parameter buffer."""
+    (M, B, L).
+
+    Each member is drawn from ``rng`` in member order by `fill_theta` into
+    one reused parameter buffer, and its forward writes the hidden layers
+    into buffers made once per call and its last layer straight into the
+    result. Members run one at a time, not stacked: at evaluation sizes the
+    forward is bound by its matrix products, and a stacked chunk would hold
+    its hidden-layer outputs (chunk, B, width) at once.
+    """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     buf = np.empty(posterior.theta_dim)
+    layers = theta_layers(posterior, buf)
+    hidden_out = [np.empty((len(x), w.shape[-1])) for w, _ in layers[:-1]]
     reps = np.empty((num_samples, len(x), posterior.template.repr_dim))
-    for j in range(num_samples):
-        reps[j] = features(sample_theta(posterior, rng, out=buf), x, activation)
+    for member in reps:
+        fill_theta(posterior, rng, buf)
+        features(layers, x, activation, out=[*hidden_out, member])
     return reps
 
 
