@@ -274,7 +274,13 @@ def disalign(
     rho: float = 1.0,
 ) -> DisAlignParams:
     """Train the calibration module with generalized re-weighting over the
-    instance-balanced training stream; extractor and classifier stay frozen."""
+    instance-balanced training stream; extractor and classifier stay frozen.
+
+    Raises FloatingPointError when, after training, the gate is saturated
+    on any training example: sigma(|u|) of its gate input u rounds to 1.
+    A saturated gate passes no gradient, so the loss can stay finite while
+    gate_w and scale run off to huge values.
+    """
     w_star, b_star = phi_star
     feats = features(theta, dataset.features, activation)
     z_all = classifier_logits(w_star, b_star, feats)
@@ -295,6 +301,11 @@ def disalign(
     fit_head("disalign", [params.scale, params.shift, params.gate_w, gate_b], loss_and_grads,
              batches, dataset, optim)
     params.gate_b = float(gate_b[0])
+    saturated = np.count_nonzero(_sigmoid(np.abs(z_all @ params.gate_w + params.gate_b)) == 1.0)
+    if saturated:
+        raise FloatingPointError(
+            f"disalign diverged: gate saturated on {saturated} of {len(z_all)} training examples"
+        )
     return params
 
 

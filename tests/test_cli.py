@@ -153,6 +153,18 @@ class TestRetrainCommand:
         assert len(err) == 1 and err[0].startswith("error: crt diverged")
         assert not (workdir / "div" / "retrain.ckpt").exists()
 
+    def test_saturated_disalign_fails_without_checkpoint(self, workdir, capsys):
+        # the loss stays finite here; the gate saturates instead
+        ckpt = pretrain(workdir, out="swa")
+        code = run_cli(
+            "retrain", "--checkpoint", str(ckpt), "--output-dir", "div", "--retrain", "disalign",
+            "--retrain-lr", "1e6",
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: disalign diverged: gate saturated")
+        assert not (workdir / "div").exists()
+
 
 class TestEvalCommand:
     def test_report_files_and_determinism(self, workdir):

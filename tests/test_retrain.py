@@ -205,6 +205,14 @@ class TestDisAlign:
         np.testing.assert_array_equal(params.b, b_star)
         assert result.scale.shape == (2,)
 
+    def test_saturated_gate_after_training_raises(self):
+        rng = np.random.default_rng(16)
+        params = init_params(rng, 2, (4,), 3, 2)
+        ds = blob_dataset([30, 6], [[-1, 0], [1, 0]], seed=17)
+        with pytest.raises(FloatingPointError, match="disalign diverged: gate saturated on "):
+            disalign(params.layers, (params.w, params.b), ds,
+                     SgdHyper(base_lr=1e6, epochs=3, batch_size=8), rng)
+
 
 class TestStochasticRepresentations:
     def setup_method(self):
