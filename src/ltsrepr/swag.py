@@ -111,20 +111,6 @@ def swa_params(posterior: SwagPosterior) -> ModelParams:
     return posterior.template.like(posterior.mean.copy())
 
 
-def draw_normals(posterior: SwagPosterior, rng: np.random.Generator, out: np.ndarray) -> None:
-    """The random half of `fill_theta`: fill ``out`` with standard normals."""
-    if not posterior.frozen:
-        raise ValueError("posterior must be frozen before sampling")
-    rng.standard_normal(out=out)
-
-
-def shift_theta(posterior: SwagPosterior, out: np.ndarray) -> None:
-    """The affine half of `fill_theta`: turn the normals in every
-    (theta_dim,) row of ``out`` into mean + sqrt(diag) * eps, in place."""
-    out *= posterior.theta_std()
-    out += posterior.mean[: posterior.theta_dim]
-
-
 def fill_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.ndarray) -> None:
     """Fill every (theta_dim,) row of the float64 buffer ``out`` with one
     feature-extractor draw mean + sqrt(diag) * eps, in place.
@@ -132,8 +118,11 @@ def fill_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.ndarr
     Rows are drawn in C order, so filling an (M, theta_dim) buffer consumes
     ``rng`` exactly as M single draws do and yields the same bits.
     """
-    draw_normals(posterior, rng, out)
-    shift_theta(posterior, out)
+    if not posterior.frozen:
+        raise ValueError("posterior must be frozen before sampling")
+    rng.standard_normal(out=out)
+    out *= posterior.theta_std()
+    out += posterior.mean[: posterior.theta_dim]
 
 
 def theta_layers(posterior: SwagPosterior, flat: np.ndarray):
@@ -165,7 +154,7 @@ def posterior_features(posterior: SwagPosterior, x: np.ndarray, num_samples: int
     """Representations of a batch under num_samples extractor draws, shape
     (M, B, L).
 
-    Each member is drawn from ``rng`` in member order by `fill_theta` into
+    Each member is drawn from ``rng`` in member order by `sample_theta` into
     one reused parameter buffer, and its forward writes the hidden layers
     into buffers made once per call and its last layer straight into the
     result. Members run one at a time, not stacked: at evaluation sizes the
@@ -176,12 +165,10 @@ def posterior_features(posterior: SwagPosterior, x: np.ndarray, num_samples: int
         raise ValueError("num_samples must be >= 1")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     buf = np.empty(posterior.theta_dim)
-    layers = theta_layers(posterior, buf)
-    hidden_out = [np.empty((len(x), w.shape[-1])) for w, _ in layers[:-1]]
+    hidden_out = [np.empty((len(x), w.shape[-1])) for w, _ in theta_layers(posterior, buf)[:-1]]
     reps = np.empty((num_samples, len(x), posterior.template.repr_dim))
     for member in reps:
-        fill_theta(posterior, rng, buf)
-        features(layers, x, activation, out=[*hidden_out, member])
+        features(sample_theta(posterior, rng, out=buf), x, activation, out=[*hidden_out, member])
     return reps
 
 

@@ -9,13 +9,11 @@ from scipy import stats
 from ltsrepr.netcore import ModelParams, features, init_params
 from ltsrepr.swag import (
     SwaSchedule,
-    draw_normals,
     fill_theta,
     freeze,
     new_posterior,
     posterior_features,
     sample_theta,
-    shift_theta,
     should_capture,
     swa_learning_rate,
     swa_params,
@@ -217,15 +215,6 @@ class TestSampling:
         fill_theta(post, rng_block, block)
         assert block.tobytes() == np.stack(singles).tobytes()
         assert rng_block.bit_generator.state == rng_single.bit_generator.state
-
-    def test_draw_then_shift_is_fill_theta(self):
-        post = self.make_random_frozen(seed=8)
-        rng_fill, rng_split = np.random.default_rng(14), np.random.default_rng(14)
-        filled, split = np.empty((4, post.theta_dim)), np.empty((4, post.theta_dim))
-        fill_theta(post, rng_fill, filled)
-        draw_normals(post, rng_split, split)
-        shift_theta(post, split)
-        assert filled.tobytes() == split.tobytes()
 
     def test_replaced_sigma_is_used(self):
         post = self.make_frozen(var_value=0.0)
