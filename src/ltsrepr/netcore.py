@@ -181,9 +181,9 @@ def features(
     Leading axes broadcast through ``a @ w + b``: stacked layers (weights
     (R, fan_in, fan_out), biases (R, 1, fan_out)) or stacked inputs
     (R, B, D) give (R, B, L), one gemm per member. ``out``, when given,
-    holds one array per layer that receives that layer's output, so a loop
-    that repeats the same shapes allocates nothing large; the result is
-    then its last array."""
+    holds one array per layer that receives that layer's output (None for
+    a fresh array), so a loop that repeats the same shapes allocates
+    nothing large; the result is then its last entry."""
     act, _ = ACTIVATIONS[activation]
     a = np.asarray(x, dtype=np.float64)
     single = a.ndim == 1

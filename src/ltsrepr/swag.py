@@ -154,21 +154,21 @@ def posterior_features(posterior: SwagPosterior, x: np.ndarray, num_samples: int
     """Representations of a batch under num_samples extractor draws, shape
     (M, B, L).
 
-    Each member is drawn from ``rng`` in member order by `sample_theta` into
-    one reused parameter buffer, and its forward writes the hidden layers
-    into buffers made once per call and its last layer straight into the
-    result. Members run one at a time, not stacked: at evaluation sizes the
-    forward is bound by its matrix products, and a stacked chunk would hold
-    its hidden-layer outputs (chunk, B, width) at once.
+    Members are drawn from ``rng`` in member order by `sample_theta` into
+    one reused parameter buffer, and each member's forward writes its last
+    layer straight into the result. They run one at a time: at evaluation
+    sizes the forward is bound by its matrix products, and stacking
+    members, or keeping hidden-layer buffers for the whole call, raised
+    the peak memory of the wide-profile evaluation and analysis.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     buf = np.empty(posterior.theta_dim)
-    hidden_out = [np.empty((len(x), w.shape[-1])) for w, _ in theta_layers(posterior, buf)[:-1]]
     reps = np.empty((num_samples, len(x), posterior.template.repr_dim))
     for member in reps:
-        features(sample_theta(posterior, rng, out=buf), x, activation, out=[*hidden_out, member])
+        layers = sample_theta(posterior, rng, out=buf)
+        features(layers, x, activation, out=[None] * (len(layers) - 1) + [member])
     return reps
 
 
