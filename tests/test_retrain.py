@@ -757,8 +757,8 @@ class TestSreprDraws:
         rng = np.random.default_rng(4)
         expected, blocks = [], []
         for _ in range(optim.epochs):
-            block = np.empty((3, post.theta_dim))
             if source == "posterior":
+                block = np.empty((3, post.theta_dim))
                 fill_theta(post, rng, block)
                 blocks.append(block)
             for _ in range(per_epoch):
