@@ -243,6 +243,28 @@ class TestSampling:
         assert result.pvalue > 0.001
 
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=3), st.integers(1, 9),
+           st.integers(1, 10), st.integers(1, 12), st.sampled_from(["relu", "tanh"]),
+           st.integers(0, 2**16))
+    def test_posterior_features_equals_member_loop(self, widths, d, members, batch, activation,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        params = init_params(rng, d, tuple(widths[:-1]), widths[-1], 2)
+        post = new_posterior(params)
+        for _ in range(3):
+            update_moments(post, init_params(rng, d, tuple(widths[:-1]), widths[-1], 2))
+        freeze(post)
+        x = rng.standard_normal((batch, d))
+        loop_rng = np.random.default_rng(seed + 1)
+        want = np.stack([features(sample_theta(post, loop_rng), x, activation)
+                         for _ in range(members)])
+        got_rng = np.random.default_rng(seed + 1)
+        got = posterior_features(post, x, members, got_rng, activation)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
 class TestSwaPoint:
     def test_swa_params_unflattens_mean(self):
         rng = np.random.default_rng(7)
@@ -328,24 +350,3 @@ class TestStackedLayers:
         for (w, b), (w0, b0) in zip(theta_layers(post, block), theta_layers(post, block[0])):
             assert w.shape == (3, *w0.shape) and b.shape == (3, 1, *b0.shape)
             assert np.shares_memory(w, block) and np.shares_memory(b, block)
-
-    @settings(max_examples=60, deadline=None, database=None)
-    @given(st.lists(st.integers(1, 9), min_size=1, max_size=3), st.integers(1, 9),
-           st.integers(1, 10), st.integers(1, 12), st.sampled_from(["relu", "tanh"]),
-           st.integers(0, 2**16))
-    def test_posterior_features_equals_member_loop(self, widths, d, members, batch, activation,
-                                                   seed):
-        rng = np.random.default_rng(seed)
-        params = init_params(rng, d, tuple(widths[:-1]), widths[-1], 2)
-        post = new_posterior(params)
-        for _ in range(3):
-            update_moments(post, init_params(rng, d, tuple(widths[:-1]), widths[-1], 2))
-        freeze(post)
-        x = rng.standard_normal((batch, d))
-        loop_rng = np.random.default_rng(seed + 1)
-        want = np.stack([features(sample_theta(post, loop_rng), x, activation)
-                         for _ in range(members)])
-        got_rng = np.random.default_rng(seed + 1)
-        got = posterior_features(post, x, members, got_rng, activation)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert got_rng.bit_generator.state == loop_rng.bit_generator.state
