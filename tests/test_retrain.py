@@ -2,6 +2,7 @@
 stochastic-representation re-training."""
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -33,6 +34,7 @@ from ltsrepr.retrain import (
     disalign_logits,
     disalign_loss_and_grads,
     estimate_beta,
+    fit_head,
     kd_loss,
     kd_loss_and_alpha_grad,
     lws,
@@ -731,10 +733,10 @@ class TestSreprTraining:
         assert loss(w, b) < loss(params.w, params.b)
 
 
-class TestSreprDraws:
-    """srepr's stream: one posterior block per stage-2 epoch, input jitter
-    per step, drawn from the caller's rng in a fixed order on the calling
-    thread."""
+class TestDrawAhead:
+    """srepr's draw stream: one posterior block per stage-2 epoch, input
+    jitter per step, drawn from the caller's rng in a fixed order on the
+    calling thread and never ahead of the step that uses it."""
 
     def make_problem(self, seed=0):
         return TestSreprTraining().make_problem(seed)
@@ -745,30 +747,34 @@ class TestSreprDraws:
             SgdHyper(base_lr=lr, epochs=epochs, batch_size=16), np.random.default_rng(9),
         )
 
-    @pytest.mark.parametrize("source", ["posterior", "input_jitter"])
-    def test_replays_hand_drawn_stream(self, source):
-        ds, params, post = self.make_problem(seed=1)
-        config = SreprConfig(num_samples=3, stochastic_source=source)
-        optim = SgdHyper(epochs=3, batch_size=16)
-        per_epoch = -(-ds.num_examples // 16)
-
-        # by hand: a block of 3 draws at the start of each epoch, then each
-        # step's indices (and, for jitter, that step's 3 noisy copies)
-        rng = np.random.default_rng(4)
-        expected, blocks = [], []
+    @staticmethod
+    def hand_stream(ds, params, post, config, optim, rng, blocks=None):
+        """srepr's stream drawn by hand: a block of M draws at the start of
+        each epoch, then each step's indices (and, for jitter, that step's M
+        noisy copies); each epoch's block is appended to ``blocks``."""
+        source, m = config.stochastic_source, config.num_samples
         for _ in range(optim.epochs):
             if source == "posterior":
-                block = np.empty((3, post.theta_dim))
+                block = np.empty((m, post.theta_dim))
                 fill_theta(post, rng, block)
-                blocks.append(block)
-            for _ in range(per_epoch):
-                idx = class_balanced_indices(ds, 16, rng)
+                if blocks is not None:
+                    blocks.append(block)
+            for _ in range(-(-ds.num_examples // optim.batch_size)):
+                idx = class_balanced_indices(ds, optim.batch_size, rng)
                 x = ds.features[idx]
                 if source == "posterior":
                     reps = np.stack([features(theta_layers(post, row), x) for row in block])
                 else:
                     reps = stochastic_representations(x, source, params.layers, config, rng)
-                expected.append((idx, reps))
+                yield idx, reps
+
+    def check_same_stream(self, source, batch=16, epochs=3):
+        ds, params, post = self.make_problem(seed=1)
+        config = SreprConfig(num_samples=3, stochastic_source=source)
+        optim = SgdHyper(epochs=epochs, batch_size=batch)
+        per_epoch = -(-ds.num_examples // batch)
+        rng, blocks = np.random.default_rng(4), []
+        expected = list(self.hand_stream(ds, params, post, config, optim, rng, blocks))
 
         got_rng = np.random.default_rng(4)
         before = threading.active_count()
@@ -777,35 +783,118 @@ class TestSreprDraws:
                                        optim, got_rng):
             assert threading.active_count() == before
             got.append((idx, reps.copy()))
-        assert len(got) == len(expected) == optim.epochs * per_epoch
+        assert len(got) == len(expected) == epochs * per_epoch
         for (i0, r0), (i1, r1) in zip(expected, got):
             np.testing.assert_array_equal(i0, i1)
             assert r0.tobytes() == r1.tobytes()
         assert got_rng.bit_generator.state == rng.bit_generator.state
+        # every step of an epoch sees its block; the next epoch a fresh one
+        assert len(blocks) == (epochs if source == "posterior" else 0)
         for first, second in zip(blocks, blocks[1:]):
             assert not np.array_equal(first, second)
 
     @pytest.mark.parametrize("source", ["posterior", "input_jitter"])
-    def test_no_thread_while_srepr_runs(self, monkeypatch, source):
+    def test_inline_mode_same_stream_without_thread(self, source):
+        self.check_same_stream(source)
+
+    @pytest.mark.parametrize("source", ["posterior", "input_jitter"])
+    def test_partial_last_block_same_stream(self, source):
+        # 100 examples: batches of 48 leave the epoch's last step partly
+        # past the data (3 steps), and a batch of 128 makes every step an
+        # epoch of its own with a fresh block
+        for batch in (48, 128):
+            self.check_same_stream(source, batch=batch, epochs=3)
+
+    @pytest.mark.parametrize("switch_interval", [None, 1e-6])
+    @pytest.mark.parametrize("source", ["posterior", "input_jitter"])
+    def test_same_stream_as_inline_draws(self, source, switch_interval):
+        # srepr_retrain fits its head on exactly the hand-drawn stream, bit
+        # for bit, however finely the interpreter switches threads
+        ds, params, post = self.make_problem(seed=1)
+        spec = BalancingSpec("cbs")
+        config = SreprConfig(num_samples=3, stochastic_source=source)
+        optim = SgdHyper(base_lr=0.1, epochs=2, batch_size=16)
+        saved = sys.getswitchinterval()
+        try:
+            if switch_interval is not None:
+                sys.setswitchinterval(switch_interval)
+            w, b = srepr_retrain(params.layers, post, (params.w, params.b), ds, spec, config,
+                                 optim, np.random.default_rng(4))
+        finally:
+            sys.setswitchinterval(saved)
+
+        f_swa = features(params.layers, ds.features)
+        w0, b0 = params.w.copy(), params.b.copy()
+
+        def loss_and_grads(item):
+            idx, reps = item
+            loss, gw, gb, _ = srepr_batch_loss_and_grad(w0, b0, reps, f_swa[idx],
+                                                        ds.labels[idx], spec, config)
+            return loss, [gw, gb]
+
+        stream = self.hand_stream(ds, params, post, config, optim, np.random.default_rng(4))
+        fit_head("srepr", [w0, b0], loss_and_grads, stream, ds, optim)
+        assert w.tobytes() == w0.tobytes() and b.tobytes() == b0.tobytes()
+
+    def test_no_thread_outlives_return(self, monkeypatch):
+        # the thread count at every training step and after return
         counts = []
         step = retrain_mod.srepr_batch_loss_and_grad
         monkeypatch.setattr(retrain_mod, "srepr_batch_loss_and_grad",
                             lambda *a: counts.append(threading.active_count()) or step(*a))
         ds, params, post = self.make_problem()
         before = threading.active_count()
-        self.run_srepr(ds, params, post, SreprConfig(num_samples=3, stochastic_source=source))
-        assert len(counts) == 2 * -(-ds.num_examples // 16)
+        for source in ("posterior", "input_jitter"):
+            self.run_srepr(ds, params, post, SreprConfig(num_samples=3, stochastic_source=source))
+        assert len(counts) == 2 * 2 * -(-ds.num_examples // 16)
         assert set(counts) == {before}
         assert threading.active_count() == before
 
-    def test_divergence_raises(self):
+    @pytest.mark.parametrize("jitter", [True, False])
+    def test_divergence_raises_and_joins(self, jitter):
         ds, params, post = self.make_problem()
+        config = SreprConfig(num_samples=3,
+                             stochastic_source="input_jitter" if jitter else "posterior")
+        before = threading.active_count()
         with pytest.raises(FloatingPointError, match="srepr diverged: "):
-            self.run_srepr(ds, params, post, lr=1e6, epochs=20)
+            self.run_srepr(ds, params, post, config, lr=1e6, epochs=20)
+        assert threading.active_count() == before
 
-    def test_unfrozen_posterior_raises(self):
+    @pytest.mark.parametrize("retrain", [True, False])
+    def test_producer_exception_surfaces_and_joins(self, retrain):
+        # an unfrozen posterior fails the first draw, through srepr_retrain
+        # or straight from the stream, before anything is drawn
         ds, params, _ = self.make_problem()
         unfrozen = new_posterior(params)
         update_moments(unfrozen, params)
+        rng = np.random.default_rng(9)
+        fresh = rng.bit_generator.state
+        before = threading.active_count()
         with pytest.raises(ValueError, match="frozen"):
-            self.run_srepr(ds, params, unfrozen)
+            if retrain:
+                self.run_srepr(ds, params, unfrozen)
+            else:
+                next(srepr_batches(params.layers, unfrozen, ds, BalancingSpec("cbs"),
+                                   SreprConfig(num_samples=3),
+                                   SgdHyper(epochs=2, batch_size=16), rng))
+        if not retrain:
+            assert rng.bit_generator.state == fresh
+        assert threading.active_count() == before
+
+    def test_consumer_leaving_early_joins(self):
+        # a consumer that stops after 3 steps has used the first block and
+        # 3 steps' indices of the rng, and nothing more
+        ds, params, post = self.make_problem()
+        config, optim = SreprConfig(num_samples=3), SgdHyper(epochs=1000, batch_size=16)
+        rng, hand_rng = np.random.default_rng(0), np.random.default_rng(0)
+        before = threading.active_count()
+        draws = srepr_batches(params.layers, post, ds, BalancingSpec("cbs"), config, optim, rng)
+        hand = self.hand_stream(ds, params, post, config, optim, hand_rng)
+        for step, ((idx, reps), (hand_idx, hand_reps)) in enumerate(zip(draws, hand)):
+            np.testing.assert_array_equal(idx, hand_idx)
+            assert reps.tobytes() == hand_reps.tobytes()
+            if step == 2:
+                break
+        draws.close()
+        assert rng.bit_generator.state == hand_rng.bit_generator.state
+        assert threading.active_count() == before
