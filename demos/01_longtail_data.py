@@ -28,8 +28,8 @@ from ltsrepr.data import (
 counts = longtail_class_counts(num_classes=10, max_count=500, imbalance_factor=0.01)
 print("class counts:", counts.tolist())
 
-config = DatasetConfig(seed=0)
-train, test = make_longtail_dataset(config)
+config = DatasetConfig()
+train, test = make_longtail_dataset(config, seed=0)
 print(f"train N={train.num_examples}, test N={test.num_examples} (balanced)")
 print("frequencies:", np.round(train.frequencies, 4).tolist())
 print("split tags: ", train.splits)

@@ -14,17 +14,16 @@ import numpy as np
 
 import ltsrepr.pipeline as pl
 from ltsrepr.netcore import cosine_lr
-from ltsrepr.swag import sample_theta, swa_learning_rate, SwaSchedule
+from ltsrepr.swag import sample_theta, swa_learning_rate
 
 cfg = pl.ExperimentConfig()
 datasets = pl.build_datasets(cfg)
 
 # The two learning-rate schedules, side by side (1200 steps total).
-sched = SwaSchedule(start_fraction=0.75, capture_interval_steps=20, swa_lr=cfg.swa.swa_lr)
 steps = [0, 300, 600, 890, 900, 1050, 1199]
 print("step | cosine lr | averaged-run lr")
 for t in steps:
-    print(f"{t:4d} | {cosine_lr(t, 1200, 0.1):9.4f} | {swa_learning_rate(t, 1200, 0.1, sched):9.4f}")
+    print(f"{t:4d} | {cosine_lr(t, 1200, 0.1):9.4f} | {swa_learning_rate(t, 1200, 0.1, cfg.swa):9.4f}")
 
 sgd = pl.run_pretrain(replace(cfg, swa=replace(cfg.swa, enabled=False)), datasets=datasets)
 swa = pl.run_pretrain(cfg, datasets=datasets)

@@ -16,10 +16,9 @@ import numpy as np
 import ltsrepr.pipeline as pl
 from ltsrepr.netcore import classifier_logits, features
 from ltsrepr.retrain import (
-    SreprConfig,
     estimate_beta,
     kd_loss_and_alpha_grad,
-    mean_ce_loss,
+    mean_ce_loss_and_grad,
     stochastic_representations,
     student_alpha_from_logits,
     teacher_probs,
@@ -32,14 +31,14 @@ train, test = datasets
 pre = pl.run_pretrain(cfg, datasets=datasets)
 post = pre.posterior
 
-scfg = SreprConfig(num_samples=10, kd_temperature=20.0)
+scfg = cfg.retrain  # srepr_m 10 stochastic representations, kd_temp 20
 rng = np.random.default_rng(3)
 x, y = train.features[:6], train.labels[:6]
 
 reps = stochastic_representations(x, "posterior", post, scfg, rng)
 print(f"stochastic representations: {reps.shape} (samples x batch x dims)")
 
-probs, p_bar = teacher_probs(reps @ pre.params.w + pre.params.b, scfg.kd_temperature)
+probs, p_bar = teacher_probs(reps @ pre.params.w + pre.params.b, scfg.kd_temp)
 print("teacher spread (max prob per example, across the ensemble):")
 print("  ", np.round(probs.max(axis=2).T[:3], 3))
 
@@ -49,10 +48,10 @@ print("  agreeing teachers -> high precision; disagreeing -> low")
 
 f_swa = features(pre.params.layers, x)
 z = classifier_logits(pre.params.w, pre.params.b, f_swa)
-alpha, _ = student_alpha_from_logits(z, scfg.kd_temperature)
+alpha, _ = student_alpha_from_logits(z, scfg.kd_temp)
 print("student precision:", np.round(alpha.sum(axis=1), 2))
 
-ce = mean_ce_loss(pre.params.w, pre.params.b, reps, y, BalancingSpec("none"))
+ce, _, _ = mean_ce_loss_and_grad(pre.params.w, pre.params.b, reps, y, BalancingSpec("none"))
 kd, _ = kd_loss_and_alpha_grad(alpha, beta, p_bar)
 print(f"\nloss terms on this batch: mean-CE {ce:.4f}, distillation {kd:.4f} "
       f"(combined with equal 0.5 weights)")

@@ -16,11 +16,9 @@ from .data import (
     assign_splits,
     class_balanced_indices,
     instance_balanced_indices,
-    load_dataset,
     longtail_class_counts,
     make_longtail_dataset,
     mixup_batch,
-    save_dataset,
 )
 from .metrics import (
     MetricsReport,
@@ -36,8 +34,8 @@ from .metrics import (
 )
 from .netcore import (
     ModelParams,
+    OptimConfig,
     OptimState,
-    SgdHyper,
     backward,
     cosine_lr,
     cross_entropy,
@@ -52,23 +50,19 @@ from .netcore import (
 from .pipeline import ExperimentConfig, run_analyze, run_eval, run_pretrain, run_retrain, run_sweep
 from .retrain import (
     DisAlignParams,
-    SreprConfig,
+    RetrainConfig,
     crt,
-    dirichlet_kl,
     disalign,
     estimate_beta,
     fit_head,
-    kd_loss,
     lws,
-    mean_ce_loss,
     srepr_retrain,
     stochastic_representations,
-    student_alpha,
     teacher_probs,
 )
 from .swag import (
+    SwaConfig,
     SwagPosterior,
-    SwaSchedule,
     freeze,
     new_posterior,
     posterior_features,

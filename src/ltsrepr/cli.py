@@ -17,50 +17,50 @@ import sys
 
 from . import checkpoint as ckpt_io
 from . import pipeline as pl
+from .balancing import KINDS
+from .retrain import RETRAIN_METHODS
 
+_ALL = ("pretrain", "retrain", "eval", "analyze", "sweep")
+_STAGE1 = ("pretrain", "sweep")
+_STAGE2 = ("retrain", "sweep")
+_EVAL = ("eval", "analyze")
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="INI config file; flags override its values")
-    p.add_argument("--output-dir", help="directory for artifacts")
-    p.add_argument("--seed", type=int, help="run seed (dataset + training streams)")
-    p.add_argument("--dataset-cache", help="binary dataset cache file (train+test records)")
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden-sizes", help="comma-separated hidden layer widths")
-    p.add_argument("--repr-dim", type=int, help="representation dimension")
-    p.add_argument("--lr", type=float, help="stage-1 base learning rate")
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--epochs", type=int, help="stage-1 epochs")
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--mixup-alpha", type=float, help="stage-1 mixup (0 disables)")
-
-
-def _add_swa_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--swa", choices=["on", "off"], help="enable weight averaging")
-    p.add_argument("--swa-start-frac", type=float)
-    p.add_argument("--swa-lr", type=float)
-    p.add_argument("--swag-samples", type=int, help="posterior draws for analysis/ensembling")
-
-
-def _add_retrain_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--retrain", choices=list(pl.RETRAIN_METHODS), help="stage-2 method")
-    p.add_argument("--balance", choices=["none", "cbs", "grw", "la"])
-    p.add_argument("--balance-rho", type=float)
-    p.add_argument("--retrain-epochs-frac", type=float)
-    p.add_argument("--retrain-lr", type=float)
-    p.add_argument("--srepr-m", type=int)
-    p.add_argument("--kd-temp", type=float)
-    p.add_argument("--beta-floor", type=float)
-    p.add_argument("--stochastic-source", choices=["posterior", "jitter"])
-    p.add_argument("--jitter-std", type=float)
-
-
-def _add_eval_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ece-bins", type=int)
-    p.add_argument("--ensemble-m", type=int)
-    p.add_argument("--analysis-seed", type=int)
+# Every flag that sets a config key: flag -> (section.key, value, help, commands).
+# The value is a type for argparse, or the accepted choices: a tuple of
+# values, or a {choice: value} map.
+FLAGS = {
+    "--output-dir": ("run.output_dir", str, "directory for artifacts", _ALL),
+    "--seed": ("run.seed", int, "run seed (dataset + training streams)", _ALL),
+    "--hidden-sizes": ("model.hidden_sizes", pl.parse_ints, "comma-separated hidden layer widths",
+                       _STAGE1),
+    "--repr-dim": ("model.repr_dim", int, "representation dimension", _STAGE1),
+    "--lr": ("optim.lr", float, "stage-1 base learning rate", _STAGE1),
+    "--momentum": ("optim.momentum", float, None, _STAGE1),
+    "--weight-decay": ("optim.weight_decay", float, None, _STAGE1),
+    "--epochs": ("optim.epochs", int, "stage-1 epochs", _STAGE1),
+    "--batch-size": ("optim.batch_size", int, None, _STAGE1),
+    "--mixup-alpha": ("optim.mixup_alpha", float, "stage-1 mixup (0 disables)", _STAGE1),
+    "--swa": ("swa.enabled", {"on": True, "off": False}, "enable weight averaging", _STAGE1),
+    "--swa-start-frac": ("swa.start_frac", float, None, _STAGE1),
+    "--swa-lr": ("swa.swa_lr", float, None, _STAGE1),
+    "--swag-samples": ("swa.swag_samples", int, "posterior draws for analysis/ensembling",
+                       ("pretrain", "analyze", "sweep")),
+    "--retrain": ("retrain.method", RETRAIN_METHODS, "stage-2 method", _STAGE2),
+    "--balance": ("retrain.balance", KINDS, None, _STAGE2),
+    "--balance-rho": ("retrain.balance_rho", float, None, _STAGE2),
+    "--retrain-epochs-frac": ("retrain.epochs_frac", float, None, _STAGE2),
+    "--retrain-lr": ("retrain.lr", float, None, _STAGE2),
+    "--srepr-m": ("retrain.srepr_m", int, None, _STAGE2),
+    "--kd-temp": ("retrain.kd_temp", float, None, _STAGE2),
+    "--beta-floor": ("retrain.beta_floor", float, None, _STAGE2),
+    "--stochastic-source": ("retrain.stochastic_source",
+                            {"posterior": "posterior", "jitter": "input_jitter"}, None, _STAGE2),
+    "--jitter-std": ("retrain.jitter_std", float, None, _STAGE2),
+    "--ece-bins": ("eval.ece_bins", int, None, _EVAL),
+    "--ensemble-m": ("eval.ensemble_m", int, None, _EVAL),
+    "--analysis-seed": ("eval.analysis_seed", int, None, _EVAL),
+    "--seeds": ("run.seeds", pl.parse_ints, "comma-separated seed list", ("sweep",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,80 +70,26 @@ def build_parser() -> argparse.ArgumentParser:
         "with weight averaging and stochastic-representation distillation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pretrain", help="stage-1 representation learning")
-    _add_config_flags(p)
-    _add_model_flags(p)
-    _add_swa_flags(p)
-
-    p = sub.add_parser("retrain", help="stage-2 classifier re-training")
-    _add_config_flags(p)
-    _add_retrain_flags(p)
-    p.add_argument("--checkpoint", required=True, help="stage-1 checkpoint")
-
-    p = sub.add_parser("eval", help="metrics report for a checkpoint")
-    _add_config_flags(p)
-    _add_eval_flags(p)
-    p.add_argument("--checkpoint", required=True)
-
-    p = sub.add_parser("analyze", help="dispersion/quartile/diagnostic tables")
-    _add_config_flags(p)
-    _add_eval_flags(p)
-    p.add_argument("--swag-samples", type=int)
-    p.add_argument("--checkpoint", required=True)
-
-    p = sub.add_parser("sweep", help="full pipeline over a list of seeds")
-    _add_config_flags(p)
-    _add_model_flags(p)
-    _add_swa_flags(p)
-    _add_retrain_flags(p)
-    p.add_argument("--seeds", help="comma-separated seed list")
+    for command, text in (
+        ("pretrain", "stage-1 representation learning"),
+        ("retrain", "stage-2 classifier re-training"),
+        ("eval", "metrics report for a checkpoint"),
+        ("analyze", "dispersion/quartile/diagnostic tables"),
+        ("sweep", "full pipeline over a list of seeds"),
+    ):
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="INI config file; flags override its values")
+        p.add_argument("--dataset-cache", help="binary dataset cache file (train+test records)")
+        if command in ("retrain", "eval", "analyze"):
+            p.add_argument("--checkpoint", required=True, help="checkpoint to start from")
+        for flag, (_, value, help_text, commands) in FLAGS.items():
+            if command not in commands:
+                continue
+            if isinstance(value, (tuple, dict)):
+                p.add_argument(flag, choices=list(value), help=help_text)
+            else:
+                p.add_argument(flag, type=value, help=help_text)
     return parser
-
-
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    """Map flags onto section.key config paths."""
-    get = lambda name: getattr(args, name, None)  # noqa: E731
-    hidden = get("hidden_sizes")
-    if hidden is not None:
-        hidden = tuple(int(v) for v in hidden.replace(",", " ").split())
-    seeds = get("seeds")
-    if seeds is not None:
-        seeds = tuple(int(v) for v in seeds.replace(",", " ").split())
-    swa = get("swa")
-    source = get("stochastic_source")
-    if source == "jitter":
-        source = "input_jitter"
-    return {
-        "model.hidden_sizes": hidden,
-        "model.repr_dim": get("repr_dim"),
-        "optim.lr": get("lr"),
-        "optim.momentum": get("momentum"),
-        "optim.weight_decay": get("weight_decay"),
-        "optim.epochs": get("epochs"),
-        "optim.batch_size": get("batch_size"),
-        "optim.mixup_alpha": get("mixup_alpha"),
-        "swa.enabled": None if swa is None else swa == "on",
-        "swa.start_frac": get("swa_start_frac"),
-        "swa.swa_lr": get("swa_lr"),
-        "swa.swag_samples": get("swag_samples"),
-        "retrain.method": get("retrain"),
-        "retrain.balance": get("balance"),
-        "retrain.balance_rho": get("balance_rho"),
-        "retrain.epochs_frac": get("retrain_epochs_frac"),
-        "retrain.lr": get("retrain_lr"),
-        "retrain.srepr_m": get("srepr_m"),
-        "retrain.kd_temp": get("kd_temp"),
-        "retrain.beta_floor": get("beta_floor"),
-        "retrain.stochastic_source": source,
-        "retrain.jitter_std": get("jitter_std"),
-        "eval.ece_bins": get("ece_bins"),
-        "eval.ensemble_m": get("ensemble_m"),
-        "eval.analysis_seed": get("analysis_seed"),
-        "run.seed": get("seed"),
-        "run.seeds": seeds,
-        "run.output_dir": get("output_dir"),
-    }
 
 
 def load_config(args: argparse.Namespace, metadata: dict | None = None) -> pl.ExperimentConfig:
@@ -155,7 +101,11 @@ def load_config(args: argparse.Namespace, metadata: dict | None = None) -> pl.Ex
         cfg = pl.ExperimentConfig.from_dict(metadata["config"])
     else:
         cfg = pl.ExperimentConfig()
-    return pl.apply_overrides(cfg, _overrides_from_args(args)).validate()
+    overrides = {}
+    for flag, (key, value, _, _) in FLAGS.items():
+        given = getattr(args, flag[2:].replace("-", "_"), None)
+        overrides[key] = value[given] if isinstance(value, dict) and given is not None else given
+    return pl.apply_overrides(cfg, overrides).validate()
 
 
 def _outdir(cfg: pl.ExperimentConfig) -> str:

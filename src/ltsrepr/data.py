@@ -18,6 +18,7 @@ from .util import (
     STREAM_TEST_NOISE,
     STREAM_TRAIN_NOISE,
     SizedReader,
+    check,
     rng_stream,
     round_half_up,
 )
@@ -31,7 +32,8 @@ DATASET_MAGIC = b"LTDATA01"
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Knobs for one synthetic long-tailed dataset (train + balanced test)."""
+    """The ``[dataset]`` section: one synthetic long-tailed dataset (train +
+    balanced test). The run seed is passed alongside it."""
 
     num_classes: int = 10
     input_dim: int = 20
@@ -39,24 +41,19 @@ class DatasetConfig:
     imbalance_factor: float = 0.01
     class_separation: float = 4.0
     noise_std: float = 1.0
-    seed: int = 0
     test_per_class: int = 100
 
     def validate(self) -> None:
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
-        if self.max_count < 1:
-            raise ValueError("max_count must be positive")
-        if not 0.0 < self.imbalance_factor <= 1.0:
-            raise ValueError(
-                f"imbalance_factor must be in (0, 1], got {self.imbalance_factor}"
-            )
-        if self.noise_std <= 0.0:
-            raise ValueError("noise_std must be positive")
-        if self.test_per_class < 1:
-            raise ValueError("test_per_class must be positive")
+        check(
+            (self.num_classes >= 2, f"dataset.num_classes must be >= 2, got {self.num_classes}"),
+            (self.input_dim >= 1, "dataset.input_dim must be positive"),
+            (self.max_count >= 1, "dataset.max_count must be positive"),
+            (0.0 < self.imbalance_factor <= 1.0,
+             f"dataset.imbalance_factor must be in (0, 1], got {self.imbalance_factor}"),
+            (self.class_separation > 0.0, "dataset.class_separation must be positive"),
+            (self.noise_std > 0.0, "dataset.noise_std must be positive"),
+            (self.test_per_class >= 1, "dataset.test_per_class must be positive"),
+        )
 
 
 @dataclass
@@ -113,10 +110,6 @@ class LongTailDataset:
     def input_dim(self) -> int:
         return self.features.shape[1]
 
-    def class_members(self, k: int) -> np.ndarray:
-        """Indices of all examples with label k."""
-        return self._sorted_by_class[self._class_starts[k] : self._class_starts[k + 1]]
-
 
 def longtail_class_counts(num_classes: int, max_count: int, imbalance_factor: float) -> np.ndarray:
     """Per-class training counts n_k = round(n_max * gamma^(k/(K-1))), floored at 1.
@@ -171,18 +164,18 @@ def _class_means(rng: np.random.Generator, num_classes: int, dim: int, separatio
     return directions * (separation / min_dist)
 
 
-def make_longtail_dataset(config: DatasetConfig) -> tuple[LongTailDataset, LongTailDataset]:
+def make_longtail_dataset(config: DatasetConfig, seed: int) -> tuple[LongTailDataset, LongTailDataset]:
     """Generate (train, test): exponentially imbalanced train, balanced test.
 
-    Pure function of the config; fixed seed gives bitwise-equal output.
+    Pure function of (config, seed); a fixed pair gives bitwise-equal output.
     """
     config.validate()
     counts = longtail_class_counts(
         config.num_classes, config.max_count, config.imbalance_factor
     )
-    rng_means = rng_stream(config.seed, STREAM_CLASS_MEANS)
-    rng_train = rng_stream(config.seed, STREAM_TRAIN_NOISE)
-    rng_test = rng_stream(config.seed, STREAM_TEST_NOISE)
+    rng_means = rng_stream(seed, STREAM_CLASS_MEANS)
+    rng_train = rng_stream(seed, STREAM_TRAIN_NOISE)
+    rng_test = rng_stream(seed, STREAM_TEST_NOISE)
 
     means = _class_means(
         rng_means, config.num_classes, config.input_dim, config.class_separation
@@ -305,24 +298,6 @@ def read_dataset_record(r: SizedReader, record: str) -> LongTailDataset:
     return LongTailDataset.from_arrays(features.astype(np.float64), labels, k)
 
 
-def _reject_trailing(r: SizedReader, after: str) -> None:
-    if r.left:
-        raise ValueError(f"dataset cache has {r.left} unexpected bytes after the {after} record")
-
-
-def save_dataset(path, dataset: LongTailDataset) -> None:
-    with open(path, "wb") as f:
-        write_dataset_record(f, dataset)
-
-
-def load_dataset(path) -> LongTailDataset:
-    with open(path, "rb") as f:
-        r = SizedReader(f, "dataset cache")
-        dataset = read_dataset_record(r, "train")
-        _reject_trailing(r, "train")
-    return dataset
-
-
 def save_dataset_pair(path, train: LongTailDataset, test: LongTailDataset) -> None:
     """Train and test as two consecutive records in one cache file."""
     with open(path, "wb") as f:
@@ -337,6 +312,7 @@ def load_dataset_pair(path) -> tuple[LongTailDataset, LongTailDataset]:
         r = SizedReader(f, "dataset cache")
         train = read_dataset_record(r, "train")
         test = read_dataset_record(r, "test")
-        _reject_trailing(r, "test")
+        if r.left:
+            raise ValueError(f"dataset cache has {r.left} unexpected bytes after the test record")
     test.splits = list(train.splits)
     return train, test

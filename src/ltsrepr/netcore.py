@@ -28,6 +28,8 @@ from math import prod
 
 import numpy as np
 
+from .util import check
+
 PROB_FLOOR = 1e-30
 
 
@@ -341,14 +343,27 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
 
 
 @dataclass(frozen=True)
-class SgdHyper:
-    """Static SGD hyperparameters shared by both training stages."""
+class OptimConfig:
+    """The ``[optim]`` section: SGD hyperparameters. Stage 1 runs them as
+    given; stage 2 replaces ``lr`` and ``epochs`` with its own. Mixup
+    applies to stage 1 only."""
 
-    base_lr: float = 0.1
+    lr: float = 0.1
     momentum: float = 0.9
-    weight_decay: float = 0.0005
+    weight_decay: float = 0.001
     epochs: int = 60
     batch_size: int = 64
+    mixup_alpha: float = 0.0
+
+    def validate(self) -> None:
+        check(
+            (self.lr > 0.0, "optim.lr must be positive"),
+            (0.0 <= self.momentum < 1.0, "optim.momentum must be in [0, 1)"),
+            (self.weight_decay >= 0.0, "optim.weight_decay must be >= 0"),
+            (self.epochs >= 1, "optim.epochs must be >= 1"),
+            (self.batch_size >= 1, "optim.batch_size must be >= 1"),
+            (self.mixup_alpha >= 0.0, "optim.mixup_alpha must be >= 0 (0 disables mixup)"),
+        )
 
 
 @dataclass
@@ -356,14 +371,14 @@ class OptimState:
     """Step counter plus, per parameter array, a Nesterov momentum buffer
     and two scratch buffers the update writes its temporaries into."""
 
-    hyper: SgdHyper
+    hyper: OptimConfig
     total_steps: int
     t: int = 0
     buffers: list[np.ndarray] = field(default_factory=list)
     scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     @classmethod
-    def for_arrays(cls, arrays, hyper: SgdHyper, total_steps: int) -> "OptimState":
+    def for_arrays(cls, arrays, hyper: OptimConfig, total_steps: int) -> "OptimState":
         return cls(hyper, total_steps, 0, [np.zeros_like(a) for a in arrays],
                    [(np.empty_like(a), np.empty_like(a)) for a in arrays])
 
@@ -379,7 +394,7 @@ def sgd_update_arrays(arrays, grads, state: OptimState, lr: float | None = None)
     it in one step. Returns the learning rate actually used.
     """
     if lr is None:
-        lr = cosine_lr(state.t, state.total_steps, state.hyper.base_lr)
+        lr = cosine_lr(state.t, state.total_steps, state.hyper.lr)
     mu = state.hyper.momentum
     wd = state.hyper.weight_decay
     for p, g, v, (g_eff, step) in zip(arrays, grads, state.buffers, state.scratch, strict=True):

@@ -30,12 +30,10 @@ from .util import (
     STREAM_INIT,
     STREAM_MIXUP,
     STREAM_RETRAIN_BATCH,
+    check,
     rng_stream,
     round_half_up,
 )
-
-RETRAIN_METHODS = ("crt", "lws", "disalign", "srepr")
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -43,37 +41,13 @@ class ModelConfig:
     repr_dim: int = 32
     activation: str = "relu"
 
-
-@dataclass(frozen=True)
-class OptimConfig:
-    lr: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 0.001
-    epochs: int = 60
-    batch_size: int = 64
-    mixup_alpha: float = 0.0
-
-
-@dataclass(frozen=True)
-class SwaConfig:
-    enabled: bool = True
-    start_frac: float = 0.75
-    swa_lr: float = 0.12
-    swag_samples: int = 10
-
-
-@dataclass(frozen=True)
-class RetrainSection:
-    method: str = "crt"
-    balance: str = "cbs"
-    balance_rho: float = 1.0
-    epochs_frac: float = 0.10
-    lr: float = 0.1
-    srepr_m: int = 10
-    kd_temp: float = 20.0
-    beta_floor: float = 1e-6
-    stochastic_source: str = "posterior"
-    jitter_std: float = 0.1
+    def validate(self) -> None:
+        check(
+            (all(h >= 1 for h in self.hidden_sizes), "model.hidden_sizes must all be >= 1"),
+            (self.repr_dim >= 1, "model.repr_dim must be >= 1"),
+            (self.activation in net.ACTIVATIONS,
+             f"model.activation must be one of {sorted(net.ACTIVATIONS)}"),
+        )
 
 
 @dataclass(frozen=True)
@@ -82,6 +56,12 @@ class EvalConfig:
     ensemble_m: int = 0
     analysis_seed: int = 0
 
+    def validate(self) -> None:
+        check(
+            (self.ece_bins >= 1, "eval.ece_bins must be >= 1"),
+            (self.ensemble_m >= 0, "eval.ensemble_m must be >= 0 (0 means point predictions)"),
+        )
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -89,25 +69,20 @@ class RunConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3)
     output_dir: str = "runs"
 
-
-@dataclass(frozen=True)
-class DatasetSection:
-    num_classes: int = 10
-    input_dim: int = 20
-    max_count: int = 500
-    imbalance_factor: float = 0.01
-    class_separation: float = 4.0
-    noise_std: float = 1.0
-    test_per_class: int = 100
+    def validate(self) -> None:
+        check((all(v >= 0 for v in (self.seed, *self.seeds)), "run seeds must be >= 0"))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: DatasetSection = field(default_factory=DatasetSection)
+    """The experiment's config sections. Each section type lives in the
+    module that consumes it and checks its own fields."""
+
+    dataset: data_mod.DatasetConfig = field(default_factory=data_mod.DatasetConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    optim: OptimConfig = field(default_factory=OptimConfig)
-    swa: SwaConfig = field(default_factory=SwaConfig)
-    retrain: RetrainSection = field(default_factory=RetrainSection)
+    optim: net.OptimConfig = field(default_factory=net.OptimConfig)
+    swa: swag_mod.SwaConfig = field(default_factory=swag_mod.SwaConfig)
+    retrain: retrain_mod.RetrainConfig = field(default_factory=retrain_mod.RetrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     run: RunConfig = field(default_factory=RunConfig)
 
@@ -118,15 +93,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        sections = {}
-        for f in fields(cls):
-            payload = dict(d.get(f.name, {}))
-            if "hidden_sizes" in payload:
-                payload["hidden_sizes"] = tuple(payload["hidden_sizes"])
-            if "seeds" in payload:
-                payload["seeds"] = tuple(payload["seeds"])
-            sections[f.name] = f.default_factory(**payload) if payload else f.default_factory()
-        return cls(**sections)
+        """Inverse of `to_dict`, also after a JSON round trip (lists become
+        tuples again)."""
+        return cls(**{
+            f.name: f.default_factory(**{
+                k: tuple(v) if isinstance(v, list) else v for k, v in d.get(f.name, {}).items()
+            })
+            for f in fields(cls)
+        })
 
     def to_text(self) -> str:
         """Canonical INI serialization (fixed section/key order)."""
@@ -144,7 +118,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)  # values are literal, as written
         parser.read_string(text)
         known = {f.name: f for f in fields(cls)}
         unknown_sections = set(parser.sections()) - set(known)
@@ -152,20 +126,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown config sections: {sorted(unknown_sections)}")
         sections = {}
         for name, f in known.items():
-            section_cls = f.default_factory
-            defaults = section_cls()
-            if not parser.has_section(name):
-                sections[name] = defaults
-                continue
-            raw = dict(parser.items(name))
-            allowed = {sf.name: sf for sf in fields(section_cls)}
-            unknown = set(raw) - set(allowed)
+            defaults = f.default_factory()
+            raw = dict(parser.items(name)) if parser.has_section(name) else {}
+            unknown = set(raw) - {sf.name for sf in fields(defaults)}
             if unknown:
                 raise ValueError(f"unknown keys in [{name}]: {sorted(unknown)}")
-            kwargs = {}
-            for key, text_value in raw.items():
-                kwargs[key] = _parse_value(text_value, getattr(defaults, key))
-            sections[name] = replace(defaults, **kwargs)
+            sections[name] = replace(
+                defaults, **{key: _parse_value(v, getattr(defaults, key)) for key, v in raw.items()}
+            )
         return cls(**sections)
 
     @classmethod
@@ -183,44 +151,18 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Reject out-of-range values before any training starts; returns self.
 
-        With averaging on, it also predicts how many snapshots stage 1 will
-        capture, since ``freeze`` needs at least two.
+        Every section checks its own fields. With averaging on, this also
+        predicts how many snapshots stage 1 will capture, since ``freeze``
+        needs at least two.
         """
-        dataset_config(self).validate()
-        m, o, s, r, e = self.model, self.optim, self.swa, self.retrain, self.eval
-        for ok, what in (
-            (all(h >= 1 for h in m.hidden_sizes), "model.hidden_sizes must all be >= 1"),
-            (m.repr_dim >= 1, "model.repr_dim must be >= 1"),
-            (m.activation in net.ACTIVATIONS,
-             f"model.activation must be one of {sorted(net.ACTIVATIONS)}"),
-            (o.lr > 0.0, "optim.lr must be positive"),
-            (0.0 <= o.momentum < 1.0, "optim.momentum must be in [0, 1)"),
-            (o.weight_decay >= 0.0, "optim.weight_decay must be >= 0"),
-            (o.epochs >= 1, "optim.epochs must be >= 1"),
-            (o.batch_size >= 1, "optim.batch_size must be >= 1"),
-            (o.mixup_alpha >= 0.0, "optim.mixup_alpha must be >= 0 (0 disables mixup)"),
-            (s.swag_samples >= 1, "swa.swag_samples must be >= 1"),
-            (r.method in RETRAIN_METHODS,
-             f"unknown retrain method {r.method!r}; expected one of {RETRAIN_METHODS}"),
-            (r.balance in bal.KINDS, f"retrain.balance must be one of {bal.KINDS}"),
-            (r.balance_rho >= 0.0, "retrain.balance_rho must be >= 0"),
-            (r.epochs_frac > 0.0, "retrain.epochs_frac must be positive"),
-            (r.lr > 0.0, "retrain.lr must be positive"),
-            (e.ece_bins >= 1, "eval.ece_bins must be >= 1"),
-            (e.ensemble_m >= 0, "eval.ensemble_m must be >= 0 (0 means point predictions)"),
-            (all(v >= 0 for v in (self.run.seed, *self.run.seeds)), "run seeds must be >= 0"),
-        ):
-            if not ok:
-                raise ValueError(what)
-        srepr_config(self).validate()
+        for f in fields(self):
+            getattr(self, f.name).validate()
+        d, o, s = self.dataset, self.optim, self.swa
         if s.enabled:
-            d = self.dataset
             counts = data_mod.longtail_class_counts(d.num_classes, d.max_count, d.imbalance_factor)
             spe = data_mod.steps_per_epoch(int(counts.sum()), o.batch_size)
-            schedule = swa_schedule(self, spe)
-            schedule.validate()
             total = spe * o.epochs
-            captures = sum(swag_mod.should_capture(k * spe, total, schedule)
+            captures = sum(swag_mod.should_capture(k * spe, total, s, spe)
                            for k in range(1, o.epochs + 1))
             if captures < 2:
                 raise ValueError(
@@ -229,6 +171,12 @@ class ExperimentConfig:
                     "(raise optim.epochs or lower swa.start_frac)"
                 )
         return self
+
+
+def parse_ints(text: str) -> tuple[int, ...]:
+    """A comma- or space-separated list of integers, as config files and
+    flags write ``hidden_sizes`` and ``seeds``."""
+    return tuple(int(p) for p in text.replace(",", " ").split())
 
 
 def _parse_value(text: str, default):
@@ -244,8 +192,7 @@ def _parse_value(text: str, default):
     if isinstance(default, float):
         return float(text)
     if isinstance(default, tuple):
-        parts = [p for p in text.replace(",", " ").split() if p]
-        return tuple(int(p) for p in parts)
+        return parse_ints(text)
     return text.strip()
 
 
@@ -267,34 +214,11 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
 # Dataset assembly
 # ---------------------------------------------------------------------------
 
-def dataset_config(cfg: ExperimentConfig) -> data_mod.DatasetConfig:
-    d = cfg.dataset
-    return data_mod.DatasetConfig(
-        num_classes=d.num_classes,
-        input_dim=d.input_dim,
-        max_count=d.max_count,
-        imbalance_factor=d.imbalance_factor,
-        class_separation=d.class_separation,
-        noise_std=d.noise_std,
-        seed=cfg.run.seed,
-        test_per_class=d.test_per_class,
-    )
-
-
-def swa_schedule(cfg: ExperimentConfig, steps_per_epoch: int) -> swag_mod.SwaSchedule:
-    """Averaging schedule with captures on epoch boundaries."""
-    return swag_mod.SwaSchedule(
-        start_fraction=cfg.swa.start_frac,
-        capture_interval_steps=steps_per_epoch,
-        swa_lr=cfg.swa.swa_lr,
-    )
-
-
 def build_datasets(cfg: ExperimentConfig, cache_path: str | None = None):
     """Generate (or load from cache) the raw pair, then standardize both
     splits with training statistics."""
     if cache_path and not os.path.exists(cache_path):
-        train_raw, test_raw = data_mod.make_longtail_dataset(dataset_config(cfg))
+        train_raw, test_raw = data_mod.make_longtail_dataset(cfg.dataset, cfg.run.seed)
         # the cache may sit in an output directory the CLI has not created yet
         os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
         data_mod.save_dataset_pair(cache_path, train_raw, test_raw)
@@ -303,7 +227,7 @@ def build_datasets(cfg: ExperimentConfig, cache_path: str | None = None):
         # float32-quantized features
         train_raw, test_raw = data_mod.load_dataset_pair(cache_path)
     else:
-        train_raw, test_raw = data_mod.make_longtail_dataset(dataset_config(cfg))
+        train_raw, test_raw = data_mod.make_longtail_dataset(cfg.dataset, cfg.run.seed)
     mean, std = data_mod.feature_standardizer(train_raw.features)
     train = data_mod.LongTailDataset.from_arrays(
         data_mod.apply_standardizer(train_raw.features, mean, std),
@@ -337,13 +261,7 @@ def run_pretrain(cfg: ExperimentConfig, datasets=None, cache_path: str | None = 
     cfg.validate()
     train, test = datasets if datasets is not None else build_datasets(cfg, cache_path)
     seed = cfg.run.seed
-    hyper = net.SgdHyper(
-        base_lr=cfg.optim.lr,
-        momentum=cfg.optim.momentum,
-        weight_decay=cfg.optim.weight_decay,
-        epochs=cfg.optim.epochs,
-        batch_size=cfg.optim.batch_size,
-    )
+    optim, swa = cfg.optim, cfg.swa
     params = net.init_params(
         rng_stream(seed, STREAM_INIT),
         train.input_dim,
@@ -351,40 +269,39 @@ def run_pretrain(cfg: ExperimentConfig, datasets=None, cache_path: str | None = 
         cfg.model.repr_dim,
         train.num_classes,
     )
-    spe = data_mod.steps_per_epoch(train.num_examples, hyper.batch_size)
-    total = spe * hyper.epochs
-    schedule = swa_schedule(cfg, spe)
-    posterior = swag_mod.new_posterior(params) if cfg.swa.enabled else None
+    spe = data_mod.steps_per_epoch(train.num_examples, optim.batch_size)
+    total = spe * optim.epochs
+    posterior = swag_mod.new_posterior(params) if swa.enabled else None
     # backward writes into one reused gradient vector; SGD moves the whole model at once
     grads = params.like(np.empty_like(params.flat))
     flat_params, flat_grads = [params.flat], [grads.flat]
-    state = net.OptimState.for_arrays(flat_params, hyper, total)
+    state = net.OptimState.for_arrays(flat_params, optim, total)
     rng_batch = rng_stream(seed, STREAM_BATCH)
     rng_mix = rng_stream(seed, STREAM_MIXUP)
 
     epoch_losses = []
     running = 0.0
     for step in range(total):
-        if cfg.swa.enabled:
-            lr = swag_mod.swa_learning_rate(step, total, hyper.base_lr, schedule)
+        if swa.enabled:
+            lr = swag_mod.swa_learning_rate(step, total, optim.lr, swa)
         else:
-            lr = net.cosine_lr(step, total, hyper.base_lr)
-        idx = data_mod.instance_balanced_indices(train, hyper.batch_size, rng_batch)
+            lr = net.cosine_lr(step, total, optim.lr)
+        idx = data_mod.instance_balanced_indices(train, optim.batch_size, rng_batch)
         x, y = train.features[idx], train.labels[idx]
         loss_fn = net.softmax_ce
-        if cfg.optim.mixup_alpha > 0.0:
-            x, y = data_mod.mixup_batch(x, y, cfg.optim.mixup_alpha, train.num_classes, rng_mix)
+        if optim.mixup_alpha > 0.0:
+            x, y = data_mod.mixup_batch(x, y, optim.mixup_alpha, train.num_classes, rng_mix)
             loss_fn = net.soft_ce_loss_and_grad
         loss, _ = net.backward(params, x, y, loss_fn, cfg.model.activation, out=grads)
         net.sgd_update_arrays(flat_params, flat_grads, state, lr)
         running += loss
-        if cfg.swa.enabled and swag_mod.should_capture(step + 1, total, schedule):
+        if swa.enabled and swag_mod.should_capture(step + 1, total, swa, spe):
             swag_mod.update_moments(posterior, params)
         if (step + 1) % spe == 0:
             epoch_losses.append(running / spe)
             running = 0.0
 
-    if cfg.swa.enabled:
+    if swa.enabled:
         swag_mod.freeze(posterior)
         params = swag_mod.swa_params(posterior)
     return PretrainResult(params, posterior, epoch_losses, train, test)
@@ -417,25 +334,6 @@ def retrain_epochs(cfg: ExperimentConfig) -> int:
     return max(1, int(round_half_up(cfg.optim.epochs * cfg.retrain.epochs_frac)))
 
 
-def balancing_spec(cfg: ExperimentConfig, train: data_mod.LongTailDataset) -> bal.BalancingSpec:
-    return bal.BalancingSpec(
-        kind=cfg.retrain.balance,
-        rho=cfg.retrain.balance_rho,
-        frequencies=train.frequencies,
-    )
-
-
-def srepr_config(cfg: ExperimentConfig) -> retrain_mod.SreprConfig:
-    r = cfg.retrain
-    return retrain_mod.SreprConfig(
-        num_samples=r.srepr_m,
-        kd_temperature=r.kd_temp,
-        beta_floor=r.beta_floor,
-        stochastic_source=r.stochastic_source,
-        jitter_std=r.jitter_std,
-    )
-
-
 def run_retrain(
     cfg: ExperimentConfig,
     params: net.ModelParams,
@@ -448,41 +346,25 @@ def run_retrain(
     method = cfg.retrain.method
     seed = cfg.run.seed
     act = cfg.model.activation
-    spec = balancing_spec(cfg, train)
-    hyper = net.SgdHyper(
-        base_lr=cfg.retrain.lr,
-        momentum=cfg.optim.momentum,
-        weight_decay=cfg.optim.weight_decay,
-        epochs=retrain_epochs(cfg),
-        batch_size=cfg.optim.batch_size,
-    )
+    spec = bal.BalancingSpec(cfg.retrain.balance, cfg.retrain.balance_rho, train.frequencies)
+    optim = replace(cfg.optim, lr=cfg.retrain.lr, epochs=retrain_epochs(cfg))
     theta = params.layers
     rng = rng_stream(seed, STREAM_RETRAIN_BATCH)
 
     disalign_params = None
     lws_tau = None
     if method == "crt":
-        w, b = retrain_mod.crt(theta, train, spec, hyper, rng, act)
+        w, b = retrain_mod.crt(theta, train, spec, optim, rng, act)
     elif method == "lws":
-        w, b, lws_tau = retrain_mod.lws(theta, (params.w, params.b), train, spec, hyper, rng, act)
+        w, b, lws_tau = retrain_mod.lws(theta, (params.w, params.b), train, spec, optim, rng, act)
     elif method == "disalign":
         disalign_params = retrain_mod.disalign(
-            theta, (params.w, params.b), train, hyper, rng, act, rho=cfg.retrain.balance_rho
+            theta, (params.w, params.b), train, optim, rng, act, rho=cfg.retrain.balance_rho
         )
         w, b = params.w, params.b
     else:  # srepr
-        if cfg.retrain.stochastic_source == "posterior" and posterior is None:
-            raise ValueError("posterior required for srepr re-training")
         w, b = retrain_mod.srepr_retrain(
-            theta,
-            posterior,
-            (params.w, params.b),
-            train,
-            spec,
-            srepr_config(cfg),
-            hyper,
-            rng,
-            act,
+            theta, posterior, (params.w, params.b), train, spec, cfg.retrain, optim, rng, act
         )
     # the constructor packs a new vector, so the result shares no memory with params
     new_params = net.ModelParams(theta, w, b)
@@ -643,9 +525,8 @@ def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict:
     }
 
 
-def _sweep_worker(args):
-    cfg_dict, seed = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+def _sweep_worker(cfg: ExperimentConfig, seed: int) -> dict:
+    """One seed of `run_sweep` as a process-pool task."""
     return run_single_seed(cfg, seed)
 
 
@@ -685,7 +566,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     failures = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
-            futures = [(s, pool.submit(_sweep_worker, (cfg.to_dict(), s))) for s in seeds]
+            futures = [(s, pool.submit(_sweep_worker, cfg, s)) for s in seeds]
             for seed, future in futures:
                 try:
                     per_seed.append(future.result())

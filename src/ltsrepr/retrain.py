@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import digamma, gammaln, zeta
 
 from .balancing import (
+    KINDS,
     BalancingSpec,
     balanced_ce_loss_and_grad,
     grw_weights,
@@ -33,8 +34,8 @@ from .data import (
 )
 from .netcore import (
     PROB_FLOOR,
+    OptimConfig,
     OptimState,
-    SgdHyper,
     classifier_logits,
     features,
     init_classifier,
@@ -43,46 +44,59 @@ from .netcore import (
     softmax_ce,
 )
 from .swag import SwagPosterior, fill_theta, posterior_features, theta_layers
+from .util import check
 
 LOGIT_CLAMP_SCALE = 30.0  # raw student logits clipped at +/- 30 * temperature
 
+RETRAIN_METHODS = ("crt", "lws", "disalign", "srepr")
 STOCHASTIC_SOURCES = ("posterior", "input_jitter")
 
 
 @dataclass(frozen=True)
-class SreprConfig:
-    """Stochastic-representation re-training knobs."""
+class RetrainConfig:
+    """The ``[retrain]`` section: the stage-2 method, its rebalancing, its
+    epochs as a fraction of stage 1's and its learning rate, then srepr's
+    knobs: M stochastic representations (``srepr_m``), the distillation
+    temperature, the floor of the teacher-disagreement statistic, and where
+    the randomness comes from."""
 
-    num_samples: int = 10
-    kd_temperature: float = 20.0
-    ce_weight: float = 0.5
-    kd_weight: float = 0.5
+    method: str = "crt"
+    balance: str = "cbs"
+    balance_rho: float = 1.0
+    epochs_frac: float = 0.10
+    lr: float = 0.1
+    srepr_m: int = 10
+    kd_temp: float = 20.0
     beta_floor: float = 1e-6
     stochastic_source: str = "posterior"
     jitter_std: float = 0.1
 
     def validate(self) -> None:
-        if self.num_samples < 2:
-            raise ValueError("num_samples must be >= 2 to fit a Dirichlet")
-        if self.kd_temperature <= 0.0:
-            raise ValueError("kd_temperature must be positive")
-        if self.beta_floor <= 0.0:
-            raise ValueError("beta_floor must be positive")
-        if self.stochastic_source not in STOCHASTIC_SOURCES:
-            raise ValueError(f"stochastic_source must be one of {STOCHASTIC_SOURCES}")
-        if self.jitter_std < 0.0:
-            raise ValueError("jitter_std must be >= 0")
+        check(
+            (self.method in RETRAIN_METHODS,
+             f"unknown retrain method {self.method!r}; expected one of {RETRAIN_METHODS}"),
+            (self.balance in KINDS, f"retrain.balance must be one of {KINDS}"),
+            (self.balance_rho >= 0.0, "retrain.balance_rho must be >= 0"),
+            (self.epochs_frac > 0.0, "retrain.epochs_frac must be positive"),
+            (self.lr > 0.0, "retrain.lr must be positive"),
+            (self.srepr_m >= 2, "retrain.srepr_m must be >= 2 to fit a Dirichlet"),
+            (self.kd_temp > 0.0, "retrain.kd_temp must be positive"),
+            (self.beta_floor > 0.0, "retrain.beta_floor must be positive"),
+            (self.stochastic_source in STOCHASTIC_SOURCES,
+             f"retrain.stochastic_source must be one of {STOCHASTIC_SOURCES}"),
+            (self.jitter_std >= 0.0, "retrain.jitter_std must be >= 0"),
+        )
 
 
 def _stage2_sampler(spec: BalancingSpec):
     return class_balanced_indices if spec.uses_class_balanced_sampler else instance_balanced_indices
 
 
-def stage2_steps(dataset: LongTailDataset, optim: SgdHyper) -> int:
+def stage2_steps(dataset: LongTailDataset, optim: OptimConfig) -> int:
     return steps_per_epoch(dataset.num_examples, optim.batch_size) * optim.epochs
 
 
-def sampled_batches(sampler, dataset: LongTailDataset, optim: SgdHyper, rng: np.random.Generator):
+def sampled_batches(sampler, dataset: LongTailDataset, optim: OptimConfig, rng: np.random.Generator):
     """Batch indices for every stage-2 step, each drawn from ``rng`` as its
     step starts."""
     for _ in range(stage2_steps(dataset, optim)):
@@ -90,7 +104,7 @@ def sampled_batches(sampler, dataset: LongTailDataset, optim: SgdHyper, rng: np.
 
 
 def fit_head(method: str, arrays, loss_and_grads, batches, dataset: LongTailDataset,
-             optim: SgdHyper) -> None:
+             optim: OptimConfig) -> None:
     """The stage-2 SGD loop shared by every method.
 
     Each item of ``batches`` is one step: ``loss_and_grads(item)`` returns
@@ -120,7 +134,7 @@ def crt(
     theta,
     dataset: LongTailDataset,
     balancing: BalancingSpec,
-    optim: SgdHyper,
+    optim: OptimConfig,
     rng: np.random.Generator,
     activation: str = "relu",
 ):
@@ -147,9 +161,23 @@ def crt(
 
 def lws_classifier(w_star: np.ndarray, b_star: np.ndarray, tau: float):
     """Rescale every class weight vector by its norm^(-tau); directions and
-    biases are untouched."""
+    biases are untouched.
+
+    Raises FloatingPointError when norm^(-tau) leaves float32's normal range
+    for any class: tau has diverged, and the class's weights would be 0 or
+    inf in a checkpoint while the training loss can stay finite.
+    """
     norms = np.linalg.norm(w_star, axis=0) + 1e-12
-    return w_star / norms**tau, b_star.copy()
+    with np.errstate(over="ignore"):
+        power = norms**tau
+    f32 = np.finfo(np.float32)  # norm^-tau = 1 / power must be a normal float32
+    lost = np.count_nonzero(~((power >= 1.0 / f32.max) & (power <= 1.0 / f32.tiny)))
+    if lost:
+        raise FloatingPointError(
+            f"lws diverged: norm^-tau leaves float32 range for {lost} of {len(norms)} classes "
+            f"(tau {tau:.4g})"
+        )
+    return w_star / power, b_star.copy()
 
 
 def lws(
@@ -157,7 +185,7 @@ def lws(
     phi_star,
     dataset: LongTailDataset,
     balancing: BalancingSpec,
-    optim: SgdHyper,
+    optim: OptimConfig,
     rng: np.random.Generator,
     activation: str = "relu",
 ):
@@ -268,7 +296,7 @@ def disalign(
     theta,
     phi_star,
     dataset: LongTailDataset,
-    optim: SgdHyper,
+    optim: OptimConfig,
     rng: np.random.Generator,
     activation: str = "relu",
     rho: float = 1.0,
@@ -317,7 +345,7 @@ def stochastic_representations(
     x: np.ndarray,
     source: str,
     model,
-    config: SreprConfig,
+    config: RetrainConfig,
     rng: np.random.Generator,
     activation: str = "relu",
 ) -> np.ndarray:
@@ -329,12 +357,12 @@ def stochastic_representations(
     noise of std jitter_std.
     """
     if source == "posterior":
-        return posterior_features(model, x, config.num_samples, rng, activation)
+        return posterior_features(model, x, config.srepr_m, rng, activation)
     if source == "input_jitter":
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return np.stack([
             features(model, jitter_inputs(x, config.jitter_std, rng), activation)
-            for _ in range(config.num_samples)
+            for _ in range(config.srepr_m)
         ])
     raise ValueError(f"unknown stochastic source {source!r}")
 
@@ -381,11 +409,6 @@ def mean_ce_loss_and_grad(
         gb += gb_m[j]
     m = len(reps)
     return loss / m, gw / m, gb / m
-
-
-def mean_ce_loss(w, b, reps, labels, balancing: BalancingSpec) -> float:
-    loss, _, _ = mean_ce_loss_and_grad(w, b, reps, labels, balancing)
-    return loss
 
 
 def teacher_probs(logits: np.ndarray, tau_kd: float):
@@ -439,36 +462,6 @@ def student_alpha_from_logits(z: np.ndarray, tau_kd: float):
     return alpha_pre + 1.0, dalpha_dz
 
 
-def student_alpha(theta_swa, w, b, x, tau_kd: float, activation: str = "relu"):
-    """Concentrations of the student's implicit Dirichlet on the averaged
-    extractor's representation. The student's mean prediction equals the
-    temperature-scaled softmax of the same logits."""
-    z = classifier_logits(w, b, features(theta_swa, np.atleast_2d(x), activation))
-    alpha, _ = student_alpha_from_logits(z, tau_kd)
-    return alpha
-
-
-def dirichlet_kl(alpha, beta):
-    """KL divergence between Dirichlet distributions, closed form.
-
-    Accepts (K,) or (B, K) row pairs; returns a scalar or (B,).
-    """
-    a = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
-    bb = np.atleast_2d(np.asarray(beta, dtype=np.float64))
-    if np.any(a <= 0.0) or np.any(bb <= 0.0):
-        raise ValueError("concentration parameters must be positive")
-    a0 = a.sum(axis=1)
-    b0 = bb.sum(axis=1)
-    val = (
-        gammaln(a0)
-        - gammaln(a).sum(axis=1)
-        - gammaln(b0)
-        + gammaln(bb).sum(axis=1)
-        + ((a - bb) * (digamma(a) - digamma(a0)[:, None])).sum(axis=1)
-    )
-    return float(val[0]) if np.asarray(alpha).ndim == 1 else val
-
-
 def kd_loss_and_alpha_grad(alpha: np.ndarray, beta: np.ndarray, p_bar: np.ndarray):
     """Distillation loss and its gradient wrt the student concentrations.
 
@@ -492,7 +485,7 @@ def kd_loss_and_alpha_grad(alpha: np.ndarray, beta: np.ndarray, p_bar: np.ndarra
     psi_a0 = digamma(a0)
     dpsi = psi_a - psi_a0[:, None]
     term1 = -(t * dpsi).sum(axis=1)
-    # dirichlet_kl(a, ones) from the digammas above; gammaln(1) is 0
+    # the KL to the flat Dirichlet(1, ..., 1), from the digammas above; gammaln(1) is 0
     kl_flat = gammaln(a0) - gammaln(a).sum(axis=1) - gammaln(k) + ((a - 1.0) * dpsi).sum(axis=1)
     loss = (term1 + kl_flat / b0).mean()
 
@@ -507,11 +500,6 @@ def kd_loss_and_alpha_grad(alpha: np.ndarray, beta: np.ndarray, p_bar: np.ndarra
     return float(loss), grad
 
 
-def kd_loss(alpha, beta, p_bar) -> float:
-    loss, _ = kd_loss_and_alpha_grad(alpha, beta, p_bar)
-    return loss
-
-
 def srepr_batch_loss_and_grad(
     w: np.ndarray,
     b: np.ndarray,
@@ -519,9 +507,10 @@ def srepr_batch_loss_and_grad(
     f_swa: np.ndarray,
     labels: np.ndarray,
     balancing: BalancingSpec,
-    config: SreprConfig,
+    config: RetrainConfig,
 ):
-    """Combined stage-2 loss on one batch and its classifier gradients.
+    """Combined stage-2 loss on one batch and its classifier gradients: the
+    mean CE and the distillation term, weighted equally.
 
     The rebalancing spec touches only the cross-entropy term; the
     distillation term always distills the unweighted teacher ensemble.
@@ -529,18 +518,18 @@ def srepr_batch_loss_and_grad(
     logits = classifier_logits(w, b, reps)  # the M teachers' logits, shared by both terms
     ce, gw_ce, gb_ce = mean_ce_loss_and_grad(w, b, reps, labels, balancing, logits)
 
-    probs, p_bar = teacher_probs(logits, config.kd_temperature)
+    probs, p_bar = teacher_probs(logits, config.kd_temp)
     beta = estimate_beta(probs, config.beta_floor)
     z = classifier_logits(w, b, f_swa)
-    alpha, dalpha_dz = student_alpha_from_logits(z, config.kd_temperature)
+    alpha, dalpha_dz = student_alpha_from_logits(z, config.kd_temp)
     kd, dkd_dalpha = kd_loss_and_alpha_grad(alpha, beta, p_bar)
     dkd_dz = dkd_dalpha * dalpha_dz
     gw_kd = f_swa.T @ dkd_dz
     gb_kd = dkd_dz.sum(axis=0)
 
-    loss = config.ce_weight * ce + config.kd_weight * kd
-    gw = config.ce_weight * gw_ce + config.kd_weight * gw_kd
-    gb = config.ce_weight * gb_ce + config.kd_weight * gb_kd
+    loss = 0.5 * ce + 0.5 * kd
+    gw = 0.5 * gw_ce + 0.5 * gw_kd
+    gb = 0.5 * gb_ce + 0.5 * gb_kd
     return loss, gw, gb, {"ce": ce, "kd": kd}
 
 
@@ -549,8 +538,8 @@ def srepr_batches(
     posterior: SwagPosterior | None,
     dataset: LongTailDataset,
     balancing: BalancingSpec,
-    config: SreprConfig,
-    optim: SgdHyper,
+    config: RetrainConfig,
+    optim: OptimConfig,
     rng: np.random.Generator,
     activation: str = "relu",
 ):
@@ -564,7 +553,7 @@ def srepr_batches(
     then M x B x D normals for its rows. Everything comes from ``rng`` in
     that order. ``reps`` is one buffer, rewritten every step.
     """
-    m, batch = config.num_samples, optim.batch_size
+    m, batch = config.srepr_m, optim.batch_size
     sampler = _stage2_sampler(balancing)
     per_epoch = steps_per_epoch(dataset.num_examples, batch)
     by_epoch = config.stochastic_source == "posterior"
@@ -596,8 +585,8 @@ def srepr_retrain(
     phi_init,
     dataset: LongTailDataset,
     balancing: BalancingSpec,
-    config: SreprConfig,
-    optim: SgdHyper,
+    config: RetrainConfig,
+    optim: OptimConfig,
     rng: np.random.Generator,
     activation: str = "relu",
 ):

@@ -15,28 +15,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .netcore import ModelParams, cosine_lr, features, param_views
+from .util import check
 
 
 @dataclass(frozen=True)
-class SwaSchedule:
-    """When averaging starts, how often snapshots are captured, and the
-    constant learning rate used during the averaging phase.
+class SwaConfig:
+    """The ``[swa]`` section: whether stage 1 averages weights, the fraction
+    of its steps after which averaging starts, the constant learning rate
+    of the averaging phase, and the posterior draws analysis makes.
 
-    ``capture_interval_steps`` is a step modulus; training loops set it to
-    their steps-per-epoch so captures land on epoch boundaries.
+    Snapshots are captured every steps-per-epoch steps past the start, so
+    they land on epoch boundaries.
     """
 
-    start_fraction: float = 0.75
-    capture_interval_steps: int = 1
-    swa_lr: float = 0.01
+    enabled: bool = True
+    start_frac: float = 0.75
+    swa_lr: float = 0.12
+    swag_samples: int = 10
 
     def validate(self) -> None:
-        if not 0.0 < self.start_fraction < 1.0:
-            raise ValueError("start_fraction must be in (0, 1)")
-        if self.capture_interval_steps < 1:
-            raise ValueError("capture_interval_steps must be >= 1")
-        if self.swa_lr <= 0.0:
-            raise ValueError("swa_lr must be positive")
+        check(
+            (self.swag_samples >= 1, "swa.swag_samples must be >= 1"),
+            (not self.enabled or 0.0 < self.start_frac < 1.0, "swa.start_frac must be in (0, 1)"),
+            (not self.enabled or self.swa_lr > 0.0, "swa.swa_lr must be positive"),
+        )
 
 
 @dataclass
@@ -172,19 +174,16 @@ def posterior_features(posterior: SwagPosterior, x: np.ndarray, num_samples: int
     return reps
 
 
-def should_capture(step: int, total_steps: int, schedule: SwaSchedule) -> bool:
+def should_capture(step: int, total_steps: int, swa: SwaConfig, steps_per_epoch: int) -> bool:
     """True when the completed-step count is strictly past the start fraction
-    and on the capture modulus."""
+    and on an epoch boundary."""
     if step > total_steps:
         raise ValueError("step beyond total_steps")
-    return (
-        step > schedule.start_fraction * total_steps
-        and step % schedule.capture_interval_steps == 0
-    )
+    return step > swa.start_frac * total_steps and step % steps_per_epoch == 0
 
 
-def swa_learning_rate(step: int, total_steps: int, base_lr: float, schedule: SwaSchedule) -> float:
+def swa_learning_rate(step: int, total_steps: int, base_lr: float, swa: SwaConfig) -> float:
     """Cosine decay before the averaging phase, constant swa_lr after it."""
-    if step + 1 > schedule.start_fraction * total_steps:
-        return schedule.swa_lr
+    if step + 1 > swa.start_frac * total_steps:
+        return swa.swa_lr
     return cosine_lr(step, total_steps, base_lr)

@@ -1,5 +1,5 @@
-"""Shared helpers: labelled RNG streams, small numeric utilities and
-length-checked reads from binary files."""
+"""Shared helpers: labelled RNG streams, config range checks, small numeric
+utilities and length-checked reads from binary files."""
 
 from __future__ import annotations
 
@@ -8,16 +8,14 @@ import io
 import numpy as np
 
 # Labelled spawn keys so every consumer of randomness inside a run gets an
-# independent, reproducible stream derived from the single run seed.
+# independent, reproducible stream derived from the single run seed. Keys
+# 12, 14 and 15 are retired; the others keep their numbers.
 STREAM_CLASS_MEANS = 0
 STREAM_TRAIN_NOISE = 1
 STREAM_TEST_NOISE = 2
 STREAM_INIT = 10
 STREAM_BATCH = 11
-STREAM_RETRAIN_INIT = 12
 STREAM_RETRAIN_BATCH = 13
-STREAM_POSTERIOR = 14
-STREAM_JITTER = 15
 STREAM_ANALYSIS = 16
 STREAM_ENSEMBLE = 17
 STREAM_MIXUP = 18
@@ -26,6 +24,14 @@ STREAM_MIXUP = 18
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
     """Independent generator for (seed, stream); same pair always reproduces."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+
+
+def check(*rules) -> None:
+    """Raise ValueError with the message of the first ``(ok, message)``
+    rule that does not hold."""
+    for ok, message in rules:
+        if not ok:
+            raise ValueError(message)
 
 
 def round_half_up(x):

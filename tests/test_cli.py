@@ -2,12 +2,14 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ltsrepr.pipeline as pl
 from ltsrepr.checkpoint import load_checkpoint
-from ltsrepr.cli import _write_json, main
+from ltsrepr.cli import FLAGS, _write_json, build_parser, load_config, main
 
 TINY_CONFIG = """\
 [dataset]
@@ -52,6 +54,52 @@ def pretrain(workdir, out="run", swa="on", extra=()):
     )
     assert code == 0
     return workdir / out / "pretrain.ckpt"
+
+
+def flag_value(flag):
+    """A command-line value for ``flag`` and the config value it must set,
+    which differs from the default."""
+    key, value, _, _ = FLAGS[flag]
+    section, name = key.split(".")
+    old = getattr(getattr(pl.ExperimentConfig(), section), name)
+    if isinstance(value, dict):
+        return next((text, v) for text, v in value.items() if v != old)
+    if isinstance(value, tuple):
+        text = next(v for v in value if v != old)
+        return text, text
+    if value is pl.parse_ints:
+        return "3,4", (3, 4)
+    if value is str:
+        return "elsewhere", "elsewhere"
+    new = old + 1 if value is int else (old / 2 if old else 0.5)
+    return str(new), new
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("flag, command", [
+        (flag, command) for flag, (_, _, _, commands) in FLAGS.items() for command in commands
+    ])
+    def test_flag_sets_only_its_field(self, flag, command):
+        key, *_ = FLAGS[flag]
+        section, name = key.split(".")
+        text, want = flag_value(flag)
+        argv = [command, flag, text]
+        if command in ("retrain", "eval", "analyze"):
+            argv += ["--checkpoint", "unused.ckpt"]
+        default = pl.ExperimentConfig()
+        cfg = load_config(build_parser().parse_args(argv))
+        assert getattr(getattr(cfg, section), name) == want
+        assert cfg == replace(default, **{section: replace(getattr(default, section), **{name: want})})
+
+    @pytest.mark.parametrize("flag, text, section, name, want", [
+        ("--stochastic-source", "jitter", "retrain", "stochastic_source", "input_jitter"),
+        ("--stochastic-source", "posterior", "retrain", "stochastic_source", "posterior"),
+        ("--swa", "on", "swa", "enabled", True),
+        ("--swa", "off", "swa", "enabled", False),
+    ])
+    def test_mapped_choices(self, flag, text, section, name, want):
+        cfg = load_config(build_parser().parse_args(["sweep", flag, text]))
+        assert getattr(getattr(cfg, section), name) == want
 
 
 class TestPretrainCommand:
@@ -165,6 +213,18 @@ class TestRetrainCommand:
         assert len(err) == 1 and err[0].startswith("error: disalign diverged: gate saturated")
         assert not (workdir / "div").exists()
 
+
+    def test_diverged_lws_fails_without_checkpoint(self, workdir, capsys):
+        # tau runs to ~-258 with a finite loss; the scaled weights would be ~1e-128
+        ckpt = pretrain(workdir, out="swa")
+        code = run_cli(
+            "retrain", "--checkpoint", str(ckpt), "--output-dir", "div", "--retrain", "lws",
+            "--retrain-lr", "1e3",
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: lws diverged: norm^-tau leaves float32")
+        assert not (workdir / "div").exists()
 
 class TestEvalCommand:
     def test_report_files_and_determinism(self, workdir):

@@ -19,12 +19,10 @@ from ltsrepr.data import (
     assign_splits,
     class_balanced_indices,
     instance_balanced_indices,
-    load_dataset,
     load_dataset_pair,
     longtail_class_counts,
     make_longtail_dataset,
     mixup_batch,
-    save_dataset,
     save_dataset_pair,
     steps_per_epoch,
     write_dataset_record,
@@ -79,8 +77,8 @@ class TestSplits:
 
 class TestGeneration:
     def test_invariants(self):
-        cfg = DatasetConfig(seed=3)
-        train, test = make_longtail_dataset(cfg)
+        cfg = DatasetConfig()
+        train, test = make_longtail_dataset(cfg, 3)
         assert train.class_counts.sum() == train.num_examples
         assert abs(train.frequencies.sum() - 1.0) < 1e-12
         np.testing.assert_array_equal(
@@ -90,21 +88,21 @@ class TestGeneration:
         assert test.num_examples == cfg.num_classes * cfg.test_per_class
 
     def test_default_benchmark_populates_all_splits(self):
-        train, _ = make_longtail_dataset(DatasetConfig())
+        train, _ = make_longtail_dataset(DatasetConfig(), 0)
         assert {MANY, MEDIUM, FEW} == set(train.splits)
 
     def test_test_split_inherits_train_tags(self):
-        train, test = make_longtail_dataset(DatasetConfig(seed=1))
+        train, test = make_longtail_dataset(DatasetConfig(), 1)
         assert test.splits == train.splits
         # the balanced test counts would tag everything identically otherwise
         assert len(set(assign_splits(test.class_counts))) == 1
 
     def test_deterministic(self):
-        a_train, a_test = make_longtail_dataset(DatasetConfig(seed=11))
-        b_train, b_test = make_longtail_dataset(DatasetConfig(seed=11))
+        a_train, a_test = make_longtail_dataset(DatasetConfig(), 11)
+        b_train, b_test = make_longtail_dataset(DatasetConfig(), 11)
         assert np.array_equal(a_train.features, b_train.features)
         assert np.array_equal(a_test.features, b_test.features)
-        c_train, _ = make_longtail_dataset(DatasetConfig(seed=12))
+        c_train, _ = make_longtail_dataset(DatasetConfig(), 12)
         assert not np.array_equal(a_train.features, c_train.features)
 
     def test_class_mean_separation(self):
@@ -118,11 +116,11 @@ class TestGeneration:
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
-            make_longtail_dataset(DatasetConfig(num_classes=1))
+            make_longtail_dataset(DatasetConfig(num_classes=1), 0)
         with pytest.raises(ValueError):
-            make_longtail_dataset(DatasetConfig(imbalance_factor=0.0))
+            make_longtail_dataset(DatasetConfig(imbalance_factor=0.0), 0)
         with pytest.raises(ValueError):
-            make_longtail_dataset(DatasetConfig(imbalance_factor=1.0001))
+            make_longtail_dataset(DatasetConfig(imbalance_factor=1.0001), 0)
 
 
 def toy_dataset(counts, dim=3, seed=0):
@@ -184,7 +182,7 @@ class TestClassBalancedSampling:
         rng = np.random.default_rng(8)
         n = 120_000
         idx = class_balanced_indices(ds, n, rng)
-        member = ds.class_members(0)[0]
+        member = np.flatnonzero(ds.labels == 0)[0]
         p = (idx == member).mean()
         se = math.sqrt((1 / 6) * (5 / 6) / n)
         assert abs(p - 1 / 6) < 3 * se
@@ -203,7 +201,7 @@ class TestClassBalancedSampling:
         rng = np.random.default_rng(10)
         n = 100_000
         idx = class_balanced_indices(ds, n, rng)
-        members = ds.class_members(0)
+        members = np.flatnonzero(ds.labels == 0)
         counts = np.array([(idx == m).sum() for m in members])
         freq = counts / counts.sum()
         se = math.sqrt(0.25 * 0.75 / counts.sum())
@@ -253,10 +251,10 @@ class TestMixup:
 
 class TestBinaryFormat:
     def test_roundtrip(self, tmp_path):
-        train, _ = make_longtail_dataset(DatasetConfig(seed=2))
-        path = tmp_path / "train.bin"
-        save_dataset(path, train)
-        loaded = load_dataset(path)
+        train, test = make_longtail_dataset(DatasetConfig(), 2)
+        path = tmp_path / "cache.bin"
+        save_dataset_pair(path, train, test)
+        loaded, _ = load_dataset_pair(path)
         np.testing.assert_array_equal(loaded.labels, train.labels)
         # payload is float32; loading quantizes accordingly
         np.testing.assert_array_equal(
@@ -276,7 +274,7 @@ class TestBinaryFormat:
         assert len(raw) == 8 + 12 + 4 * n * d + 4 * n
 
     def test_pair_roundtrip(self, tmp_path):
-        train, test = make_longtail_dataset(DatasetConfig(seed=4))
+        train, test = make_longtail_dataset(DatasetConfig(), 4)
         path = tmp_path / "cache.bin"
         save_dataset_pair(path, train, test)
         t2, s2 = load_dataset_pair(path)
@@ -288,7 +286,7 @@ class TestBinaryFormat:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
-            load_dataset(path)
+            load_dataset_pair(path)
 
 
 def record(dataset: LongTailDataset) -> bytes:
@@ -315,7 +313,7 @@ def scratch(tmp_path_factory):
 class TestDamagedCache:
     @pytest.fixture(scope="class")
     def desk_cache(self):
-        return encode_pair(*make_longtail_dataset(DatasetConfig()))
+        return encode_pair(*make_longtail_dataset(DatasetConfig(), 0))
 
     def test_truncated_features_named(self, scratch, desk_cache):
         with pytest.raises(ValueError, match="truncated dataset cache: train features needs 99360 bytes"):
@@ -335,10 +333,11 @@ class TestDamagedCache:
             decode_pair(scratch, desk_cache + b"junk")
 
     def test_trailing_bytes_after_single_record_rejected(self, tmp_path):
+        # a lone record plus one byte: the byte cannot pass for the test record
         path = tmp_path / "one.bin"
         path.write_bytes(record(toy_dataset([2, 1])) + b"x")
-        with pytest.raises(ValueError, match="1 unexpected bytes after the train record"):
-            load_dataset(path)
+        with pytest.raises(ValueError, match="truncated dataset cache: test magic needs 8 bytes"):
+            load_dataset_pair(path)
 
     def test_label_outside_classes_named(self, scratch):
         train, test = toy_dataset([2, 1]), toy_dataset([1, 1])

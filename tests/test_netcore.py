@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from ltsrepr.netcore import (
     ModelParams,
+    OptimConfig,
     OptimState,
-    SgdHyper,
     backward,
     cosine_lr,
     cross_entropy,
@@ -248,7 +248,7 @@ class TestSgd:
             np.zeros_like(params.w),
             np.zeros_like(params.b),
         )
-        hyper = SgdHyper(base_lr=0.1, momentum=0.0, weight_decay=0.0)
+        hyper = OptimConfig(lr=0.1, momentum=0.0, weight_decay=0.0)
         state = OptimState.for_arrays([params.flat], hyper, 10)
         sgd_update_arrays([params.flat], [zero.flat], state, lr=0.1)
         np.testing.assert_array_equal(params.flat, before)
@@ -256,7 +256,7 @@ class TestSgd:
     def test_weight_decay_hand_case(self):
         # scalar 1.0, zero gradient, wd 5e-4, lr 0.1: 1 - 0.1*(2*5e-4*1) = 0.9999
         p = [np.array([1.0])]
-        hyper = SgdHyper(base_lr=0.1, momentum=0.0, weight_decay=0.0005)
+        hyper = OptimConfig(lr=0.1, momentum=0.0, weight_decay=0.0005)
         state = OptimState.for_arrays(p, hyper, 1)
         sgd_update_arrays(p, [np.array([0.0])], state, lr=0.1)
         np.testing.assert_allclose(p[0], [0.9999], atol=1e-15)
@@ -266,7 +266,7 @@ class TestSgd:
         g1, g2 = rng.standard_normal(4), rng.standard_normal(4)
         p = [rng.standard_normal(4)]
         start = p[0].copy()
-        hyper = SgdHyper(base_lr=0.05, momentum=0.0, weight_decay=0.0)
+        hyper = OptimConfig(lr=0.05, momentum=0.0, weight_decay=0.0)
         state = OptimState.for_arrays(p, hyper, 2)
         sgd_update_arrays(p, [g1], state, lr=0.05)
         sgd_update_arrays(p, [g2], state, lr=0.05)
@@ -277,7 +277,7 @@ class TestSgd:
         rng = np.random.default_rng(16)
         grads = [rng.standard_normal(3) for _ in range(4)]
         p = [np.zeros(3)]
-        hyper = SgdHyper(base_lr=0.1, momentum=0.9, weight_decay=0.0)
+        hyper = OptimConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
         state = OptimState.for_arrays(p, hyper, 4)
         for g in grads:
             sgd_update_arrays(p, [g], state, lr=0.1)
@@ -290,7 +290,7 @@ class TestSgd:
 
     def test_scheduled_lr_from_state(self):
         p = [np.array([1.0])]
-        hyper = SgdHyper(base_lr=0.2, momentum=0.0, weight_decay=0.0)
+        hyper = OptimConfig(lr=0.2, momentum=0.0, weight_decay=0.0)
         state = OptimState.for_arrays(p, hyper, 4)
         sgd_update_arrays(p, [np.array([1.0])], state)  # t=0: lr = base
         np.testing.assert_allclose(p[0], [1.0 - 0.2], atol=1e-15)
@@ -323,7 +323,7 @@ class TestFusedSgd:
         arrays = [rng.standard_normal(shape) for shape in layout]
         flat = np.concatenate([a.ravel() for a in arrays])
         buffers = [np.zeros_like(a) for a in arrays]
-        state = OptimState.for_arrays([flat], SgdHyper(momentum=mu, weight_decay=wd), steps)
+        state = OptimState.for_arrays([flat], OptimConfig(momentum=mu, weight_decay=wd), steps)
         for _ in range(steps):
             grads = [rng.standard_normal(shape) for shape in layout]
             lr = float(rng.uniform(0.01, 0.5))
@@ -337,7 +337,7 @@ class TestFusedSgd:
         params = small_params(rng)
         reference = [a.copy() for a in params.arrays()]
         buffers = [np.zeros_like(a) for a in reference]
-        hyper = SgdHyper(momentum=0.9, weight_decay=5e-4)
+        hyper = OptimConfig(momentum=0.9, weight_decay=5e-4)
         grads = params.like(np.empty_like(params.flat))
         state = OptimState.for_arrays([params.flat], hyper, 2)
         for _ in range(2):
@@ -350,7 +350,7 @@ class TestFusedSgd:
 
     def test_mismatched_state_rejected(self):
         params = small_params(np.random.default_rng(23))
-        state = OptimState.for_arrays(params.arrays(), SgdHyper(), 1)
+        state = OptimState.for_arrays(params.arrays(), OptimConfig(), 1)
         with pytest.raises(ValueError):
             sgd_update_arrays([params.flat], [np.zeros_like(params.flat)], state, 0.1)
 

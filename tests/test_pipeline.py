@@ -1,12 +1,16 @@
 """Tests for the experiment config and the end-to-end drivers."""
 
 import importlib
+import json
+import string
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ltsrepr.pipeline as pl
 
@@ -24,6 +28,32 @@ def tiny_config(seed=0, swa=True, epochs=8, method="crt"):
         retrain=replace(cfg.retrain, method=method, srepr_m=3),
         run=replace(cfg.run, seed=seed),
     )
+
+
+def field_values(default):
+    """Values of the type of a config field with this default."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-2**40, 2**40)
+    if isinstance(default, float):
+        return st.floats(allow_nan=False)
+    if isinstance(default, tuple):
+        return st.lists(st.integers(-2**20, 2**20), max_size=4).map(tuple)
+    return st.text(string.ascii_letters + string.digits + "_-./%", min_size=1, max_size=12)
+
+
+def section_values(section_cls):
+    defaults = section_cls()
+    return st.builds(section_cls, **{
+        f.name: field_values(getattr(defaults, f.name)) for f in fields(section_cls)
+    })
+
+
+# built from the section dataclasses' fields, so a new field is covered as it lands
+configs = st.builds(pl.ExperimentConfig, **{
+    f.name: section_values(f.default_factory) for f in fields(pl.ExperimentConfig)
+})
 
 
 class TestConfigSerialization:
@@ -55,6 +85,15 @@ seeds = 1,2,3
         assert once.optim.lr == 0.05
         assert not once.swa.enabled
         assert once.run.seeds == (1, 2, 3)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(configs)
+    def test_random_configs_roundtrip(self, cfg):
+        # every well-typed config, valid or not, survives the INI text, the
+        # dict and the JSON the checkpoint metadata holds
+        assert pl.ExperimentConfig.from_text(cfg.to_text()) == cfg
+        assert pl.ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert pl.ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_dict_roundtrip(self):
         cfg = tiny_config(seed=5)
@@ -95,10 +134,11 @@ class TestValidate:
         ("retrain", "epochs_frac", -1.0, "epochs_frac must be positive"),
         ("optim", "lr", float("nan"), "optim.lr must be positive"),
         ("optim", "momentum", 1.0, "momentum"),
-        ("retrain", "srepr_m", 1, "num_samples must be >= 2"),
+        ("retrain", "srepr_m", 1, "srepr_m must be >= 2"),
         ("retrain", "balance", "magic", "retrain.balance"),
         ("dataset", "num_classes", 1, "num_classes must be >= 2"),
-        ("swa", "start_frac", 1.0, "start_fraction"),
+        ("dataset", "class_separation", 0.0, "dataset.class_separation"),
+        ("swa", "start_frac", 1.0, "swa.start_frac"),
     ])
     def test_out_of_range_rejected(self, section, key, value, message):
         cfg = pl.apply_overrides(tiny_config(), {f"{section}.{key}": value})

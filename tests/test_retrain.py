@@ -10,13 +10,14 @@ import pytest
 from gradcheck import assert_grad_close, numeric_grad
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import dirichlet_kl, kd_loss, mean_ce_loss
 from scipy import stats
 from scipy.special import digamma, gammaln, polygamma
 
 from ltsrepr.balancing import BalancingSpec, example_weights, logit_adjust
 from ltsrepr.data import LongTailDataset, class_balanced_indices
 from ltsrepr.netcore import (
-    SgdHyper,
+    OptimConfig,
     classifier_logits,
     features,
     init_classifier,
@@ -27,19 +28,16 @@ from ltsrepr.netcore import (
 import ltsrepr.retrain as retrain_mod
 from ltsrepr.retrain import (
     DisAlignParams,
-    SreprConfig,
+    RetrainConfig,
     crt,
-    dirichlet_kl,
     disalign,
     disalign_logits,
     disalign_loss_and_grads,
     estimate_beta,
     fit_head,
-    kd_loss,
     kd_loss_and_alpha_grad,
     lws,
     lws_classifier,
-    mean_ce_loss,
     mean_ce_loss_and_grad,
     srepr_batch_loss_and_grad,
     srepr_batches,
@@ -80,7 +78,7 @@ def frozen_posterior(params, spread=0.05, rng_seed=0):
 class TestCrt:
     def test_zero_epochs_returns_initialization(self):
         ds = blob_dataset([10, 10], [[-1, 0], [1, 0]])
-        hyper = SgdHyper(epochs=0, batch_size=8)
+        hyper = OptimConfig(epochs=0, batch_size=8, weight_decay=0.0005)
         w, b = crt([], ds, BalancingSpec("cbs"), hyper, np.random.default_rng(5))
         w0, b0 = init_classifier(np.random.default_rng(5), 2, 2)
         np.testing.assert_array_equal(w, w0)
@@ -88,7 +86,7 @@ class TestCrt:
 
     def test_separable_toy_reaches_full_accuracy(self):
         ds = blob_dataset([30, 30], [[-5, -5], [5, 5]], noise=0.5, seed=1)
-        hyper = SgdHyper(base_lr=0.5, momentum=0.9, weight_decay=0.0, epochs=50, batch_size=16)
+        hyper = OptimConfig(lr=0.5, momentum=0.9, weight_decay=0.0, epochs=50, batch_size=16)
         w, b = crt([], ds, BalancingSpec("cbs"), hyper, np.random.default_rng(2))
         preds = classifier_logits(w, b, ds.features).argmax(axis=1)
         assert (preds == ds.labels).mean() == 1.0
@@ -99,14 +97,15 @@ class TestCrt:
         theta = params.layers
         snapshot = [(w.copy(), b.copy()) for w, b in theta]
         ds = blob_dataset([20, 8], [[-1, 0], [1, 0]], seed=4)
-        crt(theta, ds, BalancingSpec("cbs"), SgdHyper(epochs=3, batch_size=8), rng)
+        optim = OptimConfig(epochs=3, batch_size=8, weight_decay=0.0005)
+        crt(theta, ds, BalancingSpec("cbs"), optim, rng)
         for (w0, b0), (w1, b1) in zip(snapshot, theta):
             np.testing.assert_array_equal(w0, w1)
             np.testing.assert_array_equal(b0, b1)
 
     def test_divergence_raises(self):
         ds = blob_dataset([20, 8], [[-1, 0], [1, 0]], seed=4)
-        hyper = SgdHyper(base_lr=1e6, epochs=100, batch_size=8)
+        hyper = OptimConfig(lr=1e6, epochs=100, batch_size=8, weight_decay=0.0005)
         with pytest.raises(FloatingPointError, match="crt diverged"):
             crt([], ds, BalancingSpec("cbs"), hyper, np.random.default_rng(5))
 
@@ -140,10 +139,28 @@ class TestLws:
         ds = blob_dataset([40, 5], [[-2, 0], [2, 0]], seed=9)
         rng = np.random.default_rng(10)
         w_star, b_star = rng.standard_normal((2, 2)) * 3.0, np.zeros(2)
-        hyper = SgdHyper(base_lr=0.5, momentum=0.0, weight_decay=0.0, epochs=5, batch_size=8)
+        hyper = OptimConfig(lr=0.5, momentum=0.0, weight_decay=0.0, epochs=5, batch_size=8)
         w, b, tau = lws([], (w_star, b_star), ds, BalancingSpec("cbs"), hyper, rng)
         assert tau != 0.0
         np.testing.assert_allclose(w, lws_classifier(w_star, b_star, tau)[0], atol=1e-12)
+
+
+    @pytest.mark.parametrize("tau", [1e4, -1e4, -260.0])
+    def test_scale_outside_float32_raises(self, tau):
+        # the unit-norm class keeps scale 1; for the other (norm ~0.54)
+        # norm^-tau is inf at tau 1e4, 0 at -1e4 and ~1e-70 at -260
+        w_star = np.array([[1.0, 0.5], [0.0, 0.2]])
+        with pytest.raises(FloatingPointError,
+                           match="lws diverged: norm\\^-tau leaves float32 range for 1 of 2"):
+            lws_classifier(w_star, np.zeros(2), tau)
+
+    def test_diverged_training_raises(self):
+        ds = blob_dataset([40, 5], [[-2, 0], [2, 0]], seed=9)
+        rng = np.random.default_rng(10)
+        w_star, b_star = rng.standard_normal((2, 2)) * 3.0, np.zeros(2)
+        optim = OptimConfig(lr=1e3, momentum=0.9, weight_decay=0.0005, epochs=5, batch_size=8)
+        with pytest.raises(FloatingPointError, match="lws diverged: "):
+            lws([], (w_star, b_star), ds, BalancingSpec("cbs"), optim, rng)
 
 
 class TestDisAlign:
@@ -201,7 +218,8 @@ class TestDisAlign:
         w_star, b_star = params.w.copy(), params.b.copy()
         ds = blob_dataset([30, 6], [[-1, 0], [1, 0]], seed=17)
         result = disalign(
-            params.layers, (params.w, params.b), ds, SgdHyper(epochs=3, batch_size=8), rng
+            params.layers, (params.w, params.b), ds,
+            OptimConfig(epochs=3, batch_size=8, weight_decay=0.0005), rng
         )
         np.testing.assert_array_equal(params.w, w_star)
         np.testing.assert_array_equal(params.b, b_star)
@@ -213,7 +231,7 @@ class TestDisAlign:
         ds = blob_dataset([30, 6], [[-1, 0], [1, 0]], seed=17)
         with pytest.raises(FloatingPointError, match="disalign diverged: gate saturated on "):
             disalign(params.layers, (params.w, params.b), ds,
-                     SgdHyper(base_lr=1e6, epochs=3, batch_size=8), rng)
+                     OptimConfig(lr=1e6, epochs=3, batch_size=8, weight_decay=0.0005), rng)
 
 
 class TestStochasticRepresentations:
@@ -224,14 +242,14 @@ class TestStochasticRepresentations:
 
     def test_zero_variance_posterior_collapses(self):
         post = frozen_posterior(self.params, spread=0.0)
-        cfg = SreprConfig(num_samples=4)
+        cfg = RetrainConfig(srepr_m=4)
         reps = stochastic_representations(self.x, "posterior", post, cfg, np.random.default_rng(0))
         point = features(self.params.layers, self.x)
         for m in range(4):
             np.testing.assert_allclose(reps[m], point, atol=1e-12)
 
     def test_zero_jitter_collapses(self):
-        cfg = SreprConfig(num_samples=3, stochastic_source="input_jitter", jitter_std=0.0)
+        cfg = RetrainConfig(srepr_m=3, stochastic_source="input_jitter", jitter_std=0.0)
         reps = stochastic_representations(
             self.x, "input_jitter", self.params.layers, cfg, np.random.default_rng(1)
         )
@@ -239,7 +257,7 @@ class TestStochasticRepresentations:
 
     def test_seed_reproducible(self):
         post = frozen_posterior(self.params, spread=0.1)
-        cfg = SreprConfig(num_samples=5)
+        cfg = RetrainConfig(srepr_m=5)
         a = stochastic_representations(self.x, "posterior", post, cfg, np.random.default_rng(2))
         b = stochastic_representations(self.x, "posterior", post, cfg, np.random.default_rng(2))
         assert np.array_equal(a, b)
@@ -247,19 +265,21 @@ class TestStochasticRepresentations:
     def test_unfrozen_posterior_rejected(self):
         post = new_posterior(self.params)
         update_moments(post, self.params)
-        cfg = SreprConfig(num_samples=3)
+        cfg = RetrainConfig(srepr_m=3)
         with pytest.raises(ValueError, match="frozen"):
             stochastic_representations(self.x, "posterior", post, cfg, np.random.default_rng(3))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SreprConfig(num_samples=1).validate()
+            RetrainConfig(srepr_m=1).validate()
         with pytest.raises(ValueError):
-            SreprConfig(kd_temperature=0.0).validate()
+            RetrainConfig(kd_temp=0.0).validate()
         with pytest.raises(ValueError):
-            SreprConfig(beta_floor=0.0).validate()
+            RetrainConfig(beta_floor=0.0).validate()
         with pytest.raises(ValueError):
-            SreprConfig(stochastic_source="dropout").validate()
+            RetrainConfig(stochastic_source="dropout").validate()
+        with pytest.raises(ValueError, match="unknown retrain method"):
+            RetrainConfig(method="mixup").validate()
 
 
 def reference_mean_ce(w, b, reps, labels, balancing):
@@ -450,17 +470,6 @@ class TestStudentAlpha:
         assert np.all(np.isfinite(alpha))
         np.testing.assert_array_equal(dalpha, 0.0)  # both entries clamped
 
-    def test_wrapper_runs_extractor(self):
-        from ltsrepr.retrain import student_alpha
-
-        rng = np.random.default_rng(32)
-        params = init_params(rng, 3, (4,), 5, 2)
-        x = rng.standard_normal((3, 3))
-        alpha = student_alpha(params.layers, params.w, params.b, x, tau_kd=20.0)
-        z = classifier_logits(params.w, params.b, features(params.layers, x))
-        expected, _ = student_alpha_from_logits(z, 20.0)
-        np.testing.assert_allclose(alpha, expected, atol=1e-12)
-
 
 class TestDirichletKl:
     def test_self_divergence_zero(self):
@@ -571,7 +580,7 @@ def srepr_loss_oracle(w, b, reps, f_swa, y, config):
         ce += -np.log(p[np.arange(n), y]).mean()
     ce /= m
 
-    t_logits = np.stack([reps[j] @ w + b for j in range(m)]) / config.kd_temperature
+    t_logits = np.stack([reps[j] @ w + b for j in range(m)]) / config.kd_temp
     t_shift = t_logits - t_logits.max(axis=2, keepdims=True)
     t_probs = np.exp(t_shift) / np.exp(t_shift).sum(axis=2, keepdims=True)
     p_bar = t_probs.mean(axis=0)
@@ -585,7 +594,7 @@ def srepr_loss_oracle(w, b, reps, f_swa, y, config):
         denom = max(denom, config.beta_floor)
         beta_i = p_bar[i] * ((k - 1) / 2.0) / denom + 1.0
         z_i = f_swa[i] @ w + b
-        alpha_i = np.exp(z_i / config.kd_temperature) + 1.0
+        alpha_i = np.exp(z_i / config.kd_temp) + 1.0
         a0 = alpha_i.sum()
         term1 = -(p_bar[i] * (digamma(alpha_i) - digamma(a0))).sum()
         kl = (
@@ -596,7 +605,7 @@ def srepr_loss_oracle(w, b, reps, f_swa, y, config):
         )
         kd_total += term1 + kl / beta_i.sum()
     kd_total /= n
-    return config.ce_weight * ce + config.kd_weight * kd_total
+    return 0.5 * ce + 0.5 * kd_total
 
 
 class TestSreprLoss:
@@ -608,7 +617,7 @@ class TestSreprLoss:
         y = rng.integers(0, k, size=n)
         w = 0.5 * rng.standard_normal((l, k))
         b = 0.1 * rng.standard_normal(k)
-        config = SreprConfig(num_samples=m, kd_temperature=4.0)
+        config = RetrainConfig(srepr_m=m, kd_temp=4.0)
         loss, _, _, _ = srepr_batch_loss_and_grad(
             w, b, reps, f_swa, y, BalancingSpec("none"), config
         )
@@ -626,20 +635,20 @@ class TestSreprLoss:
         y = rng.integers(0, k, size=n)
         w0 = 0.4 * rng.standard_normal((l, k))
         b0 = 0.1 * rng.standard_normal(k)
-        config = SreprConfig(num_samples=m, kd_temperature=3.0)
+        config = RetrainConfig(srepr_m=m, kd_temp=3.0)
         spec = BalancingSpec("grw", rho=1.0, frequencies=np.array([0.5, 0.3, 0.2]))
         _, gw, gb, _ = srepr_batch_loss_and_grad(w0, b0, reps, f_swa, y, spec, config)
 
-        probs0, p_bar0 = teacher_probs(classifier_logits(w0, b0, reps), config.kd_temperature)
+        probs0, p_bar0 = teacher_probs(classifier_logits(w0, b0, reps), config.kd_temp)
         beta0 = estimate_beta(probs0, config.beta_floor)
 
         def frozen_teacher_loss(w, b):
             ce = mean_ce_loss(w, b, reps, y, spec)
             alpha, _ = student_alpha_from_logits(
-                classifier_logits(w, b, f_swa), config.kd_temperature
+                classifier_logits(w, b, f_swa), config.kd_temp
             )
             kd, _ = kd_loss_and_alpha_grad(alpha, beta0, p_bar0)
-            return config.ce_weight * ce + config.kd_weight * kd
+            return 0.5 * ce + 0.5 * kd
 
         num_w = numeric_grad(lambda v: frozen_teacher_loss(v, b0), w0.copy())
         num_b = numeric_grad(lambda v: frozen_teacher_loss(w0, v), b0.copy())
@@ -648,19 +657,20 @@ class TestSreprLoss:
 
     def test_kd_gradient_vanishes_in_degenerate_limit(self):
         # zero posterior spread and huge temperature: teachers and student
-        # collapse toward uniform and the distillation gradient dies
+        # collapse toward uniform and the distillation gradient dies, so the
+        # full gradient is half the mean-CE gradient
         rng = np.random.default_rng(31)
         params = init_params(rng, 3, (4,), 4, 3)
         x = rng.standard_normal((5, 3))
         f_swa = features(params.layers, x)
         reps = np.stack([f_swa, f_swa])  # zero-spread stochastic reps
         y = rng.integers(0, 3, size=5)
-        config = SreprConfig(num_samples=2, kd_temperature=1e9, ce_weight=0.0, kd_weight=1.0)
-        _, gw, gb, parts = srepr_batch_loss_and_grad(
-            params.w, params.b, reps, f_swa, y, BalancingSpec("none"), config
-        )
-        assert np.max(np.abs(gw)) < 1e-6
-        assert np.max(np.abs(gb)) < 1e-6
+        config = RetrainConfig(srepr_m=2, kd_temp=1e9)
+        spec = BalancingSpec("none")
+        _, gw, gb, _ = srepr_batch_loss_and_grad(params.w, params.b, reps, f_swa, y, spec, config)
+        _, gw_ce, gb_ce = mean_ce_loss_and_grad(params.w, params.b, reps, y, spec)
+        assert np.max(np.abs(gw - 0.5 * gw_ce)) < 1e-6
+        assert np.max(np.abs(gb - 0.5 * gb_ce)) < 1e-6
 
 
 class TestSreprTraining:
@@ -673,10 +683,10 @@ class TestSreprTraining:
 
     def test_zero_steps_returns_phi_init(self):
         ds, params, post = self.make_problem()
-        hyper = SgdHyper(epochs=0, batch_size=16)
+        hyper = OptimConfig(epochs=0, batch_size=16, weight_decay=0.0005)
         w, b = srepr_retrain(
             params.layers, post, (params.w, params.b), ds, BalancingSpec("cbs"),
-            SreprConfig(num_samples=3), hyper, np.random.default_rng(1),
+            RetrainConfig(srepr_m=3), hyper, np.random.default_rng(1),
         )
         np.testing.assert_array_equal(w, params.w)
         np.testing.assert_array_equal(b, params.b)
@@ -686,16 +696,17 @@ class TestSreprTraining:
         with pytest.raises(ValueError, match="posterior required"):
             srepr_retrain(
                 params.layers, None, (params.w, params.b), ds, BalancingSpec("cbs"),
-                SreprConfig(num_samples=3), SgdHyper(epochs=1, batch_size=16),
+                RetrainConfig(srepr_m=3), OptimConfig(epochs=1, batch_size=16, weight_decay=0.0005),
                 np.random.default_rng(2),
             )
 
     def test_jitter_source_runs_without_posterior(self):
         ds, params, _ = self.make_problem()
-        cfg = SreprConfig(num_samples=3, stochastic_source="input_jitter", jitter_std=0.1)
+        cfg = RetrainConfig(srepr_m=3, stochastic_source="input_jitter", jitter_std=0.1)
         w, b = srepr_retrain(
             params.layers, None, (params.w, params.b), ds, BalancingSpec("cbs"),
-            cfg, SgdHyper(epochs=1, batch_size=16), np.random.default_rng(3),
+            cfg, OptimConfig(epochs=1, batch_size=16, weight_decay=0.0005),
+            np.random.default_rng(3),
         )
         assert np.all(np.isfinite(w)) and np.all(np.isfinite(b))
 
@@ -704,7 +715,7 @@ class TestSreprTraining:
         snapshot = [(w.copy(), b.copy()) for w, b in params.layers]
         srepr_retrain(
             params.layers, post, (params.w, params.b), ds, BalancingSpec("cbs"),
-            SreprConfig(num_samples=3), SgdHyper(epochs=2, batch_size=16),
+            RetrainConfig(srepr_m=3), OptimConfig(epochs=2, batch_size=16, weight_decay=0.0005),
             np.random.default_rng(5),
         )
         for (w0, b0), (w1, b1) in zip(snapshot, params.layers):
@@ -716,10 +727,11 @@ class TestSreprTraining:
         spe = -(-ds.num_examples // 16)
         epochs = -(-200 // spe)
         assert spe * epochs >= 200
-        spec, config = BalancingSpec("cbs"), SreprConfig(num_samples=3)
+        spec, config = BalancingSpec("cbs"), RetrainConfig(srepr_m=3)
         w, b = srepr_retrain(
             params.layers, post, (params.w, params.b), ds, spec, config,
-            SgdHyper(base_lr=0.2, epochs=epochs, batch_size=16), np.random.default_rng(7),
+            OptimConfig(lr=0.2, epochs=epochs, batch_size=16, weight_decay=0.0005),
+            np.random.default_rng(7),
         )
         # the combined loss on the whole training set, under one fixed set of
         # posterior draws, is lower after training than at the initialization
@@ -741,10 +753,11 @@ class TestDrawAhead:
     def make_problem(self, seed=0):
         return TestSreprTraining().make_problem(seed)
 
-    def run_srepr(self, ds, params, post, config=SreprConfig(num_samples=3), lr=0.1, epochs=2):
+    def run_srepr(self, ds, params, post, config=RetrainConfig(srepr_m=3), lr=0.1, epochs=2):
         return srepr_retrain(
             params.layers, post, (params.w, params.b), ds, BalancingSpec("cbs"), config,
-            SgdHyper(base_lr=lr, epochs=epochs, batch_size=16), np.random.default_rng(9),
+            OptimConfig(lr=lr, epochs=epochs, batch_size=16, weight_decay=0.0005),
+            np.random.default_rng(9),
         )
 
     @staticmethod
@@ -752,7 +765,7 @@ class TestDrawAhead:
         """srepr's stream drawn by hand: a block of M draws at the start of
         each epoch, then each step's indices (and, for jitter, that step's M
         noisy copies); each epoch's block is appended to ``blocks``."""
-        source, m = config.stochastic_source, config.num_samples
+        source, m = config.stochastic_source, config.srepr_m
         for _ in range(optim.epochs):
             if source == "posterior":
                 block = np.empty((m, post.theta_dim))
@@ -770,8 +783,8 @@ class TestDrawAhead:
 
     def check_same_stream(self, source, batch=16, epochs=3):
         ds, params, post = self.make_problem(seed=1)
-        config = SreprConfig(num_samples=3, stochastic_source=source)
-        optim = SgdHyper(epochs=epochs, batch_size=batch)
+        config = RetrainConfig(srepr_m=3, stochastic_source=source)
+        optim = OptimConfig(epochs=epochs, batch_size=batch, weight_decay=0.0005)
         per_epoch = -(-ds.num_examples // batch)
         rng, blocks = np.random.default_rng(4), []
         expected = list(self.hand_stream(ds, params, post, config, optim, rng, blocks))
@@ -812,8 +825,8 @@ class TestDrawAhead:
         # for bit, however finely the interpreter switches threads
         ds, params, post = self.make_problem(seed=1)
         spec = BalancingSpec("cbs")
-        config = SreprConfig(num_samples=3, stochastic_source=source)
-        optim = SgdHyper(base_lr=0.1, epochs=2, batch_size=16)
+        config = RetrainConfig(srepr_m=3, stochastic_source=source)
+        optim = OptimConfig(lr=0.1, epochs=2, batch_size=16, weight_decay=0.0005)
         saved = sys.getswitchinterval()
         try:
             if switch_interval is not None:
@@ -845,7 +858,7 @@ class TestDrawAhead:
         ds, params, post = self.make_problem()
         before = threading.active_count()
         for source in ("posterior", "input_jitter"):
-            self.run_srepr(ds, params, post, SreprConfig(num_samples=3, stochastic_source=source))
+            self.run_srepr(ds, params, post, RetrainConfig(srepr_m=3, stochastic_source=source))
         assert len(counts) == 2 * 2 * -(-ds.num_examples // 16)
         assert set(counts) == {before}
         assert threading.active_count() == before
@@ -853,7 +866,7 @@ class TestDrawAhead:
     @pytest.mark.parametrize("jitter", [True, False])
     def test_divergence_raises_and_joins(self, jitter):
         ds, params, post = self.make_problem()
-        config = SreprConfig(num_samples=3,
+        config = RetrainConfig(srepr_m=3,
                              stochastic_source="input_jitter" if jitter else "posterior")
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="srepr diverged: "):
@@ -875,8 +888,8 @@ class TestDrawAhead:
                 self.run_srepr(ds, params, unfrozen)
             else:
                 next(srepr_batches(params.layers, unfrozen, ds, BalancingSpec("cbs"),
-                                   SreprConfig(num_samples=3),
-                                   SgdHyper(epochs=2, batch_size=16), rng))
+                                   RetrainConfig(srepr_m=3),
+                                   OptimConfig(epochs=2, batch_size=16, weight_decay=0.0005), rng))
         if not retrain:
             assert rng.bit_generator.state == fresh
         assert threading.active_count() == before
@@ -885,7 +898,8 @@ class TestDrawAhead:
         # a consumer that stops after 3 steps has used the first block and
         # 3 steps' indices of the rng, and nothing more
         ds, params, post = self.make_problem()
-        config, optim = SreprConfig(num_samples=3), SgdHyper(epochs=1000, batch_size=16)
+        config = RetrainConfig(srepr_m=3)
+        optim = OptimConfig(epochs=1000, batch_size=16, weight_decay=0.0005)
         rng, hand_rng = np.random.default_rng(0), np.random.default_rng(0)
         before = threading.active_count()
         draws = srepr_batches(params.layers, post, ds, BalancingSpec("cbs"), config, optim, rng)

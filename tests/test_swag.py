@@ -8,7 +8,7 @@ from scipy import stats
 
 from ltsrepr.netcore import ModelParams, features, init_params
 from ltsrepr.swag import (
-    SwaSchedule,
+    SwaConfig,
     fill_theta,
     freeze,
     new_posterior,
@@ -286,32 +286,33 @@ class TestSwaPoint:
 class TestSchedule:
     def test_capture_gate(self):
         # 1200 steps, 20 per epoch, averaging starts past 75%
-        sched = SwaSchedule(start_fraction=0.75, capture_interval_steps=20, swa_lr=0.1)
-        assert not should_capture(600, 1200, sched)  # halfway
-        assert not should_capture(900, 1200, sched)  # boundary is exclusive
-        assert should_capture(920, 1200, sched)  # first epoch end past 75%
-        assert not should_capture(965, 1200, sched)  # mid-epoch at ~80%
-        assert should_capture(1200, 1200, sched)
+        swa = SwaConfig(start_frac=0.75, swa_lr=0.1)
+        assert not should_capture(600, 1200, swa, 20)  # halfway
+        assert not should_capture(900, 1200, swa, 20)  # boundary is exclusive
+        assert should_capture(920, 1200, swa, 20)  # first epoch end past 75%
+        assert not should_capture(965, 1200, swa, 20)  # mid-epoch at ~80%
+        assert should_capture(1200, 1200, swa, 20)
 
     def test_step_beyond_total_rejected(self):
-        sched = SwaSchedule(0.75, 10, 0.1)
         with pytest.raises(ValueError):
-            should_capture(101, 100, sched)
+            should_capture(101, 100, SwaConfig(start_frac=0.75, swa_lr=0.1), 10)
 
     def test_constant_rate_during_averaging_phase(self):
-        sched = SwaSchedule(start_fraction=0.75, capture_interval_steps=10, swa_lr=0.07)
-        lrs = [swa_learning_rate(t, 100, 0.4, sched) for t in range(100)]
+        swa = SwaConfig(start_frac=0.75, swa_lr=0.07)
+        lrs = [swa_learning_rate(t, 100, 0.4, swa) for t in range(100)]
         assert all(lr == 0.07 for lr in lrs[75:])
         assert lrs[0] == pytest.approx(0.4)
         assert lrs[50] == pytest.approx(0.2)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SwaSchedule(start_fraction=1.0).validate()
-        with pytest.raises(ValueError):
-            SwaSchedule(swa_lr=0.0).validate()
-        with pytest.raises(ValueError):
-            SwaSchedule(capture_interval_steps=0).validate()
+        with pytest.raises(ValueError, match="swa.start_frac"):
+            SwaConfig(start_frac=1.0).validate()
+        with pytest.raises(ValueError, match="swa.swa_lr"):
+            SwaConfig(swa_lr=0.0).validate()
+        with pytest.raises(ValueError, match="swa.swag_samples"):
+            SwaConfig(swag_samples=0).validate()
+        # the averaging schedule is not checked when averaging is off
+        SwaConfig(enabled=False, start_frac=1.0, swa_lr=0.0).validate()
 
 
 class TestStackedLayers:
