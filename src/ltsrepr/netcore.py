@@ -15,10 +15,9 @@ The pretraining loop hands ``backward`` one gradient ModelParams to write
 into, and `sgd_update_arrays` moves the whole vector with one fused
 Nesterov step using scratch buffers held in `OptimState`.
 
-`features` also runs stacked layers: R extractor draws as weights
-(R, fan_in, fan_out) and biases (R, 1, fan_out), or R inputs (R, B, D),
-give (R, B, L) in one call. numpy's matmul runs one gemm per member, so
-each member's representation is the same bits as its own 2-D call.
+`features` also runs stacked inputs: R inputs (R, B, D) give (R, B, L) in
+one call. numpy's matmul runs one gemm per member, so each member's
+representation is the same bits as its own 2-D call.
 """
 
 from __future__ import annotations
@@ -55,18 +54,16 @@ ACTIVATIONS = {"relu": (_relu, _drelu), "tanh": (_tanh, _dtanh)}
 
 
 def param_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of ``flat`` with the given shapes, which must
-    account for every entry of its last axis; leading axes of ``flat``
-    lead every view."""
+    """Consecutive views of the vector ``flat`` with the given shapes,
+    which must account for every entry."""
     views = []
     offset = 0
-    lead = flat.shape[:-1]
     for shape in shapes:
         n = prod(shape)
-        views.append(flat[..., offset : offset + n].reshape(*lead, *shape))
+        views.append(flat[offset : offset + n].reshape(shape))
         offset += n
-    if offset != flat.shape[-1]:
-        raise ValueError(f"flat vector has {flat.shape[-1]} entries, expected {offset}")
+    if offset != flat.size:
+        raise ValueError(f"flat vector has {flat.size} entries, expected {offset}")
     return views
 
 
@@ -180,12 +177,13 @@ def features(
     """Representations for a batch: linear layers with the nonlinearity
     between layers (the final representation itself is linear).
 
-    Leading axes broadcast through ``a @ w + b``: stacked layers (weights
-    (R, fan_in, fan_out), biases (R, 1, fan_out)) or stacked inputs
-    (R, B, D) give (R, B, L), one gemm per member. ``out``, when given,
-    holds one array per layer that receives that layer's output (None for
-    a fresh array), so a loop that repeats the same shapes allocates
-    nothing large; the result is then its last entry."""
+    Leading axes broadcast through ``a @ w + b``: stacked inputs (R, B, D),
+    such as srepr's input-jitter copies, give (R, B, L), one gemm per
+    member (stacked weights broadcast the same way, though nothing in the
+    package passes them). ``out``, when given, holds one array per layer
+    that receives that layer's output (None for a fresh array), so a loop
+    that repeats the same shapes allocates nothing large; the result is
+    then its last entry."""
     act, _ = ACTIVATIONS[activation]
     a = np.asarray(x, dtype=np.float64)
     single = a.ndim == 1

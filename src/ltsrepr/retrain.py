@@ -5,12 +5,14 @@ learnable weight scaling of the pre-trained classifier (lws), and gated
 affine logit calibration trained with generalized re-weighting (disalign).
 
 The stochastic-representation method (srepr) draws M feature-extractor
-samples per stage-2 epoch (or M input-jitter draws per batch), treats their
-temperature-scaled predictions on each batch as a virtual teacher ensemble,
-fits a per-example Dirichlet to the ensemble, and trains the classifier
-with an equally weighted sum of the mean cross-entropy over stochastic
-representations and a Dirichlet distillation loss. Gradients flow only
-through the student concentrations; the teacher side is constant.
+samples per stage-2 epoch, runs the epoch's distinct training rows through
+each of them once (input jitter instead draws M noisy copies per batch),
+treats their temperature-scaled predictions on each batch as a virtual
+teacher ensemble, fits a per-example Dirichlet to the ensemble, and trains
+the classifier with an equally weighted sum of the mean cross-entropy over
+stochastic representations and a Dirichlet distillation loss. Gradients
+flow only through the student concentrations; the teacher side is
+constant.
 """
 
 from __future__ import annotations
@@ -546,37 +548,57 @@ def srepr_batches(
     """srepr's stage-2 stream: ``(idx, reps)`` for every step, reps the
     (M, B, L) stochastic representations of the batch ``idx``.
 
-    Source "posterior": at the start of each epoch, before that epoch's
-    first batch indices, M extractor draws fill one (M, theta_dim) block,
-    and every step of the epoch runs its batch through that block as one
-    stacked forward. Source "input_jitter": each step draws its indices,
-    then M x B x D normals for its rows. Everything comes from ``rng`` in
-    that order. ``reps`` is one buffer, rewritten every step.
+    Source "posterior": at the start of each epoch, M extractor draws fill
+    one (M, theta_dim) block, then every step's batch indices of the epoch
+    are drawn. The epoch's U distinct rows run through each member in turn
+    into one (M, U, L) table, and each step takes its rows from it, so a
+    row sampled by several steps is forwarded once per member. A member's
+    gemm gives a row the same bits in any product of two or more rows, so
+    a lone distinct row is forwarded twice. Source "input_jitter": each
+    step draws its indices, then M x B x D normals for its rows.
+    Everything comes from ``rng`` in that order, never ahead of the epoch
+    that uses it. ``reps`` is one buffer, rewritten every step.
     """
     m, batch = config.srepr_m, optim.batch_size
     sampler = _stage2_sampler(balancing)
     per_epoch = steps_per_epoch(dataset.num_examples, batch)
-    by_epoch = config.stochastic_source == "posterior"
-    if by_epoch:
-        block = np.empty((m, posterior.theta_dim))
-        layers = theta_layers(posterior, block)
-    else:
-        block = np.empty((m, batch, dataset.input_dim))
-        layers = theta_swa
-    # every step's stacked forward writes into the same per-layer buffers
-    layer_out = [np.empty((m, batch, wt.shape[-1])) for wt, _ in theta_swa]
-    for _ in range(optim.epochs):
-        if by_epoch:
-            fill_theta(posterior, rng, block)
-        for _ in range(per_epoch):
+    if config.stochastic_source != "posterior":
+        noisy = np.empty((m, batch, dataset.input_dim))
+        # every step's stacked forward writes into the same per-layer buffers
+        layer_out = [np.empty((m, batch, wt.shape[-1])) for wt, _ in theta_swa]
+        for _ in range(optim.epochs * per_epoch):
             idx = sampler(dataset, batch, rng)
-            x = dataset.features[idx]
-            if not by_epoch:
-                rng.standard_normal(out=block)
-                block *= config.jitter_std
-                block += x
-                x = block
-            yield idx, features(layers, x, activation, out=layer_out)
+            rng.standard_normal(out=noisy)
+            noisy *= config.jitter_std
+            noisy += dataset.features[idx]
+            yield idx, features(theta_swa, noisy, activation, out=layer_out)
+        return
+    block = np.empty((m, posterior.theta_dim))
+    reps = np.empty((m, batch, posterior.template.repr_dim))
+    for _ in range(optim.epochs):
+        fill_theta(posterior, rng, block)
+        epoch_idx = [sampler(dataset, batch, rng) for _ in range(per_epoch)]
+        rows, inverse = np.unique(epoch_idx, return_inverse=True)
+        if len(rows) == 1:
+            rows = np.repeat(rows, 2)  # a one-row product runs as gemv, which rounds unlike gemm
+        inverse = inverse.reshape(per_epoch, batch)
+        table = None  # the last epoch's table goes before the next is made
+        table = _member_table(posterior, block, dataset.features[rows], activation)
+        for step, idx in enumerate(epoch_idx):
+            # indices are in range; "clip" spares take the copy "raise" makes
+            yield idx, np.take(table, inverse[step], axis=1, out=reps, mode="clip")
+
+
+def _member_table(posterior: SwagPosterior, block: np.ndarray, x: np.ndarray,
+                  activation: str) -> np.ndarray:
+    """(M, U, L): the rows ``x`` under each extractor draw in ``block``,
+    one 2-D forward per member, hidden layers in buffers the members
+    share."""
+    hidden = [np.empty((len(x), w.shape[1])) for w, _ in posterior.template.layers[:-1]]
+    table = np.empty((len(block), len(x), posterior.template.repr_dim))
+    for row, member in zip(block, table):
+        features(theta_layers(posterior, row), x, activation, out=hidden + [member])
+    return table
 
 
 def srepr_retrain(
@@ -592,10 +614,12 @@ def srepr_retrain(
 ):
     """Stochastic-representation re-training of the classifier.
 
-    Each stage-2 epoch draws M fresh extractor samples (input jitter is
-    drawn per step instead), see `srepr_batches`; every batch re-fits the
-    teacher Dirichlet from its M representations under the current
-    classifier, and only (w, b) move.
+    Each stage-2 epoch draws M fresh extractor samples and looks its
+    batches' representations up in a table of the epoch's distinct rows
+    under each sample (input jitter is drawn and forwarded per step
+    instead), see `srepr_batches`; every batch re-fits the teacher
+    Dirichlet from its M representations under the current classifier,
+    and only (w, b) move.
     """
     config.validate()
     balancing.validate()

@@ -129,14 +129,9 @@ def fill_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.ndarr
 
 def theta_layers(posterior: SwagPosterior, flat: np.ndarray):
     """The extractor's (weight, bias) layer pairs as views into one
-    (theta_dim,) draw, or stacked views into an (R, theta_dim) block of R
-    draws: weights (R, fan_in, fan_out) and biases (R, 1, fan_out), which
-    `features` runs as R members at once."""
+    (theta_dim,) draw, such as one row of a `fill_theta` block."""
     views = param_views(flat, posterior.template.shapes[:-2])
-    weights, biases = views[0::2], views[1::2]
-    if flat.ndim == 2:
-        biases = [b[:, None, :] for b in biases]
-    return list(zip(weights, biases))
+    return list(zip(views[0::2], views[1::2]))
 
 
 def sample_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.ndarray | None = None):

@@ -748,7 +748,7 @@ class TestSreprTraining:
 class TestDrawAhead:
     """srepr's draw stream: one posterior block per stage-2 epoch, input
     jitter per step, drawn from the caller's rng in a fixed order on the
-    calling thread and never ahead of the step that uses it."""
+    calling thread and never ahead of the epoch that uses it."""
 
     def make_problem(self, seed=0):
         return TestSreprTraining().make_problem(seed)
@@ -761,10 +761,11 @@ class TestDrawAhead:
         )
 
     @staticmethod
-    def hand_stream(ds, params, post, config, optim, rng, blocks=None):
+    def hand_stream(ds, params, post, config, optim, rng, blocks=None, activation="relu"):
         """srepr's stream drawn by hand: a block of M draws at the start of
         each epoch, then each step's indices (and, for jitter, that step's M
-        noisy copies); each epoch's block is appended to ``blocks``."""
+        noisy copies), each step's batch run through every member; each
+        epoch's block is appended to ``blocks``."""
         source, m = config.stochastic_source, config.srepr_m
         for _ in range(optim.epochs):
             if source == "posterior":
@@ -776,9 +777,11 @@ class TestDrawAhead:
                 idx = class_balanced_indices(ds, optim.batch_size, rng)
                 x = ds.features[idx]
                 if source == "posterior":
-                    reps = np.stack([features(theta_layers(post, row), x) for row in block])
+                    reps = np.stack([features(theta_layers(post, row), x, activation)
+                                     for row in block])
                 else:
-                    reps = stochastic_representations(x, source, params.layers, config, rng)
+                    reps = stochastic_representations(x, source, params.layers, config, rng,
+                                                      activation)
                 yield idx, reps
 
     def check_same_stream(self, source, batch=16, epochs=3):
@@ -896,10 +899,11 @@ class TestDrawAhead:
 
     def test_consumer_leaving_early_joins(self):
         # a consumer that stops after 3 steps has used the first block and
-        # 3 steps' indices of the rng, and nothing more
+        # all of the first epoch's indices of the rng, and nothing more
         ds, params, post = self.make_problem()
         config = RetrainConfig(srepr_m=3)
         optim = OptimConfig(epochs=1000, batch_size=16, weight_decay=0.0005)
+        per_epoch = -(-ds.num_examples // optim.batch_size)
         rng, hand_rng = np.random.default_rng(0), np.random.default_rng(0)
         before = threading.active_count()
         draws = srepr_batches(params.layers, post, ds, BalancingSpec("cbs"), config, optim, rng)
@@ -910,5 +914,62 @@ class TestDrawAhead:
             if step == 2:
                 break
         draws.close()
+        assert per_epoch > 3
+        for _ in range(per_epoch - 3):  # the hand stream's rest of the first epoch
+            next(hand)
         assert rng.bit_generator.state == hand_rng.bit_generator.state
         assert threading.active_count() == before
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data(), st.integers(2, 6), st.integers(2, 5),
+           st.lists(st.integers(2, 9), min_size=1, max_size=3), st.integers(1, 9),
+           st.sampled_from(["relu", "tanh"]), st.integers(1, 3), st.integers(0, 2**16))
+    def test_table_stream_equals_per_step_forwards(self, data, k, m, widths, d, activation,
+                                                   epochs, seed):
+        # each epoch's distinct rows, forwarded once per member into a table,
+        # give every step the bits of its own batch's per-member forward.
+        # Layers are at least 2 wide: a 1-wide layer runs as gemv, whose row
+        # bits depend on the row's place in the product.
+        n = data.draw(st.integers(k, 40), label="n")
+        batch = data.draw(st.integers(2, 2 * n), label="batch")
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.arange(n) % k)
+        ds = LongTailDataset.from_arrays(rng.standard_normal((n, d)), labels, k)
+        params = init_params(rng, d, tuple(widths[:-1]), widths[-1], k)
+        post = frozen_posterior(params, spread=0.3)
+        config = RetrainConfig(srepr_m=m)
+        optim = OptimConfig(epochs=epochs, batch_size=batch, weight_decay=0.0005)
+        hand_rng, got_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        expected = list(self.hand_stream(ds, params, post, config, optim, hand_rng,
+                                         activation=activation))
+        got = [(idx, reps.copy()) for idx, reps in srepr_batches(
+            params.layers, post, ds, BalancingSpec("cbs"), config, optim, got_rng, activation)]
+        assert len(got) == len(expected) == epochs * -(-n // batch)
+        for (i0, r0), (i1, r1) in zip(expected, got):
+            np.testing.assert_array_equal(i0, i1)
+            assert r0.shape == r1.shape == (m, batch, widths[-1])
+            assert r0.tobytes() == r1.tobytes()
+        assert got_rng.bit_generator.state == hand_rng.bit_generator.state
+
+    def test_lone_distinct_row_keeps_its_gemm_bits(self, monkeypatch):
+        # when every step of an epoch samples one example, its table row is
+        # still that row's bits inside a product of two or more rows (a
+        # one-row product runs as gemv, which rounds differently)
+        ds = self.make_problem()[0]
+        params = init_params(np.random.default_rng(1), 3, (32,), 16, 3)
+        post = frozen_posterior(params)
+        monkeypatch.setattr(retrain_mod, "class_balanced_indices",
+                            lambda dataset, batch, rng: np.full(batch, 7))
+        config = RetrainConfig(srepr_m=3)
+        optim = OptimConfig(epochs=1, batch_size=16, weight_decay=0.0005)
+        block = np.empty((3, post.theta_dim))
+        fill_theta(post, np.random.default_rng(5), block)
+        want = np.stack([features(theta_layers(post, row), ds.features[[7, 0]])[:1]
+                         for row in block]).repeat(16, axis=1)
+        steps = 0
+        for idx, reps in srepr_batches(params.layers, post, ds, BalancingSpec("cbs"), config,
+                                       optim, np.random.default_rng(5)):
+            np.testing.assert_array_equal(idx, np.full(16, 7))
+            assert reps.tobytes() == want.tobytes()
+            steps += 1
+        assert steps == -(-ds.num_examples // 16)

@@ -17,7 +17,6 @@ from ltsrepr.swag import (
     should_capture,
     swa_learning_rate,
     swa_params,
-    theta_layers,
     update_moments,
 )
 
@@ -314,40 +313,3 @@ class TestSchedule:
         # the averaging schedule is not checked when averaging is off
         SwaConfig(enabled=False, start_frac=1.0, swa_lr=0.0).validate()
 
-
-class TestStackedLayers:
-    """theta_layers over an (R, theta_dim) block: stacked views that
-    `features` runs as R members, each the bits of its own call."""
-
-    @settings(max_examples=60, deadline=None, database=None)
-    @given(st.lists(st.integers(1, 9), min_size=1, max_size=3), st.integers(1, 9),
-           st.integers(1, 10), st.integers(1, 12), st.sampled_from(["relu", "tanh"]),
-           st.integers(0, 2**16))
-    def test_stacked_forward_equals_per_row_forwards(self, widths, d, rows, batch, activation,
-                                                     seed):
-        rng = np.random.default_rng(seed)
-        params = init_params(rng, d, tuple(widths[:-1]), widths[-1], 2)
-        post = new_posterior(params)
-        for _ in range(3):
-            update_moments(post, init_params(rng, d, tuple(widths[:-1]), widths[-1], 2))
-        freeze(post)
-        block = np.empty((rows, post.theta_dim))
-        fill_theta(post, rng, block)
-        x = rng.standard_normal((batch, d))
-        layers = theta_layers(post, block)
-        for xs in (x, x[:1]):
-            stacked = features(layers, xs, activation)
-            assert stacked.shape == (rows, len(xs), widths[-1])
-            for r in range(rows):
-                single = features(theta_layers(post, block[r]), xs, activation)
-                assert stacked[r].tobytes() == single.tobytes()
-            out = [np.full((rows, len(xs), w.shape[-1]), np.nan) for w, _ in layers]
-            into = features(layers, xs, activation, out=out)
-            assert into is out[-1] and into.tobytes() == stacked.tobytes()
-
-    def test_stacked_views_share_the_block(self):
-        post = TestSampling().make_random_frozen(seed=9)
-        block = np.empty((3, post.theta_dim))
-        for (w, b), (w0, b0) in zip(theta_layers(post, block), theta_layers(post, block[0])):
-            assert w.shape == (3, *w0.shape) and b.shape == (3, 1, *b0.shape)
-            assert np.shares_memory(w, block) and np.shares_memory(b, block)
