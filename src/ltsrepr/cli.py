@@ -18,7 +18,7 @@ import sys
 from . import checkpoint as ckpt_io
 from . import pipeline as pl
 from .balancing import KINDS
-from .retrain import RETRAIN_METHODS
+from .retrain import RETRAIN_METHODS, DisAlignParams
 
 _ALL = ("pretrain", "retrain", "eval", "analyze", "sweep")
 _STAGE1 = ("pretrain", "sweep")
@@ -121,21 +121,23 @@ def _write_json(path: str, payload: dict) -> None:
         f.write(text + "\n")
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_report(outdir: str, stem: str, report) -> None:
     _write_json(os.path.join(outdir, f"{stem}.json"), report.to_json_dict())
-    with open(os.path.join(outdir, f"{stem}.csv"), "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["metric", "value"])
-        for name, value in report.csv_rows():
-            writer.writerow([name, repr(value)])
+    _write_csv(os.path.join(outdir, f"{stem}.csv"), ["metric", "value"],
+               ([name, repr(value)] for name, value in report.csv_rows()))
 
 
 def _write_bins(path: str, bins) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["bin", "lo", "hi", "count", "mean_confidence", "accuracy"])
-        for i, b in enumerate(bins, start=1):
-            writer.writerow([i, b.lo, b.hi, b.count, b.mean_confidence, b.accuracy])
+    _write_csv(path, ["bin", "lo", "hi", "count", "mean_confidence", "accuracy"],
+               ([i, b.lo, b.hi, b.count, b.mean_confidence, b.accuracy]
+                for i, b in enumerate(bins, start=1)))
 
 
 def cmd_pretrain(args) -> int:
@@ -170,10 +172,8 @@ def cmd_retrain(args) -> int:
     return 0
 
 
-def _disalign_from_metadata(metadata: dict | None):
+def _disalign_from_metadata(metadata: dict | None) -> DisAlignParams | None:
     if metadata and "disalign" in metadata:
-        from .retrain import DisAlignParams
-
         return DisAlignParams.from_dict(metadata["disalign"])
     return None
 
@@ -200,49 +200,40 @@ def cmd_analyze(args) -> int:
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     cfg = load_config(args, ckpt.metadata)
     datasets = pl.build_datasets(cfg, args.dataset_cache)
-    result = pl.run_analyze(cfg, ckpt.params, ckpt.posterior, datasets=datasets)
+    result = pl.run_analyze(
+        cfg,
+        ckpt.params,
+        ckpt.posterior,
+        datasets=datasets,
+        disalign_params=_disalign_from_metadata(ckpt.metadata),
+    )
     outdir = _outdir(cfg)
 
-    with open(os.path.join(outdir, "instance_metrics.csv"), "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["index", "label", "nll", "dispersion_repr", "dispersion_prob"])
-        for i in range(len(result.labels)):
-            writer.writerow(
-                [
-                    i,
-                    int(result.labels[i]),
-                    repr(float(result.nll_per_instance[i])),
-                    repr(float(result.dispersion_repr[i])),
-                    repr(float(result.dispersion_prob[i])),
-                ]
-            )
-
-    def write_quartiles(stem, qa):
-        with open(os.path.join(outdir, stem), "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["group", "count", "min", "q1", "median", "q3", "max"])
-            for gi, box in enumerate(qa.groups, start=1):
-                writer.writerow(
-                    [f"Q{gi}", box.count, box.minimum, box.q1, box.median, box.q3, box.maximum]
-                )
-
-    write_quartiles("quartiles_repr.csv", result.quartiles_repr)
-    write_quartiles("quartiles_prob.csv", result.quartiles_prob)
-
-    with open(os.path.join(outdir, "per_class.csv"), "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["class", "train_count", "split", "weight_norm", "marginal"])
-        for k in range(len(result.class_counts)):
-            writer.writerow(
-                [
-                    k,
-                    int(result.class_counts[k]),
-                    result.class_splits[k],
-                    repr(float(result.diagnostics.weight_norms[k])),
-                    repr(float(result.diagnostics.marginal[k])),
-                ]
-            )
-    _write_bins(os.path.join(outdir, "reliability_bins.csv"), result.diagnostics.bins)
+    per_instance = zip(result.labels, result.nll_per_instance,
+                       result.dispersion_repr, result.dispersion_prob)
+    _write_csv(
+        os.path.join(outdir, "instance_metrics.csv"),
+        ["index", "label", "nll", "dispersion_repr", "dispersion_prob"],
+        ([i, int(label), *(repr(float(v)) for v in values)]
+         for i, (label, *values) in enumerate(per_instance)),
+    )
+    for stem, qa in (("quartiles_repr", result.quartiles_repr),
+                     ("quartiles_prob", result.quartiles_prob)):
+        _write_csv(
+            os.path.join(outdir, f"{stem}.csv"),
+            ["group", "count", "min", "q1", "median", "q3", "max"],
+            ([f"Q{gi}", box.count, box.minimum, box.q1, box.median, box.q3, box.maximum]
+             for gi, box in enumerate(qa.groups, start=1)),
+        )
+    per_class = zip(result.class_counts, result.class_splits,
+                    result.diagnostics.weight_norms, result.diagnostics.marginal)
+    _write_csv(
+        os.path.join(outdir, "per_class.csv"),
+        ["class", "train_count", "split", "weight_norm", "marginal"],
+        ([k, int(count), split, repr(float(norm)), repr(float(marginal))]
+         for k, (count, split, norm, marginal) in enumerate(per_class)),
+    )
+    _write_bins(os.path.join(outdir, "reliability_bins.csv"), result.report.bins)
 
     summary = result.report.to_json_dict()
     summary["pcc_repr_defined"] = result.quartiles_repr.pcc_defined
@@ -258,26 +249,18 @@ def cmd_sweep(args) -> int:
     result = pl.run_sweep(cfg)
     outdir = _outdir(cfg)
     table_path = os.path.join(outdir, "sweep_table.csv")
-    with open(table_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        header = ["method"]
-        for key in pl.SWEEP_METRIC_KEYS:
-            header += [f"{key}_mean", f"{key}_std"]
-        writer.writerow(header)
-        for row in result.aggregate():
-            writer.writerow(
-                [row["method"]]
-                + [repr(row[f"{k}_{s}"]) for k in pl.SWEEP_METRIC_KEYS for s in ("mean", "std")]
-            )
-    with open(os.path.join(outdir, "sweep_runs.csv"), "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["seed", "method"] + list(pl.SWEEP_METRIC_KEYS))
-        for entry in result.per_seed:
-            for method, report in entry["rows"].items():
-                writer.writerow(
-                    [entry["seed"], method]
-                    + [repr(getattr(report, k)) for k in pl.SWEEP_METRIC_KEYS]
-                )
+    stats = [f"{k}_{s}" for k in pl.SWEEP_METRIC_KEYS for s in ("mean", "std")]
+    _write_csv(table_path, ["method", *stats],
+               ([row["method"], *(repr(row[c]) for c in stats)] for row in result.aggregate()))
+    _write_csv(
+        os.path.join(outdir, "sweep_runs.csv"),
+        ["seed", "method", *pl.SWEEP_METRIC_KEYS],
+        (
+            [entry["seed"], method, *(repr(getattr(report, k)) for k in pl.SWEEP_METRIC_KEYS)]
+            for entry in result.per_seed
+            for method, report in entry["rows"].items()
+        ),
+    )
     print(f"wrote {table_path}")
     if result.failures:
         for seed, msg in result.failures:

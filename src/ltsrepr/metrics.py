@@ -5,7 +5,9 @@ expected calibration error with confidence binning, per-instance dispersion
 of stochastic representations (cosine distance to the centroid) and of
 stochastic predictions (multi-distribution Jensen-Shannon divergence in
 nats), quartile/correlation analysis of dispersion against per-instance NLL,
-posterior-ensemble prediction, and per-class classifier diagnostics.
+class probabilities from representations (the one prediction path of point
+evaluation, posterior ensembles and analysis), posterior-ensemble
+prediction, and per-class classifier diagnostics.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import FEW, MANY, MEDIUM
-from .netcore import PROB_FLOOR, cross_entropy, softmax
+from .netcore import PROB_FLOOR, classifier_logits, cross_entropy, softmax
+from .retrain import DisAlignParams, disalign_logits
 from .swag import SwagPosterior, posterior_features
 
 
@@ -42,7 +45,7 @@ def accuracy(probs: np.ndarray, labels: np.ndarray, class_splits: list[str] | No
 
 
 def per_instance_nll(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    return cross_entropy(np.maximum(probs, PROB_FLOOR), labels)
+    return cross_entropy(probs, labels)
 
 
 def nll(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -210,8 +213,20 @@ def quartile_analysis(nll_per_instance, dispersion_per_instance) -> QuartileAnal
 
 
 # ---------------------------------------------------------------------------
-# Ensembling and per-class diagnostics
+# Prediction, ensembling and per-class diagnostics
 # ---------------------------------------------------------------------------
+
+def class_probs(
+    reps: np.ndarray, w: np.ndarray, b: np.ndarray, disalign: DisAlignParams | None = None
+) -> np.ndarray:
+    """Softmax of the classifier logits ``reps @ w + b``, calibrated by
+    `disalign_logits` first when ``disalign`` is given. Representations
+    (N, L) give (N, K); M stacked members (M, N, L) give (M, N, K)."""
+    logits = classifier_logits(w, b, reps)
+    if disalign is not None:
+        logits = disalign_logits(logits, disalign)
+    return softmax(logits)
+
 
 def ensemble_predict(
     x: np.ndarray,
@@ -221,37 +236,28 @@ def ensemble_predict(
     num_samples: int,
     rng: np.random.Generator,
     activation: str = "relu",
-    calibrate=None,
+    disalign: DisAlignParams | None = None,
 ) -> np.ndarray:
-    """Average the softmax predictions of num_samples posterior draws.
-
-    ``calibrate``, if given, maps the member logits (M, B, K) to calibrated
-    logits before the softmax.
-    """
+    """Average the `class_probs` of num_samples posterior draws, each
+    calibrated by ``disalign`` when given."""
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    logits = posterior_features(posterior, x, num_samples, rng, activation) @ w + b
-    if calibrate is not None:
-        logits = calibrate(logits)
-    return softmax(logits).mean(axis=0)
+    reps = posterior_features(posterior, x, num_samples, rng, activation)
+    return class_probs(reps, w, b, disalign).mean(axis=0)
 
 
 @dataclass(frozen=True)
 class PerClassDiagnostics:
     weight_norms: np.ndarray  # (K,) classifier row norms
     marginal: np.ndarray  # (K,) mean predicted probability per class
-    bins: list[ReliabilityBin]
 
 
-def per_class_diagnostics(
-    w: np.ndarray, probs: np.ndarray, labels: np.ndarray, n_bins: int = 15
-) -> PerClassDiagnostics:
-    """Classifier weight norm per class, the marginal likelihood of each
-    class under the test predictions, and the reliability-diagram table."""
+def per_class_diagnostics(w: np.ndarray, probs: np.ndarray) -> PerClassDiagnostics:
+    """Classifier weight norm per class and the marginal likelihood of each
+    class under the test predictions."""
     return PerClassDiagnostics(
         weight_norms=np.linalg.norm(w, axis=0),
         marginal=probs.mean(axis=0),
-        bins=reliability_bins(probs, labels, n_bins),
     )
 
 

@@ -1,9 +1,10 @@
 """Minimal differentiable model core.
 
 An MLP feature extractor followed by a linear classifier, with hand-written
-reverse-mode gradients for the fixed forward graph, a numerically stable
-softmax / cross-entropy, and SGD with Nesterov momentum, an explicit L2
-penalty term, and a single-cycle cosine learning-rate schedule.
+reverse-mode gradients for the fixed forward graph, one numerically stable
+softmax cross-entropy for hard labels and soft target rows, and SGD with
+Nesterov momentum, an explicit L2 penalty term, and a single-cycle cosine
+learning-rate schedule.
 
 All math is float64. Losses plug into `backward` as callables mapping
 (logits, targets) -> (batch-mean loss, d(mean loss)/d(logits)).
@@ -149,10 +150,7 @@ def init_params(
                 rng.uniform(-bound, bound, size=fan_out),
             )
         )
-    bound = 1.0 / np.sqrt(repr_dim)
-    w = rng.uniform(-bound, bound, size=(repr_dim, num_classes))
-    b = rng.uniform(-bound, bound, size=num_classes)
-    return ModelParams(layers, w, b)
+    return ModelParams(layers, *init_classifier(rng, repr_dim, num_classes))
 
 
 def init_classifier(rng: np.random.Generator, repr_dim: int, num_classes: int):
@@ -213,10 +211,6 @@ def classifier_logits(w: np.ndarray, b: np.ndarray, feats: np.ndarray) -> np.nda
     return feats @ w + b
 
 
-def model_logits(params: ModelParams, x: np.ndarray, activation: str = "relu") -> np.ndarray:
-    return classifier_logits(params.w, params.b, features(params.layers, x, activation))
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Stable softmax along the last axis (max subtraction).
 
@@ -228,16 +222,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return np.maximum(e / e.sum(axis=-1, keepdims=True), PROB_FLOOR)
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def predict_proba(params: ModelParams, x: np.ndarray, activation: str = "relu") -> np.ndarray:
-    return softmax(model_logits(params, x, activation))
 
 
 # ---------------------------------------------------------------------------
@@ -254,30 +238,29 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -np.log(py)
 
 
-def softmax_ce(logits: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None):
+def softmax_ce(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray | None = None):
     """Batch-mean softmax cross-entropy and its gradient wrt the logits.
 
-    Unweighted: loss mean(ce), gradient (p - onehot) / B. With per-example
-    weights w: loss mean(w * ce), gradient (p - onehot) * w / B, with no
-    renormalization by the batch's total weight. Logits (M, B, K) for M
-    stacked members of one batch give M losses, each the same bits as that
-    member's own (B, K) call.
+    ``targets`` holds hard labels (B,) or soft target rows (B, K), such as
+    mixup's; a label y is the one-hot row t. Unweighted: loss mean(ce),
+    gradient (p - t) / B, where ce is -log p[y] for a label and
+    -sum(t * log p) for a row, both over the floored `softmax`. With
+    per-example weights w: loss mean(w * ce), gradient (p - t) * w / B,
+    with no renormalization by the batch's total weight. Logits (M, B, K)
+    for M stacked members of one batch give M losses, each the same bits
+    as that member's own (B, K) call.
     """
     p = softmax(logits)
-    n = len(labels)
-    ce = cross_entropy(p, labels)
-    p[..., np.arange(n), labels] -= 1.0
+    n = len(targets)
+    if np.ndim(targets) == 1:
+        ce = cross_entropy(p, targets)
+        p[..., np.arange(n), targets] -= 1.0
+    else:
+        ce = -(targets * np.log(p)).sum(axis=-1)
+        p -= targets
     if weights is None:
         return ce.mean(axis=-1), p / n
     return (weights * ce).mean(axis=-1), p * (weights / n)[:, None]
-
-
-def soft_ce_loss_and_grad(logits: np.ndarray, targets: np.ndarray):
-    """Cross-entropy against soft target rows (e.g. mixup); grad (p - t) / B."""
-    logp = log_softmax(logits)
-    loss = -(targets * logp).sum(axis=1).mean()
-    grad = (softmax(logits) - targets) / len(targets)
-    return loss, grad
 
 
 # ---------------------------------------------------------------------------

@@ -288,11 +288,9 @@ def run_pretrain(cfg: ExperimentConfig, datasets=None, cache_path: str | None = 
             lr = net.cosine_lr(step, total, optim.lr)
         idx = data_mod.instance_balanced_indices(train, optim.batch_size, rng_batch)
         x, y = train.features[idx], train.labels[idx]
-        loss_fn = net.softmax_ce
         if optim.mixup_alpha > 0.0:
             x, y = data_mod.mixup_batch(x, y, optim.mixup_alpha, train.num_classes, rng_mix)
-            loss_fn = net.soft_ce_loss_and_grad
-        loss, _ = net.backward(params, x, y, loss_fn, cfg.model.activation, out=grads)
+        loss, _ = net.backward(params, x, y, net.softmax_ce, cfg.model.activation, out=grads)
         net.sgd_update_arrays(flat_params, flat_grads, state, lr)
         running += loss
         if swa.enabled and swag_mod.should_capture(step + 1, total, swa, spe):
@@ -406,17 +404,13 @@ def predictive_probs(
     if m > 0:
         if posterior is None:
             raise ValueError("posterior required for ensemble evaluation")
-        calibrate = None
-        if disalign_params is not None:
-            calibrate = lambda z: retrain_mod.disalign_logits(z, disalign_params)  # noqa: E731
         rng = rng_stream(cfg.run.seed, STREAM_ENSEMBLE)
         return metrics_mod.ensemble_predict(
-            x, posterior, params.w, params.b, m, rng, act, calibrate
+            x, posterior, params.w, params.b, m, rng, act, disalign_params
         )
-    z = net.model_logits(params, x, act)
-    if disalign_params is not None:
-        z = retrain_mod.disalign_logits(z, disalign_params)
-    return net.softmax(z)
+    return metrics_mod.class_probs(
+        net.features(params.layers, x, act), params.w, params.b, disalign_params
+    )
 
 
 def run_eval(
@@ -452,8 +446,12 @@ def run_analyze(
     params: net.ModelParams,
     posterior: swag_mod.SwagPosterior | None,
     datasets=None,
+    disalign_params: retrain_mod.DisAlignParams | None = None,
     cache_path: str | None = None,
 ) -> AnalysisResult:
+    """Dispersion, quartile and per-class tables for one model. Member and
+    point predictions are calibrated by ``disalign_params`` when given, as
+    in `run_eval`."""
     cfg.validate()
     if posterior is None:
         raise ValueError("posterior required for dispersion analysis")
@@ -462,17 +460,17 @@ def run_analyze(
     rng = rng_stream(cfg.eval.analysis_seed, STREAM_ANALYSIS)
     m = max(cfg.swa.swag_samples, 2)
     reps = swag_mod.posterior_features(posterior, test.features, m, rng, act)
-    member_probs = net.softmax(reps @ params.w + params.b)
-    point_probs = net.predict_proba(params, test.features, act)
+    member_probs = metrics_mod.class_probs(reps, params.w, params.b, disalign_params)
+    point_probs = metrics_mod.class_probs(
+        net.features(params.layers, test.features, act), params.w, params.b, disalign_params
+    )
 
     nll_i = metrics_mod.per_instance_nll(point_probs, test.labels)
     disp_r = metrics_mod.dispersion_repr(reps)
     disp_p = metrics_mod.dispersion_prob(member_probs)
     quart_r = metrics_mod.quartile_analysis(nll_i, disp_r)
     quart_p = metrics_mod.quartile_analysis(nll_i, disp_p)
-    diagnostics = metrics_mod.per_class_diagnostics(
-        params.w, point_probs, test.labels, cfg.eval.ece_bins
-    )
+    diagnostics = metrics_mod.per_class_diagnostics(params.w, point_probs)
     report = metrics_mod.evaluate_probs(
         point_probs, test.labels, train.splits, cfg.eval.ece_bins
     )

@@ -1,9 +1,11 @@
 """Reference forms the package does not ship, kept as test oracles: the
-closed-form Dirichlet KL and loss-only views of the srepr loss terms."""
+closed-form Dirichlet KL, loss-only views of the srepr loss terms, and the
+soft-target cross-entropy written over an unfloored log-softmax."""
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
+from ltsrepr.netcore import softmax
 from ltsrepr.retrain import kd_loss_and_alpha_grad, mean_ce_loss_and_grad
 
 
@@ -26,6 +28,17 @@ def dirichlet_kl(alpha, beta):
         + ((a - bb) * (digamma(a) - digamma(a0)[:, None])).sum(axis=1)
     )
     return float(val[0]) if np.asarray(alpha).ndim == 1 else val
+
+
+def soft_ce_loss_and_grad(logits, targets):
+    """Cross-entropy against soft target rows (B, K): loss
+    -mean(sum(t * log_softmax(z))), gradient (softmax(z) - t) / B."""
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    loss = -(targets * logp).sum(axis=1).mean()
+    grad = (softmax(logits) - targets) / len(targets)
+    return loss, grad
 
 
 def mean_ce_loss(w, b, reps, labels, balancing) -> float:

@@ -282,6 +282,20 @@ class TestAnalyzeCommand:
         b = (workdir / "a2" / "instance_metrics.csv").read_bytes()
         assert a == b
 
+    def test_disalign_calibration_matches_eval(self, workdir):
+        # analyze's point predictions are eval's: both apply the checkpoint's calibration
+        ckpt = pretrain(workdir, out="swa")
+        assert run_cli(
+            "retrain", "--checkpoint", str(ckpt), "--output-dir", "da", "--retrain", "disalign"
+        ) == 0
+        da = str(workdir / "da" / "retrain.ckpt")
+        assert run_cli("eval", "--checkpoint", da, "--output-dir", "ev", "--ensemble-m", "0") == 0
+        assert run_cli("analyze", "--checkpoint", da, "--output-dir", "an") == 0
+        report = json.loads((workdir / "ev" / "eval_report.json").read_text())
+        summary = json.loads((workdir / "an" / "analysis_summary.json").read_text())
+        for key in ("acc_all", "acc_few", "nll", "ece"):
+            assert summary[key] == report[key], key
+
     def test_plain_checkpoint_rejected(self, workdir, capsys):
         ckpt = pretrain(workdir, out="sgd", swa="off")
         code = run_cli("analyze", "--checkpoint", str(ckpt), "--output-dir", "an2")

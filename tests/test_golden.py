@@ -2,9 +2,11 @@
 
 Runs the command line in-process at the desk defaults with seed 0:
 pretrain, then every stage-2 method on the pretrain checkpoint, then an
-8-member posterior-ensemble eval of each result. Every artifact must match
-its recorded SHA-256 prefix, so a refactor that moves one bit of a
-checkpoint or report fails here.
+8-member posterior-ensemble eval of each result and an analysis of the
+srepr checkpoint. Beside that chain it runs a mixup pretrain and a
+two-seed, 12-epoch sweep. Every artifact must match its recorded SHA-256
+prefix, so a refactor that moves one bit of a checkpoint or report fails
+here.
 """
 
 import hashlib
@@ -24,6 +26,26 @@ GOLDEN = {
     "lws/eval_report.json": "838a7c0c81d35620",
     "disalign/eval_report.json": "15e5cac731cf4109",
     "srepr/eval_report.json": "e987ef4a9c74d886",
+    "crt/eval_report.csv": "872601985fdab5b6",
+    "lws/eval_report.csv": "31feb73188ea884c",
+    "disalign/eval_report.csv": "087a72fcfe54c6a6",
+    "srepr/eval_report.csv": "1782a6dae5b478a7",
+    "crt/eval_bins.csv": "44105b30bae5153d",
+    "lws/eval_bins.csv": "4a44fcad3f1e51a7",
+    "disalign/eval_bins.csv": "f1b56806733f22df",
+    "srepr/eval_bins.csv": "875b587ae2d1994b",
+    "srepr/analyze/analysis_summary.json": "bc30038f0d3b1c57",
+    "srepr/analyze/instance_metrics.csv": "af0e31c65b775da0",
+    "srepr/analyze/per_class.csv": "8a42b0c594067363",
+    "srepr/analyze/quartiles_prob.csv": "40ae52faa605f1e6",
+    "srepr/analyze/quartiles_repr.csv": "8cd5d722f3a1fa72",
+    "srepr/analyze/reliability_bins.csv": "0dd6cae347ce6134",
+    # mixup's pretrain_metrics.json is not pinned: its epoch losses are sums
+    # of soft-target cross-entropies, whose last bit depends on how the
+    # log-probabilities are formed
+    "mixup/pretrain.ckpt": "a6063fcd71ccb148",
+    "sweep/sweep_table.csv": "52fb455701801b6b",
+    "sweep/sweep_runs.csv": "ca0fee246e8893f3",
 }
 
 METHODS = ("crt", "lws", "disalign", "srepr")
@@ -44,6 +66,17 @@ def golden_run(tmp_path_factory):
             ["eval", "--ensemble-m", "8", "--checkpoint", str(root / method / "retrain.ckpt"),
              "--output-dir", out, *common]
         ) == 0
+    assert main(
+        ["analyze", "--checkpoint", str(root / "srepr" / "retrain.ckpt"),
+         "--output-dir", str(root / "srepr" / "analyze"), *common]
+    ) == 0
+    assert main(
+        ["pretrain", "--mixup-alpha", "0.3", "--output-dir", str(root / "mixup"), *common]
+    ) == 0
+    assert main(
+        ["sweep", "--seeds", "0,1", "--epochs", "12", "--output-dir", str(root / "sweep"),
+         "--dataset-cache", str(root / "ds.bin")]
+    ) == 0
     return root
 
 

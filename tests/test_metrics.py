@@ -1,5 +1,5 @@
 """Tests for accuracy/NLL/ECE, dispersion measures, quartile analysis,
-ensembling, and per-class diagnostics."""
+class probabilities, ensembling, and per-class diagnostics."""
 
 import json
 import math
@@ -10,6 +10,7 @@ import pytest
 from ltsrepr.data import FEW, MANY, MEDIUM
 from ltsrepr.metrics import (
     accuracy,
+    class_probs,
     dispersion_prob,
     dispersion_repr,
     ece,
@@ -23,6 +24,7 @@ from ltsrepr.metrics import (
     reliability_bins,
 )
 from ltsrepr.netcore import classifier_logits, features, init_params, softmax
+from ltsrepr.retrain import DisAlignParams, disalign_logits
 from ltsrepr.swag import freeze, new_posterior, sample_theta, update_moments
 
 
@@ -280,22 +282,50 @@ class TestEnsemble:
             ensemble_predict(x, post, params.w, params.b, 0, np.random.default_rng(0))
 
 
+class TestClassProbs:
+    def test_stacked_members_equal_their_own_calls(self):
+        rng = np.random.default_rng(11)
+        reps = rng.standard_normal((4, 7, 3))
+        w, b = rng.standard_normal((3, 5)), rng.standard_normal(5)
+        probs = class_probs(reps, w, b)
+        assert probs.shape == (4, 7, 5)
+        for j in range(4):
+            assert probs[j].tobytes() == class_probs(reps[j], w, b).tobytes()
+
+    def test_ensemble_calibrates_every_member(self):
+        params, post, x = TestEnsemble().build(spread=0.2, seed=5)
+        calib = DisAlignParams(
+            scale=np.array([1.5, 0.5]), shift=np.array([0.2, -0.1]),
+            gate_w=np.array([0.3, -0.2]), gate_b=0.1,
+        )
+        p = ensemble_predict(x, post, params.w, params.b, 3, np.random.default_rng(6),
+                             disalign=calib)
+        rng = np.random.default_rng(6)
+        acc = np.zeros_like(p)
+        for _ in range(3):
+            z = classifier_logits(params.w, params.b, features(sample_theta(post, rng), x))
+            acc += softmax(disalign_logits(z, calib))
+        np.testing.assert_allclose(p, acc / 3, atol=1e-12)
+        assert not np.allclose(p, ensemble_predict(x, post, params.w, params.b, 3,
+                                                   np.random.default_rng(6)))
+
+
 class TestPerClassDiagnostics:
     def test_equal_weight_rows_equal_norms(self):
         w = np.tile([[1.0], [2.0]], (1, 4))
         probs = np.full((6, 4), 0.25)
-        diag = per_class_diagnostics(w, probs, np.zeros(6, dtype=int))
+        diag = per_class_diagnostics(w, probs)
         np.testing.assert_allclose(diag.weight_norms, diag.weight_norms[0])
 
     def test_uniform_predictions_uniform_marginal(self):
         probs = np.full((9, 3), 1.0 / 3)
-        diag = per_class_diagnostics(np.ones((2, 3)), probs, np.zeros(9, dtype=int))
+        diag = per_class_diagnostics(np.ones((2, 3)), probs)
         np.testing.assert_allclose(diag.marginal, 1.0 / 3, atol=1e-12)
 
     def test_marginal_sums_to_one(self):
         rng = np.random.default_rng(10)
         probs = rng.dirichlet(np.ones(5), size=40)
-        diag = per_class_diagnostics(rng.standard_normal((3, 5)), probs, rng.integers(0, 5, 40))
+        diag = per_class_diagnostics(rng.standard_normal((3, 5)), probs)
         assert abs(diag.marginal.sum() - 1.0) < 1e-9
 
 

@@ -10,19 +10,20 @@ import pytest
 from gradcheck import assert_grad_close, max_grad_error, numeric_grad
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import soft_ce_loss_and_grad
 
 from ltsrepr.netcore import (
+    PROB_FLOOR,
     ModelParams,
     OptimConfig,
     OptimState,
     backward,
+    classifier_logits,
     cosine_lr,
     cross_entropy,
     features,
     init_params,
-    model_logits,
     sgd_update_arrays,
-    soft_ce_loss_and_grad,
     softmax,
     softmax_ce,
 )
@@ -122,11 +123,12 @@ class TestCrossEntropy:
         rng = np.random.default_rng(9)
         z = rng.standard_normal((3, 5, 4)) * 4.0
         y = rng.integers(0, 4, size=5)
-        for weights in (None, rng.uniform(0.1, 2.0, size=5)):
-            losses, grad = softmax_ce(z, y, weights)
+        soft = rng.dirichlet(np.ones(4), size=5)
+        for targets, weights in ((y, None), (y, rng.uniform(0.1, 2.0, size=5)), (soft, None)):
+            losses, grad = softmax_ce(z, targets, weights)
             assert losses.shape == (3,) and grad.shape == z.shape
             for j in range(3):
-                loss_j, grad_j = softmax_ce(z[j], y, weights)
+                loss_j, grad_j = softmax_ce(z[j], targets, weights)
                 assert losses[j] == loss_j and grad[j].tobytes() == grad_j.tobytes()
 
     def test_soft_targets_match_hard_when_onehot(self):
@@ -134,9 +136,27 @@ class TestCrossEntropy:
         z = rng.standard_normal((6, 4))
         y = rng.integers(0, 4, size=6)
         hard_loss, hard_grad = softmax_ce(z, y)
-        soft_loss, soft_grad = soft_ce_loss_and_grad(z, np.eye(4)[y])
+        soft_loss, soft_grad = softmax_ce(z, np.eye(4)[y])
         np.testing.assert_allclose(hard_loss, soft_loss, atol=1e-12)
         np.testing.assert_allclose(hard_grad, soft_grad, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(1, 6), st.integers(2, 6), st.floats(0.1, 60.0), st.integers(0, 2**16))
+    def test_soft_targets_match_log_softmax_reference(self, batch, k, scale, seed):
+        # mixup's soft rows: the gradient keeps its bits, and the loss agrees
+        # with the unfloored log-softmax form while no probability is floored.
+        # log p of a p near 1 carries an absolute rounding error near 1e-16
+        # in either form, so a loss below 1 is compared on the scale of 1.
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((batch, k)) * scale
+        lam = rng.uniform()
+        onehot = np.eye(k)[rng.integers(0, k, size=(2, batch))]
+        t = lam * onehot[0] + (1.0 - lam) * onehot[1]
+        loss, grad = softmax_ce(z, t)
+        ref_loss, ref_grad = soft_ce_loss_and_grad(z, t)
+        assert grad.tobytes() == ref_grad.tobytes()
+        if np.all(softmax(z) > PROB_FLOOR):
+            assert abs(loss - ref_loss) <= 1e-12 * max(abs(ref_loss), 1.0)
 
 
 class TestBackward:
@@ -411,5 +431,5 @@ class TestInit:
 
     def test_logits_shape(self):
         params = small_params(np.random.default_rng(20))
-        z = model_logits(params, np.zeros((6, 3)))
+        z = classifier_logits(params.w, params.b, features(params.layers, np.zeros((6, 3))))
         assert z.shape == (6, 3)
