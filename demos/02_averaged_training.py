@@ -25,11 +25,11 @@ print("step | cosine lr | averaged-run lr")
 for t in steps:
     print(f"{t:4d} | {cosine_lr(t, 1200, 0.1):9.4f} | {swa_learning_rate(t, 1200, 0.1, cfg.swa):9.4f}")
 
-sgd = pl.run_pretrain(replace(cfg, swa=replace(cfg.swa, enabled=False)), datasets=datasets)
-swa = pl.run_pretrain(cfg, datasets=datasets)
+sgd, _ = pl.run_pretrain(replace(cfg, swa=replace(cfg.swa, enabled=False)), datasets)
+swa, _ = pl.run_pretrain(cfg, datasets)
 
-rep_sgd = pl.run_eval(cfg, sgd.params, None, datasets=datasets)
-rep_swa = pl.run_eval(cfg, swa.params, swa.posterior, datasets=datasets)
+rep_sgd = pl.run_eval(cfg, sgd, datasets)
+rep_swa = pl.run_eval(cfg, swa, datasets)
 print(f"\nSGD  pretrain: acc {rep_sgd.acc_all:.3f}  nll {rep_sgd.nll:.3f}  ece {rep_sgd.ece:.3f}")
 print(f"SWA  pretrain: acc {rep_swa.acc_all:.3f}  nll {rep_swa.nll:.3f}  ece {rep_swa.ece:.3f}")
 print("(before classifier re-training the averaged run is not expected to win; "

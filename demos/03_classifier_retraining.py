@@ -14,7 +14,7 @@ import ltsrepr.pipeline as pl
 
 cfg = pl.ExperimentConfig()
 datasets = pl.build_datasets(cfg)
-pre = pl.run_pretrain(cfg, datasets=datasets)
+pre, _ = pl.run_pretrain(cfg, datasets)
 
 
 def row(name, report):
@@ -24,23 +24,18 @@ def row(name, report):
 
 
 print("method             overall    tail   likelihood calibration")
-row("stage-1 only", pl.run_eval(cfg, pre.params, pre.posterior, datasets=datasets))
+row("stage-1 only", pl.run_eval(cfg, pre, datasets))
 
 for method in ("crt", "lws", "disalign"):
     mcfg = replace(cfg, retrain=replace(cfg.retrain, method=method))
-    result = pl.run_retrain(mcfg, pre.params, pre.posterior, datasets=datasets)
-    report = pl.run_eval(
-        mcfg, result.params, result.posterior, datasets=datasets,
-        disalign_params=result.disalign,
-    )
-    row(method, report)
-    if result.lws_tau is not None:
-        print(f"{'':18s} (learned norm exponent tau = {result.lws_tau:.3f})")
+    model = pl.run_retrain(mcfg, pre, datasets)  # disalign's calibration travels inside it
+    row(method, pl.run_eval(mcfg, model, datasets))
+    if "lws_tau" in model.metadata:
+        print(f"{'':18s} (learned norm exponent tau = {model.metadata['lws_tau']:.3f})")
 
 # Rebalancing strategies for the same re-training method: class-balanced
 # sampling (cbs), generalized re-weighting (grw), logit adjustment (la).
 print("\ncrt under different balancing strategies:")
 for balance in ("none", "cbs", "grw", "la"):
     bcfg = replace(cfg, retrain=replace(cfg.retrain, method="crt", balance=balance))
-    result = pl.run_retrain(bcfg, pre.params, pre.posterior, datasets=datasets)
-    row(f"crt + {balance}", pl.run_eval(bcfg, result.params, result.posterior, datasets=datasets))
+    row(f"crt + {balance}", pl.run_eval(bcfg, pl.run_retrain(bcfg, pre, datasets), datasets))

@@ -28,7 +28,7 @@ from ltsrepr.balancing import BalancingSpec
 cfg = pl.ExperimentConfig()
 datasets = pl.build_datasets(cfg)
 train, test = datasets
-pre = pl.run_pretrain(cfg, datasets=datasets)
+pre, _ = pl.run_pretrain(cfg, datasets)
 post = pre.posterior
 
 scfg = cfg.retrain  # srepr_m 10 stochastic representations, kd_temp 20
@@ -60,6 +60,5 @@ print(f"\nloss terms on this batch: mean-CE {ce:.4f}, distillation {kd:.4f} "
 # accuracy and markedly improves likelihood and calibration.
 for method in ("crt", "srepr"):
     mcfg = replace(cfg, retrain=replace(cfg.retrain, method=method))
-    result = pl.run_retrain(mcfg, pre.params, pre.posterior, datasets=datasets)
-    report = pl.run_eval(mcfg, result.params, result.posterior, datasets=datasets)
+    report = pl.run_eval(mcfg, pl.run_retrain(mcfg, pre, datasets), datasets)
     print(f"{method:6s} acc {report.acc_all:.3f}  nll {report.nll:.3f}  ece {report.ece:.3f}")

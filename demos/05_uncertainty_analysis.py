@@ -15,10 +15,10 @@ from ltsrepr.util import rng_stream, STREAM_ENSEMBLE
 cfg = pl.ExperimentConfig()
 datasets = pl.build_datasets(cfg)
 train, test = datasets
-pre = pl.run_pretrain(cfg, datasets=datasets)
-ret = pl.run_retrain(cfg, pre.params, pre.posterior, datasets=datasets)
+pre, _ = pl.run_pretrain(cfg, datasets)
+ret = pl.run_retrain(cfg, pre, datasets)
 
-analysis = pl.run_analyze(cfg, ret.params, ret.posterior, datasets=datasets)
+analysis = pl.run_analyze(cfg, ret, datasets)
 
 print("dispersion of stochastic predictions by NLL quartile (median per group):")
 for i, box in enumerate(analysis.quartiles_prob.groups, start=1):

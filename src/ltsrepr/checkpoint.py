@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netcore import ModelParams, param_views
+from .retrain import DisAlignParams
 from .swag import SwagPosterior
 from .util import SizedReader
 
@@ -33,9 +34,43 @@ FORMAT_VERSION = 1
 
 @dataclass
 class Checkpoint:
+    """One model, as the stages hand it on and a checkpoint file holds it:
+    the parameters, the posterior when stage 1 averaged its weights, and
+    the metadata (the run's config; after stage 2 the method, with lws's
+    ``lws_tau`` or disalign's calibration)."""
+
     params: ModelParams
     posterior: SwagPosterior | None = None
     metadata: dict | None = None
+
+    def calibration(self) -> DisAlignParams | None:
+        """The disalign calibration in the metadata, or None. Raises
+        ValueError naming the field unless ``scale``, ``shift`` and
+        ``gate_w`` each hold K finite numbers and ``gate_b`` one."""
+        entry = (self.metadata or {}).get("disalign")
+        if entry is None:
+            return None
+        k = self.params.num_classes
+        values = {}
+        for name, shape in (("scale", (k,)), ("shift", (k,)), ("gate_w", (k,)), ("gate_b", ())):
+            where = f"checkpoint metadata disalign.{name}"
+            try:
+                v = np.asarray(entry[name])
+            except (LookupError, TypeError):
+                raise ValueError(f"{where} is missing") from None
+            except ValueError:  # ragged nesting
+                v = np.asarray(None)
+            if v.dtype.kind not in "iuf":
+                raise ValueError(f"{where} is not numeric: {entry[name]!r}")
+            if v.shape != shape:
+                got = f"{v.size} entries" if v.ndim == 1 else f"shape {v.shape}"
+                want = f"model has {k} classes" if shape else "expected one number"
+                raise ValueError(f"{where} has {got}, {want}")
+            if not np.isfinite(v).all():
+                raise ValueError(f"{where} is not finite")
+            values[name] = v.astype(np.float64)
+        return DisAlignParams(values["scale"], values["shift"], values["gate_w"],
+                              float(values["gate_b"]))
 
 
 def _records(flat: np.ndarray, shapes, what: str) -> list[bytes]:
@@ -88,8 +123,9 @@ def _read_vector(r: SizedReader, count: int, what: str, expect=None):
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint. Raises ValueError naming the section at fault
-    (header, base array i, posterior group array i, metadata trailer) for a
-    truncated or malformed file, and for any bytes after the trailer."""
+    (header, base array i, posterior group array i, metadata trailer, a
+    disalign calibration field) for a truncated or malformed file, and for
+    any bytes after the trailer."""
     with open(path, "rb") as f:
         r = SizedReader(f, "checkpoint")
         magic = r.take(8, "magic")
@@ -133,7 +169,9 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ValueError(f"metadata trailer is not valid JSON: {exc}") from None
             if r.left:
                 raise ValueError(f"checkpoint has {r.left} unexpected bytes after the metadata trailer")
-    return Checkpoint(params=params, posterior=posterior, metadata=metadata)
+    ckpt = Checkpoint(params, posterior, metadata)
+    ckpt.calibration()  # a malformed calibration fails here, before any work
+    return ckpt
 
 
 def config_hash(config_text: str) -> str:

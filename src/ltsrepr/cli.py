@@ -18,7 +18,7 @@ import sys
 from . import checkpoint as ckpt_io
 from . import pipeline as pl
 from .balancing import KINDS
-from .retrain import RETRAIN_METHODS, DisAlignParams
+from .retrain import RETRAIN_METHODS
 
 _ALL = ("pretrain", "retrain", "eval", "analyze", "sweep")
 _STAGE1 = ("pretrain", "sweep")
@@ -140,55 +140,41 @@ def _write_bins(path: str, bins) -> None:
                 for i, b in enumerate(bins, start=1)))
 
 
+def _load(args):
+    """The model, config and datasets of a command that starts from a
+    checkpoint: the config comes from the checkpoint unless a config file
+    is given, and is validated before the datasets are built."""
+    model = ckpt_io.load_checkpoint(args.checkpoint)
+    cfg = load_config(args, model.metadata)
+    return model, cfg, pl.build_datasets(cfg, args.dataset_cache)
+
+
 def cmd_pretrain(args) -> int:
     cfg = load_config(args)
-    result = pl.run_pretrain(cfg, cache_path=args.dataset_cache)
+    datasets = pl.build_datasets(cfg, args.dataset_cache)
+    model, epoch_losses = pl.run_pretrain(cfg, datasets)
     outdir = _outdir(cfg)
     ckpt_path = os.path.join(outdir, "pretrain.ckpt")
-    ckpt_io.save_checkpoint(
-        ckpt_path, result.params, result.posterior, pl.pretrain_metadata(cfg)
-    )
-    report = pl.run_eval(
-        cfg, result.params, result.posterior, datasets=(result.train, result.test)
-    )
-    payload = report.to_json_dict()
-    payload["epoch_losses"] = result.epoch_losses
+    ckpt_io.save_checkpoint(ckpt_path, model.params, model.posterior, model.metadata)
+    payload = pl.run_eval(cfg, model, datasets).to_json_dict()
+    payload["epoch_losses"] = epoch_losses
     _write_json(os.path.join(outdir, "pretrain_metrics.json"), payload)
     print(f"wrote {ckpt_path}")
     return 0
 
 
 def cmd_retrain(args) -> int:
-    ckpt = ckpt_io.load_checkpoint(args.checkpoint)
-    cfg = load_config(args, ckpt.metadata)
-    datasets = pl.build_datasets(cfg, args.dataset_cache)
-    result = pl.run_retrain(cfg, ckpt.params, ckpt.posterior, datasets=datasets)
-    outdir = _outdir(cfg)
-    out_path = os.path.join(outdir, "retrain.ckpt")
-    ckpt_io.save_checkpoint(
-        out_path, result.params, result.posterior, pl.retrain_metadata(cfg, result)
-    )
+    model, cfg, datasets = _load(args)
+    model = pl.run_retrain(cfg, model, datasets)
+    out_path = os.path.join(_outdir(cfg), "retrain.ckpt")
+    ckpt_io.save_checkpoint(out_path, model.params, model.posterior, model.metadata)
     print(f"wrote {out_path}")
     return 0
 
 
-def _disalign_from_metadata(metadata: dict | None) -> DisAlignParams | None:
-    if metadata and "disalign" in metadata:
-        return DisAlignParams.from_dict(metadata["disalign"])
-    return None
-
-
 def cmd_eval(args) -> int:
-    ckpt = ckpt_io.load_checkpoint(args.checkpoint)
-    cfg = load_config(args, ckpt.metadata)
-    datasets = pl.build_datasets(cfg, args.dataset_cache)
-    report = pl.run_eval(
-        cfg,
-        ckpt.params,
-        ckpt.posterior,
-        datasets=datasets,
-        disalign_params=_disalign_from_metadata(ckpt.metadata),
-    )
+    model, cfg, datasets = _load(args)
+    report = pl.run_eval(cfg, model, datasets)
     outdir = _outdir(cfg)
     _write_report(outdir, "eval_report", report)
     _write_bins(os.path.join(outdir, "eval_bins.csv"), report.bins)
@@ -197,16 +183,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    ckpt = ckpt_io.load_checkpoint(args.checkpoint)
-    cfg = load_config(args, ckpt.metadata)
-    datasets = pl.build_datasets(cfg, args.dataset_cache)
-    result = pl.run_analyze(
-        cfg,
-        ckpt.params,
-        ckpt.posterior,
-        datasets=datasets,
-        disalign_params=_disalign_from_metadata(ckpt.metadata),
-    )
+    model, cfg, datasets = _load(args)
+    result = pl.run_analyze(cfg, model, datasets)
     outdir = _outdir(cfg)
 
     per_instance = zip(result.labels, result.nll_per_instance,

@@ -17,12 +17,12 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import balancing as bal
-from . import checkpoint as ckpt_io
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import netcore as net
 from . import retrain as retrain_mod
 from . import swag as swag_mod
+from .checkpoint import Checkpoint, config_hash
 from .util import (
     STREAM_ANALYSIS,
     STREAM_BATCH,
@@ -60,6 +60,7 @@ class EvalConfig:
         check(
             (self.ece_bins >= 1, "eval.ece_bins must be >= 1"),
             (self.ensemble_m >= 0, "eval.ensemble_m must be >= 0 (0 means point predictions)"),
+            (self.analysis_seed >= 0, "eval.analysis_seed must be >= 0"),
         )
 
 
@@ -146,7 +147,7 @@ class ExperimentConfig:
         return replace(self, run=replace(self.run, output_dir=RunConfig().output_dir))
 
     def hash(self) -> str:
-        return ckpt_io.config_hash(self.canonical().to_text())
+        return config_hash(self.canonical().to_text())
 
     def validate(self) -> "ExperimentConfig":
         """Reject out-of-range values before any training starts; returns self.
@@ -248,18 +249,18 @@ def build_datasets(cfg: ExperimentConfig, cache_path: str | None = None):
 # Stage 1: representation learning
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PretrainResult:
-    params: net.ModelParams
-    posterior: swag_mod.SwagPosterior | None
-    epoch_losses: list[float]
-    train: data_mod.LongTailDataset
-    test: data_mod.LongTailDataset
+def _metadata(cfg: ExperimentConfig, stage: str, **extra) -> dict:
+    """What a model records about the run that made it."""
+    return {"format": 1, "stage": stage, "seed": cfg.run.seed,
+            "config": cfg.canonical().to_dict(), "config_hash": cfg.hash(), **extra}
 
 
-def run_pretrain(cfg: ExperimentConfig, datasets=None, cache_path: str | None = None) -> PretrainResult:
+def run_pretrain(cfg: ExperimentConfig, datasets) -> tuple[Checkpoint, list[float]]:
+    """Stage 1 on ``datasets`` (train, test): the model (the averaged
+    weights and their posterior with averaging on, else the last SGD
+    weights) and the mean training loss of each epoch."""
     cfg.validate()
-    train, test = datasets if datasets is not None else build_datasets(cfg, cache_path)
+    train, _ = datasets
     seed = cfg.run.seed
     optim, swa = cfg.optim, cfg.swa
     params = net.init_params(
@@ -302,45 +303,24 @@ def run_pretrain(cfg: ExperimentConfig, datasets=None, cache_path: str | None = 
     if swa.enabled:
         swag_mod.freeze(posterior)
         params = swag_mod.swa_params(posterior)
-    return PretrainResult(params, posterior, epoch_losses, train, test)
-
-
-def pretrain_metadata(cfg: ExperimentConfig) -> dict:
-    return {
-        "format": 1,
-        "stage": "pretrain",
-        "swa": cfg.swa.enabled,
-        "seed": cfg.run.seed,
-        "config": cfg.canonical().to_dict(),
-        "config_hash": cfg.hash(),
-    }
+    return Checkpoint(params, posterior, _metadata(cfg, "pretrain", swa=swa.enabled)), epoch_losses
 
 
 # ---------------------------------------------------------------------------
 # Stage 2: classifier re-training
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RetrainResult:
-    params: net.ModelParams
-    disalign: retrain_mod.DisAlignParams | None
-    lws_tau: float | None
-    posterior: swag_mod.SwagPosterior | None
-
-
 def retrain_epochs(cfg: ExperimentConfig) -> int:
     return max(1, int(round_half_up(cfg.optim.epochs * cfg.retrain.epochs_frac)))
 
 
-def run_retrain(
-    cfg: ExperimentConfig,
-    params: net.ModelParams,
-    posterior: swag_mod.SwagPosterior | None,
-    datasets=None,
-    cache_path: str | None = None,
-) -> RetrainResult:
+def run_retrain(cfg: ExperimentConfig, model: Checkpoint, datasets) -> Checkpoint:
+    """Stage 2 from ``model``: a new model with the same extractor and
+    posterior, whose metadata records the method, lws's τ and disalign's
+    calibration."""
     cfg.validate()
-    train, _ = datasets if datasets is not None else build_datasets(cfg, cache_path)
+    train, _ = datasets
+    params, posterior = model.params, model.posterior
     method = cfg.retrain.method
     seed = cfg.run.seed
     act = cfg.model.activation
@@ -348,82 +328,52 @@ def run_retrain(
     optim = replace(cfg.optim, lr=cfg.retrain.lr, epochs=retrain_epochs(cfg))
     theta = params.layers
     rng = rng_stream(seed, STREAM_RETRAIN_BATCH)
+    meta = _metadata(cfg, "retrain", method=method, balance=cfg.retrain.balance,
+                     balance_rho=cfg.retrain.balance_rho)
 
-    disalign_params = None
-    lws_tau = None
     if method == "crt":
         w, b = retrain_mod.crt(theta, train, spec, optim, rng, act)
     elif method == "lws":
-        w, b, lws_tau = retrain_mod.lws(theta, (params.w, params.b), train, spec, optim, rng, act)
-    elif method == "disalign":
-        disalign_params = retrain_mod.disalign(
-            theta, (params.w, params.b), train, optim, rng, act, rho=cfg.retrain.balance_rho
+        w, b, meta["lws_tau"] = retrain_mod.lws(
+            theta, (params.w, params.b), train, spec, optim, rng, act
         )
+    elif method == "disalign":
+        meta["disalign"] = retrain_mod.disalign(
+            theta, (params.w, params.b), train, optim, rng, act, rho=cfg.retrain.balance_rho
+        ).to_dict()
         w, b = params.w, params.b
     else:  # srepr
         w, b = retrain_mod.srepr_retrain(
             theta, posterior, (params.w, params.b), train, spec, cfg.retrain, optim, rng, act
         )
     # the constructor packs a new vector, so the result shares no memory with params
-    new_params = net.ModelParams(theta, w, b)
-    return RetrainResult(new_params, disalign_params, lws_tau, posterior)
-
-
-def retrain_metadata(cfg: ExperimentConfig, result: RetrainResult) -> dict:
-    meta = {
-        "format": 1,
-        "stage": "retrain",
-        "method": cfg.retrain.method,
-        "balance": cfg.retrain.balance,
-        "balance_rho": cfg.retrain.balance_rho,
-        "seed": cfg.run.seed,
-        "config": cfg.canonical().to_dict(),
-        "config_hash": cfg.hash(),
-    }
-    if result.lws_tau is not None:
-        meta["lws_tau"] = result.lws_tau
-    if result.disalign is not None:
-        meta["disalign"] = result.disalign.to_dict()
-    return meta
+    return Checkpoint(net.ModelParams(theta, w, b), posterior, meta)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation and analysis
 # ---------------------------------------------------------------------------
 
-def predictive_probs(
-    cfg: ExperimentConfig,
-    params: net.ModelParams,
-    posterior: swag_mod.SwagPosterior | None,
-    x: np.ndarray,
-    disalign_params: retrain_mod.DisAlignParams | None = None,
-) -> np.ndarray:
-    """Point predictions, optionally posterior-ensembled and/or calibrated."""
+def run_eval(cfg: ExperimentConfig, model: Checkpoint, datasets) -> metrics_mod.MetricsReport:
+    """Metrics of the model on the test split: point predictions, or the
+    mean over ``eval.ensemble_m`` posterior members, calibrated by the
+    model's disalign calibration when it has one."""
+    cfg.validate()
+    train, test = datasets
+    params, calibration = model.params, model.calibration()
     act = cfg.model.activation
-    m = cfg.eval.ensemble_m
-    if m > 0:
-        if posterior is None:
+    if cfg.eval.ensemble_m > 0:
+        if model.posterior is None:
             raise ValueError("posterior required for ensemble evaluation")
         rng = rng_stream(cfg.run.seed, STREAM_ENSEMBLE)
-        return metrics_mod.ensemble_predict(
-            x, posterior, params.w, params.b, m, rng, act, disalign_params
+        probs = metrics_mod.ensemble_predict(
+            test.features, model.posterior, params.w, params.b, cfg.eval.ensemble_m, rng, act,
+            calibration,
         )
-    return metrics_mod.class_probs(
-        net.features(params.layers, x, act), params.w, params.b, disalign_params
-    )
-
-
-def run_eval(
-    cfg: ExperimentConfig,
-    params: net.ModelParams,
-    posterior: swag_mod.SwagPosterior | None,
-    datasets=None,
-    disalign_params: retrain_mod.DisAlignParams | None = None,
-    cache_path: str | None = None,
-) -> metrics_mod.MetricsReport:
-    cfg.validate()
-    train, test = datasets if datasets is not None else build_datasets(cfg, cache_path)
-    probs = predictive_probs(cfg, params, posterior, test.features, disalign_params)
+    else:
+        probs = metrics_mod.class_probs(
+            net.features(params.layers, test.features, act), params.w, params.b, calibration
+        )
     return metrics_mod.evaluate_probs(probs, test.labels, train.splits, cfg.eval.ece_bins)
 
 
@@ -441,28 +391,21 @@ class AnalysisResult:
     report: metrics_mod.MetricsReport
 
 
-def run_analyze(
-    cfg: ExperimentConfig,
-    params: net.ModelParams,
-    posterior: swag_mod.SwagPosterior | None,
-    datasets=None,
-    disalign_params: retrain_mod.DisAlignParams | None = None,
-    cache_path: str | None = None,
-) -> AnalysisResult:
+def run_analyze(cfg: ExperimentConfig, model: Checkpoint, datasets) -> AnalysisResult:
     """Dispersion, quartile and per-class tables for one model. Member and
-    point predictions are calibrated by ``disalign_params`` when given, as
-    in `run_eval`."""
+    point predictions are calibrated as in `run_eval`."""
     cfg.validate()
-    if posterior is None:
+    if model.posterior is None:
         raise ValueError("posterior required for dispersion analysis")
-    train, test = datasets if datasets is not None else build_datasets(cfg, cache_path)
+    train, test = datasets
+    params, calibration = model.params, model.calibration()
     act = cfg.model.activation
     rng = rng_stream(cfg.eval.analysis_seed, STREAM_ANALYSIS)
     m = max(cfg.swa.swag_samples, 2)
-    reps = swag_mod.posterior_features(posterior, test.features, m, rng, act)
-    member_probs = metrics_mod.class_probs(reps, params.w, params.b, disalign_params)
+    reps = swag_mod.posterior_features(model.posterior, test.features, m, rng, act)
+    member_probs = metrics_mod.class_probs(reps, params.w, params.b, calibration)
     point_probs = metrics_mod.class_probs(
-        net.features(params.layers, test.features, act), params.w, params.b, disalign_params
+        net.features(params.layers, test.features, act), params.w, params.b, calibration
     )
 
     nll_i = metrics_mod.per_instance_nll(point_probs, test.labels)
@@ -507,12 +450,9 @@ def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict:
     """Full pipeline for one seed: pretrain, eval, retrain, eval."""
     scfg = _seed_config(cfg, seed)
     datasets = build_datasets(scfg)
-    pre = run_pretrain(scfg, datasets=datasets)
-    pre_report = run_eval(scfg, pre.params, pre.posterior, datasets=datasets)
-    ret = run_retrain(scfg, pre.params, pre.posterior, datasets=datasets)
-    ret_report = run_eval(
-        scfg, ret.params, ret.posterior, datasets=datasets, disalign_params=ret.disalign
-    )
+    pre, _ = run_pretrain(scfg, datasets)
+    pre_report = run_eval(scfg, pre, datasets)
+    ret_report = run_eval(scfg, run_retrain(scfg, pre, datasets), datasets)
     repr_name = "swa" if scfg.swa.enabled else "sgd"
     return {
         "seed": seed,

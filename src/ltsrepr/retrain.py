@@ -236,21 +236,14 @@ class DisAlignParams:
         )
 
     def to_dict(self) -> dict:
+        """The JSON form a model's metadata holds; `checkpoint.Checkpoint.calibration`
+        reads it back."""
         return {
             "scale": self.scale.tolist(),
             "shift": self.shift.tolist(),
             "gate_w": self.gate_w.tolist(),
             "gate_b": float(self.gate_b),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DisAlignParams":
-        return cls(
-            scale=np.asarray(d["scale"], dtype=np.float64),
-            shift=np.asarray(d["shift"], dtype=np.float64),
-            gate_w=np.asarray(d["gate_w"], dtype=np.float64),
-            gate_b=float(d["gate_b"]),
-        )
 
 
 def _sigmoid(u):
@@ -362,16 +355,21 @@ def stochastic_representations(
         return posterior_features(model, x, config.srepr_m, rng, activation)
     if source == "input_jitter":
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return np.stack([
-            features(model, jitter_inputs(x, config.jitter_std, rng), activation)
-            for _ in range(config.srepr_m)
-        ])
+        noisy = np.empty((config.srepr_m, *x.shape))
+        return jittered_features(model, x, config.jitter_std, rng, noisy, activation)
     raise ValueError(f"unknown stochastic source {source!r}")
 
 
-def jitter_inputs(x: np.ndarray, std: float, rng: np.random.Generator) -> np.ndarray:
-    """x + std * eps with standard normal eps."""
-    return x + std * rng.standard_normal(x.shape)
+def jittered_features(layers, x: np.ndarray, std: float, rng: np.random.Generator,
+                      noisy: np.ndarray, activation: str = "relu", out=None) -> np.ndarray:
+    """``features(layers, x + std * eps)`` for M copies of ``x`` at once:
+    the (M, B, D) standard normals eps are drawn into ``noisy`` in one
+    C-order stream, then run as one stacked forward (into ``out``, see
+    `features`)."""
+    rng.standard_normal(out=noisy)
+    noisy *= std
+    noisy += x
+    return features(layers, noisy, activation, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +566,8 @@ def srepr_batches(
         layer_out = [np.empty((m, batch, wt.shape[-1])) for wt, _ in theta_swa]
         for _ in range(optim.epochs * per_epoch):
             idx = sampler(dataset, batch, rng)
-            rng.standard_normal(out=noisy)
-            noisy *= config.jitter_std
-            noisy += dataset.features[idx]
-            yield idx, features(theta_swa, noisy, activation, out=layer_out)
+            yield idx, jittered_features(theta_swa, dataset.features[idx], config.jitter_std,
+                                         rng, noisy, activation, out=layer_out)
         return
     block = np.empty((m, posterior.theta_dim))
     reps = np.empty((m, batch, posterior.template.repr_dim))

@@ -1,11 +1,12 @@
 """Reference forms the package does not ship, kept as test oracles: the
-closed-form Dirichlet KL, loss-only views of the srepr loss terms, and the
-soft-target cross-entropy written over an unfloored log-softmax."""
+closed-form Dirichlet KL, loss-only views of the srepr loss terms, the
+soft-target cross-entropy written over an unfloored log-softmax, and input
+jitter as one draw and one forward per member."""
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from ltsrepr.netcore import softmax
+from ltsrepr.netcore import features, softmax
 from ltsrepr.retrain import kd_loss_and_alpha_grad, mean_ce_loss_and_grad
 
 
@@ -47,3 +48,10 @@ def mean_ce_loss(w, b, reps, labels, balancing) -> float:
 
 def kd_loss(alpha, beta, p_bar) -> float:
     return kd_loss_and_alpha_grad(alpha, beta, p_bar)[0]
+
+
+def jittered_per_member(layers, x, std, m, rng, activation="relu"):
+    """(M, B, L): ``features(layers, x + std * eps)`` for M draws of eps,
+    each member drawn and forwarded on its own."""
+    return np.stack([features(layers, x + std * rng.standard_normal(x.shape), activation)
+                     for _ in range(m)])

@@ -269,20 +269,18 @@ def trend_bundle():
                 run=replace(base.run, seed=seed),
             )
             datasets = pl.build_datasets(cfg)
-            pre = pl.run_pretrain(cfg, datasets=datasets)
-            pre_report = pl.run_eval(cfg, pre.params, pre.posterior, datasets=datasets)
-            ret = pl.run_retrain(cfg, pre.params, pre.posterior, datasets=datasets)
-            crt_report = pl.run_eval(cfg, ret.params, ret.posterior, datasets=datasets)
+            pre, _ = pl.run_pretrain(cfg, datasets)
+            pre_report = pl.run_eval(cfg, pre, datasets)
+            ret = pl.run_retrain(cfg, pre, datasets)
+            crt_report = pl.run_eval(cfg, ret, datasets)
             tag = "swa" if swa_on else "sgd"
             bundle[f"{tag}_pre"].append(pre_report)
             bundle[f"{tag}_crt"].append(crt_report)
             if swa_on:
                 cfg_s = replace(cfg, retrain=replace(cfg.retrain, method="srepr"))
-                ret_s = pl.run_retrain(cfg_s, pre.params, pre.posterior, datasets=datasets)
-                bundle["swa_srepr"].append(
-                    pl.run_eval(cfg_s, ret_s.params, ret_s.posterior, datasets=datasets)
-                )
-                analysis = pl.run_analyze(cfg, ret.params, ret.posterior, datasets=datasets)
+                ret_s = pl.run_retrain(cfg_s, pre, datasets)
+                bundle["swa_srepr"].append(pl.run_eval(cfg_s, ret_s, datasets))
+                analysis = pl.run_analyze(cfg, ret, datasets)
                 bundle["pcc_prob"].append(analysis.quartiles_prob.pcc)
                 test = datasets[1]
                 rng = rng_stream(seed, STREAM_ENSEMBLE)

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltsrepr.checkpoint import (
+    Checkpoint,
     config_hash,
     load_checkpoint,
     save_checkpoint,
 )
 from ltsrepr.netcore import init_params
+from ltsrepr.retrain import DisAlignParams
 from ltsrepr.swag import freeze, new_posterior, update_moments
 
 
@@ -282,6 +284,57 @@ class TestDamageProperties:
         assert encode(scratch, loaded.params, loaded.posterior, loaded.metadata) == blob
         assert (loaded.posterior is None) == (posterior is None)
         assert loaded.metadata == metadata
+
+
+def calibration():
+    """A disalign calibration for `make_params`' two classes whose values
+    need every bit of a float64."""
+    return DisAlignParams(np.array([0.1, 1 / 3]), np.array([-2.0, 1e-300]),
+                          np.array([np.pi, -0.0]), 1 / 7)
+
+
+class TestCalibration:
+    def test_roundtrip_is_exact(self, tmp_path):
+        cal = calibration()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_params(), None, {"disalign": cal.to_dict()})
+        got = load_checkpoint(path).calibration()
+        for name in ("scale", "shift", "gate_w"):
+            assert getattr(got, name).tobytes() == getattr(cal, name).tobytes()
+        assert got.gate_b == cal.gate_b
+
+    def test_absent_is_none(self):
+        assert Checkpoint(make_params()).calibration() is None
+        assert Checkpoint(make_params(), metadata={"method": "crt"}).calibration() is None
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("scale", [1.0, 2.0, 3.0], "disalign.scale has 3 entries, model has 2 classes"),
+        ("shift", [[0.0, 0.0]], r"disalign.shift has shape \(1, 2\), model has 2 classes"),
+        ("gate_w", [0.0, float("nan")], "disalign.gate_w is not finite"),
+        ("gate_w", ["a", 0.0], "disalign.gate_w is not numeric"),
+        ("scale", [1.0, [2.0]], "disalign.scale is not numeric"),
+        ("gate_b", [0.5], "disalign.gate_b has 1 entries, expected one number"),
+        ("gate_b", True, "disalign.gate_b is not numeric"),
+        ("gate_b", None, "disalign.gate_b is not numeric"),
+        ("gate_b", float("inf"), "disalign.gate_b is not finite"),
+        ("gate_b", ..., "disalign.gate_b is missing"),
+    ])
+    def test_malformed_field_named(self, field, value, message):
+        entry = calibration().to_dict()
+        if value is ...:
+            del entry[field]
+        else:
+            entry[field] = value
+        with pytest.raises(ValueError, match=f"^checkpoint metadata {message}"):
+            Checkpoint(make_params(), metadata={"disalign": entry}).calibration()
+
+    def test_malformed_calibration_rejected_at_load(self, tmp_path):
+        entry = calibration().to_dict()
+        entry["scale"] = entry["scale"][:1]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_params(), None, {"disalign": entry})
+        with pytest.raises(ValueError, match="disalign.scale has 1 entries, model has 2 classes"):
+            load_checkpoint(path)
 
 
 def test_config_hash_stable():

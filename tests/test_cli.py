@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ltsrepr.pipeline as pl
-from ltsrepr.checkpoint import load_checkpoint
+from ltsrepr.checkpoint import load_checkpoint, save_checkpoint
 from ltsrepr.cli import FLAGS, _write_json, build_parser, load_config, main
 
 TINY_CONFIG = """\
@@ -362,6 +362,7 @@ class TestErrorPaths:
         (("pretrain", "--epochs", "4"), "capture 1 snapshot"),
         (("eval", "--ensemble-m", "-3"), "ensemble_m must be >= 0"),
         (("retrain", "--retrain-epochs-frac", "-1"), "epochs_frac must be positive"),
+        (("analyze", "--analysis-seed", "-1"), "eval.analysis_seed must be >= 0"),
     ])
     def test_bad_config_rejected_before_any_work(self, workdir, capsys, argv, message):
         ckpt = pretrain(workdir, out="run")
@@ -373,6 +374,29 @@ class TestErrorPaths:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+        assert not (workdir / "out").exists()
+        assert not (workdir / "cache.bin").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("scale", lambda v: v[:-1], "disalign.scale has 2 entries, model has 3 classes"),
+        ("gate_b", lambda v: "x", "disalign.gate_b is not numeric: 'x'"),
+    ])
+    def test_malformed_disalign_metadata_rejected(self, workdir, capsys, command, field, value,
+                                                  message):
+        ckpt = pretrain(workdir, out="swa")
+        assert run_cli(
+            "retrain", "--checkpoint", str(ckpt), "--output-dir", "da", "--retrain", "disalign"
+        ) == 0
+        model = load_checkpoint(workdir / "da" / "retrain.ckpt")
+        model.metadata["disalign"][field] = value(model.metadata["disalign"][field])
+        save_checkpoint(workdir / "bad.ckpt", model.params, model.posterior, model.metadata)
+        capsys.readouterr()
+        code = run_cli(command, "--checkpoint", "bad.ckpt", "--output-dir", "out",
+                       "--dataset-cache", "cache.bin")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: checkpoint metadata {message}"]
         assert not (workdir / "out").exists()
         assert not (workdir / "cache.bin").exists()
 

@@ -1,6 +1,7 @@
 """Tests for the experiment config and the end-to-end drivers."""
 
 import importlib
+import inspect
 import json
 import string
 import threading
@@ -28,6 +29,11 @@ def tiny_config(seed=0, swa=True, epochs=8, method="crt"):
         retrain=replace(cfg.retrain, method=method, srepr_m=3),
         run=replace(cfg.run, seed=seed),
     )
+
+
+def pretrain(cfg):
+    """Stage 1 on the config's own datasets: (model, epoch losses)."""
+    return pl.run_pretrain(cfg, pl.build_datasets(cfg))
 
 
 def field_values(default):
@@ -139,6 +145,7 @@ class TestValidate:
         ("dataset", "num_classes", 1, "num_classes must be >= 2"),
         ("dataset", "class_separation", 0.0, "dataset.class_separation"),
         ("swa", "start_frac", 1.0, "swa.start_frac"),
+        ("eval", "analysis_seed", -1, "eval.analysis_seed must be >= 0"),
     ])
     def test_out_of_range_rejected(self, section, key, value, message):
         cfg = pl.apply_overrides(tiny_config(), {f"{section}.{key}": value})
@@ -158,7 +165,7 @@ class TestValidate:
             predicted_ok = False
         monkeypatch.setattr(pl.ExperimentConfig, "validate", lambda self: self)
         try:
-            captured = pl.run_pretrain(cfg).posterior.count
+            captured = pretrain(cfg)[0].posterior.count
         except ValueError as exc:
             assert "need >= 2 captured snapshots" in str(exc)
             captured = 1
@@ -182,44 +189,50 @@ class TestValidate:
             assert callable(getattr(importlib.import_module(f"ltsrepr.{module}"), function, None)), (
                 f"ltsrepr.{module}.{function}"
             )
+        # its span counts read these functions' first arguments, by position or name
+        from ltsrepr.checkpoint import save_checkpoint
+        from ltsrepr.swag import sample_theta
+
+        for fn, first in ((save_checkpoint, "path"), (sample_theta, "posterior")):
+            assert next(iter(inspect.signature(fn).parameters)) == first, fn.__name__
 
 
 class TestPretrain:
     def test_deterministic_given_seed(self):
         cfg = tiny_config(seed=3)
-        a = pl.run_pretrain(cfg)
-        b = pl.run_pretrain(cfg)
+        (a, losses_a), (b, losses_b) = pretrain(cfg), pretrain(cfg)
         assert np.array_equal(a.params.flat, b.params.flat)
         assert np.array_equal(a.posterior.mean, b.posterior.mean)
-        assert a.epoch_losses == b.epoch_losses
+        assert losses_a == losses_b
 
     def test_seed_changes_outcome(self):
-        a = pl.run_pretrain(tiny_config(seed=0))
-        b = pl.run_pretrain(tiny_config(seed=1))
+        a, _ = pretrain(tiny_config(seed=0))
+        b, _ = pretrain(tiny_config(seed=1))
         assert not np.array_equal(a.params.flat, b.params.flat)
 
     def test_swa_disabled_has_no_posterior(self):
-        result = pl.run_pretrain(tiny_config(swa=False))
-        assert result.posterior is None
+        model, _ = pretrain(tiny_config(swa=False))
+        assert model.posterior is None
+        assert model.metadata["stage"] == "pretrain" and model.metadata["swa"] is False
 
     def test_swa_posterior_capture_count(self):
         # 45 examples, batch 16 -> 3 steps/epoch; 8 epochs = 24 steps;
         # captures at epoch ends past 75% of 24 = 18: steps 21 and 24
-        result = pl.run_pretrain(tiny_config(swa=True, epochs=8))
-        assert result.posterior.count == 2
-        assert result.posterior.frozen
+        model, _ = pretrain(tiny_config(swa=True, epochs=8))
+        assert model.posterior.count == 2
+        assert model.posterior.frozen
 
     def test_loss_decreases_over_first_ten_epochs(self):
         cfg = replace(pl.ExperimentConfig(), optim=replace(pl.ExperimentConfig().optim, epochs=10))
-        result = pl.run_pretrain(cfg)
-        smoothed = np.convolve(result.epoch_losses, np.ones(5) / 5, mode="valid")
+        _, epoch_losses = pretrain(cfg)
+        smoothed = np.convolve(epoch_losses, np.ones(5) / 5, mode="valid")
         assert np.all(np.diff(smoothed) < 0)
 
     def test_mixup_path_runs(self):
         cfg = tiny_config()
         cfg = replace(cfg, optim=replace(cfg.optim, mixup_alpha=0.4))
-        result = pl.run_pretrain(cfg)
-        assert np.all(np.isfinite(result.params.flat))
+        model, _ = pretrain(cfg)
+        assert np.all(np.isfinite(model.params.flat))
 
 
 class TestRetrain:
@@ -227,29 +240,30 @@ class TestRetrain:
     def test_methods_produce_usable_classifiers(self, method):
         cfg = tiny_config(method=method)
         ds = pl.build_datasets(cfg)
-        pre = pl.run_pretrain(cfg, datasets=ds)
-        result = pl.run_retrain(cfg, pre.params, pre.posterior, datasets=ds)
-        report = pl.run_eval(
-            cfg, result.params, result.posterior, datasets=ds, disalign_params=result.disalign
-        )
+        pre, _ = pl.run_pretrain(cfg, ds)
+        model = pl.run_retrain(cfg, pre, ds)
+        report = pl.run_eval(cfg, model, ds)
         assert 0.0 <= report.acc_all <= 1.0
         assert np.isfinite(report.nll)
+        assert model.metadata["stage"] == "retrain" and model.metadata["method"] == method
+        assert ("lws_tau" in model.metadata) == (method == "lws")
+        assert (model.calibration() is not None) == (method == "disalign")
 
     def test_backbone_bitwise_frozen(self):
         cfg = tiny_config(method="srepr")
         ds = pl.build_datasets(cfg)
-        pre = pl.run_pretrain(cfg, datasets=ds)
+        pre, _ = pl.run_pretrain(cfg, ds)
         td = pre.params.theta_dim
         before = pre.params.flat[:td].copy()
-        result = pl.run_retrain(cfg, pre.params, pre.posterior, datasets=ds)
-        np.testing.assert_array_equal(result.params.flat[:td], before)
+        model = pl.run_retrain(cfg, pre, ds)
+        np.testing.assert_array_equal(model.params.flat[:td], before)
 
     def test_srepr_without_posterior_rejected(self):
         cfg = tiny_config(method="srepr", swa=False)
         ds = pl.build_datasets(cfg)
-        pre = pl.run_pretrain(cfg, datasets=ds)
+        pre, _ = pl.run_pretrain(cfg, ds)
         with pytest.raises(ValueError, match="posterior required"):
-            pl.run_retrain(cfg, pre.params, None, datasets=ds)
+            pl.run_retrain(cfg, pre, ds)
 
     def test_retrain_epoch_budget(self):
         cfg = pl.ExperimentConfig()  # 60 epochs, 10% -> 6
@@ -266,12 +280,12 @@ class TestRetrain:
     def test_unknown_method_rejected(self):
         cfg = tiny_config()
         ds = pl.build_datasets(cfg)
-        pre = pl.run_pretrain(cfg, datasets=ds)
+        pre, _ = pl.run_pretrain(cfg, ds)
         cfg = replace(cfg, retrain=replace(cfg.retrain, method="magic"))
         with pytest.raises(ValueError, match="unknown retrain method"):
-            pl.run_retrain(cfg, pre.params, pre.posterior, datasets=ds)
+            pl.run_retrain(cfg, pre, ds)
         with pytest.raises(ValueError, match="unknown retrain method"):
-            pl.run_pretrain(cfg, datasets=ds)
+            pl.run_pretrain(cfg, ds)
 
 
 class TestEval:
@@ -280,28 +294,28 @@ class TestEval:
         cfg_a = tiny_config(method="crt")
         cfg_b = replace(cfg_a, retrain=replace(cfg_a.retrain, balance="la", balance_rho=2.0))
         ds = pl.build_datasets(cfg_a)
-        pre = pl.run_pretrain(cfg_a, datasets=ds)
-        rep_a = pl.run_eval(cfg_a, pre.params, pre.posterior, datasets=ds)
-        rep_b = pl.run_eval(cfg_b, pre.params, pre.posterior, datasets=ds)
+        pre, _ = pl.run_pretrain(cfg_a, ds)
+        rep_a = pl.run_eval(cfg_a, pre, ds)
+        rep_b = pl.run_eval(cfg_b, pre, ds)
         assert rep_a.to_json() == rep_b.to_json()
 
     def test_ensemble_requires_posterior(self):
         cfg = tiny_config(swa=False)
         cfg = replace(cfg, eval=replace(cfg.eval, ensemble_m=2))
         ds = pl.build_datasets(cfg)
-        pre = pl.run_pretrain(cfg, datasets=ds)
+        pre, _ = pl.run_pretrain(cfg, ds)
         with pytest.raises(ValueError, match="posterior required"):
-            pl.run_eval(cfg, pre.params, None, datasets=ds)
+            pl.run_eval(cfg, pre, ds)
 
     def test_ensemble_point_limit(self):
         # zero posterior spread: any ensemble size equals the point report
         cfg = tiny_config(swa=True)
         ds = pl.build_datasets(cfg)
-        pre = pl.run_pretrain(cfg, datasets=ds)
+        pre, _ = pl.run_pretrain(cfg, ds)
         pre.posterior.sigma[:] = 0.0
-        point = pl.run_eval(cfg, pre.params, pre.posterior, datasets=ds)
+        point = pl.run_eval(cfg, pre, ds)
         cfg_e = replace(cfg, eval=replace(cfg.eval, ensemble_m=3))
-        ens = pl.run_eval(cfg_e, pre.params, pre.posterior, datasets=ds)
+        ens = pl.run_eval(cfg_e, pre, ds)
         assert point.to_json() == ens.to_json()
 
 
@@ -309,8 +323,8 @@ class TestAnalyze:
     def test_outputs_cover_test_set(self):
         cfg = tiny_config()
         ds = pl.build_datasets(cfg)
-        pre = pl.run_pretrain(cfg, datasets=ds)
-        result = pl.run_analyze(cfg, pre.params, pre.posterior, datasets=ds)
+        pre, _ = pl.run_pretrain(cfg, ds)
+        result = pl.run_analyze(cfg, pre, ds)
         n_test = ds[1].num_examples
         assert len(result.nll_per_instance) == n_test
         assert len(result.dispersion_repr) == n_test
@@ -321,24 +335,37 @@ class TestAnalyze:
     def test_requires_posterior(self):
         cfg = tiny_config(swa=False)
         ds = pl.build_datasets(cfg)
-        pre = pl.run_pretrain(cfg, datasets=ds)
+        pre, _ = pl.run_pretrain(cfg, ds)
         with pytest.raises(ValueError, match="posterior"):
-            pl.run_analyze(cfg, pre.params, None, datasets=ds)
+            pl.run_analyze(cfg, pre, ds)
 
     def test_deterministic_for_fixed_analysis_seed(self):
         cfg = tiny_config()
         ds = pl.build_datasets(cfg)
-        pre = pl.run_pretrain(cfg, datasets=ds)
-        a = pl.run_analyze(cfg, pre.params, pre.posterior, datasets=ds)
-        b = pl.run_analyze(cfg, pre.params, pre.posterior, datasets=ds)
+        pre, _ = pl.run_pretrain(cfg, ds)
+        a = pl.run_analyze(cfg, pre, ds)
+        b = pl.run_analyze(cfg, pre, ds)
         assert np.array_equal(a.dispersion_prob, b.dispersion_prob)
+
+    def test_disalign_calibration_matches_eval(self):
+        # the library twin of the CLI test: analyze's point predictions are eval's
+        cfg = tiny_config(method="disalign")
+        ds = pl.build_datasets(cfg)
+        model = pl.run_retrain(cfg, pl.run_pretrain(cfg, ds)[0], ds)
+        assert cfg.eval.ensemble_m == 0
+        report = pl.run_eval(cfg, model, ds)
+        summary = pl.run_analyze(cfg, model, ds).report
+        for key in ("acc_all", "acc_few", "nll", "ece"):
+            assert getattr(summary, key) == getattr(report, key), key
+        # and the calibration matters on this model
+        assert pl.run_eval(cfg, replace(model, metadata=None), ds).nll != report.nll
 
     def test_zero_spread_posterior_flags_undefined_pcc(self):
         cfg = tiny_config()
         ds = pl.build_datasets(cfg)
-        pre = pl.run_pretrain(cfg, datasets=ds)
+        pre, _ = pl.run_pretrain(cfg, ds)
         pre.posterior.sigma[:] = 0.0
-        result = pl.run_analyze(cfg, pre.params, pre.posterior, datasets=ds)
+        result = pl.run_analyze(cfg, pre, ds)
         assert np.allclose(result.dispersion_prob, 0.0)
         assert not result.quartiles_prob.pcc_defined
 
@@ -400,8 +427,8 @@ class TestSweepWorkers:
         cfg = replace(tiny_config(epochs=6, method="srepr"),
                       run=replace(tiny_config().run, seeds=(0, 1)))
         before = threading.active_count()
-        pre = pl.run_pretrain(cfg)
-        pl.run_retrain(cfg, pre.params, pre.posterior, datasets=(pre.train, pre.test))
+        ds = pl.build_datasets(cfg)
+        pl.run_retrain(cfg, pl.run_pretrain(cfg, ds)[0], ds)
         assert threading.active_count() == before
         monkeypatch.setenv("LTSREPR_THREADS", "2")
         result = pl.run_sweep(cfg)

@@ -10,7 +10,7 @@ import pytest
 from gradcheck import assert_grad_close, numeric_grad
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import dirichlet_kl, kd_loss, mean_ce_loss
+from reference import dirichlet_kl, jittered_per_member, kd_loss, mean_ce_loss
 from scipy import stats
 from scipy.special import digamma, gammaln, polygamma
 
@@ -254,6 +254,16 @@ class TestStochasticRepresentations:
             self.x, "input_jitter", self.params.layers, cfg, np.random.default_rng(1)
         )
         assert np.array_equal(reps[0], reps[1]) and np.array_equal(reps[1], reps[2])
+
+    def test_jitter_is_the_per_member_loop(self):
+        # one (M, B, D) normal draw and one stacked forward give each member
+        # the bits of its own draw and forward, and leave the rng where they do
+        cfg = RetrainConfig(srepr_m=4, stochastic_source="input_jitter", jitter_std=0.3)
+        got_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = stochastic_representations(self.x, "input_jitter", self.params.layers, cfg, got_rng)
+        want = jittered_per_member(self.params.layers, self.x, 0.3, 4, rng)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == rng.bit_generator.state
 
     def test_seed_reproducible(self):
         post = frozen_posterior(self.params, spread=0.1)
@@ -780,8 +790,8 @@ class TestDrawAhead:
                     reps = np.stack([features(theta_layers(post, row), x, activation)
                                      for row in block])
                 else:
-                    reps = stochastic_representations(x, source, params.layers, config, rng,
-                                                      activation)
+                    reps = jittered_per_member(params.layers, x, config.jitter_std, m, rng,
+                                               activation)
                 yield idx, reps
 
     def check_same_stream(self, source, batch=16, epochs=3):
