@@ -16,6 +16,7 @@ import numpy as np
 from ltsrepr.data import (
     DatasetConfig,
     class_balanced_indices,
+    dataset_key,
     instance_balanced_indices,
     load_dataset_pair,
     longtail_class_counts,
@@ -43,10 +44,12 @@ print("\nempirical class share over 50k draws:")
 print("  instance-balanced:", np.round(np.bincount(labels_ib, minlength=10) / 50_000, 3))
 print("  class-balanced:   ", np.round(np.bincount(labels_cb, minlength=10) / 50_000, 3))
 
-# Datasets round-trip through a flat binary cache (float32 payload).
+# Datasets round-trip through a flat binary cache (float32 payload) that
+# records the config and seed it was made for; a run reads it only for those.
+key = dataset_key(config, seed=0)
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "benchmark.bin")
-    save_dataset_pair(path, train, test)
-    train2, _ = load_dataset_pair(path)
+    save_dataset_pair(path, train, test, key)
+    train2, _ = load_dataset_pair(path, key)
     print(f"\ncache file: {os.path.getsize(path)} bytes;",
           "labels identical:", bool(np.array_equal(train.labels, train2.labels)))

@@ -88,9 +88,10 @@ def _records(flat: np.ndarray, shapes, what: str) -> list[bytes]:
     return records
 
 
-def save_checkpoint(path, params: ModelParams, posterior: SwagPosterior | None = None,
-                    metadata: dict | None = None) -> None:
-    """Write a checkpoint; every value is validated before the file opens."""
+def save_checkpoint(path, model: Checkpoint) -> None:
+    """Write ``model``, the mirror of `load_checkpoint`; every value is
+    validated before the file opens."""
+    params, posterior, metadata = model.params, model.posterior, model.metadata
     chunks = [MODEL_MAGIC, struct.pack("<II", FORMAT_VERSION, len(params.shapes))]
     chunks += _records(params.flat, params.shapes, "parameter array")
     if posterior is not None:
@@ -148,15 +149,7 @@ def load_checkpoint(path) -> Checkpoint:
             (n,) = struct.unpack("<I", r.take(4, "posterior capture count"))
             groups = [_read_vector(r, count, f"posterior {name}", expect=stored)[0]
                       for name in ("mean", "second moment", "covariance")]
-            posterior = SwagPosterior(
-                mean=groups[0],
-                sq_mean=groups[1],
-                count=n,
-                theta_dim=params.theta_dim,
-                template=params.copy(),
-                sigma=groups[2],
-                frozen=True,
-            )
+            posterior = SwagPosterior(groups[0], groups[1], n, params.shapes, groups[2])
 
         metadata = None
         if r.left:

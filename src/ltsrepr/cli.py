@@ -155,7 +155,7 @@ def cmd_pretrain(args) -> int:
     model, epoch_losses = pl.run_pretrain(cfg, datasets)
     outdir = _outdir(cfg)
     ckpt_path = os.path.join(outdir, "pretrain.ckpt")
-    ckpt_io.save_checkpoint(ckpt_path, model.params, model.posterior, model.metadata)
+    ckpt_io.save_checkpoint(ckpt_path, model)
     payload = pl.run_eval(cfg, model, datasets).to_json_dict()
     payload["epoch_losses"] = epoch_losses
     _write_json(os.path.join(outdir, "pretrain_metrics.json"), payload)
@@ -167,7 +167,7 @@ def cmd_retrain(args) -> int:
     model, cfg, datasets = _load(args)
     model = pl.run_retrain(cfg, model, datasets)
     out_path = os.path.join(_outdir(cfg), "retrain.ckpt")
-    ckpt_io.save_checkpoint(out_path, model.params, model.posterior, model.metadata)
+    ckpt_io.save_checkpoint(out_path, model)
     print(f"wrote {out_path}")
     return 0
 

@@ -8,8 +8,9 @@ binary format.
 
 from __future__ import annotations
 
+import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -298,21 +299,34 @@ def read_dataset_record(r: SizedReader, record: str) -> LongTailDataset:
     return LongTailDataset.from_arrays(features.astype(np.float64), labels, k)
 
 
-def save_dataset_pair(path, train: LongTailDataset, test: LongTailDataset) -> None:
-    """Train and test as two consecutive records in one cache file."""
+def dataset_key(config: DatasetConfig, seed: int) -> str:
+    """What `make_longtail_dataset` output depends on, the ``[dataset]``
+    section and the run seed, as the text a cache file stores."""
+    return json.dumps({"dataset": asdict(config), "seed": seed}, sort_keys=True)
+
+
+def save_dataset_pair(path, train: LongTailDataset, test: LongTailDataset, key: str) -> None:
+    """Train and test as two consecutive records in one cache file, then
+    the `dataset_key` they were made for: u32 length, UTF-8 text."""
+    blob = key.encode("utf-8")
     with open(path, "wb") as f:
         write_dataset_record(f, train)
         write_dataset_record(f, test)
+        f.write(struct.pack("<I", len(blob)) + blob)
 
 
-def load_dataset_pair(path) -> tuple[LongTailDataset, LongTailDataset]:
-    """Read a cache written by `save_dataset_pair`; any byte after the test
-    record is rejected."""
+def load_dataset_pair(path, key: str) -> tuple[LongTailDataset, LongTailDataset]:
+    """Read a cache written by `save_dataset_pair` for ``key``. A cache made
+    for another key, and any byte after the key, are rejected."""
     with open(path, "rb") as f:
         r = SizedReader(f, "dataset cache")
         train = read_dataset_record(r, "train")
         test = read_dataset_record(r, "test")
+        (length,) = struct.unpack("<I", r.take(4, "key length"))
+        stored = r.take(length, "key").decode("utf-8", errors="replace")
         if r.left:
-            raise ValueError(f"dataset cache has {r.left} unexpected bytes after the test record")
+            raise ValueError(f"dataset cache has {r.left} unexpected bytes after the key")
+    if stored != key:
+        raise ValueError(f"dataset cache {path} was made for {stored}, not for this run's {key}")
     test.splits = list(train.splits)
     return train, test

@@ -111,9 +111,6 @@ class ModelParams:
         """This layout over another vector (views, no copy)."""
         return ModelParams.from_flat(flat, self.shapes)
 
-    def copy(self) -> "ModelParams":
-        return self.like(self.flat.copy())
-
     def arrays(self) -> list[np.ndarray]:
         """All parameter arrays, extractor first, classifier last."""
         return [a for pair in self.layers for a in pair] + [self.w, self.b]

@@ -218,15 +218,16 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
 def build_datasets(cfg: ExperimentConfig, cache_path: str | None = None):
     """Generate (or load from cache) the raw pair, then standardize both
     splits with training statistics."""
-    if cache_path and not os.path.exists(cache_path):
-        train_raw, test_raw = data_mod.make_longtail_dataset(cfg.dataset, cfg.run.seed)
-        # the cache may sit in an output directory the CLI has not created yet
-        os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
-        data_mod.save_dataset_pair(cache_path, train_raw, test_raw)
     if cache_path:
+        key = data_mod.dataset_key(cfg.dataset, cfg.run.seed)
+        if not os.path.exists(cache_path):
+            train_raw, test_raw = data_mod.make_longtail_dataset(cfg.dataset, cfg.run.seed)
+            # the cache may sit in an output directory the CLI has not created yet
+            os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
+            data_mod.save_dataset_pair(cache_path, train_raw, test_raw, key)
         # read back even on first use so cached and fresh runs see the same
-        # float32-quantized features
-        train_raw, test_raw = data_mod.load_dataset_pair(cache_path)
+        # float32-quantized features; a cache made for another key fails here
+        train_raw, test_raw = data_mod.load_dataset_pair(cache_path, key)
     else:
         train_raw, test_raw = data_mod.make_longtail_dataset(cfg.dataset, cfg.run.seed)
     mean, std = data_mod.feature_standardizer(train_raw.features)

@@ -45,7 +45,7 @@ from .netcore import (
     softmax,
     softmax_ce,
 )
-from .swag import SwagPosterior, fill_theta, posterior_features, theta_layers
+from .swag import SwagPosterior, member_features, posterior_features, sample_theta
 from .util import check
 
 LOGIT_CLAMP_SCALE = 30.0  # raw student logits clipped at +/- 30 * temperature
@@ -546,16 +546,17 @@ def srepr_batches(
     """srepr's stage-2 stream: ``(idx, reps)`` for every step, reps the
     (M, B, L) stochastic representations of the batch ``idx``.
 
-    Source "posterior": at the start of each epoch, M extractor draws fill
-    one (M, theta_dim) block, then every step's batch indices of the epoch
-    are drawn. The epoch's U distinct rows run through each member in turn
-    into one (M, U, L) table, and each step takes its rows from it, so a
-    row sampled by several steps is forwarded once per member. A member's
-    gemm gives a row the same bits in any product of two or more rows, so
-    a lone distinct row is forwarded twice. Source "input_jitter": each
-    step draws its indices, then M x B x D normals for its rows.
-    Everything comes from ``rng`` in that order, never ahead of the epoch
-    that uses it. ``reps`` is one buffer, rewritten every step.
+    Source "posterior": at the start of each epoch, M `sample_theta` draws
+    fill the rows of one (M, theta_dim) block, then every step's batch
+    indices of the epoch are drawn. `member_features` runs the epoch's U
+    distinct rows through each member in turn into one (M, U, L) table,
+    and each step takes its rows from it, so a row sampled by several
+    steps is forwarded once per member. A member's gemm gives a row the
+    same bits in any product of two or more rows, so a lone distinct row
+    is forwarded twice. Source "input_jitter": each step draws its
+    indices, then M x B x D normals for its rows. Everything comes from
+    ``rng`` in that order, never ahead of the epoch that uses it. ``reps``
+    is one buffer, rewritten every step.
     """
     m, batch = config.srepr_m, optim.batch_size
     sampler = _stage2_sampler(balancing)
@@ -570,31 +571,20 @@ def srepr_batches(
                                          rng, noisy, activation, out=layer_out)
         return
     block = np.empty((m, posterior.theta_dim))
-    reps = np.empty((m, batch, posterior.template.repr_dim))
+    reps = np.empty((m, batch, posterior.repr_dim))
     for _ in range(optim.epochs):
-        fill_theta(posterior, rng, block)
+        members = [sample_theta(posterior, rng, row) for row in block]
         epoch_idx = [sampler(dataset, batch, rng) for _ in range(per_epoch)]
         rows, inverse = np.unique(epoch_idx, return_inverse=True)
         if len(rows) == 1:
             rows = np.repeat(rows, 2)  # a one-row product runs as gemv, which rounds unlike gemm
         inverse = inverse.reshape(per_epoch, batch)
         table = None  # the last epoch's table goes before the next is made
-        table = _member_table(posterior, block, dataset.features[rows], activation)
+        table = member_features(members, dataset.features[rows],
+                                np.empty((m, len(rows), posterior.repr_dim)), activation)
         for step, idx in enumerate(epoch_idx):
             # indices are in range; "clip" spares take the copy "raise" makes
             yield idx, np.take(table, inverse[step], axis=1, out=reps, mode="clip")
-
-
-def _member_table(posterior: SwagPosterior, block: np.ndarray, x: np.ndarray,
-                  activation: str) -> np.ndarray:
-    """(M, U, L): the rows ``x`` under each extractor draw in ``block``,
-    one 2-D forward per member, hidden layers in buffers the members
-    share."""
-    hidden = [np.empty((len(x), w.shape[1])) for w, _ in posterior.template.layers[:-1]]
-    table = np.empty((len(block), len(x), posterior.template.repr_dim))
-    for row, member in zip(block, table):
-        features(theta_layers(posterior, row), x, activation, out=hidden + [member])
-    return table
 
 
 def srepr_retrain(

@@ -11,6 +11,7 @@ sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -43,18 +44,30 @@ class SwaConfig:
 
 @dataclass
 class SwagPosterior:
-    """First/second moments over the flat parameter vector plus the frozen
-    diagonal covariance. Only the leading ``theta_dim`` entries (the feature
-    extractor) participate in sampling."""
+    """First/second moments over the flat parameter vector, the parameter
+    ``shapes`` (checkpoint order, extractor first) and, once frozen, the
+    diagonal covariance ``sigma``. Only the extractor prefix, the leading
+    ``theta_dim`` entries, participates in sampling."""
 
     mean: np.ndarray
     sq_mean: np.ndarray
     count: int
-    theta_dim: int
-    template: ModelParams
+    shapes: tuple
     sigma: np.ndarray | None = None
-    frozen: bool = False
     _std: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def frozen(self) -> bool:
+        return self.sigma is not None
+
+    @property
+    def theta_dim(self) -> int:
+        """Size of the extractor prefix: all but the classifier pair."""
+        return self.mean.size - sum(prod(shape) for shape in self.shapes[-2:])
+
+    @property
+    def repr_dim(self) -> int:
+        return self.shapes[-2][0]
 
     def theta_std(self) -> np.ndarray:
         """sqrt of the extractor's diagonal covariance, computed once per
@@ -65,14 +78,9 @@ class SwagPosterior:
 
 
 def new_posterior(template: ModelParams) -> SwagPosterior:
+    """An empty posterior over parameters laid out as ``template``."""
     size = template.flat.size
-    return SwagPosterior(
-        mean=np.zeros(size),
-        sq_mean=np.zeros(size),
-        count=0,
-        theta_dim=template.theta_dim,
-        template=template.copy(),
-    )
+    return SwagPosterior(np.zeros(size), np.zeros(size), 0, template.shapes)
 
 
 def update_moments(posterior: SwagPosterior, params: ModelParams) -> SwagPosterior:
@@ -102,7 +110,6 @@ def freeze(posterior: SwagPosterior) -> SwagPosterior:
     if posterior.count < 2:
         raise ValueError(f"need >= 2 captured snapshots, have {posterior.count}")
     posterior.sigma = np.maximum(posterior.sq_mean - posterior.mean**2, 0.0)
-    posterior.frozen = True
     return posterior
 
 
@@ -110,63 +117,58 @@ def swa_params(posterior: SwagPosterior) -> ModelParams:
     """The averaged point estimate (feature extractor and classifier)."""
     if posterior.count < 1:
         raise ValueError("no snapshots captured")
-    return posterior.template.like(posterior.mean.copy())
-
-
-def fill_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill every (theta_dim,) row of the float64 buffer ``out`` with one
-    feature-extractor draw mean + sqrt(diag) * eps, in place.
-
-    Rows are drawn in C order, so filling an (M, theta_dim) buffer consumes
-    ``rng`` exactly as M single draws do and yields the same bits.
-    """
-    if not posterior.frozen:
-        raise ValueError("posterior must be frozen before sampling")
-    rng.standard_normal(out=out)
-    out *= posterior.theta_std()
-    out += posterior.mean[: posterior.theta_dim]
-
-
-def theta_layers(posterior: SwagPosterior, flat: np.ndarray):
-    """The extractor's (weight, bias) layer pairs as views into one
-    (theta_dim,) draw, such as one row of a `fill_theta` block."""
-    views = param_views(flat, posterior.template.shapes[:-2])
-    return list(zip(views[0::2], views[1::2]))
+    return ModelParams.from_flat(posterior.mean.copy(), posterior.shapes)
 
 
 def sample_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.ndarray | None = None):
-    """Draw feature-extractor parameters mean + sqrt(diag) * eps.
+    """Draw feature-extractor parameters mean + sqrt(diag) * eps: the one
+    posterior draw.
 
-    The draw fills ``out`` (a (theta_dim,) buffer, allocated when omitted)
-    and the returned layer pairs are views into it.
+    The draw fills ``out`` (a (theta_dim,) float64 buffer, such as one row
+    of an (M, theta_dim) block; allocated when omitted), and the returned
+    (weight, bias) layer pairs are views into it. Drawing the M rows of a
+    block in order consumes ``rng`` exactly as filling the whole block in
+    one C-order call would.
     """
+    if not posterior.frozen:
+        raise ValueError("posterior must be frozen before sampling")
     if out is None:
         out = np.empty(posterior.theta_dim)
-    fill_theta(posterior, rng, out)
-    return theta_layers(posterior, out)
+    rng.standard_normal(out=out)
+    out *= posterior.theta_std()
+    out += posterior.mean[: posterior.theta_dim]
+    views = param_views(out, posterior.shapes[:-2])
+    return list(zip(views[0::2], views[1::2]))
+
+
+def member_features(members, x: np.ndarray, out: np.ndarray, activation: str = "relu") -> np.ndarray:
+    """The one posterior forward: the rows ``x`` (N, D) under each extractor
+    in ``members`` (layer-pair lists), in member order, into ``out`` (M, N, L).
+
+    One 2-D forward per member; each writes its last layer straight into
+    its slice of ``out``, and the hidden layers go to buffers all members
+    share. ``members`` may be drawn lazily, each just before its forward.
+    """
+    hidden = None
+    for layers, rep in zip(members, out):
+        if hidden is None:
+            hidden = [np.empty((len(x), w.shape[1])) for w, _ in layers[:-1]]
+        features(layers, x, activation, out=hidden + [rep])
+    return out
 
 
 def posterior_features(posterior: SwagPosterior, x: np.ndarray, num_samples: int,
                        rng: np.random.Generator, activation: str = "relu") -> np.ndarray:
     """Representations of a batch under num_samples extractor draws, shape
-    (M, B, L).
-
-    Members are drawn from ``rng`` in member order by `sample_theta` into
-    one reused parameter buffer, and each member's forward writes its last
-    layer straight into the result. They run one at a time: at evaluation
-    sizes the forward is bound by its matrix products, and stacking
-    members, or keeping hidden-layer buffers for the whole call, raised
-    the peak memory of the wide-profile evaluation and analysis.
-    """
+    (M, B, L): `member_features` over members drawn from ``rng`` one at a
+    time, in member order, into one reused parameter buffer."""
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     buf = np.empty(posterior.theta_dim)
-    reps = np.empty((num_samples, len(x), posterior.template.repr_dim))
-    for member in reps:
-        layers = sample_theta(posterior, rng, out=buf)
-        features(layers, x, activation, out=[None] * (len(layers) - 1) + [member])
-    return reps
+    members = (sample_theta(posterior, rng, buf) for _ in range(num_samples))
+    out = np.empty((num_samples, len(x), posterior.repr_dim))
+    return member_features(members, x, out, activation)
 
 
 def should_capture(step: int, total_steps: int, swa: SwaConfig, steps_per_epoch: int) -> bool:

@@ -37,7 +37,7 @@ class TestBaseSection:
         params.w[1, 0] = bad
         path = tmp_path / "model.ckpt"
         with pytest.raises(ValueError, match="parameter array"):
-            save_checkpoint(path, params)
+            save_checkpoint(path, Checkpoint(params))
         assert not path.exists()
 
     def test_unrepresentable_posterior_rejected(self, tmp_path):
@@ -46,13 +46,13 @@ class TestBaseSection:
         post.sigma[0] = np.nan
         path = tmp_path / "model.ckpt"
         with pytest.raises(ValueError, match="posterior covariance"):
-            save_checkpoint(path, params, post)
+            save_checkpoint(path, Checkpoint(params, post))
         assert not path.exists()
 
     def test_roundtrip_quantizes_to_float32(self, tmp_path):
         params = make_params()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params)
+        save_checkpoint(path, Checkpoint(params))
         loaded = load_checkpoint(path)
         assert loaded.posterior is None and loaded.metadata is None
         np.testing.assert_array_equal(
@@ -65,7 +65,7 @@ class TestBaseSection:
     def test_raw_layout_magic_version_count(self, tmp_path):
         params = make_params()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params)
+        save_checkpoint(path, Checkpoint(params))
         raw = path.read_bytes()
         assert raw[:8] == b"SREPR001"
         version, count = struct.unpack("<II", raw[8:16])
@@ -75,7 +75,7 @@ class TestBaseSection:
     def test_classifier_stored_last(self, tmp_path):
         params = make_params()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params)
+        save_checkpoint(path, Checkpoint(params))
         raw = path.read_bytes()
         offset = 16
         shapes = []
@@ -104,7 +104,7 @@ class TestPosteriorSection:
         params = make_params()
         post = make_posterior(params)
         path = tmp_path / "swa.ckpt"
-        save_checkpoint(path, params, post)
+        save_checkpoint(path, Checkpoint(params, post))
         loaded = load_checkpoint(path)
         assert loaded.posterior is not None
         assert loaded.posterior.frozen
@@ -120,12 +120,12 @@ class TestPosteriorSection:
     def test_section_magic_present(self, tmp_path):
         params = make_params()
         path = tmp_path / "swa.ckpt"
-        save_checkpoint(path, params, make_posterior(params))
+        save_checkpoint(path, Checkpoint(params, make_posterior(params)))
         assert b"SWAGDIAG" in path.read_bytes()
 
     def test_absent_when_not_given(self, tmp_path):
         path = tmp_path / "plain.ckpt"
-        save_checkpoint(path, make_params())
+        save_checkpoint(path, Checkpoint(make_params()))
         assert b"SWAGDIAG" not in path.read_bytes()
 
     def test_unfrozen_posterior_rejected(self, tmp_path):
@@ -134,7 +134,7 @@ class TestPosteriorSection:
         update_moments(post, params)
         update_moments(post, params)
         with pytest.raises(ValueError, match="frozen"):
-            save_checkpoint(tmp_path / "x.ckpt", params, post)
+            save_checkpoint(tmp_path / "x.ckpt", Checkpoint(params, post))
 
 
 class TestMetadataTrailer:
@@ -142,7 +142,7 @@ class TestMetadataTrailer:
         params = make_params()
         meta = {"stage": "retrain", "method": "crt", "seed": 3, "nested": {"a": [1, 2]}}
         path = tmp_path / "meta.ckpt"
-        save_checkpoint(path, params, None, meta)
+        save_checkpoint(path, Checkpoint(params, metadata=meta))
         loaded = load_checkpoint(path)
         assert loaded.metadata == meta
 
@@ -151,7 +151,7 @@ class TestMetadataTrailer:
         post = make_posterior(params)
         meta = {"stage": "pretrain", "swa": True}
         path = tmp_path / "full.ckpt"
-        save_checkpoint(path, params, post, meta)
+        save_checkpoint(path, Checkpoint(params, post, meta))
         loaded = load_checkpoint(path)
         assert loaded.metadata == meta
         assert loaded.posterior is not None
@@ -161,14 +161,14 @@ class TestMetadataTrailer:
         post = make_posterior(params)
         meta = {"b": 1, "a": 2}
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(a, params, post, meta)
-        save_checkpoint(b, params, post, meta)
+        save_checkpoint(a, Checkpoint(params, post, meta))
+        save_checkpoint(b, Checkpoint(params, post, meta))
         assert a.read_bytes() == b.read_bytes()
 
 
 def encode(directory, params, posterior=None, metadata=None) -> bytes:
     path = directory / "encoded.ckpt"
-    save_checkpoint(path, params, posterior, metadata)
+    save_checkpoint(path, Checkpoint(params, posterior, metadata))
     return path.read_bytes()
 
 
@@ -297,7 +297,7 @@ class TestCalibration:
     def test_roundtrip_is_exact(self, tmp_path):
         cal = calibration()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, make_params(), None, {"disalign": cal.to_dict()})
+        save_checkpoint(path, Checkpoint(make_params(), metadata={"disalign": cal.to_dict()}))
         got = load_checkpoint(path).calibration()
         for name in ("scale", "shift", "gate_w"):
             assert getattr(got, name).tobytes() == getattr(cal, name).tobytes()
@@ -332,7 +332,7 @@ class TestCalibration:
         entry = calibration().to_dict()
         entry["scale"] = entry["scale"][:1]
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, make_params(), None, {"disalign": entry})
+        save_checkpoint(path, Checkpoint(make_params(), metadata={"disalign": entry}))
         with pytest.raises(ValueError, match="disalign.scale has 1 entries, model has 2 classes"):
             load_checkpoint(path)
 

@@ -390,7 +390,7 @@ class TestErrorPaths:
         ) == 0
         model = load_checkpoint(workdir / "da" / "retrain.ckpt")
         model.metadata["disalign"][field] = value(model.metadata["disalign"][field])
-        save_checkpoint(workdir / "bad.ckpt", model.params, model.posterior, model.metadata)
+        save_checkpoint(workdir / "bad.ckpt", model)
         capsys.readouterr()
         code = run_cli(command, "--checkpoint", "bad.ckpt", "--output-dir", "out",
                        "--dataset-cache", "cache.bin")
@@ -412,6 +412,24 @@ class TestErrorPaths:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: truncated dataset cache")
         assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("config, seed", [("tiny.ini", "1"), ("four.ini", "0")])
+    def test_cache_made_for_another_dataset_rejected(self, workdir, capsys, config, seed):
+        # a cache made for seed 0 and 3 classes, read by another seed or a
+        # 4-class config, fails before any training and writes nothing
+        (workdir / "four.ini").write_text(TINY_CONFIG.replace("num_classes = 3", "num_classes = 4"))
+        pretrain(workdir, out="run", extra=("--seed", "0", "--dataset-cache", "c.bin"))
+        cache = (workdir / "c.bin").read_bytes()
+        capsys.readouterr()
+        code = run_cli("pretrain", "--config", config, "--seed", seed, "--output-dir", "out",
+                       "--dataset-cache", "c.bin")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: dataset cache c.bin was made for ")
+        assert not (workdir / "out").exists()
+        assert (workdir / "c.bin").read_bytes() == cache
+        # the run it was made for still reads it
+        pretrain(workdir, out="again", extra=("--seed", "0", "--dataset-cache", "c.bin"))
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ltsrepr.data import (
     _class_means,
     assign_splits,
     class_balanced_indices,
+    dataset_key,
     instance_balanced_indices,
     load_dataset_pair,
     longtail_class_counts,
@@ -249,12 +251,15 @@ class TestMixup:
             mixup_batch(ds.features[:1], ds.labels[:1], 1.0, 2, np.random.default_rng(0))
 
 
+KEY = dataset_key(DatasetConfig(), 0)
+
+
 class TestBinaryFormat:
     def test_roundtrip(self, tmp_path):
         train, test = make_longtail_dataset(DatasetConfig(), 2)
         path = tmp_path / "cache.bin"
-        save_dataset_pair(path, train, test)
-        loaded, _ = load_dataset_pair(path)
+        save_dataset_pair(path, train, test, KEY)
+        loaded, _ = load_dataset_pair(path, KEY)
         np.testing.assert_array_equal(loaded.labels, train.labels)
         # payload is float32; loading quantizes accordingly
         np.testing.assert_array_equal(
@@ -276,8 +281,8 @@ class TestBinaryFormat:
     def test_pair_roundtrip(self, tmp_path):
         train, test = make_longtail_dataset(DatasetConfig(), 4)
         path = tmp_path / "cache.bin"
-        save_dataset_pair(path, train, test)
-        t2, s2 = load_dataset_pair(path)
+        save_dataset_pair(path, train, test, KEY)
+        t2, s2 = load_dataset_pair(path, KEY)
         np.testing.assert_array_equal(t2.labels, train.labels)
         np.testing.assert_array_equal(s2.labels, test.labels)
         assert s2.splits == train.splits
@@ -286,7 +291,28 @@ class TestBinaryFormat:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
-            load_dataset_pair(path)
+            load_dataset_pair(path, KEY)
+
+    def test_key_follows_the_records(self, tmp_path):
+        train, test = toy_dataset([2, 1], dim=3), toy_dataset([1, 1], dim=3)
+        path = tmp_path / "cache.bin"
+        save_dataset_pair(path, train, test, KEY)
+        blob = KEY.encode("utf-8")
+        assert path.read_bytes() == encode_records(train, test) + struct.pack("<I", len(blob)) + blob
+
+    def test_key_is_the_dataset_section_and_seed(self):
+        keys = {dataset_key(DatasetConfig(), 0), dataset_key(DatasetConfig(), 1),
+                dataset_key(DatasetConfig(num_classes=4), 0),
+                dataset_key(DatasetConfig(noise_std=0.5), 0)}
+        assert len(keys) == 4
+        assert dataset_key(DatasetConfig(), 0) == KEY
+
+    def test_other_key_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        save_dataset_pair(path, toy_dataset([2, 1]), toy_dataset([1, 1]), KEY)
+        other = dataset_key(DatasetConfig(), 1)
+        with pytest.raises(ValueError, match=f"dataset cache {path} was made for .*not for this run"):
+            load_dataset_pair(path, other)
 
 
 def record(dataset: LongTailDataset) -> bytes:
@@ -295,14 +321,19 @@ def record(dataset: LongTailDataset) -> bytes:
     return buf.getvalue()
 
 
-def encode_pair(train: LongTailDataset, test: LongTailDataset) -> bytes:
+def encode_records(train: LongTailDataset, test: LongTailDataset) -> bytes:
     return record(train) + record(test)
+
+
+def encode_pair(train: LongTailDataset, test: LongTailDataset) -> bytes:
+    blob = KEY.encode("utf-8")
+    return encode_records(train, test) + struct.pack("<I", len(blob)) + blob
 
 
 def decode_pair(directory, blob: bytes):
     path = directory / "decoded.bin"
     path.write_bytes(blob)
-    return load_dataset_pair(path)
+    return load_dataset_pair(path, KEY)
 
 
 @pytest.fixture(scope="module")
@@ -322,14 +353,16 @@ class TestDamagedCache:
     def test_truncation_names_record_and_field(self, scratch):
         train, test = toy_dataset([2, 1], dim=3), toy_dataset([1, 1], dim=3)
         blob = encode_pair(train, test)
-        n = len(record(train))
+        n, records = len(record(train)), len(encode_records(train, test))
         for field, end in [("train magic", 4), ("train header", 10),
-                           ("test magic", n + 4), ("test labels", len(blob) - 1)]:
+                           ("test magic", n + 4), ("test labels", records - 1),
+                           ("key length", records), ("key length", records + 3),
+                           ("key", records + 4), ("key", len(blob) - 1)]:
             with pytest.raises(ValueError, match=f"truncated dataset cache: {field} needs"):
                 decode_pair(scratch, blob[:end])
 
     def test_trailing_bytes_rejected(self, scratch, desk_cache):
-        with pytest.raises(ValueError, match="4 unexpected bytes after the test record"):
+        with pytest.raises(ValueError, match="4 unexpected bytes after the key"):
             decode_pair(scratch, desk_cache + b"junk")
 
     def test_trailing_bytes_after_single_record_rejected(self, tmp_path):
@@ -337,12 +370,13 @@ class TestDamagedCache:
         path = tmp_path / "one.bin"
         path.write_bytes(record(toy_dataset([2, 1])) + b"x")
         with pytest.raises(ValueError, match="truncated dataset cache: test magic needs 8 bytes"):
-            load_dataset_pair(path)
+            load_dataset_pair(path, KEY)
 
     def test_label_outside_classes_named(self, scratch):
         train, test = toy_dataset([2, 1]), toy_dataset([1, 1])
         blob = bytearray(encode_pair(train, test))
-        blob[-4:] = (7).to_bytes(4, "little")  # last test label, K = 2
+        end = len(encode_records(train, test))
+        blob[end - 4:end] = (7).to_bytes(4, "little")  # last test label, K = 2
         with pytest.raises(ValueError, match=r"test labels: label 7 outside \[0, 2\)"):
             decode_pair(scratch, bytes(blob))
 
@@ -358,15 +392,16 @@ def dataset_pairs(draw):
 
 
 class TestCacheDamageProperties:
-    """Both records are required, so unlike a checkpoint no strict prefix of
-    a cache is itself a valid cache."""
+    """Both records and the key are required, so unlike a checkpoint no
+    strict prefix of a cache is itself a valid cache."""
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(dataset_pairs(), st.data())
     def test_every_strict_prefix_rejected(self, scratch, pair, data):
         blob = encode_pair(*pair)
         cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
-        near_boundary = {len(record(pair[0])) + d for d in (-1, 0, 1)}
+        near_boundary = {end + d for end in (len(record(pair[0])), len(encode_records(*pair)))
+                         for d in (-1, 0, 1)}
         for n in sorted({cut} | near_boundary):
             with pytest.raises(ValueError):
                 decode_pair(scratch, blob[:n])
@@ -374,7 +409,7 @@ class TestCacheDamageProperties:
     @settings(max_examples=60, deadline=None, database=None)
     @given(dataset_pairs(), st.binary(min_size=1, max_size=64))
     def test_any_suffix_rejected(self, scratch, pair, suffix):
-        with pytest.raises(ValueError, match="unexpected bytes after the test record"):
+        with pytest.raises(ValueError, match="unexpected bytes after the key"):
             decode_pair(scratch, encode_pair(*pair) + suffix)
 
     @settings(max_examples=30, deadline=None, database=None)

@@ -22,6 +22,7 @@ from ltsrepr.netcore import (
     features,
     init_classifier,
     init_params,
+    param_views,
     softmax,
     softmax_ce,
 )
@@ -46,13 +47,7 @@ from ltsrepr.retrain import (
     student_alpha_from_logits,
     teacher_probs,
 )
-from ltsrepr.swag import (
-    fill_theta,
-    freeze,
-    new_posterior,
-    theta_layers,
-    update_moments,
-)
+from ltsrepr.swag import freeze, new_posterior, update_moments
 
 
 def blob_dataset(counts, centers, noise=0.3, seed=0):
@@ -62,6 +57,19 @@ def blob_dataset(counts, centers, noise=0.3, seed=0):
         xs.append(np.asarray(c) + noise * rng.standard_normal((n, len(c))))
         ys.append(np.full(n, k))
     return LongTailDataset.from_arrays(np.concatenate(xs), np.concatenate(ys), len(counts))
+
+
+def inline_block(post, rng, m):
+    """M extractor draws mean + sqrt(sigma) * eps, the rows of one
+    (M, theta_dim) block of normals."""
+    td = post.theta_dim
+    return post.mean[:td] + np.sqrt(post.sigma[:td]) * rng.standard_normal((m, td))
+
+
+def draw_layers(post, row):
+    """One extractor draw's (weight, bias) layer pairs, views into ``row``."""
+    views = param_views(row, post.shapes[:-2])
+    return list(zip(views[0::2], views[1::2]))
 
 
 def frozen_posterior(params, spread=0.05, rng_seed=0):
@@ -779,15 +787,14 @@ class TestDrawAhead:
         source, m = config.stochastic_source, config.srepr_m
         for _ in range(optim.epochs):
             if source == "posterior":
-                block = np.empty((m, post.theta_dim))
-                fill_theta(post, rng, block)
+                block = inline_block(post, rng, m)
                 if blocks is not None:
                     blocks.append(block)
             for _ in range(-(-ds.num_examples // optim.batch_size)):
                 idx = class_balanced_indices(ds, optim.batch_size, rng)
                 x = ds.features[idx]
                 if source == "posterior":
-                    reps = np.stack([features(theta_layers(post, row), x, activation)
+                    reps = np.stack([features(draw_layers(post, row), x, activation)
                                      for row in block])
                 else:
                     reps = jittered_per_member(params.layers, x, config.jitter_std, m, rng,
@@ -861,6 +868,20 @@ class TestDrawAhead:
         stream = self.hand_stream(ds, params, post, config, optim, np.random.default_rng(4))
         fit_head("srepr", [w0, b0], loss_and_grads, stream, ds, optim)
         assert w.tobytes() == w0.tobytes() and b.tobytes() == b0.tobytes()
+
+    def test_every_member_is_one_sample_theta_call(self, monkeypatch):
+        # the posterior source draws each epoch's M members through the
+        # `sample_theta` that retrain binds, which the benchmark's tracer counts
+        calls = []
+        draw = retrain_mod.sample_theta
+        monkeypatch.setattr(retrain_mod, "sample_theta",
+                            lambda *a, **k: calls.append(a[0]) or draw(*a, **k))
+        ds, params, post = self.make_problem()
+        config = RetrainConfig(srepr_m=3)
+        self.run_srepr(ds, params, post, config, epochs=4)
+        assert len(calls) == 4 * 3 and all(c is post for c in calls)
+        self.run_srepr(ds, params, post, RetrainConfig(srepr_m=3, stochastic_source="input_jitter"))
+        assert len(calls) == 4 * 3
 
     def test_no_thread_outlives_return(self, monkeypatch):
         # the thread count at every training step and after return
@@ -972,9 +993,8 @@ class TestDrawAhead:
                             lambda dataset, batch, rng: np.full(batch, 7))
         config = RetrainConfig(srepr_m=3)
         optim = OptimConfig(epochs=1, batch_size=16, weight_decay=0.0005)
-        block = np.empty((3, post.theta_dim))
-        fill_theta(post, np.random.default_rng(5), block)
-        want = np.stack([features(theta_layers(post, row), ds.features[[7, 0]])[:1]
+        block = inline_block(post, np.random.default_rng(5), 3)
+        want = np.stack([features(draw_layers(post, row), ds.features[[7, 0]])[:1]
                          for row in block]).repeat(16, axis=1)
         steps = 0
         for idx, reps in srepr_batches(params.layers, post, ds, BalancingSpec("cbs"), config,

@@ -9,8 +9,8 @@ from scipy import stats
 from ltsrepr.netcore import ModelParams, features, init_params
 from ltsrepr.swag import (
     SwaConfig,
-    fill_theta,
     freeze,
+    member_features,
     new_posterior,
     posterior_features,
     sample_theta,
@@ -99,6 +99,19 @@ class TestMoments:
             assert post.mean.tobytes() == mean.tobytes()
             assert post.sq_mean.tobytes() == sq_mean.tobytes()
         assert post.count == count
+
+    def test_layout_derived_from_shapes(self):
+        # one hidden layer and none: the posterior keeps only the shapes
+        for params in (random_params(np.random.default_rng(8)), scalarish_params(0.0)):
+            post = new_posterior(params)
+            assert post.shapes == params.shapes
+            assert post.theta_dim == params.theta_dim
+            assert post.repr_dim == params.repr_dim
+            assert not post.frozen
+            update_moments(post, params)
+            update_moments(post, params)
+            assert freeze(post).frozen
+            assert swa_params(post).shapes == params.shapes
 
     def test_update_after_freeze_rejected(self):
         post = new_posterior(scalarish_params(0.0))
@@ -207,13 +220,17 @@ class TestSampling:
             assert flat_theta(sample_theta(post, rng)).tobytes() == flat[:td].tobytes()
 
     def test_block_fill_matches_single_draws(self):
+        # M draws into the rows of an (M, theta_dim) block, in row order, are
+        # one C-order block of normals scaled and shifted inline
         post = self.make_random_frozen(seed=7)
-        rng_single, rng_block = np.random.default_rng(13), np.random.default_rng(13)
-        singles = [flat_theta(sample_theta(post, rng_single)) for _ in range(5)]
-        block = np.empty((5, post.theta_dim))
-        fill_theta(post, rng_block, block)
-        assert block.tobytes() == np.stack(singles).tobytes()
-        assert rng_block.bit_generator.state == rng_single.bit_generator.state
+        td = post.theta_dim
+        rng_rows, rng_block = np.random.default_rng(13), np.random.default_rng(13)
+        rows = np.empty((5, td))
+        for row in rows:
+            sample_theta(post, rng_rows, row)
+        block = post.mean[:td] + np.sqrt(post.sigma[:td]) * rng_block.standard_normal((5, td))
+        assert rows.tobytes() == block.tobytes()
+        assert rng_rows.bit_generator.state == rng_block.bit_generator.state
 
     def test_replaced_sigma_is_used(self):
         post = self.make_frozen(var_value=0.0)
@@ -262,6 +279,15 @@ class TestSampling:
         got = posterior_features(post, x, members, got_rng, activation)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == loop_rng.bit_generator.state
+        # srepr's members: drawn up front into the rows of one block, then
+        # run through the same member loop
+        eager_rng = np.random.default_rng(seed + 1)
+        block = np.empty((members, post.theta_dim))
+        eager = [sample_theta(post, eager_rng, row) for row in block]
+        out = np.empty((members, batch, widths[-1]))
+        assert member_features(eager, x, out, activation) is out
+        assert out.tobytes() == want.tobytes()
+        assert eager_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 class TestSwaPoint:
