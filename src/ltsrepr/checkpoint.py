@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +42,20 @@ class Checkpoint:
     params: ModelParams
     posterior: SwagPosterior | None = None
     metadata: dict | None = None
+
+    def rounded(self) -> "Checkpoint":
+        """This model as a checkpoint file holds it: the parameters and the
+        posterior's moments and covariance rounded through float32
+        (`to_float32`) and held in float64, so a model handed on in memory
+        and the same model read back from disk are the same bits."""
+        def stored(a):
+            return None if a is None else to_float32(a).astype(np.float64)
+
+        posterior = self.posterior
+        if posterior is not None:
+            posterior = replace(posterior, mean=stored(posterior.mean),
+                                sq_mean=stored(posterior.sq_mean), sigma=stored(posterior.sigma))
+        return Checkpoint(self.params.like(stored(self.params.flat)), posterior, self.metadata)
 
     def calibration(self) -> DisAlignParams | None:
         """The disalign calibration in the metadata, or None. Raises
@@ -73,14 +87,20 @@ class Checkpoint:
                               float(values["gate_b"]))
 
 
+def to_float32(flat: np.ndarray) -> np.ndarray:
+    """``flat`` rounded to little-endian float32, the values a checkpoint
+    stores. Values beyond float32's range become infinite, for the caller
+    to reject."""
+    with np.errstate(over="ignore"):
+        return flat.astype("<f4")
+
+
 def _records(flat: np.ndarray, shapes, what: str) -> list[bytes]:
     """One (u32 rows, u32 cols) header plus float32 payload per array, each
     a slice of ``flat`` converted once; rejects values that are non-finite
     or overflow float32, naming the array as ``what`` and its index."""
-    with np.errstate(over="ignore"):
-        data = flat.astype("<f4")
     records = []
-    for i, a in enumerate(param_views(data, shapes)):
+    for i, a in enumerate(param_views(to_float32(flat), shapes)):
         if not np.isfinite(a).all():
             raise ValueError(f"cannot checkpoint {what} {i}: non-finite or beyond float32 range")
         a = np.atleast_2d(a)

@@ -16,6 +16,7 @@ import os
 import sys
 
 from . import checkpoint as ckpt_io
+from . import data
 from . import pipeline as pl
 from .balancing import KINDS
 from .retrain import RETRAIN_METHODS
@@ -143,9 +144,18 @@ def _write_bins(path: str, bins) -> None:
 def _load(args):
     """The model, config and datasets of a command that starts from a
     checkpoint: the config comes from the checkpoint unless a config file
-    is given, and is validated before the datasets are built."""
+    is given, and is validated before the datasets are built. A config
+    whose dataset (the ``[dataset]`` section and the run seed) differs
+    from the one in the checkpoint's metadata is rejected first."""
     model = ckpt_io.load_checkpoint(args.checkpoint)
     cfg = load_config(args, model.metadata)
+    if model.metadata and "config" in model.metadata:
+        made = pl.ExperimentConfig.from_dict(model.metadata["config"])
+        made_key = data.dataset_key(made.dataset, made.run.seed)
+        key = data.dataset_key(cfg.dataset, cfg.run.seed)
+        if key != made_key:
+            raise ValueError(f"checkpoint {args.checkpoint} was made on the dataset {made_key}, "
+                             f"not on this run's {key}")
     return model, cfg, pl.build_datasets(cfg, args.dataset_cache)
 
 

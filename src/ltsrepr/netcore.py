@@ -6,8 +6,21 @@ softmax cross-entropy for hard labels and soft target rows, and SGD with
 Nesterov momentum, an explicit L2 penalty term, and a single-cycle cosine
 learning-rate schedule.
 
-All math is float64. Losses plug into `backward` as callables mapping
-(logits, targets) -> (batch-mean loss, d(mean loss)/d(logits)).
+Losses plug into `backward` as callables mapping (logits, targets) ->
+(batch-mean loss, d(mean loss)/d(logits)).
+
+Precision. Stage 1 trains in float32: its parameters, gradients, momentum,
+SGD scratch buffers, input batches and activations are float32, because
+gemm and the elementwise SGD passes run about twice as fast on half the
+bytes. `features` runs in the dtype of its first weight and `backward`
+writes gradients in the parameters' dtype. The softmax/CE head works in
+float64 on the (B, K) logits (`softmax` casts), and its gradient is cast
+back to the parameters' dtype. Everything else stays float64: the SWA
+moments (``sq_mean - mean**2`` cancels, so snapshots are squared in
+float64), stage 2, evaluation, analysis and the Dirichlet fit. At every
+stage boundary the arrays are float32 values held in float64, the values
+a checkpoint stores, so a model handed on in memory and one read back
+from disk are the same bits.
 
 Every ModelParams holds its parameters in one C-contiguous vector ``flat``
 laid out in checkpoint order (W0, b0, ..., W, b); its per-layer arrays are
@@ -38,7 +51,7 @@ def _relu(z, out=None):
 
 
 def _drelu(z):
-    # a bool mask: multiplying by it gives the same bits as by its float64 cast
+    # a bool mask: multiplying by it gives the same bits as by its float cast
     return z > 0.0
 
 
@@ -74,9 +87,10 @@ class ModelParams:
     ``layers`` holds (weight (fan_in, fan_out), bias (fan_out,)) pairs; the
     classifier maps representations (L,) to class logits (K,) via ``w`` of
     shape (L, K) and ``b`` of shape (K,). All of them are views into one
-    C-contiguous float64 vector ``flat`` laid out in that order, extractor
-    first, so the extractor is ``flat[:theta_dim]``. The constructor packs
-    its inputs into a new vector; `from_flat` and `like` wrap an existing one.
+    C-contiguous float32 or float64 vector ``flat`` laid out in that order,
+    extractor first, so the extractor is ``flat[:theta_dim]``. The
+    constructor packs its inputs into a new float64 vector; `from_flat` and
+    `like` wrap an existing one, so stage 1 binds a float32 vector.
     """
 
     def __init__(self, layers, w, b):
@@ -93,8 +107,10 @@ class ModelParams:
         return params
 
     def _bind(self, flat: np.ndarray, shapes) -> None:
-        if flat.dtype != np.float64 or flat.ndim != 1 or not flat.flags.c_contiguous:
-            raise ValueError("parameters must be one C-contiguous float64 vector")
+        if flat.dtype not in (np.float32, np.float64) or flat.ndim != 1 or not flat.flags.c_contiguous:
+            layout = "" if flat.flags.c_contiguous else "non-contiguous "
+            raise ValueError("parameters must be one C-contiguous float32 or float64 vector, "
+                             f"got a {layout}{flat.ndim}-D {flat.dtype} array")
         if len(shapes) < 2 or len(shapes) % 2:
             raise ValueError(f"{len(shapes)} parameter arrays; expected an even count >= 2")
         views = param_views(flat, shapes)
@@ -178,9 +194,10 @@ def features(
     package passes them). ``out``, when given, holds one array per layer
     that receives that layer's output (None for a fresh array), so a loop
     that repeats the same shapes allocates nothing large; the result is
-    then its last entry."""
+    then its last entry. The arithmetic runs in the first weight's dtype,
+    to which ``x`` is cast."""
     act, _ = ACTIVATIONS[activation]
-    a = np.asarray(x, dtype=np.float64)
+    a = np.asarray(x, dtype=layers[0][0].dtype if layers else np.float64)
     single = a.ndim == 1
     if single:
         a = a[None, :]
@@ -276,8 +293,9 @@ def backward(
 
     Returns (loss, ModelParams-shaped gradients). The gradients are written
     into ``out`` (a ModelParams with the same layout, reused across steps)
-    when given, else into a new one. Raises if a forward intermediate goes
-    non-finite, naming the offending layer.
+    when given, else into a new one, in the parameters' dtype: the loss
+    gradient is cast to it, so float32 parameters train in float32. Raises
+    if a forward intermediate goes non-finite, naming the offending layer.
     """
     _, dact = ACTIVATIONS[activation]
     with np.errstate(invalid="ignore", over="ignore"):
@@ -289,6 +307,7 @@ def backward(
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in classifier layer")
     loss, dlogits = loss_and_grad(logits, targets)
+    dlogits = dlogits.astype(params.flat.dtype, copy=False)
 
     grads = params.like(np.empty_like(params.flat)) if out is None else out
     np.matmul(feats.T, dlogits, out=grads.w)
@@ -312,12 +331,15 @@ def backward(
 # ---------------------------------------------------------------------------
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
-    """Single-cycle cosine decay: base_lr at step 0, 0 at step == total_steps."""
+    """Single-cycle cosine decay: base_lr at step 0, 0 at step == total_steps.
+
+    A Python float: a numpy float64 scalar would turn every in-place pass
+    over float32 parameters into a float64 loop."""
     if total_steps <= 0:
         raise ValueError("total_steps must be positive")
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
-    return 0.5 * base_lr * (1.0 + np.cos(np.pi * step / total_steps))
+    return float(0.5 * base_lr * (1.0 + np.cos(np.pi * step / total_steps)))
 
 
 @dataclass(frozen=True)

@@ -259,7 +259,11 @@ def _metadata(cfg: ExperimentConfig, stage: str, **extra) -> dict:
 def run_pretrain(cfg: ExperimentConfig, datasets) -> tuple[Checkpoint, list[float]]:
     """Stage 1 on ``datasets`` (train, test): the model (the averaged
     weights and their posterior with averaging on, else the last SGD
-    weights) and the mean training loss of each epoch."""
+    weights), rounded through float32 as a checkpoint stores it, and the
+    mean training loss of each epoch.
+
+    The extractor trains in float32 (see `netcore`): parameters,
+    gradients, momentum and batches; the posterior's moments are float64."""
     cfg.validate()
     train, _ = datasets
     seed = cfg.run.seed
@@ -271,6 +275,8 @@ def run_pretrain(cfg: ExperimentConfig, datasets) -> tuple[Checkpoint, list[floa
         cfg.model.repr_dim,
         train.num_classes,
     )
+    params = params.like(params.flat.astype(np.float32))
+    train_x = train.features.astype(np.float32)  # one copy; every batch indexes it
     spe = data_mod.steps_per_epoch(train.num_examples, optim.batch_size)
     total = spe * optim.epochs
     posterior = swag_mod.new_posterior(params) if swa.enabled else None
@@ -289,7 +295,7 @@ def run_pretrain(cfg: ExperimentConfig, datasets) -> tuple[Checkpoint, list[floa
         else:
             lr = net.cosine_lr(step, total, optim.lr)
         idx = data_mod.instance_balanced_indices(train, optim.batch_size, rng_batch)
-        x, y = train.features[idx], train.labels[idx]
+        x, y = train_x[idx], train.labels[idx]
         if optim.mixup_alpha > 0.0:
             x, y = data_mod.mixup_batch(x, y, optim.mixup_alpha, train.num_classes, rng_mix)
         loss, _ = net.backward(params, x, y, net.softmax_ce, cfg.model.activation, out=grads)
@@ -304,7 +310,8 @@ def run_pretrain(cfg: ExperimentConfig, datasets) -> tuple[Checkpoint, list[floa
     if swa.enabled:
         swag_mod.freeze(posterior)
         params = swag_mod.swa_params(posterior)
-    return Checkpoint(params, posterior, _metadata(cfg, "pretrain", swa=swa.enabled)), epoch_losses
+    model = Checkpoint(params, posterior, _metadata(cfg, "pretrain", swa=swa.enabled))
+    return model.rounded(), epoch_losses
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +325,7 @@ def retrain_epochs(cfg: ExperimentConfig) -> int:
 def run_retrain(cfg: ExperimentConfig, model: Checkpoint, datasets) -> Checkpoint:
     """Stage 2 from ``model``: a new model with the same extractor and
     posterior, whose metadata records the method, lws's τ and disalign's
-    calibration."""
+    calibration, rounded through float32 as a checkpoint stores it."""
     cfg.validate()
     train, _ = datasets
     params, posterior = model.params, model.posterior
@@ -347,8 +354,7 @@ def run_retrain(cfg: ExperimentConfig, model: Checkpoint, datasets) -> Checkpoin
         w, b = retrain_mod.srepr_retrain(
             theta, posterior, (params.w, params.b), train, spec, cfg.retrain, optim, rng, act
         )
-    # the constructor packs a new vector, so the result shares no memory with params
-    return Checkpoint(net.ModelParams(theta, w, b), posterior, meta)
+    return Checkpoint(net.ModelParams(theta, w, b), posterior, meta).rounded()
 
 
 # ---------------------------------------------------------------------------

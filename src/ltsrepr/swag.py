@@ -85,7 +85,10 @@ def new_posterior(template: ModelParams) -> SwagPosterior:
 
 def update_moments(posterior: SwagPosterior, params: ModelParams) -> SwagPosterior:
     """Fold one snapshot into the running moments:
-    m <- (n m + theta) / (n+1), m2 <- (n m2 + theta^2) / (n+1), n <- n+1."""
+    m <- (n m + theta) / (n+1), m2 <- (n m2 + theta^2) / (n+1), n <- n+1.
+
+    The moments are float64 whatever the snapshot's dtype; a float32
+    snapshot is squared in float64, since m2 - m^2 cancels."""
     if posterior.frozen:
         raise ValueError("cannot update a frozen posterior")
     flat = params.flat
@@ -98,7 +101,7 @@ def update_moments(posterior: SwagPosterior, params: ModelParams) -> SwagPosteri
     posterior.mean += flat
     posterior.mean /= n + 1
     posterior.sq_mean *= n
-    posterior.sq_mean += flat * flat
+    posterior.sq_mean += np.square(flat, dtype=np.float64)
     posterior.sq_mean /= n + 1
     posterior.count = n + 1
     return posterior

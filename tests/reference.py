@@ -1,7 +1,8 @@
 """Reference forms the package does not ship, kept as test oracles: the
 closed-form Dirichlet KL, loss-only views of the srepr loss terms, the
-soft-target cross-entropy written over an unfloored log-softmax, and input
-jitter as one draw and one forward per member."""
+soft-target cross-entropy written over an unfloored log-softmax, input
+jitter as one draw and one forward per member, and the SWA moments of
+float32 snapshots written out in float64."""
 
 import numpy as np
 from scipy.special import digamma, gammaln
@@ -55,3 +56,14 @@ def jittered_per_member(layers, x, std, m, rng, activation="relu"):
     each member drawn and forwarded on its own."""
     return np.stack([features(layers, x + std * rng.standard_normal(x.shape), activation)
                      for _ in range(m)])
+
+
+def float64_moments(snapshots):
+    """The running SWA moments of ``snapshots``, each widened to float64
+    before it is squared: m <- (n m + x) / (n + 1), m2 <- (n m2 + x * x) / (n + 1)."""
+    mean = sq_mean = np.zeros(len(snapshots[0]))
+    for n, snap in enumerate(snapshots):
+        x = np.asarray(snap, dtype=np.float64)
+        mean = (n * mean + x) / (n + 1)
+        sq_mean = (n * sq_mean + x * x) / (n + 1)
+    return mean, sq_mean

@@ -140,6 +140,35 @@ class TestPretrainCommand:
         assert len(meta["config_hash"]) == 64
 
 
+class TestLibraryMatchesCli:
+    def test_same_models_and_reports(self, workdir):
+        # the stage drivers hand on what a checkpoint stores, so the library
+        # chain and the CLI chain (which reloads every checkpoint) agree
+        cfg = pl.ExperimentConfig.from_text(TINY_CONFIG)
+        datasets = pl.build_datasets(cfg)
+        pre, _ = pl.run_pretrain(cfg, datasets)
+        pretrain(workdir, out="run")
+        save_checkpoint(workdir / "lib.ckpt", pre)
+        assert (workdir / "lib.ckpt").read_bytes() == (workdir / "run" / "pretrain.ckpt").read_bytes()
+        assert run_cli("eval", "--checkpoint", "run/pretrain.ckpt", "--output-dir", "pre") == 0
+        metrics = json.loads((workdir / "run" / "pretrain_metrics.json").read_text())
+        del metrics["epoch_losses"]
+        assert metrics == json.loads((workdir / "pre" / "eval_report.json").read_text())
+        for method in ("crt", "lws", "disalign", "srepr"):
+            mcfg = replace(cfg, retrain=replace(cfg.retrain, method=method))
+            model = pl.run_retrain(mcfg, pre, datasets)
+            assert run_cli("retrain", "--checkpoint", "run/pretrain.ckpt", "--retrain", method,
+                           "--output-dir", method) == 0
+            save_checkpoint(workdir / f"{method}.ckpt", model)
+            assert ((workdir / f"{method}.ckpt").read_bytes()
+                    == (workdir / method / "retrain.ckpt").read_bytes())
+            assert run_cli("eval", "--checkpoint", f"{method}/retrain.ckpt", "--ensemble-m", "2",
+                           "--output-dir", method) == 0
+            ecfg = replace(mcfg, eval=replace(mcfg.eval, ensemble_m=2))
+            report = json.loads(json.dumps(pl.run_eval(ecfg, model, datasets).to_json_dict()))
+            assert report == json.loads((workdir / method / "eval_report.json").read_text())
+
+
 class TestRetrainCommand:
     def test_crt_on_plain_checkpoint(self, workdir):
         ckpt = pretrain(workdir, out="sgd", swa="off")
@@ -430,6 +459,26 @@ class TestErrorPaths:
         assert (workdir / "c.bin").read_bytes() == cache
         # the run it was made for still reads it
         pretrain(workdir, out="again", extra=("--seed", "0", "--dataset-cache", "c.bin"))
+
+    @pytest.mark.parametrize("command", ["retrain", "eval", "analyze"])
+    @pytest.mark.parametrize("flags", [("--seed", "5"), ("--config", "wide.ini")])
+    def test_dataset_other_than_the_checkpoints_rejected(self, workdir, capsys, command, flags):
+        # the checkpoint was made on seed 0's tiny dataset; another seed or
+        # [dataset] section fails before any dataset is built or written
+        (workdir / "wide.ini").write_text(TINY_CONFIG.replace("max_count = 40", "max_count = 50"))
+        ckpt = pretrain(workdir, out="run")
+        capsys.readouterr()
+        code = run_cli(command, "--checkpoint", str(ckpt), *flags, "--output-dir", "out",
+                       "--dataset-cache", "c.bin")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: checkpoint {ckpt} was made on the dataset ")
+        assert not (workdir / "out").exists()
+        assert not (workdir / "c.bin").exists()
+        # the same dataset, named explicitly, still runs
+        for same in (("--seed", "0"), ("--config", "tiny.ini")):
+            assert run_cli(command, "--checkpoint", str(ckpt), *same, "--output-dir", "ok") == 0
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit):

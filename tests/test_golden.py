@@ -16,36 +16,36 @@ import pytest
 from ltsrepr.cli import main
 
 GOLDEN = {
-    "pretrain.ckpt": "4f4e70475a077b28",
-    "pretrain_metrics.json": "f8a0ad1a3acf898f",
-    "crt/retrain.ckpt": "30509b1abd6d260c",
-    "lws/retrain.ckpt": "a3e203cb9ce2a2cc",
-    "disalign/retrain.ckpt": "570cc2f375dd3e75",
-    "srepr/retrain.ckpt": "bb064e831d63f33f",
-    "crt/eval_report.json": "f03ed92c70aaebac",
-    "lws/eval_report.json": "838a7c0c81d35620",
-    "disalign/eval_report.json": "15e5cac731cf4109",
-    "srepr/eval_report.json": "e987ef4a9c74d886",
-    "crt/eval_report.csv": "872601985fdab5b6",
-    "lws/eval_report.csv": "31feb73188ea884c",
-    "disalign/eval_report.csv": "087a72fcfe54c6a6",
-    "srepr/eval_report.csv": "1782a6dae5b478a7",
-    "crt/eval_bins.csv": "44105b30bae5153d",
-    "lws/eval_bins.csv": "4a44fcad3f1e51a7",
-    "disalign/eval_bins.csv": "f1b56806733f22df",
-    "srepr/eval_bins.csv": "875b587ae2d1994b",
-    "srepr/analyze/analysis_summary.json": "bc30038f0d3b1c57",
-    "srepr/analyze/instance_metrics.csv": "af0e31c65b775da0",
-    "srepr/analyze/per_class.csv": "8a42b0c594067363",
-    "srepr/analyze/quartiles_prob.csv": "40ae52faa605f1e6",
-    "srepr/analyze/quartiles_repr.csv": "8cd5d722f3a1fa72",
-    "srepr/analyze/reliability_bins.csv": "0dd6cae347ce6134",
+    "pretrain.ckpt": "7a4688dc98bfef52",
+    "pretrain_metrics.json": "11b39ab018462057",
+    "crt/retrain.ckpt": "3701edee150d629d",
+    "lws/retrain.ckpt": "3b66c219b23ed0f6",
+    "disalign/retrain.ckpt": "c744004973309c9b",
+    "srepr/retrain.ckpt": "bd0415fccad58457",
+    "crt/eval_report.json": "10cbc7cfc1e85012",
+    "lws/eval_report.json": "2296b9b464eb957f",
+    "disalign/eval_report.json": "43e42425aaadde54",
+    "srepr/eval_report.json": "5b43b5f3303d004c",
+    "crt/eval_report.csv": "0c588c4653aa2faf",
+    "lws/eval_report.csv": "46b27ca613d30250",
+    "disalign/eval_report.csv": "aec5339b5c91ab98",
+    "srepr/eval_report.csv": "e890f1ce5054c21b",
+    "crt/eval_bins.csv": "62088b65a9ed3b98",
+    "lws/eval_bins.csv": "d1ed6cb30151767b",
+    "disalign/eval_bins.csv": "7a9be55165db7db2",
+    "srepr/eval_bins.csv": "db90f6824b21bbf6",
+    "srepr/analyze/analysis_summary.json": "85235488169e98a0",
+    "srepr/analyze/instance_metrics.csv": "3b5a7f911183d61d",
+    "srepr/analyze/per_class.csv": "3f07b37e7eff78fe",
+    "srepr/analyze/quartiles_prob.csv": "672d03d6a8ae1e2c",
+    "srepr/analyze/quartiles_repr.csv": "dc7d6e59830cb043",
+    "srepr/analyze/reliability_bins.csv": "f72e00b98767f775",
     # mixup's pretrain_metrics.json is not pinned: its epoch losses are sums
     # of soft-target cross-entropies, whose last bit depends on how the
     # log-probabilities are formed
-    "mixup/pretrain.ckpt": "a6063fcd71ccb148",
-    "sweep/sweep_table.csv": "52fb455701801b6b",
-    "sweep/sweep_runs.csv": "ca0fee246e8893f3",
+    "mixup/pretrain.ckpt": "111ca8513883fc5c",
+    "sweep/sweep_table.csv": "c17e988e4c9389e1",
+    "sweep/sweep_runs.csv": "963b40f4b9bb4a99",
 }
 
 METHODS = ("crt", "lws", "disalign", "srepr")

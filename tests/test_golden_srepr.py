@@ -14,9 +14,9 @@ import pytest
 from ltsrepr.cli import main
 
 GOLDEN = {
-    "la": (("--balance", "la"), "2c374f39e332466f"),
-    "grw": (("--balance", "grw"), "c1421c05a89c19d6"),
-    "jitter": (("--stochastic-source", "jitter"), "f7a484c2dc9144fc"),
+    "la": (("--balance", "la"), "fbd1631dd9fffcd4"),
+    "grw": (("--balance", "grw"), "97c1cb2fa2c98afe"),
+    "jitter": (("--stochastic-source", "jitter"), "c9ae2f1dd7052d18"),
 }
 
 

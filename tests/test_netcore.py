@@ -252,6 +252,10 @@ class TestCosineSchedule:
         assert cosine_lr(100, 100, 0.4) == pytest.approx(0.0, abs=1e-17)
         assert cosine_lr(50, 100, 0.4) == pytest.approx(0.2)
 
+    def test_returns_a_python_float(self):
+        # a numpy float64 scalar would promote float32 in-place passes to float64
+        assert all(type(cosine_lr(t, 10, 0.1)) is float for t in range(11))
+
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             cosine_lr(0, 0, 0.1)
@@ -373,6 +377,63 @@ class TestFusedSgd:
         state = OptimState.for_arrays(params.arrays(), OptimConfig(), 1)
         with pytest.raises(ValueError):
             sgd_update_arrays([params.flat], [np.zeros_like(params.flat)], state, 0.1)
+
+
+def as_float32(params):
+    return params.like(params.flat.astype(np.float32))
+
+
+class TestFloat32:
+    """Stage 1 trains in float32: the forward, gradients and SGD step keep
+    float32 parameters float32."""
+
+    def test_forward_runs_in_the_weights_dtype(self):
+        params = as_float32(small_params(np.random.default_rng(30)))
+        x = np.random.default_rng(31).standard_normal((5, 3))
+        assert features(params.layers, x).dtype == np.float32
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_backward_agrees_with_float64(self, activation):
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            p32 = as_float32(init_params(rng, 5, (7, 6), 4, 3))
+            p64 = p32.like(p32.flat.astype(np.float64))  # the same values
+            x = rng.standard_normal((9, 5))
+            y = rng.integers(0, 3, size=9)
+            loss32, g32 = backward(p32, x, y, activation=activation)
+            loss64, g64 = backward(p64, x, y, activation=activation)
+            assert g32.flat.dtype == np.float32
+            assert abs(loss32 - loss64) < 1e-5
+            assert_grad_close(g32.flat, g64.flat, rtol=1e-3, atol=1e-5)
+
+    @pytest.mark.parametrize("flat, message", [
+        (np.zeros(22, dtype=np.float16), "1-D float16"),
+        (np.zeros(22, dtype=np.int64), "1-D int64"),
+        (np.zeros(44)[::2], "non-contiguous 1-D float64"),
+        (np.zeros((2, 11), dtype=np.float32), "2-D float32"),
+    ])
+    def test_params_reject_other_vectors(self, flat, message):
+        shapes = small_params(np.random.default_rng(33)).shapes  # 22 entries
+        with pytest.raises(ValueError, match=f"float32 or float64 vector, got a {message} array"):
+            ModelParams.from_flat(flat, shapes)
+
+    def test_sgd_step_keeps_every_buffer_float32(self):
+        rng = np.random.default_rng(34)
+        params = as_float32(small_params(rng))
+        reference = [a.copy() for a in params.arrays()]
+        buffers = [np.zeros_like(a) for a in reference]
+        grads = params.like(np.empty_like(params.flat))
+        state = OptimState.for_arrays([params.flat], OptimConfig(momentum=0.9, weight_decay=5e-4), 3)
+        for _ in range(3):
+            backward(params, rng.standard_normal((5, 3)), rng.integers(0, 3, size=5), out=grads)
+            lr = sgd_update_arrays([params.flat], [grads.flat], state)  # the cosine schedule
+            assert type(lr) is float
+            reference_sgd(reference, grads.arrays(), buffers, lr, 0.9, 5e-4)
+        for a in (params.flat, grads.flat, *state.buffers, *state.scratch[0]):
+            assert a.dtype == np.float32
+        # the float32 step is the allocating loop's float32 arithmetic, bit for bit
+        for a, b in zip(params.arrays(), reference):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestFlatLayout:

@@ -215,6 +215,33 @@ class TestPretrain:
         assert model.posterior is None
         assert model.metadata["stage"] == "pretrain" and model.metadata["swa"] is False
 
+    def test_swa_disabled_returns_the_last_sgd_weights_rounded(self, monkeypatch):
+        steps = []
+        sgd = pl.net.sgd_update_arrays
+
+        def recording(arrays, grads, state, lr=None):
+            used = sgd(arrays, grads, state, lr)
+            steps.append(arrays[0].copy())
+            return used
+
+        monkeypatch.setattr(pl.net, "sgd_update_arrays", recording)
+        model, _ = pretrain(tiny_config(swa=False))
+        assert steps[-1].dtype == np.float32  # stage 1 trains in float32
+        assert model.params.flat.dtype == np.float64
+        assert np.array_equal(model.params.flat, steps[-1])
+
+    def test_models_hold_float32_values_in_float64(self):
+        # what a checkpoint stores, so a reloaded model is the same bits
+        pre, _ = pretrain(tiny_config(swa=True))
+        models = [pre, pl.run_retrain(tiny_config(method="srepr"), pre,
+                                      pl.build_datasets(tiny_config()))]
+        for model in models:
+            post = model.posterior
+            for a in (model.params.flat, post.mean, post.sq_mean, post.sigma):
+                assert a.dtype == np.float64
+                assert np.array_equal(a, a.astype(np.float32))
+        assert np.array_equal(pre.params.flat, pre.posterior.mean)
+
     def test_swa_posterior_capture_count(self):
         # 45 examples, batch 16 -> 3 steps/epoch; 8 epochs = 24 steps;
         # captures at epoch ends past 75% of 24 = 18: steps 21 and 24

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import float64_moments
 from scipy import stats
 
 from ltsrepr.netcore import ModelParams, features, init_params
@@ -99,6 +100,25 @@ class TestMoments:
             assert post.mean.tobytes() == mean.tobytes()
             assert post.sq_mean.tobytes() == sq_mean.tobytes()
         assert post.count == count
+
+    def test_float32_snapshots_fold_into_float64_moments(self):
+        # stage 1 captures float32 parameters; the moments stay float64 and
+        # square each snapshot in float64, so m2 - m^2 keeps its precision
+        rng = np.random.default_rng(7)
+        post = new_posterior(random_params(rng))
+        snaps = []
+        for _ in range(6):
+            p = random_params(rng)
+            snap = p.like((p.flat * 10.0 ** rng.uniform(-3.0, 3.0, p.flat.size)).astype(np.float32))
+            update_moments(post, snap)
+            snaps.append(snap.flat.copy())
+        mean, sq_mean = float64_moments(snaps)
+        assert post.mean.dtype == post.sq_mean.dtype == np.float64
+        assert post.mean.tobytes() == mean.tobytes()
+        assert post.sq_mean.tobytes() == sq_mean.tobytes()
+        # squaring in float32 rounds these snapshots, so the oracle tells the two apart
+        assert not np.array_equal((snaps[0] * snaps[0]).astype(np.float64),
+                                  np.square(snaps[0], dtype=np.float64))
 
     def test_layout_derived_from_shapes(self):
         # one hidden layer and none: the posterior keeps only the shapes
