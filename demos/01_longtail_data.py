@@ -46,10 +46,13 @@ print("  class-balanced:   ", np.round(np.bincount(labels_cb, minlength=10) / 50
 
 # Datasets round-trip through a flat binary cache (float32 payload) that
 # records the config and seed it was made for; a run reads it only for those.
+# The generator's features are already float32 values, so the cache gives
+# back exactly what it was handed.
 key = dataset_key(config, seed=0)
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "benchmark.bin")
     save_dataset_pair(path, train, test, key)
     train2, _ = load_dataset_pair(path, key)
     print(f"\ncache file: {os.path.getsize(path)} bytes;",
-          "labels identical:", bool(np.array_equal(train.labels, train2.labels)))
+          "labels identical:", bool(np.array_equal(train.labels, train2.labels)),
+          "features identical:", bool(np.array_equal(train.features, train2.features)))

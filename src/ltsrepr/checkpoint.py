@@ -25,7 +25,7 @@ import numpy as np
 from .netcore import ModelParams, param_views
 from .retrain import DisAlignParams
 from .swag import SwagPosterior
-from .util import SizedReader
+from .util import SizedReader, to_float32
 
 MODEL_MAGIC = b"SREPR001"
 SWAG_MAGIC = b"SWAGDIAG"
@@ -85,14 +85,6 @@ class Checkpoint:
             values[name] = v.astype(np.float64)
         return DisAlignParams(values["scale"], values["shift"], values["gate_w"],
                               float(values["gate_b"]))
-
-
-def to_float32(flat: np.ndarray) -> np.ndarray:
-    """``flat`` rounded to little-endian float32, the values a checkpoint
-    stores. Values beyond float32's range become infinite, for the caller
-    to reject."""
-    with np.errstate(over="ignore"):
-        return flat.astype("<f4")
 
 
 def _records(flat: np.ndarray, shapes, what: str) -> list[bytes]:

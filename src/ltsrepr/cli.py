@@ -44,8 +44,8 @@ FLAGS = {
     "--swa": ("swa.enabled", {"on": True, "off": False}, "enable weight averaging", _STAGE1),
     "--swa-start-frac": ("swa.start_frac", float, None, _STAGE1),
     "--swa-lr": ("swa.swa_lr", float, None, _STAGE1),
-    "--swag-samples": ("swa.swag_samples", int, "posterior draws for analysis/ensembling",
-                       ("pretrain", "analyze", "sweep")),
+    "--swag-samples": ("swa.swag_samples", int, "posterior draws analyze makes (>= 2)",
+                       ("pretrain", "analyze")),
     "--retrain": ("retrain.method", RETRAIN_METHODS, "stage-2 method", _STAGE2),
     "--balance": ("retrain.balance", KINDS, None, _STAGE2),
     "--balance-rho": ("retrain.balance_rho", float, None, _STAGE2),
@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="INI config file; flags override its values")
-        p.add_argument("--dataset-cache", help="binary dataset cache file (train+test records)")
+        if command != "sweep":  # a cache holds one seed's dataset
+            p.add_argument("--dataset-cache", help="binary dataset cache file (train+test records)")
         if command in ("retrain", "eval", "analyze"):
             p.add_argument("--checkpoint", required=True, help="checkpoint to start from")
         for flag, (_, value, help_text, commands) in FLAGS.items():

@@ -22,6 +22,7 @@ from .util import (
     check,
     rng_stream,
     round_half_up,
+    to_float32,
 )
 
 MANY = "many"
@@ -165,10 +166,21 @@ def _class_means(rng: np.random.Generator, num_classes: int, dim: int, separatio
     return directions * (separation / min_dist)
 
 
+def _stored(features: np.ndarray, what: str) -> np.ndarray:
+    """``features`` rounded through float32, as a dataset cache stores them,
+    held in float64; raises ValueError naming ``what`` unless all finite."""
+    rounded = to_float32(features)
+    if not np.isfinite(rounded).all():
+        raise ValueError(f"{what} are non-finite or beyond float32 range")
+    return rounded.astype(np.float64)
+
+
 def make_longtail_dataset(config: DatasetConfig, seed: int) -> tuple[LongTailDataset, LongTailDataset]:
     """Generate (train, test): exponentially imbalanced train, balanced test.
 
     Pure function of (config, seed); a fixed pair gives bitwise-equal output.
+    The features are float32 values held in float64, exactly what a cache
+    (`save_dataset_pair`) stores, so a run sees one dataset with or without.
     """
     config.validate()
     counts = longtail_class_counts(
@@ -190,14 +202,12 @@ def make_longtail_dataset(config: DatasetConfig, seed: int) -> tuple[LongTailDat
         return np.concatenate(xs, axis=0), np.concatenate(ys)
 
     x_train, y_train = sample_block(rng_train, counts)
-    x_test, y_test = sample_block(
-        rng_test, np.full(config.num_classes, config.test_per_class, dtype=np.int64)
-    )
+    x_test, y_test = sample_block(rng_test, [config.test_per_class] * config.num_classes)
 
-    train = LongTailDataset.from_arrays(x_train, y_train, config.num_classes)
-    test = LongTailDataset.from_arrays(
-        x_test, y_test, config.num_classes, splits=train.splits
-    )
+    train = LongTailDataset.from_arrays(_stored(x_train, "train features"), y_train,
+                                        config.num_classes)
+    test = LongTailDataset.from_arrays(_stored(x_test, "test features"), y_test,
+                                       config.num_classes, splits=train.splits)
     return train, test
 
 
@@ -278,7 +288,7 @@ def write_dataset_record(f, dataset: LongTailDataset) -> None:
     k = dataset.num_classes
     f.write(DATASET_MAGIC)
     f.write(struct.pack("<III", n, k, d))
-    f.write(np.ascontiguousarray(dataset.features, dtype="<f4").tobytes())
+    f.write(to_float32(dataset.features).tobytes())
     f.write(dataset.labels.astype("<u4").tobytes())
 
 
@@ -286,7 +296,7 @@ def read_dataset_record(r: SizedReader, record: str) -> LongTailDataset:
     """Read one record, named ``record`` ("train", "test") in errors.
 
     Raises ValueError naming the record and the field at fault (magic,
-    header, features, labels) for a truncated or malformed record.
+    header, features, labels) for a truncated, malformed or non-finite one.
     """
     magic = r.take(8, f"{record} magic")
     if magic != DATASET_MAGIC:
@@ -296,7 +306,7 @@ def read_dataset_record(r: SizedReader, record: str) -> LongTailDataset:
     labels = np.frombuffer(r.take(4 * n, f"{record} labels"), dtype="<u4").astype(np.int64)
     if n and labels.max() >= k:
         raise ValueError(f"{record} labels: label {labels.max()} outside [0, {k})")
-    return LongTailDataset.from_arrays(features.astype(np.float64), labels, k)
+    return LongTailDataset.from_arrays(_stored(features, f"{record} features"), labels, k)
 
 
 def dataset_key(config: DatasetConfig, seed: int) -> str:

@@ -216,34 +216,22 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def build_datasets(cfg: ExperimentConfig, cache_path: str | None = None):
-    """Generate (or load from cache) the raw pair, then standardize both
-    splits with training statistics."""
-    if cache_path:
-        key = data_mod.dataset_key(cfg.dataset, cfg.run.seed)
-        if not os.path.exists(cache_path):
-            train_raw, test_raw = data_mod.make_longtail_dataset(cfg.dataset, cfg.run.seed)
+    """The run's (train, test) pair standardized with training statistics:
+    read from ``cache_path`` if that file exists (and was made for this
+    dataset), else generated and, given a path, cached there. The generator
+    returns the float32 values a cache stores, so both give the same bits."""
+    key = data_mod.dataset_key(cfg.dataset, cfg.run.seed)
+    if cache_path and os.path.exists(cache_path):
+        train, test = data_mod.load_dataset_pair(cache_path, key)
+    else:
+        train, test = data_mod.make_longtail_dataset(cfg.dataset, cfg.run.seed)
+        if cache_path:
             # the cache may sit in an output directory the CLI has not created yet
             os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
-            data_mod.save_dataset_pair(cache_path, train_raw, test_raw, key)
-        # read back even on first use so cached and fresh runs see the same
-        # float32-quantized features; a cache made for another key fails here
-        train_raw, test_raw = data_mod.load_dataset_pair(cache_path, key)
-    else:
-        train_raw, test_raw = data_mod.make_longtail_dataset(cfg.dataset, cfg.run.seed)
-    mean, std = data_mod.feature_standardizer(train_raw.features)
-    train = data_mod.LongTailDataset.from_arrays(
-        data_mod.apply_standardizer(train_raw.features, mean, std),
-        train_raw.labels,
-        train_raw.num_classes,
-        splits=train_raw.splits,
-    )
-    test = data_mod.LongTailDataset.from_arrays(
-        data_mod.apply_standardizer(test_raw.features, mean, std),
-        test_raw.labels,
-        test_raw.num_classes,
-        splits=train_raw.splits,
-    )
-    return train, test
+            data_mod.save_dataset_pair(cache_path, train, test, key)
+    mean, std = data_mod.feature_standardizer(train.features)
+    return tuple(replace(d, features=data_mod.apply_standardizer(d.features, mean, std))
+                 for d in (train, test))
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +396,8 @@ def run_analyze(cfg: ExperimentConfig, model: Checkpoint, datasets) -> AnalysisR
     params, calibration = model.params, model.calibration()
     act = cfg.model.activation
     rng = rng_stream(cfg.eval.analysis_seed, STREAM_ANALYSIS)
-    m = max(cfg.swa.swag_samples, 2)
-    reps = swag_mod.posterior_features(model.posterior, test.features, m, rng, act)
+    reps = swag_mod.posterior_features(model.posterior, test.features, cfg.swa.swag_samples,
+                                       rng, act)
     member_probs = metrics_mod.class_probs(reps, params.w, params.b, calibration)
     point_probs = metrics_mod.class_probs(
         net.features(params.layers, test.features, act), params.w, params.b, calibration

@@ -23,7 +23,7 @@ from .util import check
 class SwaConfig:
     """The ``[swa]`` section: whether stage 1 averages weights, the fraction
     of its steps after which averaging starts, the constant learning rate
-    of the averaging phase, and the posterior draws analysis makes.
+    of the averaging phase, and the posterior draws analysis makes (>= 2).
 
     Snapshots are captured every steps-per-epoch steps past the start, so
     they land on epoch boundaries.
@@ -36,7 +36,7 @@ class SwaConfig:
 
     def validate(self) -> None:
         check(
-            (self.swag_samples >= 1, "swa.swag_samples must be >= 1"),
+            (self.swag_samples >= 2, f"swa.swag_samples must be >= 2, got {self.swag_samples}"),
             (not self.enabled or 0.0 < self.start_frac < 1.0, "swa.start_frac must be in (0, 1)"),
             (not self.enabled or self.swa_lr > 0.0, "swa.swa_lr must be positive"),
         )

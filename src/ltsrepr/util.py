@@ -34,6 +34,14 @@ def check(*rules) -> None:
             raise ValueError(message)
 
 
+def to_float32(values: np.ndarray) -> np.ndarray:
+    """``values`` rounded to little-endian float32, the values a checkpoint
+    or a dataset cache stores. Values beyond float32's range become
+    infinite, for the caller to reject."""
+    with np.errstate(over="ignore"):
+        return values.astype("<f4")
+
+
 def round_half_up(x):
     """Round with ties away from the floor (0.5 -> 1), unlike banker's rounding."""
     return np.floor(np.asarray(x, dtype=np.float64) + 0.5)

@@ -150,6 +150,11 @@ class TestLibraryMatchesCli:
         pretrain(workdir, out="run")
         save_checkpoint(workdir / "lib.ckpt", pre)
         assert (workdir / "lib.ckpt").read_bytes() == (workdir / "run" / "pretrain.ckpt").read_bytes()
+        # a dataset cache, written on the first run and read on the second,
+        # trains the same model
+        for out in ("cached", "cached_again"):
+            ckpt = pretrain(workdir, out=out, extra=("--dataset-cache", "cache.bin"))
+            assert ckpt.read_bytes() == (workdir / "lib.ckpt").read_bytes()
         assert run_cli("eval", "--checkpoint", "run/pretrain.ckpt", "--output-dir", "pre") == 0
         metrics = json.loads((workdir / "run" / "pretrain_metrics.json").read_text())
         del metrics["epoch_losses"]
@@ -350,6 +355,15 @@ class TestSweepCommand:
                 if name.endswith("_std") and value != "nan":
                     assert float(value) == 0.0
 
+    @pytest.mark.parametrize("flag, value", [("--dataset-cache", "x"), ("--swag-samples", "4")])
+    def test_options_a_sweep_cannot_use_rejected(self, workdir, capsys, flag, value):
+        # a cache holds one seed's dataset, and a sweep never analyzes
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--config", "tiny.ini", "--output-dir", "sw", flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (workdir / "x").exists() and not (workdir / "sw").exists()
+
     def test_runs_csv_lists_seeds(self, workdir):
         assert run_cli(
             "sweep", "--config", "tiny.ini", "--output-dir", "sw2", "--seeds", "0,1",
@@ -479,6 +493,19 @@ class TestErrorPaths:
         # the same dataset, named explicitly, still runs
         for same in (("--seed", "0"), ("--config", "tiny.ini")):
             assert run_cli(command, "--checkpoint", str(ckpt), *same, "--output-dir", "ok") == 0
+
+    @pytest.mark.parametrize("cache", [(), ("--dataset-cache", "c.bin")])
+    def test_dataset_beyond_float32_rejected(self, workdir, capsys, cache):
+        # with or without a cache: one outcome, before any cache is written
+        (workdir / "huge.ini").write_text(
+            TINY_CONFIG.replace("test_per_class = 10", "test_per_class = 10\nclass_separation = 1e39")
+        )
+        code = run_cli("pretrain", "--config", "huge.ini", "--output-dir", "out", *cache)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: train features are non-finite or beyond float32 range"]
+        assert not (workdir / "out").exists()
+        assert not (workdir / "c.bin").exists()
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit):

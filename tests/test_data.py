@@ -116,6 +116,18 @@ class TestGeneration:
             off_diag = dists[~np.eye(k, dtype=bool)]
             assert off_diag.min() >= 3.0 - 1e-9
 
+    def test_features_are_float32_values(self):
+        # the values a cache stores, so a cached and a fresh run agree
+        for split in make_longtail_dataset(DatasetConfig(), 5):
+            assert split.features.dtype == np.float64
+            np.testing.assert_array_equal(
+                split.features.astype(np.float32).astype(np.float64), split.features
+            )
+
+    def test_features_beyond_float32_range_rejected(self):
+        with pytest.raises(ValueError, match="train features are non-finite or beyond float32"):
+            make_longtail_dataset(DatasetConfig(class_separation=1e39), 0)
+
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             make_longtail_dataset(DatasetConfig(num_classes=1), 0)
@@ -261,10 +273,8 @@ class TestBinaryFormat:
         save_dataset_pair(path, train, test, KEY)
         loaded, _ = load_dataset_pair(path, KEY)
         np.testing.assert_array_equal(loaded.labels, train.labels)
-        # payload is float32; loading quantizes accordingly
-        np.testing.assert_array_equal(
-            loaded.features, train.features.astype("<f4").astype(np.float64)
-        )
+        # the payload is float32, and the generator's features are float32 values
+        np.testing.assert_array_equal(loaded.features, train.features)
         np.testing.assert_array_equal(loaded.class_counts, train.class_counts)
         assert loaded.splits == train.splits
 
@@ -380,6 +390,14 @@ class TestDamagedCache:
         with pytest.raises(ValueError, match=r"test labels: label 7 outside \[0, 2\)"):
             decode_pair(scratch, bytes(blob))
 
+    def test_non_finite_features_named(self, scratch):
+        train, test = toy_dataset([2, 1]), toy_dataset([1, 1])
+        blob = bytearray(encode_pair(train, test))
+        start = len(record(train)) + 20  # first test feature
+        blob[start:start + 4] = np.float32(np.inf).tobytes()
+        with pytest.raises(ValueError, match="test features are non-finite"):
+            decode_pair(scratch, bytes(blob))
+
 
 @st.composite
 def dataset_pairs(draw):
@@ -418,6 +436,31 @@ class TestCacheDamageProperties:
         train, test = decode_pair(scratch, encode_pair(*pair))
         assert encode_pair(train, test) == encode_pair(*pair)
         assert test.splits == train.splits
+
+
+small_configs = st.builds(
+    DatasetConfig,
+    num_classes=st.integers(2, 5),
+    input_dim=st.integers(2, 5),  # with one feature, two classes can share a direction
+    max_count=st.integers(1, 30),
+    imbalance_factor=st.floats(0.01, 1.0),
+    class_separation=st.floats(0.1, 10.0),
+    noise_std=st.floats(0.1, 3.0),
+    test_per_class=st.integers(1, 5),
+)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(small_configs, st.integers(0, 2**32 - 1))
+def test_generated_pair_survives_the_cache_bit_for_bit(tmp_path_factory, config, seed):
+    path = tmp_path_factory.mktemp("generated") / "cache.bin"
+    key = dataset_key(config, seed)
+    pair = make_longtail_dataset(config, seed)
+    save_dataset_pair(path, *pair, key)
+    for made, read in zip(pair, load_dataset_pair(path, key)):
+        assert read.features.tobytes() == made.features.tobytes()
+        assert read.labels.tobytes() == made.labels.tobytes()
+        assert read.splits == made.splits
 
 
 def test_steps_per_epoch():

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ltsrepr.metrics as metrics_mod
+import ltsrepr.netcore as net
 import ltsrepr.pipeline as pl
 
 
@@ -335,15 +337,27 @@ class TestEval:
             pl.run_eval(cfg, pre, ds)
 
     def test_ensemble_point_limit(self):
-        # zero posterior spread: any ensemble size equals the point report
+        # zero posterior spread: every member is the point model, so the
+        # ensemble is the mean of M copies of the point probabilities. That
+        # mean is not always the point value itself (the mean of three
+        # equal doubles can round away from them), so compare with it.
         cfg = tiny_config(swa=True)
         ds = pl.build_datasets(cfg)
         pre, _ = pl.run_pretrain(cfg, ds)
         pre.posterior.sigma[:] = 0.0
-        point = pl.run_eval(cfg, pre, ds)
+        params, test = pre.params, ds[1]
+        point = metrics_mod.class_probs(
+            net.features(params.layers, test.features), params.w, params.b
+        )
+        for m in (1, 2, 3):
+            ens = metrics_mod.ensemble_predict(test.features, pre.posterior, params.w, params.b,
+                                               m, np.random.default_rng(m))
+            assert ens.tobytes() == np.stack([point] * m).mean(axis=0).tobytes()
+        # and run_eval reports that mean
+        expected = metrics_mod.evaluate_probs(np.stack([point] * 3).mean(axis=0), test.labels,
+                                              ds[0].splits, cfg.eval.ece_bins)
         cfg_e = replace(cfg, eval=replace(cfg.eval, ensemble_m=3))
-        ens = pl.run_eval(cfg_e, pre, ds)
-        assert point.to_json() == ens.to_json()
+        assert pl.run_eval(cfg_e, pre, ds).to_json() == expected.to_json()
 
 
 class TestAnalyze:
@@ -464,10 +478,16 @@ class TestSweepWorkers:
 
 class TestDatasetCache:
     def test_cache_roundtrip_consistent(self, tmp_path):
+        # one dataset per (config, seed): no cache, writing the cache and
+        # reading it give the same bits
         cfg = tiny_config()
         cache = tmp_path / "data.bin"
+        fresh = pl.build_datasets(cfg)
         first = pl.build_datasets(cfg, cache_path=str(cache))
         assert cache.exists()
         second = pl.build_datasets(cfg, cache_path=str(cache))
-        np.testing.assert_array_equal(first[0].features, second[0].features)
-        np.testing.assert_array_equal(first[1].labels, second[1].labels)
+        for cached in (first, second):
+            for a, b in zip(fresh, cached):
+                assert a.features.tobytes() == b.features.tobytes()
+                assert a.labels.tobytes() == b.labels.tobytes()
+                assert a.splits == b.splits

@@ -354,8 +354,9 @@ class TestSchedule:
             SwaConfig(start_frac=1.0).validate()
         with pytest.raises(ValueError, match="swa.swa_lr"):
             SwaConfig(swa_lr=0.0).validate()
-        with pytest.raises(ValueError, match="swa.swag_samples"):
-            SwaConfig(swag_samples=0).validate()
+        for samples in (0, 1):  # a dispersion needs two members
+            with pytest.raises(ValueError, match=f"swa.swag_samples must be >= 2, got {samples}"):
+                SwaConfig(swag_samples=samples).validate()
         # the averaging schedule is not checked when averaging is off
         SwaConfig(enabled=False, start_frac=1.0, swa_lr=0.0).validate()
 
