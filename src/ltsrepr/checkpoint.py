@@ -46,16 +46,21 @@ class Checkpoint:
     def rounded(self) -> "Checkpoint":
         """This model as a checkpoint file holds it: the parameters and the
         posterior's moments and covariance rounded through float32
-        (`to_float32`) and held in float64, so a model handed on in memory
-        and the same model read back from disk are the same bits."""
-        def stored(a):
-            return None if a is None else to_float32(a).astype(np.float64)
+        (`_float32`, which rejects what `save_checkpoint` rejects) and held
+        in float64, so a model handed on in memory and the same model read
+        back from disk are the same bits."""
+        shapes = self.params.shapes
+
+        def stored(flat, what):
+            return None if flat is None else _float32(flat, shapes, what).astype(np.float64)
 
         posterior = self.posterior
         if posterior is not None:
-            posterior = replace(posterior, mean=stored(posterior.mean),
-                                sq_mean=stored(posterior.sq_mean), sigma=stored(posterior.sigma))
-        return Checkpoint(self.params.like(stored(self.params.flat)), posterior, self.metadata)
+            posterior = replace(posterior, mean=stored(posterior.mean, "posterior mean array"),
+                                sq_mean=stored(posterior.sq_mean, "posterior second moment array"),
+                                sigma=stored(posterior.sigma, "posterior covariance array"))
+        return Checkpoint(self.params.like(stored(self.params.flat, "parameter array")),
+                          posterior, self.metadata)
 
     def calibration(self) -> DisAlignParams | None:
         """The disalign calibration in the metadata, or None. Raises
@@ -87,17 +92,18 @@ class Checkpoint:
                               float(values["gate_b"]))
 
 
+def _float32(flat: np.ndarray, shapes, what: str) -> np.ndarray:
+    """``flat`` rounded to float32 one array of ``shapes`` at a time
+    (`to_float32`), so a value float32 cannot hold is named by ``what``
+    and its array's index."""
+    return np.concatenate([to_float32(a, f"{what} {i} values").ravel()
+                           for i, a in enumerate(param_views(flat, shapes))])
+
+
 def _records(flat: np.ndarray, shapes, what: str) -> list[bytes]:
-    """One (u32 rows, u32 cols) header plus float32 payload per array, each
-    a slice of ``flat`` converted once; rejects values that are non-finite
-    or overflow float32, naming the array as ``what`` and its index."""
-    records = []
-    for i, a in enumerate(param_views(to_float32(flat), shapes)):
-        if not np.isfinite(a).all():
-            raise ValueError(f"cannot checkpoint {what} {i}: non-finite or beyond float32 range")
-        a = np.atleast_2d(a)
-        records.append(struct.pack("<II", *a.shape) + a.tobytes())
-    return records
+    """One (u32 rows, u32 cols) header plus float32 payload per array."""
+    return [struct.pack("<II", *a.shape) + a.tobytes()
+            for a in map(np.atleast_2d, param_views(_float32(flat, shapes, what), shapes))]
 
 
 def save_checkpoint(path, model: Checkpoint) -> None:
@@ -123,22 +129,24 @@ def save_checkpoint(path, model: Checkpoint) -> None:
 def _read_vector(r: SizedReader, count: int, what: str, expect=None):
     """``count`` consecutive array records as one float64 vector plus their
     stored (rows, cols) shapes; with ``expect``, every stored shape must
-    equal the base array's."""
+    equal the base array's. A non-finite value is rejected, naming its
+    array."""
     shapes, payloads = [], []
     for i in range(count):
         shape = struct.unpack("<II", r.take(8, f"{what} array {i} header"))
         if expect is not None and shape != expect[i]:
             raise ValueError(f"{what} array {i} has shape {shape}, base array is {expect[i]}")
-        payloads.append(r.take(4 * shape[0] * shape[1], f"{what} array {i}"))
+        payload = np.frombuffer(r.take(4 * shape[0] * shape[1], f"{what} array {i}"), dtype="<f4")
+        payloads.append(to_float32(payload, f"{what} array {i} values"))
         shapes.append(shape)
-    return np.frombuffer(b"".join(payloads), dtype="<f4").astype(np.float64), shapes
+    return np.concatenate(payloads).astype(np.float64), shapes
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint. Raises ValueError naming the section at fault
     (header, base array i, posterior group array i, metadata trailer, a
-    disalign calibration field) for a truncated or malformed file, and for
-    any bytes after the trailer."""
+    disalign calibration field) for a truncated or malformed file, for a
+    non-finite array value, and for any bytes after the trailer."""
     with open(path, "rb") as f:
         r = SizedReader(f, "checkpoint")
         magic = r.take(8, "magic")

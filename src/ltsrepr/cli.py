@@ -19,6 +19,7 @@ from . import checkpoint as ckpt_io
 from . import data
 from . import pipeline as pl
 from .balancing import KINDS
+from .metrics import REPORT_SCALARS
 from .retrain import RETRAIN_METHODS
 
 _ALL = ("pretrain", "retrain", "eval", "analyze", "sweep")
@@ -130,6 +131,11 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _cell(value) -> str:
+    """A metric as a table cell: empty when it is undefined (None)."""
+    return "" if value is None else repr(value)
+
+
 def _write_report(outdir: str, stem: str, report) -> None:
     _write_json(os.path.join(outdir, f"{stem}.json"), report.to_json_dict())
     _write_csv(os.path.join(outdir, f"{stem}.csv"), ["metric", "value"],
@@ -238,14 +244,15 @@ def cmd_sweep(args) -> int:
     result = pl.run_sweep(cfg)
     outdir = _outdir(cfg)
     table_path = os.path.join(outdir, "sweep_table.csv")
-    stats = [f"{k}_{s}" for k in pl.SWEEP_METRIC_KEYS for s in ("mean", "std")]
+    stats = [f"{k}_{s}" for k in REPORT_SCALARS for s in ("mean", "std")]
     _write_csv(table_path, ["method", *stats],
-               ([row["method"], *(repr(row[c]) for c in stats)] for row in result.aggregate()))
+               ([row["method"], *(_cell(row.get(c)) for c in stats)]
+                for row in result.aggregate()))
     _write_csv(
         os.path.join(outdir, "sweep_runs.csv"),
-        ["seed", "method", *pl.SWEEP_METRIC_KEYS],
+        ["seed", "method", *REPORT_SCALARS],
         (
-            [entry["seed"], method, *(repr(getattr(report, k)) for k in pl.SWEEP_METRIC_KEYS)]
+            [entry["seed"], method, *(_cell(getattr(report, k)) for k in REPORT_SCALARS)]
             for entry in result.per_seed
             for method, report in entry["rows"].items()
         ),

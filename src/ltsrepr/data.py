@@ -48,7 +48,7 @@ class DatasetConfig:
     def validate(self) -> None:
         check(
             (self.num_classes >= 2, f"dataset.num_classes must be >= 2, got {self.num_classes}"),
-            (self.input_dim >= 1, "dataset.input_dim must be positive"),
+            (self.input_dim >= 2, f"dataset.input_dim must be >= 2, got {self.input_dim}"),
             (self.max_count >= 1, "dataset.max_count must be positive"),
             (0.0 < self.imbalance_factor <= 1.0,
              f"dataset.imbalance_factor must be in (0, 1], got {self.imbalance_factor}"),
@@ -166,15 +166,6 @@ def _class_means(rng: np.random.Generator, num_classes: int, dim: int, separatio
     return directions * (separation / min_dist)
 
 
-def _stored(features: np.ndarray, what: str) -> np.ndarray:
-    """``features`` rounded through float32, as a dataset cache stores them,
-    held in float64; raises ValueError naming ``what`` unless all finite."""
-    rounded = to_float32(features)
-    if not np.isfinite(rounded).all():
-        raise ValueError(f"{what} are non-finite or beyond float32 range")
-    return rounded.astype(np.float64)
-
-
 def make_longtail_dataset(config: DatasetConfig, seed: int) -> tuple[LongTailDataset, LongTailDataset]:
     """Generate (train, test): exponentially imbalanced train, balanced test.
 
@@ -204,10 +195,10 @@ def make_longtail_dataset(config: DatasetConfig, seed: int) -> tuple[LongTailDat
     x_train, y_train = sample_block(rng_train, counts)
     x_test, y_test = sample_block(rng_test, [config.test_per_class] * config.num_classes)
 
-    train = LongTailDataset.from_arrays(_stored(x_train, "train features"), y_train,
-                                        config.num_classes)
-    test = LongTailDataset.from_arrays(_stored(x_test, "test features"), y_test,
-                                       config.num_classes, splits=train.splits)
+    train = LongTailDataset.from_arrays(to_float32(x_train, "train features").astype(np.float64),
+                                        y_train, config.num_classes)
+    test = LongTailDataset.from_arrays(to_float32(x_test, "test features").astype(np.float64),
+                                       y_test, config.num_classes, splits=train.splits)
     return train, test
 
 
@@ -282,14 +273,14 @@ def steps_per_epoch(num_examples: int, batch_size: int) -> int:
 # Flat binary export/import
 # ---------------------------------------------------------------------------
 
-def write_dataset_record(f, dataset: LongTailDataset) -> None:
-    """One record: magic, u32 N/K/D, N*D float32 row-major, N u32 labels."""
+def encode_dataset_record(dataset: LongTailDataset, record: str) -> bytes:
+    """One record: magic, u32 N/K/D, N*D float32 row-major, N u32 labels.
+    Raises ValueError naming ``record`` ("train", "test") unless float32
+    holds every feature."""
     n, d = dataset.features.shape
-    k = dataset.num_classes
-    f.write(DATASET_MAGIC)
-    f.write(struct.pack("<III", n, k, d))
-    f.write(to_float32(dataset.features).tobytes())
-    f.write(dataset.labels.astype("<u4").tobytes())
+    return (DATASET_MAGIC + struct.pack("<III", n, dataset.num_classes, d)
+            + to_float32(dataset.features, f"{record} features").tobytes()
+            + dataset.labels.astype("<u4").tobytes())
 
 
 def read_dataset_record(r: SizedReader, record: str) -> LongTailDataset:
@@ -306,7 +297,8 @@ def read_dataset_record(r: SizedReader, record: str) -> LongTailDataset:
     labels = np.frombuffer(r.take(4 * n, f"{record} labels"), dtype="<u4").astype(np.int64)
     if n and labels.max() >= k:
         raise ValueError(f"{record} labels: label {labels.max()} outside [0, {k})")
-    return LongTailDataset.from_arrays(_stored(features, f"{record} features"), labels, k)
+    return LongTailDataset.from_arrays(
+        to_float32(features, f"{record} features").astype(np.float64), labels, k)
 
 
 def dataset_key(config: DatasetConfig, seed: int) -> str:
@@ -317,12 +309,12 @@ def dataset_key(config: DatasetConfig, seed: int) -> str:
 
 def save_dataset_pair(path, train: LongTailDataset, test: LongTailDataset, key: str) -> None:
     """Train and test as two consecutive records in one cache file, then
-    the `dataset_key` they were made for: u32 length, UTF-8 text."""
+    the `dataset_key` they were made for: u32 length, UTF-8 text. Every
+    feature is checked before the file opens."""
+    records = encode_dataset_record(train, "train") + encode_dataset_record(test, "test")
     blob = key.encode("utf-8")
     with open(path, "wb") as f:
-        write_dataset_record(f, train)
-        write_dataset_record(f, test)
-        f.write(struct.pack("<I", len(blob)) + blob)
+        f.write(records + struct.pack("<I", len(blob)) + blob)
 
 
 def load_dataset_pair(path, key: str) -> tuple[LongTailDataset, LongTailDataset]:

@@ -12,7 +12,6 @@ prediction, and per-class classifier diagnostics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,13 +43,9 @@ def accuracy(probs: np.ndarray, labels: np.ndarray, class_splits: list[str] | No
     return out
 
 
-def per_instance_nll(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    return cross_entropy(probs, labels)
-
-
 def nll(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood in nats."""
-    return float(per_instance_nll(probs, labels).mean())
+    return float(cross_entropy(probs, labels).mean())
 
 
 @dataclass(frozen=True)
@@ -265,7 +260,10 @@ def per_class_diagnostics(w: np.ndarray, probs: np.ndarray) -> PerClassDiagnosti
 # Report container and serialization
 # ---------------------------------------------------------------------------
 
-_REPORT_SCALARS = ("acc_all", "acc_many", "acc_medium", "acc_few", "nll", "ece")
+# The scalar metrics of a report, in the order every report and sweep table
+# lists them. One that is undefined (a split with no test example) is None
+# and left out of every file, never written as nan.
+REPORT_SCALARS = ("acc_all", "acc_many", "acc_medium", "acc_few", "nll", "ece")
 
 
 @dataclass
@@ -285,7 +283,7 @@ class MetricsReport:
     def to_json_dict(self) -> dict:
         """Stable key order; absent metrics are omitted entirely."""
         out = {}
-        for key in _REPORT_SCALARS:
+        for key in REPORT_SCALARS:
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -296,13 +294,10 @@ class MetricsReport:
                 out[key] = value
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
     def csv_rows(self) -> list[tuple[str, float]]:
         return [
             (key, getattr(self, key))
-            for key in _REPORT_SCALARS
+            for key in REPORT_SCALARS
             if getattr(self, key) is not None
         ]
 

@@ -403,7 +403,7 @@ def run_analyze(cfg: ExperimentConfig, model: Checkpoint, datasets) -> AnalysisR
         net.features(params.layers, test.features, act), params.w, params.b, calibration
     )
 
-    nll_i = metrics_mod.per_instance_nll(point_probs, test.labels)
+    nll_i = net.cross_entropy(point_probs, test.labels)
     disp_r = metrics_mod.dispersion_repr(reps)
     disp_p = metrics_mod.dispersion_prob(member_probs)
     quart_r = metrics_mod.quartile_analysis(nll_i, disp_r)
@@ -433,9 +433,6 @@ def run_analyze(cfg: ExperimentConfig, model: Checkpoint, datasets) -> AnalysisR
 # ---------------------------------------------------------------------------
 # Multi-seed sweep
 # ---------------------------------------------------------------------------
-
-SWEEP_METRIC_KEYS = ("acc_many", "acc_medium", "acc_few", "acc_all", "nll", "ece")
-
 
 def _seed_config(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
     return replace(cfg, run=replace(cfg.run, seed=seed))
@@ -470,21 +467,16 @@ class SweepResult:
     methods: list[str]
 
     def aggregate(self) -> list[dict]:
-        """mean and population std per method over completed seeds."""
+        """mean and population std per method over completed seeds; a
+        metric no seed defines is left out."""
         rows = []
         for method in self.methods:
-            values = {k: [] for k in SWEEP_METRIC_KEYS}
-            for entry in self.per_seed:
-                report = entry["rows"][method]
-                for k in SWEEP_METRIC_KEYS:
-                    v = getattr(report, k)
-                    if v is not None:
-                        values[k].append(v)
             row = {"method": method}
-            for k in SWEEP_METRIC_KEYS:
-                vs = np.asarray(values[k], dtype=np.float64)
-                row[f"{k}_mean"] = float(vs.mean()) if vs.size else float("nan")
-                row[f"{k}_std"] = float(vs.std()) if vs.size else float("nan")
+            for k in metrics_mod.REPORT_SCALARS:
+                vs = [v for e in self.per_seed if (v := getattr(e["rows"][method], k)) is not None]
+                if vs:
+                    row[f"{k}_mean"] = float(np.mean(vs))
+                    row[f"{k}_std"] = float(np.std(vs))
             rows.append(row)
         return rows
 

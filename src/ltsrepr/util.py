@@ -34,12 +34,16 @@ def check(*rules) -> None:
             raise ValueError(message)
 
 
-def to_float32(values: np.ndarray) -> np.ndarray:
+def to_float32(values: np.ndarray, what: str) -> np.ndarray:
     """``values`` rounded to little-endian float32, the values a checkpoint
-    or a dataset cache stores. Values beyond float32's range become
-    infinite, for the caller to reject."""
+    or a dataset cache stores: the one check of every array a file holds.
+    Raises ValueError naming ``what`` unless every value is finite (a value
+    beyond float32's range rounds to infinity)."""
     with np.errstate(over="ignore"):
-        return values.astype("<f4")
+        rounded = values.astype("<f4")
+    if not np.isfinite(rounded).all():
+        raise ValueError(f"{what} are non-finite or beyond float32 range")
+    return rounded
 
 
 def round_half_up(x):

@@ -49,6 +49,17 @@ class TestBaseSection:
             save_checkpoint(path, Checkpoint(params, post))
         assert not path.exists()
 
+    @pytest.mark.parametrize("group", ["parameter", "posterior mean", "posterior covariance"])
+    def test_rounded_rejects_unrepresentable_value(self, group):
+        # the in-memory twin of the writer's check, naming the same array
+        params = make_params()
+        post = make_posterior(params)
+        flat = {"parameter": params.flat, "posterior mean": post.mean,
+                "posterior covariance": post.sigma}[group]
+        flat[-1] = 1e39  # the classifier bias, array 7
+        with pytest.raises(ValueError, match=f"^{group} array 7 values are non-finite or beyond"):
+            Checkpoint(params, post).rounded()
+
     def test_roundtrip_quantizes_to_float32(self, tmp_path):
         params = make_params()
         path = tmp_path / "model.ckpt"
@@ -213,6 +224,24 @@ class TestDamagedFiles:
         blob = encode(scratch, make_params()) + struct.pack("<I", 3) + b"{x}"
         with pytest.raises(ValueError, match="metadata trailer is not valid JSON"):
             decode(scratch, blob)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("group", ["base", "posterior mean", "posterior second moment",
+                                       "posterior covariance"])
+    def test_non_finite_payload_named(self, scratch, group, bad):
+        blob = bytearray(self.full_checkpoint(scratch))
+        offset, payloads = 16, {}
+        for name in ("base", "posterior mean", "posterior second moment", "posterior covariance"):
+            for i in range(8):
+                rows, cols = struct.unpack_from("<II", blob, offset)
+                payloads[f"{name} array {i}"] = offset + 8
+                offset += 8 + 4 * rows * cols
+            if name == "base":
+                offset += 12  # posterior magic and capture count
+        start = payloads[f"{group} array 2"] + 4  # its second value
+        blob[start:start + 4] = np.float32(bad).tobytes()
+        with pytest.raises(ValueError, match=f"^{group} array 2 values are non-finite"):
+            decode(scratch, bytes(blob))
 
     def test_posterior_shape_mismatch_named(self, scratch):
         params = make_params()

@@ -348,12 +348,37 @@ class TestSweepCommand:
         assert rows[0][0] == "method"
         methods = [r[0] for r in rows[1:]]
         assert methods == ["swa", "swa+crt"]
-        # single seed: every populated std column is zero
+        # single seed: every std is zero, and the split the tiny config
+        # lacks ("many") is an empty cell, not nan
         header = rows[0]
+        assert header[1:3] == ["acc_all_mean", "acc_all_std"]
         for row in rows[1:]:
             for name, value in zip(header[1:], row[1:]):
-                if name.endswith("_std") and value != "nan":
+                if name.startswith("acc_many_"):
+                    assert value == ""
+                elif name.endswith("_std"):
                     assert float(value) == 0.0
+                else:
+                    assert np.isfinite(float(value))
+
+    def test_undefined_split_is_an_empty_cell(self, workdir):
+        # with no imbalance every class is "medium", so acc_many and acc_few
+        # are undefined: both tables leave their cells empty, never nan or None
+        (workdir / "flat.ini").write_text(
+            TINY_CONFIG.replace("test_per_class = 10", "test_per_class = 10\nimbalance_factor = 1.0")
+        )
+        assert run_cli("sweep", "--config", "flat.ini", "--output-dir", "sw", "--seeds", "0,1",
+                       "--epochs", "6") == 0
+        for name, count in (("sweep_table.csv", 2), ("sweep_runs.csv", 4)):
+            with open(workdir / "sw" / name) as f:
+                rows = list(csv.DictReader(f))
+            assert len(rows) == count
+            for row in rows:
+                for column, value in row.items():
+                    if column.startswith(("acc_many", "acc_few")):
+                        assert value == "", (name, column)
+                    elif column != "method":
+                        assert np.isfinite(float(value)), (name, column)
 
     @pytest.mark.parametrize("flag, value", [("--dataset-cache", "x"), ("--swag-samples", "4")])
     def test_options_a_sweep_cannot_use_rejected(self, workdir, capsys, flag, value):
@@ -506,6 +531,17 @@ class TestErrorPaths:
         assert err == ["error: train features are non-finite or beyond float32 range"]
         assert not (workdir / "out").exists()
         assert not (workdir / "c.bin").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_non_finite_checkpoint_rejected(self, workdir, capsys, command):
+        blob = bytearray(pretrain(workdir, out="run").read_bytes())
+        blob[24:28] = np.float32(np.nan).tobytes()  # the first value of base array 0
+        (workdir / "nan.ckpt").write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run_cli(command, "--checkpoint", "nan.ckpt", "--output-dir", "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: base array 0 values are non-finite or beyond float32 range"]
+        assert not (workdir / "out").exists()
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit):

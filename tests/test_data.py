@@ -1,6 +1,5 @@
 """Tests for synthetic long-tailed data generation and sampling."""
 
-import io
 import math
 import struct
 
@@ -20,6 +19,7 @@ from ltsrepr.data import (
     assign_splits,
     class_balanced_indices,
     dataset_key,
+    encode_dataset_record,
     instance_balanced_indices,
     load_dataset_pair,
     longtail_class_counts,
@@ -27,7 +27,6 @@ from ltsrepr.data import (
     mixup_batch,
     save_dataset_pair,
     steps_per_epoch,
-    write_dataset_record,
 )
 
 
@@ -280,9 +279,7 @@ class TestBinaryFormat:
 
     def test_header_layout(self, tmp_path):
         ds = toy_dataset([2, 1], dim=3)
-        buf = io.BytesIO()
-        write_dataset_record(buf, ds)
-        raw = buf.getvalue()
+        raw = encode_dataset_record(ds, "train")
         assert raw[:8] == b"LTDATA01"
         n, k, d = np.frombuffer(raw[8:20], dtype="<u4")
         assert (n, k, d) == (3, 2, 3)
@@ -317,6 +314,15 @@ class TestBinaryFormat:
         assert len(keys) == 4
         assert dataset_key(DatasetConfig(), 0) == KEY
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_unrepresentable_features_rejected_before_writing(self, tmp_path, split):
+        pair = {"train": toy_dataset([2, 1]), "test": toy_dataset([1, 1])}
+        pair[split].features[1, 0] = 1e39
+        path = tmp_path / "cache.bin"
+        with pytest.raises(ValueError, match=f"^{split} features are non-finite or beyond float32"):
+            save_dataset_pair(path, pair["train"], pair["test"], KEY)
+        assert not path.exists()
+
     def test_other_key_rejected_naming_the_file(self, tmp_path):
         path = tmp_path / "cache.bin"
         save_dataset_pair(path, toy_dataset([2, 1]), toy_dataset([1, 1]), KEY)
@@ -326,9 +332,7 @@ class TestBinaryFormat:
 
 
 def record(dataset: LongTailDataset) -> bytes:
-    buf = io.BytesIO()
-    write_dataset_record(buf, dataset)
-    return buf.getvalue()
+    return encode_dataset_record(dataset, "train")
 
 
 def encode_records(train: LongTailDataset, test: LongTailDataset) -> bytes:
@@ -441,7 +445,7 @@ class TestCacheDamageProperties:
 small_configs = st.builds(
     DatasetConfig,
     num_classes=st.integers(2, 5),
-    input_dim=st.integers(2, 5),  # with one feature, two classes can share a direction
+    input_dim=st.integers(1, 5),  # one feature is rejected: it has only two unit directions
     max_count=st.integers(1, 30),
     imbalance_factor=st.floats(0.01, 1.0),
     class_separation=st.floats(0.1, 10.0),
@@ -455,6 +459,10 @@ small_configs = st.builds(
 def test_generated_pair_survives_the_cache_bit_for_bit(tmp_path_factory, config, seed):
     path = tmp_path_factory.mktemp("generated") / "cache.bin"
     key = dataset_key(config, seed)
+    if config.input_dim == 1:
+        with pytest.raises(ValueError, match="^dataset.input_dim must be >= 2, got 1$"):
+            make_longtail_dataset(config, seed)
+        return
     pair = make_longtail_dataset(config, seed)
     save_dataset_pair(path, *pair, key)
     for made, read in zip(pair, load_dataset_pair(path, key)):

@@ -44,8 +44,8 @@ GOLDEN = {
     # of soft-target cross-entropies, whose last bit depends on how the
     # log-probabilities are formed
     "mixup/pretrain.ckpt": "111ca8513883fc5c",
-    "sweep/sweep_table.csv": "12f7d0aa271b6eb7",
-    "sweep/sweep_runs.csv": "53806b78c2535c72",
+    "sweep/sweep_table.csv": "d2e02f90af420bb8",
+    "sweep/sweep_runs.csv": "e4028f26d7a1b3a8",
 }
 
 METHODS = ("crt", "lws", "disalign", "srepr")

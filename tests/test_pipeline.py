@@ -145,6 +145,7 @@ class TestValidate:
         ("retrain", "srepr_m", 1, "srepr_m must be >= 2"),
         ("retrain", "balance", "magic", "retrain.balance"),
         ("dataset", "num_classes", 1, "num_classes must be >= 2"),
+        ("dataset", "input_dim", 1, "dataset.input_dim must be >= 2, got 1"),
         ("dataset", "class_separation", 0.0, "dataset.class_separation"),
         ("swa", "start_frac", 1.0, "swa.start_frac"),
         ("eval", "analysis_seed", -1, "eval.analysis_seed must be >= 0"),
@@ -326,7 +327,7 @@ class TestEval:
         pre, _ = pl.run_pretrain(cfg_a, ds)
         rep_a = pl.run_eval(cfg_a, pre, ds)
         rep_b = pl.run_eval(cfg_b, pre, ds)
-        assert rep_a.to_json() == rep_b.to_json()
+        assert rep_a.to_json_dict() == rep_b.to_json_dict()
 
     def test_ensemble_requires_posterior(self):
         cfg = tiny_config(swa=False)
@@ -357,7 +358,7 @@ class TestEval:
         expected = metrics_mod.evaluate_probs(np.stack([point] * 3).mean(axis=0), test.labels,
                                               ds[0].splits, cfg.eval.ece_bins)
         cfg_e = replace(cfg, eval=replace(cfg.eval, ensemble_m=3))
-        assert pl.run_eval(cfg_e, pre, ds).to_json() == expected.to_json()
+        assert pl.run_eval(cfg_e, pre, ds).to_json_dict() == expected.to_json_dict()
 
 
 class TestAnalyze:
@@ -417,9 +418,14 @@ class TestSweep:
         result = pl.run_sweep(cfg)
         assert not result.failures
         for row in result.aggregate():
-            for key in pl.SWEEP_METRIC_KEYS:
-                if not np.isnan(row[f"{key}_mean"]):  # absent splits stay absent
-                    assert row[f"{key}_std"] == 0.0
+            report = result.per_seed[0]["rows"][row["method"]]
+            defined = [k for k in metrics_mod.REPORT_SCALARS if getattr(report, k) is not None]
+            # the tiny config has no "many" class: that split is left out, not nan
+            assert defined == ["acc_all", "acc_medium", "acc_few", "nll", "ece"]
+            assert list(row) == ["method", *(f"{k}_{s}" for k in defined for s in ("mean", "std"))]
+            for key in defined:
+                assert row[f"{key}_mean"] == getattr(report, key)
+                assert row[f"{key}_std"] == 0.0
 
     def test_mean_is_arithmetic_mean(self):
         cfg = replace(tiny_config(epochs=6), run=replace(tiny_config().run, seeds=(0, 1)))
@@ -434,7 +440,7 @@ class TestSweep:
         result = pl.run_sweep(cfg)
         rows = [e["rows"] for e in result.per_seed]
         for method in result.methods:
-            assert rows[0][method].to_json() == rows[1][method].to_json()
+            assert rows[0][method].to_json_dict() == rows[1][method].to_json_dict()
         for row in result.aggregate():
             assert row["acc_all_std"] == 0.0
             assert row["ece_std"] == 0.0
