@@ -51,14 +51,17 @@ class Checkpoint:
         back from disk are the same bits."""
         shapes = self.params.shapes
 
-        def stored(flat, what):
-            return None if flat is None else _float32(flat, shapes, what).astype(np.float64)
+        def stored(flat, what, nonnegative=False):
+            if flat is None:
+                return None
+            return _float32(flat, shapes, what, nonnegative).astype(np.float64)
 
         posterior = self.posterior
         if posterior is not None:
             posterior = replace(posterior, mean=stored(posterior.mean, "posterior mean array"),
                                 sq_mean=stored(posterior.sq_mean, "posterior second moment array"),
-                                sigma=stored(posterior.sigma, "posterior covariance array"))
+                                sigma=stored(posterior.sigma, "posterior covariance array",
+                                             nonnegative=True))
         return Checkpoint(self.params.like(stored(self.params.flat, "parameter array")),
                           posterior, self.metadata)
 
@@ -92,18 +95,29 @@ class Checkpoint:
                               float(values["gate_b"]))
 
 
-def _float32(flat: np.ndarray, shapes, what: str) -> np.ndarray:
+def _checked(values: np.ndarray, what: str, nonnegative: bool) -> np.ndarray:
+    """``values`` rounded to float32 (`to_float32`). A covariance
+    (``nonnegative``) must hold no negative value either: a posterior draw
+    takes its square root."""
+    rounded = to_float32(values, what)
+    if nonnegative and (rounded < 0).any():
+        raise ValueError(f"{what} are negative")
+    return rounded
+
+
+def _float32(flat: np.ndarray, shapes, what: str, nonnegative: bool = False) -> np.ndarray:
     """``flat`` rounded to float32 one array of ``shapes`` at a time
-    (`to_float32`), so a value float32 cannot hold is named by ``what``
-    and its array's index."""
-    return np.concatenate([to_float32(a, f"{what} {i} values").ravel()
+    (`_checked`), so a value float32 cannot hold, or a negative covariance,
+    is named by ``what`` and its array's index."""
+    return np.concatenate([_checked(a, f"{what} {i} values", nonnegative).ravel()
                            for i, a in enumerate(param_views(flat, shapes))])
 
 
-def _records(flat: np.ndarray, shapes, what: str) -> list[bytes]:
+def _records(flat: np.ndarray, shapes, what: str, nonnegative: bool = False) -> list[bytes]:
     """One (u32 rows, u32 cols) header plus float32 payload per array."""
+    stored = _float32(flat, shapes, what, nonnegative)
     return [struct.pack("<II", *a.shape) + a.tobytes()
-            for a in map(np.atleast_2d, param_views(_float32(flat, shapes, what), shapes))]
+            for a in map(np.atleast_2d, param_views(stored, shapes))]
 
 
 def save_checkpoint(path, model: Checkpoint) -> None:
@@ -118,7 +132,8 @@ def save_checkpoint(path, model: Checkpoint) -> None:
         chunks += [SWAG_MAGIC, struct.pack("<I", posterior.count)]
         for name, flat in (("mean", posterior.mean), ("second moment", posterior.sq_mean),
                            ("covariance", posterior.sigma)):
-            chunks += _records(flat, params.shapes, f"posterior {name} array")
+            chunks += _records(flat, params.shapes, f"posterior {name} array",
+                               nonnegative=name == "covariance")
     if metadata is not None:
         blob = json.dumps(metadata, sort_keys=True, allow_nan=False).encode("utf-8")
         chunks += [struct.pack("<I", len(blob)), blob]
@@ -126,18 +141,18 @@ def save_checkpoint(path, model: Checkpoint) -> None:
         f.writelines(chunks)
 
 
-def _read_vector(r: SizedReader, count: int, what: str, expect=None):
+def _read_vector(r: SizedReader, count: int, what: str, expect=None, nonnegative=False):
     """``count`` consecutive array records as one float64 vector plus their
     stored (rows, cols) shapes; with ``expect``, every stored shape must
-    equal the base array's. A non-finite value is rejected, naming its
-    array."""
+    equal the base array's. A non-finite value, or with ``nonnegative`` a
+    negative one, is rejected, naming its array."""
     shapes, payloads = [], []
     for i in range(count):
         shape = struct.unpack("<II", r.take(8, f"{what} array {i} header"))
         if expect is not None and shape != expect[i]:
             raise ValueError(f"{what} array {i} has shape {shape}, base array is {expect[i]}")
         payload = np.frombuffer(r.take(4 * shape[0] * shape[1], f"{what} array {i}"), dtype="<f4")
-        payloads.append(to_float32(payload, f"{what} array {i} values"))
+        payloads.append(_checked(payload, f"{what} array {i} values", nonnegative))
         shapes.append(shape)
     return np.concatenate(payloads).astype(np.float64), shapes
 
@@ -146,7 +161,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint. Raises ValueError naming the section at fault
     (header, base array i, posterior group array i, metadata trailer, a
     disalign calibration field) for a truncated or malformed file, for a
-    non-finite array value, and for any bytes after the trailer."""
+    non-finite array value, for a negative covariance value, and for any
+    bytes after the trailer."""
     with open(path, "rb") as f:
         r = SizedReader(f, "checkpoint")
         magic = r.take(8, "magic")
@@ -167,7 +183,8 @@ def load_checkpoint(path) -> Checkpoint:
         if r.peek(8) == SWAG_MAGIC:
             r.take(8, "posterior magic")
             (n,) = struct.unpack("<I", r.take(4, "posterior capture count"))
-            groups = [_read_vector(r, count, f"posterior {name}", expect=stored)[0]
+            groups = [_read_vector(r, count, f"posterior {name}", expect=stored,
+                                   nonnegative=name == "covariance")[0]
                       for name in ("mean", "second moment", "covariance")]
             posterior = SwagPosterior(groups[0], groups[1], n, params.shapes, groups[2])
 

@@ -15,9 +15,11 @@ gemm and the elementwise SGD passes run about twice as fast on half the
 bytes. `features` runs in the dtype of its first weight and `backward`
 writes gradients in the parameters' dtype. The softmax/CE head works in
 float64 on the (B, K) logits (`softmax` casts), and its gradient is cast
-back to the parameters' dtype. Everything else stays float64: the SWA
-moments (``sq_mean - mean**2`` cancels, so snapshots are squared in
-float64), stage 2, evaluation, analysis and the Dirichlet fit. At every
+back to the parameters' dtype. srepr's posterior members also forward
+in float32 (`retrain.srepr_batches`). Everything else stays float64: the
+posterior draws, the SWA moments (``sq_mean - mean**2`` cancels, so
+snapshots are squared in float64), stage 2's heads and losses,
+evaluation, analysis and the Dirichlet fit. At every
 stage boundary the arrays are float32 values held in float64, the values
 a checkpoint stores, so a model handed on in memory and one read back
 from disk are the same bits.

@@ -45,7 +45,13 @@ from .netcore import (
     softmax,
     softmax_ce,
 )
-from .swag import SwagPosterior, member_features, posterior_features, sample_theta
+from .swag import (
+    SwagPosterior,
+    extractor_layers,
+    member_features,
+    posterior_features,
+    sample_theta,
+)
 from .util import check
 
 LOGIT_CLAMP_SCALE = 30.0  # raw student logits clipped at +/- 30 * temperature
@@ -547,16 +553,19 @@ def srepr_batches(
     (M, B, L) stochastic representations of the batch ``idx``.
 
     Source "posterior": at the start of each epoch, M `sample_theta` draws
-    fill the rows of one (M, theta_dim) block, then every step's batch
-    indices of the epoch are drawn. `member_features` runs the epoch's U
-    distinct rows through each member in turn into one (M, U, L) table,
-    and each step takes its rows from it, so a row sampled by several
-    steps is forwarded once per member. A member's gemm gives a row the
-    same bits in any product of two or more rows, so a lone distinct row
-    is forwarded twice. Source "input_jitter": each step draws its
-    indices, then M x B x D normals for its rows. Everything comes from
-    ``rng`` in that order, never ahead of the epoch that uses it. ``reps``
-    is one buffer, rewritten every step.
+    fill the rows of one float64 (M, theta_dim) block, then every step's
+    batch indices of the epoch are drawn. The block is rounded once into a
+    float32 copy, and `member_features` runs the epoch's U distinct rows,
+    from a float32 copy of the training features, through each float32
+    member in turn into one float32 (M, U, L) table. Each step takes its
+    rows from the table and widens them once into a float64 ``reps``, so
+    the head stays float64 and a row sampled by several steps is forwarded
+    once per member. A member's sgemm gives a row the same bits in any
+    product of two or more rows, so a lone distinct row is forwarded
+    twice. Source "input_jitter": each step draws its indices, then
+    M x B x D normals for its rows, and forwards in float64. Everything
+    comes from ``rng`` in that order, never ahead of the epoch that uses
+    it. ``reps`` is one buffer, rewritten every step.
     """
     m, batch = config.srepr_m, optim.batch_size
     sampler = _stage2_sampler(balancing)
@@ -571,20 +580,29 @@ def srepr_batches(
                                          rng, noisy, activation, out=layer_out)
         return
     block = np.empty((m, posterior.theta_dim))
-    reps = np.empty((m, batch, posterior.repr_dim))
+    block32 = np.empty(block.shape, dtype=np.float32)
+    members = [extractor_layers(posterior, row) for row in block32]
+    x32 = dataset.features.astype(np.float32)
+    reps32 = np.empty((m, batch, posterior.repr_dim), dtype=np.float32)
+    reps = np.empty(reps32.shape)
     for _ in range(optim.epochs):
-        members = [sample_theta(posterior, rng, row) for row in block]
+        for row in block:
+            sample_theta(posterior, rng, row)
+        np.copyto(block32, block)
         epoch_idx = [sampler(dataset, batch, rng) for _ in range(per_epoch)]
         rows, inverse = np.unique(epoch_idx, return_inverse=True)
         if len(rows) == 1:
             rows = np.repeat(rows, 2)  # a one-row product runs as gemv, which rounds unlike gemm
         inverse = inverse.reshape(per_epoch, batch)
         table = None  # the last epoch's table goes before the next is made
-        table = member_features(members, dataset.features[rows],
-                                np.empty((m, len(rows), posterior.repr_dim)), activation)
+        table = member_features(members, x32[rows],
+                                np.empty((m, len(rows), posterior.repr_dim), np.float32),
+                                activation)
         for step, idx in enumerate(epoch_idx):
             # indices are in range; "clip" spares take the copy "raise" makes
-            yield idx, np.take(table, inverse[step], axis=1, out=reps, mode="clip")
+            np.take(table, inverse[step], axis=1, out=reps32, mode="clip")
+            np.copyto(reps, reps32)
+            yield idx, reps
 
 
 def srepr_retrain(

@@ -123,15 +123,24 @@ def swa_params(posterior: SwagPosterior) -> ModelParams:
     return ModelParams.from_flat(posterior.mean.copy(), posterior.shapes)
 
 
+def extractor_layers(posterior: SwagPosterior, theta: np.ndarray):
+    """The (weight, bias) layer pairs of one extractor draw, views into
+    its (theta_dim,) vector ``theta`` of any dtype."""
+    views = param_views(theta, posterior.shapes[:-2])
+    return list(zip(views[0::2], views[1::2]))
+
+
 def sample_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.ndarray | None = None):
     """Draw feature-extractor parameters mean + sqrt(diag) * eps: the one
     posterior draw.
 
     The draw fills ``out`` (a (theta_dim,) float64 buffer, such as one row
     of an (M, theta_dim) block; allocated when omitted), and the returned
-    (weight, bias) layer pairs are views into it. Drawing the M rows of a
-    block in order consumes ``rng`` exactly as filling the whole block in
-    one C-order call would.
+    (weight, bias) layer pairs are views into it. The normals and the draw
+    are always float64; a caller that forwards members in float32 (srepr)
+    rounds a copy of the block. Drawing the M rows of a block in order
+    consumes ``rng`` exactly as filling the whole block in one C-order
+    call would.
     """
     if not posterior.frozen:
         raise ValueError("posterior must be frozen before sampling")
@@ -140,8 +149,7 @@ def sample_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.nda
     rng.standard_normal(out=out)
     out *= posterior.theta_std()
     out += posterior.mean[: posterior.theta_dim]
-    views = param_views(out, posterior.shapes[:-2])
-    return list(zip(views[0::2], views[1::2]))
+    return extractor_layers(posterior, out)
 
 
 def member_features(members, x: np.ndarray, out: np.ndarray, activation: str = "relu") -> np.ndarray:
@@ -150,12 +158,15 @@ def member_features(members, x: np.ndarray, out: np.ndarray, activation: str = "
 
     One 2-D forward per member; each writes its last layer straight into
     its slice of ``out``, and the hidden layers go to buffers all members
-    share. ``members`` may be drawn lazily, each just before its forward.
+    share, allocated in ``out``'s dtype. So float32 members, a float32
+    ``x`` and a float32 ``out`` run the whole forward in float32 (srepr's
+    table); eval and analyze pass float64 throughout. ``members`` may be
+    drawn lazily, each just before its forward.
     """
     hidden = None
     for layers, rep in zip(members, out):
         if hidden is None:
-            hidden = [np.empty((len(x), w.shape[1])) for w, _ in layers[:-1]]
+            hidden = [np.empty((len(x), w.shape[1]), dtype=out.dtype) for w, _ in layers[:-1]]
         features(layers, x, activation, out=hidden + [rep])
     return out
 

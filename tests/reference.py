@@ -1,13 +1,14 @@
 """Reference forms the package does not ship, kept as test oracles: the
 closed-form Dirichlet KL, loss-only views of the srepr loss terms, the
 soft-target cross-entropy written over an unfloored log-softmax, input
-jitter as one draw and one forward per member, and the SWA moments of
-float32 snapshots written out in float64."""
+jitter as one draw and one forward per member, one posterior member's
+float32 forward, and the SWA moments of float32 snapshots written out in
+float64."""
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from ltsrepr.netcore import features, softmax
+from ltsrepr.netcore import features, param_views, softmax
 from ltsrepr.retrain import kd_loss_and_alpha_grad, mean_ce_loss_and_grad
 
 
@@ -56,6 +57,15 @@ def jittered_per_member(layers, x, std, m, rng, activation="relu"):
     each member drawn and forwarded on its own."""
     return np.stack([features(layers, x + std * rng.standard_normal(x.shape), activation)
                      for _ in range(m)])
+
+
+def float32_member_forward(row, shapes, x, activation="relu"):
+    """(N, L): the rows ``x`` under the extractor drawn into the float64
+    vector ``row`` (layer ``shapes``), with ``row`` and ``x`` each rounded
+    to float32 and the float32 forward widened back to float64."""
+    views = param_views(np.asarray(row, dtype=np.float32), shapes)
+    layers = list(zip(views[0::2], views[1::2]))
+    return features(layers, np.asarray(x, dtype=np.float32), activation).astype(np.float64)
 
 
 def float64_moments(snapshots):

@@ -49,6 +49,22 @@ class TestBaseSection:
             save_checkpoint(path, Checkpoint(params, post))
         assert not path.exists()
 
+    def test_negative_covariance_rejected_before_writing(self, tmp_path):
+        params = make_params()
+        post = make_posterior(params)
+        post.sigma[-1] = -1e-3  # the classifier bias, array 7
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="^posterior covariance array 7 values are negative$"):
+            save_checkpoint(path, Checkpoint(params, post))
+        assert not path.exists()
+        with pytest.raises(ValueError, match="^posterior covariance array 7 values are negative$"):
+            Checkpoint(params, post).rounded()
+        # a negative mean is a valid posterior
+        post.sigma[-1] = 0.0
+        post.mean[-1] = -1.0
+        save_checkpoint(path, Checkpoint(params, post))
+        assert load_checkpoint(path).posterior.mean[-1] == -1.0
+
     @pytest.mark.parametrize("group", ["parameter", "posterior mean", "posterior covariance"])
     def test_rounded_rejects_unrepresentable_value(self, group):
         # the in-memory twin of the writer's check, naming the same array
@@ -225,11 +241,10 @@ class TestDamagedFiles:
         with pytest.raises(ValueError, match="metadata trailer is not valid JSON"):
             decode(scratch, blob)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("group", ["base", "posterior mean", "posterior second moment",
-                                       "posterior covariance"])
-    def test_non_finite_payload_named(self, scratch, group, bad):
-        blob = bytearray(self.full_checkpoint(scratch))
+    @staticmethod
+    def payload_offsets(blob) -> dict:
+        """The offset of each array's first payload value in a full
+        checkpoint, keyed as the reader names the array."""
         offset, payloads = 16, {}
         for name in ("base", "posterior mean", "posterior second moment", "posterior covariance"):
             for i in range(8):
@@ -238,9 +253,26 @@ class TestDamagedFiles:
                 offset += 8 + 4 * rows * cols
             if name == "base":
                 offset += 12  # posterior magic and capture count
-        start = payloads[f"{group} array 2"] + 4  # its second value
+        return payloads
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("group", ["base", "posterior mean", "posterior second moment",
+                                       "posterior covariance"])
+    def test_non_finite_payload_named(self, scratch, group, bad):
+        blob = bytearray(self.full_checkpoint(scratch))
+        start = self.payload_offsets(blob)[f"{group} array 2"] + 4  # its second value
         blob[start:start + 4] = np.float32(bad).tobytes()
         with pytest.raises(ValueError, match=f"^{group} array 2 values are non-finite"):
+            decode(scratch, bytes(blob))
+
+    def test_negative_covariance_named(self, scratch):
+        # a negative value is a valid mean, but a posterior draw takes the
+        # covariance's square root
+        blob = bytearray(self.full_checkpoint(scratch))
+        assert (decode(scratch, bytes(blob)).posterior.mean < 0).any()
+        start = self.payload_offsets(blob)["posterior covariance array 0"]
+        blob[start:start + 4] = np.float32(-1.0).tobytes()
+        with pytest.raises(ValueError, match="^posterior covariance array 0 values are negative$"):
             decode(scratch, bytes(blob))
 
     def test_posterior_shape_mismatch_named(self, scratch):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -541,6 +542,22 @@ class TestErrorPaths:
         assert run_cli(command, "--checkpoint", "nan.ckpt", "--output-dir", "out") == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: base array 0 values are non-finite or beyond float32 range"]
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_negative_covariance_checkpoint_rejected(self, workdir, capsys, command):
+        blob = bytearray(pretrain(workdir, out="run").read_bytes())
+        # the first covariance value of base array 0: past the base section
+        # (492 bytes), the posterior magic and count, two 476-byte moment
+        # groups and array 0's header
+        assert struct.unpack_from("<f", blob, 1464)[0] >= 0.0
+        struct.pack_into("<f", blob, 1464, -1.0)
+        (workdir / "neg.ckpt").write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run_cli(command, "--checkpoint", "neg.ckpt", "--output-dir", "out",
+                       *(["--ensemble-m", "4"] if command == "eval" else [])) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: posterior covariance array 0 values are negative"]
         assert not (workdir / "out").exists()
 
     def test_help_lists_subcommands(self, capsys):

@@ -21,25 +21,25 @@ GOLDEN = {
     "crt/retrain.ckpt": "3701edee150d629d",
     "lws/retrain.ckpt": "3b66c219b23ed0f6",
     "disalign/retrain.ckpt": "c744004973309c9b",
-    "srepr/retrain.ckpt": "bd0415fccad58457",
+    "srepr/retrain.ckpt": "8cb629bff7d0e676",
     "crt/eval_report.json": "10cbc7cfc1e85012",
     "lws/eval_report.json": "2296b9b464eb957f",
     "disalign/eval_report.json": "43e42425aaadde54",
-    "srepr/eval_report.json": "5b43b5f3303d004c",
+    "srepr/eval_report.json": "7c6b4fc6517adcb7",
     "crt/eval_report.csv": "0c588c4653aa2faf",
     "lws/eval_report.csv": "46b27ca613d30250",
     "disalign/eval_report.csv": "aec5339b5c91ab98",
-    "srepr/eval_report.csv": "e890f1ce5054c21b",
+    "srepr/eval_report.csv": "50ca37c176769d81",
     "crt/eval_bins.csv": "62088b65a9ed3b98",
     "lws/eval_bins.csv": "d1ed6cb30151767b",
     "disalign/eval_bins.csv": "7a9be55165db7db2",
-    "srepr/eval_bins.csv": "db90f6824b21bbf6",
-    "srepr/analyze/analysis_summary.json": "85235488169e98a0",
-    "srepr/analyze/instance_metrics.csv": "3b5a7f911183d61d",
-    "srepr/analyze/per_class.csv": "3f07b37e7eff78fe",
-    "srepr/analyze/quartiles_prob.csv": "672d03d6a8ae1e2c",
+    "srepr/eval_bins.csv": "66edc6fe197178bc",
+    "srepr/analyze/analysis_summary.json": "3520bf6a36a1035b",
+    "srepr/analyze/instance_metrics.csv": "9491f9e08cc60abd",
+    "srepr/analyze/per_class.csv": "a1c94ad26fbc27c8",
+    "srepr/analyze/quartiles_prob.csv": "d4cadce465359891",
     "srepr/analyze/quartiles_repr.csv": "dc7d6e59830cb043",
-    "srepr/analyze/reliability_bins.csv": "f72e00b98767f775",
+    "srepr/analyze/reliability_bins.csv": "d967b2078fbaada9",
     # mixup's pretrain_metrics.json is not pinned: its epoch losses are sums
     # of soft-target cross-entropies, whose last bit depends on how the
     # log-probabilities are formed

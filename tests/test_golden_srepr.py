@@ -14,8 +14,8 @@ import pytest
 from ltsrepr.cli import main
 
 GOLDEN = {
-    "la": (("--balance", "la"), "fbd1631dd9fffcd4"),
-    "grw": (("--balance", "grw"), "97c1cb2fa2c98afe"),
+    "la": (("--balance", "la"), "efa7a55090b49943"),
+    "grw": (("--balance", "grw"), "603aa6ca1b3103cb"),
     "jitter": (("--stochastic-source", "jitter"), "c9ae2f1dd7052d18"),
 }
 

@@ -10,7 +10,13 @@ import pytest
 from gradcheck import assert_grad_close, numeric_grad
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import dirichlet_kl, jittered_per_member, kd_loss, mean_ce_loss
+from reference import (
+    dirichlet_kl,
+    float32_member_forward,
+    jittered_per_member,
+    kd_loss,
+    mean_ce_loss,
+)
 from scipy import stats
 from scipy.special import digamma, gammaln, polygamma
 
@@ -22,7 +28,6 @@ from ltsrepr.netcore import (
     features,
     init_classifier,
     init_params,
-    param_views,
     softmax,
     softmax_ce,
 )
@@ -64,12 +69,6 @@ def inline_block(post, rng, m):
     (M, theta_dim) block of normals."""
     td = post.theta_dim
     return post.mean[:td] + np.sqrt(post.sigma[:td]) * rng.standard_normal((m, td))
-
-
-def draw_layers(post, row):
-    """One extractor draw's (weight, bias) layer pairs, views into ``row``."""
-    views = param_views(row, post.shapes[:-2])
-    return list(zip(views[0::2], views[1::2]))
 
 
 def frozen_posterior(params, spread=0.05, rng_seed=0):
@@ -782,7 +781,8 @@ class TestDrawAhead:
     def hand_stream(ds, params, post, config, optim, rng, blocks=None, activation="relu"):
         """srepr's stream drawn by hand: a block of M draws at the start of
         each epoch, then each step's indices (and, for jitter, that step's M
-        noisy copies), each step's batch run through every member; each
+        noisy copies), each step's batch run through every member (a
+        posterior member in float32, `float32_member_forward`); each
         epoch's block is appended to ``blocks``."""
         source, m = config.stochastic_source, config.srepr_m
         for _ in range(optim.epochs):
@@ -794,8 +794,8 @@ class TestDrawAhead:
                 idx = class_balanced_indices(ds, optim.batch_size, rng)
                 x = ds.features[idx]
                 if source == "posterior":
-                    reps = np.stack([features(draw_layers(post, row), x, activation)
-                                     for row in block])
+                    reps = np.stack([float32_member_forward(row, post.shapes[:-2], x,
+                                                            activation) for row in block])
                 else:
                     reps = jittered_per_member(params.layers, x, config.jitter_std, m, rng,
                                                activation)
@@ -868,6 +868,29 @@ class TestDrawAhead:
         stream = self.hand_stream(ds, params, post, config, optim, np.random.default_rng(4))
         fit_head("srepr", [w0, b0], loss_and_grads, stream, ds, optim)
         assert w.tobytes() == w0.tobytes() and b.tobytes() == b0.tobytes()
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_posterior_reps_are_float32_values_in_float64(self, monkeypatch, activation):
+        # the member table is float32, but the head reads float64 reps that
+        # hold float32 values: every step's, in every epoch
+        def float32_values(a):
+            return a.astype(np.float32).astype(np.float64).tobytes() == a.tobytes()
+
+        seen = []
+        step = retrain_mod.srepr_batch_loss_and_grad
+        monkeypatch.setattr(retrain_mod, "srepr_batch_loss_and_grad",
+                            lambda w, b, reps, *a: seen.append(reps.copy()) or step(w, b, reps, *a))
+        ds, params, post = self.make_problem(seed=2)
+        srepr_retrain(params.layers, post, (params.w, params.b), ds, BalancingSpec("cbs"),
+                      RetrainConfig(srepr_m=3),
+                      OptimConfig(epochs=2, batch_size=16, weight_decay=0.0005),
+                      np.random.default_rng(9), activation)
+        assert len(seen) == 2 * -(-ds.num_examples // 16)
+        for reps in seen:
+            assert reps.dtype == np.float64 and reps.shape == (3, 16, post.repr_dim)
+            assert float32_values(reps)
+        # the check has teeth: the float64 forward of the SWA point fails it
+        assert not float32_values(features(params.layers, ds.features, activation))
 
     def test_every_member_is_one_sample_theta_call(self, monkeypatch):
         # the posterior source draws each epoch's M members through the
@@ -994,7 +1017,7 @@ class TestDrawAhead:
         config = RetrainConfig(srepr_m=3)
         optim = OptimConfig(epochs=1, batch_size=16, weight_decay=0.0005)
         block = inline_block(post, np.random.default_rng(5), 3)
-        want = np.stack([features(draw_layers(post, row), ds.features[[7, 0]])[:1]
+        want = np.stack([float32_member_forward(row, post.shapes[:-2], ds.features[[7, 0]])[:1]
                          for row in block]).repeat(16, axis=1)
         steps = 0
         for idx, reps in srepr_batches(params.layers, post, ds, BalancingSpec("cbs"), config,

@@ -10,6 +10,7 @@ from scipy import stats
 from ltsrepr.netcore import ModelParams, features, init_params
 from ltsrepr.swag import (
     SwaConfig,
+    extractor_layers,
     freeze,
     member_features,
     new_posterior,
@@ -308,6 +309,35 @@ class TestSampling:
         assert member_features(eager, x, out, activation) is out
         assert out.tobytes() == want.tobytes()
         assert eager_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=3), st.integers(1, 9),
+           st.integers(1, 6), st.integers(1, 12), st.sampled_from(["relu", "tanh"]),
+           st.integers(0, 2**16))
+    def test_float32_out_runs_every_layer_in_float32(self, widths, d, members, batch,
+                                                     activation, seed):
+        # srepr's table: members over a float32 copy of the block and a
+        # float32 out give `features` over float32 layers, bit for bit, so
+        # the hidden buffers are float32 too
+        rng = np.random.default_rng(seed)
+        params = init_params(rng, d, tuple(widths[:-1]), widths[-1], 2)
+        post = new_posterior(params)
+        for _ in range(3):
+            update_moments(post, init_params(rng, d, tuple(widths[:-1]), widths[-1], 2))
+        freeze(post)
+        x = rng.standard_normal((batch, d)).astype(np.float32)
+        block = np.empty((members, post.theta_dim))
+        for row in block:
+            sample_theta(post, rng, row)
+        block32 = block.astype(np.float32)
+        want = np.stack([features([(w.astype(np.float32), b.astype(np.float32))
+                                   for w, b in extractor_layers(post, row)], x, activation)
+                         for row in block])
+        out = np.empty((members, batch, widths[-1]), dtype=np.float32)
+        got = member_features([extractor_layers(post, row) for row in block32], x, out,
+                              activation)
+        assert got is out and want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSwaPoint:
