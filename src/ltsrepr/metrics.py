@@ -19,7 +19,8 @@ import numpy as np
 from .data import FEW, MANY, MEDIUM
 from .netcore import PROB_FLOOR, classifier_logits, cross_entropy, softmax
 from .retrain import DisAlignParams, disalign_logits
-from .swag import SwagPosterior, posterior_features
+from .swag import SwagPosterior, member_features, sample_theta
+from .util import check
 
 
 # ---------------------------------------------------------------------------
@@ -102,27 +103,49 @@ def ece(probs: np.ndarray, labels: np.ndarray, n_bins: int = 15):
 # Dispersion
 # ---------------------------------------------------------------------------
 
-def dispersion_repr(reps: np.ndarray) -> np.ndarray:
-    """Mean cosine distance of M representations to their centroid.
+class MemberSums:
+    """Per-instance sums over members, added one at a time in member order:
+    of float64 representations and their unit vectors r/|r| (a zero r adds
+    0), and of predictions and their entropies. numpy's axis-0 sum of an
+    (M, B, ·) stack adds in this order, so a stream and its stack agree."""
 
-    Accepts (M, L) for one instance or (M, B, L); returns float or (B,).
-    A zero-norm vector on either side of a cosine contributes distance 1.
-    """
-    r = np.asarray(reps, dtype=np.float64)
-    single = r.ndim == 2
-    if single:
-        r = r[:, None, :]
-    if r.shape[0] < 2:
-        raise ValueError("need at least 2 representations")
-    centroid = r.mean(axis=0)  # (B, L)
-    c_norm = np.linalg.norm(centroid, axis=-1)  # (B,)
-    r_norm = np.linalg.norm(r, axis=-1)  # (M, B)
-    dots = np.einsum("mbl,bl->mb", r, centroid)
-    denom = r_norm * c_norm[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos = np.where(denom > 0.0, dots / np.where(denom > 0.0, denom, 1.0), 0.0)
-    disp = (1.0 - cos).mean(axis=0)
-    return float(disp[0]) if single else disp
+    def __init__(self):
+        self.count = 0
+        self.reps = self.units = self.probs = self.entropies = 0.0
+
+    def add(self, reps=None, probs=None) -> None:
+        """One member's (B, L) representations and/or (B, K) predictions."""
+        self.count += 1
+        if reps is not None:
+            norms = np.linalg.norm(reps, axis=-1, keepdims=True)
+            self.reps += reps  # the first member makes the array, the rest add in place
+            self.units += reps / np.where(norms > 0.0, norms, 1.0)
+        if probs is not None:
+            self.probs += probs
+            self.entropies += _entropy(probs)
+
+
+def _member_sums(members, field: str, what: str) -> MemberSums:
+    """A stream's `MemberSums` as given, or those of a stack's members."""
+    if not isinstance(members, MemberSums):
+        stack, members = np.asarray(members, dtype=np.float64), MemberSums()
+        for member in stack:
+            members.add(**{field: member})
+    check((members.count >= 2, f"need at least 2 {what}"))
+    return members
+
+
+def dispersion_repr(reps) -> np.ndarray:
+    """Mean cosine distance of M representations r_m to their centroid c:
+    1 - c . sum_m(r_m / |r_m|) / (M |c|), with sum_m r_m for c (a cosine does
+    not scale). A zero r_m, or a zero c, counts as distance 1. Accepts (M, L)
+    for one instance, (M, B, L) or a stream's `MemberSums`; returns float or
+    (B,)."""
+    sums = _member_sums(reps, "reps", "representations")
+    c_norm = np.linalg.norm(sums.reps, axis=-1)
+    cos_sum = (sums.reps * sums.units).sum(axis=-1) / np.where(c_norm > 0.0, c_norm, 1.0)
+    disp = 1.0 - cos_sum / sums.count
+    return float(disp) if disp.ndim == 0 else disp
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
@@ -130,21 +153,14 @@ def _entropy(p: np.ndarray) -> np.ndarray:
     return -(p * np.log(q)).sum(axis=-1)
 
 
-def dispersion_prob(preds: np.ndarray) -> np.ndarray:
-    """Generalized Jensen-Shannon divergence of M predictions with uniform
-    weights: H(mean) - mean(H), in nats; bounded by [0, log M].
-
-    Accepts (M, K) or (M, B, K); returns float or (B,).
-    """
-    p = np.asarray(preds, dtype=np.float64)
-    single = p.ndim == 2
-    if single:
-        p = p[:, None, :]
-    if p.shape[0] < 2:
-        raise ValueError("need at least 2 predictions")
-    jsd = _entropy(p.mean(axis=0)) - _entropy(p).mean(axis=0)
-    jsd = np.maximum(jsd, 0.0)
-    return float(jsd[0]) if single else jsd
+def dispersion_prob(preds) -> np.ndarray:
+    """Generalized Jensen-Shannon divergence of M predictions p_m with
+    uniform weights, H(sum_m p_m / M) - sum_m H(p_m) / M, in nats; bounded
+    by [0, log M]. Accepts (M, K) for one instance, (M, B, K) or a stream's
+    `MemberSums`; returns float or (B,)."""
+    sums = _member_sums(preds, "probs", "predictions")
+    jsd = np.maximum(_entropy(sums.probs / sums.count) - sums.entropies / sums.count, 0.0)
+    return float(jsd) if jsd.ndim == 0 else jsd
 
 
 # ---------------------------------------------------------------------------
@@ -223,22 +239,26 @@ def class_probs(
     return softmax(logits)
 
 
-def ensemble_predict(
-    x: np.ndarray,
-    posterior: SwagPosterior,
-    w: np.ndarray,
-    b: np.ndarray,
-    num_samples: int,
-    rng: np.random.Generator,
-    activation: str = "relu",
-    disalign: DisAlignParams | None = None,
-) -> np.ndarray:
-    """Average the `class_probs` of num_samples posterior draws, each
-    calibrated by ``disalign`` when given."""
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    reps = posterior_features(posterior, x, num_samples, rng, activation)
-    return class_probs(reps, w, b, disalign).mean(axis=0)
+def posterior_sums(x, posterior: SwagPosterior, w, b, num_samples: int, rng, activation="relu",
+                   disalign: DisAlignParams | None = None, reps: bool = False) -> MemberSums:
+    """`MemberSums` of num_samples members' `class_probs` (calibrated by
+    ``disalign``) and, with ``reps``, representations, each member drawn just
+    before its forward; all share one draw buffer and one (N, L) output."""
+    check((num_samples >= 1, "num_samples must be >= 1"))
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    draw, sums = np.empty(posterior.theta_dim), MemberSums()
+    members = (sample_theta(posterior, rng, draw) for _ in range(num_samples))
+    for rep in member_features(members, x, np.empty((len(x), posterior.repr_dim)), activation):
+        sums.add(rep if reps else None, class_probs(rep, w, b, disalign))
+    return sums
+
+
+def ensemble_predict(x, posterior: SwagPosterior, w, b, num_samples: int, rng, activation="relu",
+                     disalign: DisAlignParams | None = None) -> np.ndarray:
+    """The mean `class_probs` of num_samples posterior draws (calibrated by
+    ``disalign``), summed as they arrive: the bits of their stack's mean."""
+    sums = posterior_sums(x, posterior, w, b, num_samples, rng, activation, disalign)
+    return sums.probs / sums.count
 
 
 @dataclass(frozen=True)

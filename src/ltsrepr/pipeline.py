@@ -361,14 +361,11 @@ def run_eval(cfg: ExperimentConfig, model: Checkpoint, datasets) -> metrics_mod.
         if model.posterior is None:
             raise ValueError("posterior required for ensemble evaluation")
         rng = rng_stream(cfg.run.seed, STREAM_ENSEMBLE)
-        probs = metrics_mod.ensemble_predict(
-            test.features, model.posterior, params.w, params.b, cfg.eval.ensemble_m, rng, act,
-            calibration,
-        )
+        probs = metrics_mod.ensemble_predict(test.features, model.posterior, params.w, params.b,
+                                             cfg.eval.ensemble_m, rng, act, calibration)
     else:
-        probs = metrics_mod.class_probs(
-            net.features(params.layers, test.features, act), params.w, params.b, calibration
-        )
+        probs = metrics_mod.class_probs(net.features(params.layers, test.features, act),
+                                        params.w, params.b, calibration)
     return metrics_mod.evaluate_probs(probs, test.labels, train.splits, cfg.eval.ece_bins)
 
 
@@ -387,8 +384,8 @@ class AnalysisResult:
 
 
 def run_analyze(cfg: ExperimentConfig, model: Checkpoint, datasets) -> AnalysisResult:
-    """Dispersion, quartile and per-class tables for one model. Member and
-    point predictions are calibrated as in `run_eval`."""
+    """Dispersion, quartile and per-class tables for one model, reducing its
+    members as they arrive. Predictions are calibrated as in `run_eval`."""
     cfg.validate()
     if model.posterior is None:
         raise ValueError("posterior required for dispersion analysis")
@@ -396,22 +393,18 @@ def run_analyze(cfg: ExperimentConfig, model: Checkpoint, datasets) -> AnalysisR
     params, calibration = model.params, model.calibration()
     act = cfg.model.activation
     rng = rng_stream(cfg.eval.analysis_seed, STREAM_ANALYSIS)
-    reps = swag_mod.posterior_features(model.posterior, test.features, cfg.swa.swag_samples,
-                                       rng, act)
-    member_probs = metrics_mod.class_probs(reps, params.w, params.b, calibration)
-    point_probs = metrics_mod.class_probs(
-        net.features(params.layers, test.features, act), params.w, params.b, calibration
-    )
+    sums = metrics_mod.posterior_sums(test.features, model.posterior, params.w, params.b,
+                                      cfg.swa.swag_samples, rng, act, calibration, reps=True)
+    point_probs = metrics_mod.class_probs(net.features(params.layers, test.features, act),
+                                          params.w, params.b, calibration)
 
     nll_i = net.cross_entropy(point_probs, test.labels)
-    disp_r = metrics_mod.dispersion_repr(reps)
-    disp_p = metrics_mod.dispersion_prob(member_probs)
+    disp_r = metrics_mod.dispersion_repr(sums)
+    disp_p = metrics_mod.dispersion_prob(sums)
     quart_r = metrics_mod.quartile_analysis(nll_i, disp_r)
     quart_p = metrics_mod.quartile_analysis(nll_i, disp_p)
     diagnostics = metrics_mod.per_class_diagnostics(params.w, point_probs)
-    report = metrics_mod.evaluate_probs(
-        point_probs, test.labels, train.splits, cfg.eval.ece_bins
-    )
+    report = metrics_mod.evaluate_probs(point_probs, test.labels, train.splits, cfg.eval.ece_bins)
     report.pcc_repr = quart_r.pcc if quart_r.pcc_defined else None
     report.pcc_prob = quart_p.pcc if quart_p.pcc_defined else None
     report.per_class_weight_norm = diagnostics.weight_norms.tolist()

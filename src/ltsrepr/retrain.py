@@ -49,7 +49,6 @@ from .swag import (
     SwagPosterior,
     extractor_layers,
     member_features,
-    posterior_features,
     sample_theta,
 )
 from .util import check
@@ -357,10 +356,13 @@ def stochastic_representations(
     is the extractor layer list; each draw perturbs the inputs with Gaussian
     noise of std jitter_std.
     """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if source == "posterior":
-        return posterior_features(model, x, config.srepr_m, rng, activation)
+        out, draw = np.empty((config.srepr_m, len(x), model.repr_dim)), np.empty(model.theta_dim)
+        members = (sample_theta(model, rng, draw) for _ in range(config.srepr_m))
+        list(member_features(members, x, out, activation))  # each member fills its slice
+        return out
     if source == "input_jitter":
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         noisy = np.empty((config.srepr_m, *x.shape))
         return jittered_features(model, x, config.jitter_std, rng, noisy, activation)
     raise ValueError(f"unknown stochastic source {source!r}")
@@ -552,10 +554,10 @@ def srepr_batches(
     """srepr's stage-2 stream: ``(idx, reps)`` for every step, reps the
     (M, B, L) stochastic representations of the batch ``idx``.
 
-    Source "posterior": at the start of each epoch, M `sample_theta` draws
-    fill the rows of one float64 (M, theta_dim) block, then every step's
-    batch indices of the epoch are drawn. The block is rounded once into a
-    float32 copy, and `member_features` runs the epoch's U distinct rows,
+    Source "posterior": at the start of each epoch, M `sample_theta` draws,
+    each into one reused float64 row that is then rounded into its row of
+    a float32 (M, theta_dim) block, then every step's batch indices of the
+    epoch are drawn. `member_features` runs the epoch's U distinct rows,
     from a float32 copy of the training features, through each float32
     member in turn into one float32 (M, U, L) table. Each step takes its
     rows from the table and widens them once into a float64 ``reps``, so
@@ -579,25 +581,24 @@ def srepr_batches(
             yield idx, jittered_features(theta_swa, dataset.features[idx], config.jitter_std,
                                          rng, noisy, activation, out=layer_out)
         return
-    block = np.empty((m, posterior.theta_dim))
-    block32 = np.empty(block.shape, dtype=np.float32)
+    draw = np.empty(posterior.theta_dim)
+    block32 = np.empty((m, posterior.theta_dim), dtype=np.float32)
     members = [extractor_layers(posterior, row) for row in block32]
     x32 = dataset.features.astype(np.float32)
     reps32 = np.empty((m, batch, posterior.repr_dim), dtype=np.float32)
     reps = np.empty(reps32.shape)
     for _ in range(optim.epochs):
-        for row in block:
-            sample_theta(posterior, rng, row)
-        np.copyto(block32, block)
+        for row in block32:
+            sample_theta(posterior, rng, draw)
+            np.copyto(row, draw)
         epoch_idx = [sampler(dataset, batch, rng) for _ in range(per_epoch)]
         rows, inverse = np.unique(epoch_idx, return_inverse=True)
         if len(rows) == 1:
             rows = np.repeat(rows, 2)  # a one-row product runs as gemv, which rounds unlike gemm
         inverse = inverse.reshape(per_epoch, batch)
         table = None  # the last epoch's table goes before the next is made
-        table = member_features(members, x32[rows],
-                                np.empty((m, len(rows), posterior.repr_dim), np.float32),
-                                activation)
+        table = np.empty((m, len(rows), posterior.repr_dim), np.float32)
+        list(member_features(members, x32[rows], table, activation))
         for step, idx in enumerate(epoch_idx):
             # indices are in range; "clip" spares take the copy "raise" makes
             np.take(table, inverse[step], axis=1, out=reps32, mode="clip")

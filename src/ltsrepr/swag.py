@@ -11,6 +11,7 @@ sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import prod
 
 import numpy as np
@@ -134,13 +135,13 @@ def sample_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.nda
     """Draw feature-extractor parameters mean + sqrt(diag) * eps: the one
     posterior draw.
 
-    The draw fills ``out`` (a (theta_dim,) float64 buffer, such as one row
-    of an (M, theta_dim) block; allocated when omitted), and the returned
+    The draw fills ``out`` (a (theta_dim,) float64 buffer, which a caller
+    may reuse for every member; allocated when omitted), and the returned
     (weight, bias) layer pairs are views into it. The normals and the draw
     are always float64; a caller that forwards members in float32 (srepr)
-    rounds a copy of the block. Drawing the M rows of a block in order
-    consumes ``rng`` exactly as filling the whole block in one C-order
-    call would.
+    rounds each draw into its row of a float32 block. M draws in a row
+    consume ``rng`` exactly as filling an (M, theta_dim) block in one
+    C-order call would.
     """
     if not posterior.frozen:
         raise ValueError("posterior must be frozen before sampling")
@@ -152,37 +153,20 @@ def sample_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.nda
     return extractor_layers(posterior, out)
 
 
-def member_features(members, x: np.ndarray, out: np.ndarray, activation: str = "relu") -> np.ndarray:
-    """The one posterior forward: the rows ``x`` (N, D) under each extractor
-    in ``members`` (layer-pair lists), in member order, into ``out`` (M, N, L).
-
-    One 2-D forward per member; each writes its last layer straight into
-    its slice of ``out``, and the hidden layers go to buffers all members
-    share, allocated in ``out``'s dtype. So float32 members, a float32
-    ``x`` and a float32 ``out`` run the whole forward in float32 (srepr's
-    table); eval and analyze pass float64 throughout. ``members`` may be
-    drawn lazily, each just before its forward.
-    """
+def member_features(members, x: np.ndarray, out: np.ndarray, activation: str = "relu"):
+    """The one posterior forward: yields, in member order, the (N, L)
+    representations of the rows ``x`` (N, D) under each extractor in
+    ``members`` (layer-pair lists; may be drawn lazily, each before its
+    forward). Each 2-D forward writes its last layer straight into ``out``:
+    one (N, L) buffer every member overwrites (eval and analyze reduce a
+    member before the next), or an (M, N, L) table, a slice per member.
+    Hidden layers go to buffers all members share, in ``out``'s dtype, so
+    float32 members, ``x`` and ``out`` run wholly in float32 (srepr)."""
     hidden = None
-    for layers, rep in zip(members, out):
+    for layers, rep in zip(members, out if out.ndim == 3 else repeat(out)):
         if hidden is None:
             hidden = [np.empty((len(x), w.shape[1]), dtype=out.dtype) for w, _ in layers[:-1]]
-        features(layers, x, activation, out=hidden + [rep])
-    return out
-
-
-def posterior_features(posterior: SwagPosterior, x: np.ndarray, num_samples: int,
-                       rng: np.random.Generator, activation: str = "relu") -> np.ndarray:
-    """Representations of a batch under num_samples extractor draws, shape
-    (M, B, L): `member_features` over members drawn from ``rng`` one at a
-    time, in member order, into one reused parameter buffer."""
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    buf = np.empty(posterior.theta_dim)
-    members = (sample_theta(posterior, rng, buf) for _ in range(num_samples))
-    out = np.empty((num_samples, len(x), posterior.repr_dim))
-    return member_features(members, x, out, activation)
+        yield features(layers, x, activation, out=hidden + [rep])
 
 
 def should_capture(step: int, total_steps: int, swa: SwaConfig, steps_per_epoch: int) -> bool:

@@ -2,13 +2,13 @@
 closed-form Dirichlet KL, loss-only views of the srepr loss terms, the
 soft-target cross-entropy written over an unfloored log-softmax, input
 jitter as one draw and one forward per member, one posterior member's
-float32 forward, and the SWA moments of float32 snapshots written out in
-float64."""
+float32 forward, the SWA moments of float32 snapshots written out in
+float64, and both dispersions over the stack of all M members."""
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from ltsrepr.netcore import features, param_views, softmax
+from ltsrepr.netcore import PROB_FLOOR, features, param_views, softmax
 from ltsrepr.retrain import kd_loss_and_alpha_grad, mean_ce_loss_and_grad
 
 
@@ -77,3 +77,27 @@ def float64_moments(snapshots):
         mean = (n * mean + x) / (n + 1)
         sq_mean = (n * sq_mean + x * x) / (n + 1)
     return mean, sq_mean
+
+
+def stacked_dispersion_repr(reps):
+    """Mean cosine distance of the M members of an (M, B, L) stack to their
+    centroid, each cosine taken on its own; a zero norm on either side of a
+    cosine gives distance 1."""
+    r = np.asarray(reps, dtype=np.float64)
+    centroid = r.mean(axis=0)
+    denom = np.linalg.norm(r, axis=-1) * np.linalg.norm(centroid, axis=-1)
+    dots = np.einsum("mbl,bl->mb", r, centroid)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos = np.where(denom > 0.0, dots / np.where(denom > 0.0, denom, 1.0), 0.0)
+    return (1.0 - cos).mean(axis=0)
+
+
+def stacked_dispersion_prob(preds):
+    """H(mean) - mean(H) over an (M, B, K) stack of predictions, floored
+    at 0."""
+    p = np.asarray(preds, dtype=np.float64)
+
+    def entropy(q):
+        return -(q * np.log(np.maximum(q, PROB_FLOOR))).sum(axis=-1)
+
+    return np.maximum(entropy(p.mean(axis=0)) - entropy(p).mean(axis=0), 0.0)

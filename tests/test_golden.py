@@ -34,11 +34,11 @@ GOLDEN = {
     "lws/eval_bins.csv": "d1ed6cb30151767b",
     "disalign/eval_bins.csv": "7a9be55165db7db2",
     "srepr/eval_bins.csv": "66edc6fe197178bc",
-    "srepr/analyze/analysis_summary.json": "3520bf6a36a1035b",
-    "srepr/analyze/instance_metrics.csv": "9491f9e08cc60abd",
+    "srepr/analyze/analysis_summary.json": "697ac8ff34e727d8",
+    "srepr/analyze/instance_metrics.csv": "c8b9e4c15c3cd55c",
     "srepr/analyze/per_class.csv": "a1c94ad26fbc27c8",
     "srepr/analyze/quartiles_prob.csv": "d4cadce465359891",
-    "srepr/analyze/quartiles_repr.csv": "dc7d6e59830cb043",
+    "srepr/analyze/quartiles_repr.csv": "27a2a5f43f3f51f5",
     "srepr/analyze/reliability_bins.csv": "d967b2078fbaada9",
     # mixup's pretrain_metrics.json is not pinned: its epoch losses are sums
     # of soft-target cross-entropies, whose last bit depends on how the

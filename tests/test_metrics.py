@@ -6,9 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import stacked_dispersion_prob, stacked_dispersion_repr
 
 from ltsrepr.data import FEW, MANY, MEDIUM
 from ltsrepr.metrics import (
+    MemberSums,
     accuracy,
     class_probs,
     dispersion_prob,
@@ -19,6 +23,7 @@ from ltsrepr.metrics import (
     nll,
     pearson_corr,
     per_class_diagnostics,
+    posterior_sums,
     quartile_analysis,
     reliability_bins,
 )
@@ -307,6 +312,74 @@ class TestClassProbs:
         np.testing.assert_allclose(p, acc / 3, atol=1e-12)
         assert not np.allclose(p, ensemble_predict(x, post, params.w, params.b, 3,
                                                    np.random.default_rng(6)))
+
+
+class TestStreamedMembers:
+    """eval and analyze reduce each posterior member as it arrives; the
+    results are those of the old formulas over the stack of all M."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(2, 7), st.integers(1, 9), st.integers(1, 6), st.integers(2, 6),
+           st.booleans(), st.integers(0, 2**16))
+    def test_stream_equals_stack(self, m, n, dim, k, calibrated, seed):
+        rng = np.random.default_rng(seed)
+        params = init_params(rng, 3, (5,), dim, k)
+        post = new_posterior(params)
+        for _ in range(3):
+            update_moments(post, init_params(rng, 3, (5,), dim, k))
+        freeze(post)
+        x = rng.standard_normal((n, 3))
+        calib = DisAlignParams(
+            scale=rng.uniform(0.5, 1.5, k), shift=rng.standard_normal(k),
+            gate_w=rng.standard_normal(k), gate_b=0.2,
+        ) if calibrated else None
+        loop_rng = np.random.default_rng(seed + 1)
+        stack = np.stack([features(sample_theta(post, loop_rng), x) for _ in range(m)])
+        probs = class_probs(stack, params.w, params.b, calib)
+
+        mean_rng, sums_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        mean = ensemble_predict(x, post, params.w, params.b, m, mean_rng, disalign=calib)
+        sums = posterior_sums(x, post, params.w, params.b, m, sums_rng, disalign=calib, reps=True)
+        assert mean.tobytes() == probs.mean(axis=0).tobytes()
+        assert sums.count == m
+        for used in (mean_rng, sums_rng):
+            assert used.bit_generator.state == loop_rng.bit_generator.state
+
+        want_p = stacked_dispersion_prob(probs)
+        assert dispersion_prob(sums).tobytes() == want_p.tobytes()
+        assert dispersion_prob(probs).tobytes() == want_p.tobytes()
+        want_r = stacked_dispersion_repr(stack)
+        np.testing.assert_allclose(dispersion_repr(sums), want_r, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dispersion_repr(stack), want_r, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(2, 7), st.integers(2, 9), st.integers(1, 6), st.floats(0.0, 0.6),
+           st.integers(0, 2**16))
+    def test_zero_members_and_zero_centroids(self, m, n, dim, zero_share, seed):
+        rng = np.random.default_rng(seed)
+        reps = np.maximum(rng.standard_normal((m, n, dim)), 0.0)  # relu zeroes whole rows too
+        reps[rng.random((m, n)) < zero_share] = 0.0
+        reps[:, 0] = 0.0  # every member zero: a zero centroid
+        reps[0, 1] = rng.standard_normal(dim)  # members that cancel: a zero centroid
+        reps[1, 1] = -reps[0, 1]
+        reps[2:, 1] = 0.0
+        sums = MemberSums()
+        for member in reps:
+            sums.add(reps=member)
+        want = stacked_dispersion_repr(reps)
+        assert want[0] == want[1] == 1.0
+        np.testing.assert_allclose(dispersion_repr(sums), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dispersion_repr(reps), want, rtol=0, atol=1e-12)
+        for i in range(n):
+            np.testing.assert_allclose(dispersion_repr(reps[:, i]), want[i], rtol=0, atol=1e-12)
+
+    def test_rejects_one_member(self):
+        sums = MemberSums()
+        sums.add(reps=np.ones((3, 2)), probs=np.full((3, 2), 0.5))
+        with pytest.raises(ValueError, match="need at least 2 representations"):
+            dispersion_repr(sums)
+        with pytest.raises(ValueError, match="need at least 2 predictions"):
+            dispersion_prob(sums)
 
 
 class TestPerClassDiagnostics:

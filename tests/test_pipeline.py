@@ -5,6 +5,7 @@ import inspect
 import json
 import string
 import threading
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -410,6 +411,44 @@ class TestAnalyze:
         result = pl.run_analyze(cfg, pre, ds)
         assert np.allclose(result.dispersion_prob, 0.0)
         assert not result.quartiles_prob.pcc_defined
+
+
+class TestMemberMemory:
+    """eval's ensemble and analyze reduce each posterior member as it
+    arrives, so neither holds the (M, N, L) float64 stack of all members.
+    tracemalloc sees numpy's buffers, which makes the peak deterministic,
+    unlike a process's resident size."""
+
+    M = 10
+
+    @pytest.fixture(scope="class")
+    def wide_model(self):
+        cfg = tiny_config()
+        cfg = replace(
+            cfg,
+            dataset=replace(cfg.dataset, num_classes=4, test_per_class=500),
+            model=replace(cfg.model, hidden_sizes=(16,), repr_dim=64),
+            swa=replace(cfg.swa, swag_samples=self.M),
+            eval=replace(cfg.eval, ensemble_m=self.M),
+        )
+        ds = pl.build_datasets(cfg)
+        return cfg, pl.run_pretrain(cfg, ds)[0], ds
+
+    @staticmethod
+    def traced_peak(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("stage", ["run_eval", "run_analyze"])
+    def test_peak_below_member_stack(self, wide_model, stage):
+        cfg, model, ds = wide_model
+        stack = self.M * ds[1].num_examples * cfg.model.repr_dim * 8
+        assert stack > 10_000_000  # 10 MB: several times eval's per-member buffers
+        assert self.traced_peak(getattr(pl, stage), cfg, model, ds) < stack
 
 
 class TestSweep:

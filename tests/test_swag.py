@@ -14,7 +14,6 @@ from ltsrepr.swag import (
     freeze,
     member_features,
     new_posterior,
-    posterior_features,
     sample_theta,
     should_capture,
     swa_learning_rate,
@@ -284,8 +283,8 @@ class TestSampling:
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=3), st.integers(1, 9),
            st.integers(1, 10), st.integers(1, 12), st.sampled_from(["relu", "tanh"]),
            st.integers(0, 2**16))
-    def test_posterior_features_equals_member_loop(self, widths, d, members, batch, activation,
-                                                   seed):
+    def test_member_features_equals_member_loop(self, widths, d, members, batch, activation,
+                                                seed):
         rng = np.random.default_rng(seed)
         params = init_params(rng, d, tuple(widths[:-1]), widths[-1], 2)
         post = new_posterior(params)
@@ -296,17 +295,31 @@ class TestSampling:
         loop_rng = np.random.default_rng(seed + 1)
         want = np.stack([features(sample_theta(post, loop_rng), x, activation)
                          for _ in range(members)])
-        got_rng = np.random.default_rng(seed + 1)
-        got = posterior_features(post, x, members, got_rng, activation)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert got_rng.bit_generator.state == loop_rng.bit_generator.state
+        # eval and analyze: each member drawn lazily into one reused
+        # parameter buffer, forwarded into one reused (N, L) buffer and
+        # used before the next is drawn
+        stream_rng = np.random.default_rng(seed + 1)
+        buf, rep = np.empty(post.theta_dim), np.empty((batch, widths[-1]))
+        lazy = (sample_theta(post, stream_rng, buf) for _ in range(members))
+        got = [r.tobytes() for r in member_features(lazy, x, rep, activation)]
+        assert got == [w.tobytes() for w in want]
+        assert stream_rng.bit_generator.state == loop_rng.bit_generator.state
+        # an (M, N, L) out: a slice per member, as `stochastic_representations`
+        # fills it
+        table_rng = np.random.default_rng(seed + 1)
+        lazy = (sample_theta(post, table_rng, buf) for _ in range(members))
+        out = np.empty((members, batch, widths[-1]))
+        slices = list(member_features(lazy, x, out, activation))
+        assert len(slices) == members and all(s.base is out for s in slices)
+        assert out.tobytes() == want.tobytes()
+        assert table_rng.bit_generator.state == loop_rng.bit_generator.state
         # srepr's members: drawn up front into the rows of one block, then
         # run through the same member loop
         eager_rng = np.random.default_rng(seed + 1)
         block = np.empty((members, post.theta_dim))
         eager = [sample_theta(post, eager_rng, row) for row in block]
         out = np.empty((members, batch, widths[-1]))
-        assert member_features(eager, x, out, activation) is out
+        assert len(list(member_features(eager, x, out, activation))) == members
         assert out.tobytes() == want.tobytes()
         assert eager_rng.bit_generator.state == loop_rng.bit_generator.state
 
@@ -334,10 +347,11 @@ class TestSampling:
                                    for w, b in extractor_layers(post, row)], x, activation)
                          for row in block])
         out = np.empty((members, batch, widths[-1]), dtype=np.float32)
-        got = member_features([extractor_layers(post, row) for row in block32], x, out,
-                              activation)
-        assert got is out and want.dtype == np.float32
-        assert got.tobytes() == want.tobytes()
+        for _ in member_features([extractor_layers(post, row) for row in block32], x, out,
+                                 activation):
+            pass
+        assert want.dtype == np.float32
+        assert out.tobytes() == want.tobytes()
 
 
 class TestSwaPoint:
