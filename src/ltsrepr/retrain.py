@@ -13,14 +13,24 @@ the classifier with an equally weighted sum of the mean cross-entropy over
 stochastic representations and a Dirichlet distillation loss. Gradients
 flow only through the student concentrations; the teacher side is
 constant.
+
+The distillation loss needs log-gamma, digamma and trigamma, which
+``_gamma_functions`` evaluates in numpy: the recurrences shift x up by 6,
+then the Stirling series in 1 / (x + 6)^2 finishes (Bernardo's AS 103
+method for digamma, carried to all three). For x in [1e-6, 1e15], log-gamma
+and digamma are within 2e-14 and 4e-15 of the exact value times
+max(1, |value|), and trigamma within 4e-15 relative. That range holds every
+concentration the loss sees with up to 93 classes (1 <= alpha <= e^30 + 1
+per class, alpha_0 their sum). Larger x stays accurate until the product
+x (x + 1) ... (x + 5) overflows, near 1e51, where log-gamma reads -inf.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import digamma, gammaln, zeta
 
 from .balancing import (
     KINDS,
@@ -470,6 +480,49 @@ def student_alpha_from_logits(z: np.ndarray, tau_kd: float):
     return alpha_pre + 1.0, dalpha_dz
 
 
+# _gamma_functions shifts x up by 6 and finishes with Stirling series in
+# powers of 1 / z^2, n = 1..10, whose coefficients come from the Bernoulli
+# numbers B_2n: B_2n / (2n (2n - 1)) for log-gamma (row 0), B_2n / 2n for
+# digamma (row 1) and B_2n for trigamma (row 2)
+_GAMMA_SHIFT = 6
+_STIRLING_SERIES = np.array([
+    (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+     1 / 156, -3617 / 122400, 43867 / 244188, -174611 / 125400),
+    (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760,
+     1 / 12, -3617 / 8160, 43867 / 14364, -174611 / 6600),
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730,
+     7 / 6, -3617 / 510, 43867 / 798, -174611 / 330),
+])
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _gamma_functions(x):
+    """(log Gamma(x), digamma(x), trigamma(x)) of a float64 array x > 0.
+
+    The recurrences Gamma(x + 1) = x Gamma(x), psi(x + 1) = psi(x) + 1/x and
+    psi_1(x + 1) = psi_1(x) - 1/x^2 carry x up to z = x + 6, where ten terms
+    of the Stirling series in 1/z^2 finish each function. Domain and
+    accuracy are in the module docstring; a NaN gives NaN.
+    """
+    column = (-1,) + (1,) * x.ndim
+    y = x + np.arange(float(_GAMMA_SHIFT)).reshape(column)  # x, x + 1, ..., x + 5
+    inv = 1.0 / y
+    z = x + _GAMMA_SHIFT
+    w = 1.0 / z
+    w2 = w * w
+    # the three series by Horner's rule, one row each
+    series = np.zeros((3,) + x.shape)
+    for c in _STIRLING_SERIES[:, ::-1].T:
+        series *= w2
+        series += c.reshape(column)
+    log_z = np.log(z)
+    # (z - 1/2) log z - z + log(2 pi) / 2 = (z - 1/2)(log z - 1) + log(2 pi) / 2 - 1/2
+    lgamma = (z - 0.5) * (log_z - 1.0) + (_HALF_LOG_2PI - 0.5) + w * series[0] - np.log(y.prod(axis=0))
+    digamma = log_z - 0.5 * w - w2 * series[1] - inv.sum(axis=0)
+    trigamma = w + 0.5 * w2 + w * w2 * series[2] + (inv * inv).sum(axis=0)
+    return lgamma, digamma, trigamma
+
+
 def kd_loss_and_alpha_grad(alpha: np.ndarray, beta: np.ndarray, p_bar: np.ndarray):
     """Distillation loss and its gradient wrt the student concentrations.
 
@@ -479,6 +532,12 @@ def kd_loss_and_alpha_grad(alpha: np.ndarray, beta: np.ndarray, p_bar: np.ndarra
     Dirichlet to the flat Dirichlet scaled by the inverse teacher precision.
     beta and p_bar are treated as constants. Returns the batch mean and
     d(mean)/d(alpha) of shape (B, K).
+
+    The log-gammas, digammas and trigammas of alpha and alpha_0 come from one
+    ``_gamma_functions`` call on the (B, K + 1) array [alpha | alpha_0]: a
+    numpy recurrence and Stirling series, accurate to 2e-14 (log-gamma) and
+    4e-15 (digamma, trigamma) over [1e-6, 1e15], as the module docstring
+    details. A NaN concentration gives a NaN loss.
     """
     a = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
     bb = np.atleast_2d(np.asarray(beta, dtype=np.float64))
@@ -489,18 +548,14 @@ def kd_loss_and_alpha_grad(alpha: np.ndarray, beta: np.ndarray, p_bar: np.ndarra
     a0 = a.sum(axis=1)
     b0 = bb.sum(axis=1)
 
-    psi_a = digamma(a)
-    psi_a0 = digamma(a0)
-    dpsi = psi_a - psi_a0[:, None]
+    lgamma, psi, tri = _gamma_functions(np.concatenate([a, a0[:, None]], axis=1))
+    dpsi = psi[:, :k] - psi[:, k:]
     term1 = -(t * dpsi).sum(axis=1)
-    # the KL to the flat Dirichlet(1, ..., 1), from the digammas above; gammaln(1) is 0
-    kl_flat = gammaln(a0) - gammaln(a).sum(axis=1) - gammaln(k) + ((a - 1.0) * dpsi).sum(axis=1)
+    # the KL to the flat Dirichlet(1, ..., 1), from the digammas above; log Gamma(1) is 0
+    kl_flat = lgamma[:, k] - lgamma[:, :k].sum(axis=1) - math.lgamma(k) + ((a - 1.0) * dpsi).sum(axis=1)
     loss = (term1 + kl_flat / b0).mean()
 
-    # the trigamma: scipy's polygamma(1, x) is 1.0 * zeta(2, x) plus a
-    # digamma it discards
-    tri_a = zeta(2, a)
-    tri_a0 = zeta(2, a0)
+    tri_a, tri_a0 = tri[:, :k], tri[:, k]
     t_sum = t.sum(axis=1)
     g_term1 = -t * tri_a + (t_sum * tri_a0)[:, None]
     g_kl = (a - 1.0) * tri_a - ((a0 - k) * tri_a0)[:, None]

@@ -2,7 +2,10 @@
 stochastic-representation re-training."""
 
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -517,8 +520,26 @@ class TestDirichletKl:
 
 
 def reference_kd(alpha, beta, p_bar):
-    """kd_loss_and_alpha_grad written with dirichlet_kl(a, ones) and
-    polygamma(1, .), which the module's version must match bit for bit."""
+    """kd_loss_and_alpha_grad with the package's gamma functions called on
+    alpha and on alpha_0 apart rather than on one [alpha | alpha_0] array,
+    which the module's version must match bit for bit."""
+    n, k = alpha.shape
+    a0 = alpha.sum(axis=1)
+    b0 = beta.sum(axis=1)
+    lg_a, psi_a, tri_a = retrain_mod._gamma_functions(alpha)
+    lg_a0, psi_a0, tri_a0 = retrain_mod._gamma_functions(a0)
+    dpsi = psi_a - psi_a0[:, None]
+    term1 = -(p_bar * dpsi).sum(axis=1)
+    kl_flat = lg_a0 - lg_a.sum(axis=1) - math.lgamma(k) + ((alpha - 1.0) * dpsi).sum(axis=1)
+    loss = (term1 + kl_flat / b0).mean()
+    g_term1 = -p_bar * tri_a + (p_bar.sum(axis=1) * tri_a0)[:, None]
+    g_kl = (alpha - 1.0) * tri_a - ((a0 - k) * tri_a0)[:, None]
+    return float(loss), (g_term1 + g_kl / b0[:, None]) / n
+
+
+def scipy_kd(alpha, beta, p_bar):
+    """kd_loss_and_alpha_grad written with scipy's digamma and
+    polygamma(1, .) and with dirichlet_kl(a, ones)."""
     n, k = alpha.shape
     a0 = alpha.sum(axis=1)
     b0 = beta.sum(axis=1)
@@ -530,18 +551,43 @@ def reference_kd(alpha, beta, p_bar):
     return float(loss), (g_term1 + g_kl / b0[:, None]) / n
 
 
+def kd_case(seed):
+    """64 rows of student concentrations from 1 + e^-20 to 1 + e^25, teacher
+    concentrations and mean teachers, over 2 to 11 classes."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 12))
+    alpha = 1.0 + np.exp(rng.uniform(-20.0, 25.0, size=(64, k)))
+    beta = 1.0 + np.exp(rng.uniform(-5.0, 12.0, size=(64, k)))
+    p_bar = rng.dirichlet(np.ones(k), size=64)
+    return alpha, beta, p_bar
+
+
 class TestKdLoss:
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_polygamma_and_dirichlet_kl_form(self, seed):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(2, 12))
-        alpha = 1.0 + np.exp(rng.uniform(-20.0, 25.0, size=(64, k)))
-        beta = 1.0 + np.exp(rng.uniform(-5.0, 12.0, size=(64, k)))
-        p_bar = rng.dirichlet(np.ones(k), size=64)
+        # normwise: the loss's scale includes the log-gammas whose sum
+        # cancels in the KL, since each carries its own rounding
+        alpha, beta, p_bar = kd_case(seed)
+        loss, grad = kd_loss_and_alpha_grad(alpha, beta, p_bar)
+        ref_loss, ref_grad = scipy_kd(alpha, beta, p_bar)
+        lgamma_scale = ((np.abs(gammaln(alpha.sum(axis=1))) + np.abs(gammaln(alpha)).sum(axis=1))
+                        / beta.sum(axis=1)).mean()
+        assert abs(loss - ref_loss) <= 1e-14 * (abs(ref_loss) + lgamma_scale)
+        assert np.abs(grad - ref_grad).max() <= 1e-14 * np.abs(ref_grad).max()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_composition_matches_reference_bitwise(self, seed):
+        alpha, beta, p_bar = kd_case(seed)
         loss, grad = kd_loss_and_alpha_grad(alpha, beta, p_bar)
         ref_loss, ref_grad = reference_kd(alpha, beta, p_bar)
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
         assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_nan_concentration_gives_nan_loss(self):
+        alpha = np.array([[2.0, np.nan], [3.0, 1.5]])
+        loss, grad = kd_loss_and_alpha_grad(alpha, np.full((2, 2), 2.0), np.full((2, 2), 0.5))
+        assert np.isnan(loss)
+        assert np.isnan(grad[0]).all() and np.isfinite(grad[1]).all()
 
     def test_symmetric_first_term(self):
         # uniform mean teacher and symmetric student: first term is
@@ -582,6 +628,77 @@ class TestKdLoss:
     def test_rejects_nonpositive_concentrations(self):
         with pytest.raises(ValueError):
             kd_loss(np.array([1.0, -0.5]), np.array([2.0, 2.0]), np.array([0.5, 0.5]))
+
+
+# x over [1e-6, 1e15]: hypothesis's own float choices and a log-uniform spread
+GAMMA_X = st.one_of(
+    st.floats(min_value=1e-6, max_value=1e15),
+    st.floats(min_value=-6.0, max_value=15.0).map(lambda e: min(max(10.0 ** e, 1e-6), 1e15)),
+)
+
+
+class TestGammaFunctions:
+    """retrain._gamma_functions against scipy, its own recurrences and the
+    closed-form values at 1 and 2."""
+
+    @given(st.lists(GAMMA_X, min_size=1, max_size=64))
+    def test_matches_scipy(self, xs):
+        x = np.array(xs)
+        lgamma, psi, tri = retrain_mod._gamma_functions(x)
+        want_lgamma, want_psi, want_tri = gammaln(x), digamma(x), polygamma(1, x)
+        assert np.all(np.abs(lgamma - want_lgamma) <= 2e-14 * np.maximum(1.0, np.abs(want_lgamma)))
+        assert np.all(np.abs(psi - want_psi) <= 4e-15 * np.maximum(1.0, np.abs(want_psi)))
+        assert np.all(np.abs(tri - want_tri) <= 4e-15 * want_tri)
+
+    @given(st.lists(GAMMA_X, min_size=1, max_size=64))
+    def test_recurrences(self, xs):
+        # f(x + 1) = f(x) + step(x), with x + 1 exact; each value is the
+        # series at x + 6 (x + 7 for x + 1) minus a recurrence sum, so the
+        # rounding scales with the sum of the magnitudes involved
+        x = (np.array(xs) + 1.0) - 1.0
+        now, nxt, far = (retrain_mod._gamma_functions(v) for v in (x, x + 1.0, x + 7.0))
+        steps = (np.log(x), 1.0 / x, -1.0 / (x * x))
+        for f, f1, f7, step in zip(now, nxt, far, steps):
+            scale = np.abs(f) + np.abs(f1) + np.abs(step) + np.abs(f7)
+            assert np.all(np.abs(f1 - (f + step)) <= 8 * np.spacing(scale))
+
+    def test_closed_form_values(self):
+        lgamma, psi, tri = retrain_mod._gamma_functions(np.array([1.0, 2.0]))
+        assert np.all(np.abs(lgamma) <= 2e-14)
+        assert abs(psi[0] + np.euler_gamma) <= 4e-15
+        assert abs(tri[0] - math.pi ** 2 / 6) <= 4e-15 * (math.pi ** 2 / 6)
+
+    @given(st.lists(GAMMA_X, min_size=1, max_size=64))
+    def test_no_floating_point_exception(self, xs):
+        with np.errstate(all="raise"):
+            values = retrain_mod._gamma_functions(np.array(xs))
+        assert all(np.isfinite(v).all() for v in values)
+
+    def test_nan_gives_nan(self):
+        for value in retrain_mod._gamma_functions(np.array([np.nan, 3.0])):
+            assert np.isnan(value[0]) and np.isfinite(value[1])
+
+
+def test_no_process_imports_scipy():
+    # the package's modules and an srepr batch loss, in a fresh process
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import ltsrepr.cli, ltsrepr.pipeline, ltsrepr.retrain
+        from ltsrepr.balancing import BalancingSpec
+        from ltsrepr.retrain import RetrainConfig, srepr_batch_loss_and_grad
+        rng = np.random.default_rng(0)
+        w, b = rng.standard_normal((4, 3)), np.zeros(3)
+        reps, f_swa = rng.standard_normal((2, 5, 4)), rng.standard_normal((5, 4))
+        loss, _, _, _ = srepr_batch_loss_and_grad(w, b, reps, f_swa, np.array([0, 1, 2, 0, 1]),
+                                                  BalancingSpec("none"), RetrainConfig(srepr_m=2))
+        assert np.isfinite(loss)
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
+    src = os.path.dirname(os.path.dirname(retrain_mod.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def srepr_loss_oracle(w, b, reps, f_swa, y, config):
