@@ -37,9 +37,9 @@ for m in (1, 2, 4, 8):
     print(f"  {m} | {acc:.4f} | {nll(probs, test.labels):.4f} | {e:.4f}")
 
 print("\nper-class diagnostics after re-training:")
-norms = analysis.diagnostics.weight_norms
-marginal = analysis.diagnostics.marginal
+norms = analysis.report.per_class_weight_norm
+marginal = analysis.report.per_class_marginal
 print("  class | train count | weight norm | marginal likelihood")
 for k in range(len(norms)):
-    print(f"  {k:5d} | {analysis.class_counts[k]:11d} | {norms[k]:11.3f} | {marginal[k]:.4f}")
+    print(f"  {k:5d} | {train.class_counts[k]:11d} | {norms[k]:11.3f} | {marginal[k]:.4f}")
 print("(a perfectly balanced predictor would put marginal 0.1 on each class)")

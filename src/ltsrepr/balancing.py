@@ -20,11 +20,13 @@ KINDS = ("none", "cbs", "grw", "la")
 
 @dataclass(frozen=True)
 class BalancingSpec:
+    """A rebalancing strategy, checked once, when it is made."""
+
     kind: str = "none"
     rho: float = 1.0
     frequencies: np.ndarray | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown balancing kind {self.kind!r}; expected one of {KINDS}")
         if self.rho < 0.0:
@@ -64,7 +66,6 @@ def balanced_ce_loss_and_grad(logits: np.ndarray, labels: np.ndarray, spec: Bala
     without batch renormalization. la: CE of the adjusted logits (the shift
     is constant, so the gradient passes through unchanged).
     """
-    spec.validate()
     if spec.kind == "la":
         logits = logit_adjust(logits, spec.frequencies, spec.rho)
     return softmax_ce(logits, labels, example_weights(spec, labels))

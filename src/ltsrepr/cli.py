@@ -95,15 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_config(args: argparse.Namespace, metadata: dict | None = None) -> pl.ExperimentConfig:
-    """Defaults <- checkpoint metadata <- config file <- flags, validated
+def load_config(args: argparse.Namespace,
+                base: pl.ExperimentConfig | None = None) -> pl.ExperimentConfig:
+    """The config file if one is given, else ``base`` (a checkpoint's
+    config), else the defaults; then the flags, which win. Validated
     before any command touches the output directory."""
     if getattr(args, "config", None):
         cfg = pl.ExperimentConfig.from_file(args.config)
-    elif metadata and "config" in metadata:
-        cfg = pl.ExperimentConfig.from_dict(metadata["config"])
     else:
-        cfg = pl.ExperimentConfig()
+        cfg = base or pl.ExperimentConfig()
     overrides = {}
     for flag, (key, value, _, _) in FLAGS.items():
         given = getattr(args, flag[2:].replace("-", "_"), None)
@@ -155,9 +155,11 @@ def _load(args):
     whose dataset (the ``[dataset]`` section and the run seed) differs
     from the one in the checkpoint's metadata is rejected first."""
     model = ckpt_io.load_checkpoint(args.checkpoint)
-    cfg = load_config(args, model.metadata)
+    made = None
     if model.metadata and "config" in model.metadata:
         made = pl.ExperimentConfig.from_dict(model.metadata["config"])
+    cfg = load_config(args, made)
+    if made is not None:
         made_key = data.dataset_key(made.dataset, made.run.seed)
         key = data.dataset_key(cfg.dataset, cfg.run.seed)
         if key != made_key:
@@ -201,10 +203,12 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     model, cfg, datasets = _load(args)
+    train, test = datasets
     result = pl.run_analyze(cfg, model, datasets)
+    report = result.report
     outdir = _outdir(cfg)
 
-    per_instance = zip(result.labels, result.nll_per_instance,
+    per_instance = zip(test.labels, result.nll_per_instance,
                        result.dispersion_repr, result.dispersion_prob)
     _write_csv(
         os.path.join(outdir, "instance_metrics.csv"),
@@ -220,20 +224,20 @@ def cmd_analyze(args) -> int:
             ([f"Q{gi}", box.count, box.minimum, box.q1, box.median, box.q3, box.maximum]
              for gi, box in enumerate(qa.groups, start=1)),
         )
-    per_class = zip(result.class_counts, result.class_splits,
-                    result.diagnostics.weight_norms, result.diagnostics.marginal)
+    per_class = zip(train.class_counts, train.splits,
+                    report.per_class_weight_norm, report.per_class_marginal)
     _write_csv(
         os.path.join(outdir, "per_class.csv"),
         ["class", "train_count", "split", "weight_norm", "marginal"],
-        ([k, int(count), split, repr(float(norm)), repr(float(marginal))]
+        ([k, int(count), split, repr(norm), repr(marginal)]
          for k, (count, split, norm, marginal) in enumerate(per_class)),
     )
-    _write_bins(os.path.join(outdir, "reliability_bins.csv"), result.report.bins)
+    _write_bins(os.path.join(outdir, "reliability_bins.csv"), report.bins)
 
-    summary = result.report.to_json_dict()
-    summary["pcc_repr_defined"] = result.quartiles_repr.pcc_defined
-    summary["pcc_prob_defined"] = result.quartiles_prob.pcc_defined
-    summary["num_instances"] = int(len(result.labels))
+    summary = report.to_json_dict()
+    summary["pcc_repr_defined"] = report.pcc_repr is not None
+    summary["pcc_prob_defined"] = report.pcc_prob is not None
+    summary["num_instances"] = test.num_examples
     _write_json(os.path.join(outdir, "analysis_summary.json"), summary)
     print(f"wrote {os.path.join(outdir, 'analysis_summary.json')}")
     return 0

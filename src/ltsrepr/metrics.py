@@ -6,8 +6,8 @@ of stochastic representations (cosine distance to the centroid) and of
 stochastic predictions (multi-distribution Jensen-Shannon divergence in
 nats), quartile/correlation analysis of dispersion against per-instance NLL,
 class probabilities from representations (the one prediction path of point
-evaluation, posterior ensembles and analysis), posterior-ensemble
-prediction, and per-class classifier diagnostics.
+evaluation, posterior ensembles and analysis), and posterior-ensemble
+prediction.
 """
 
 from __future__ import annotations
@@ -180,12 +180,11 @@ class BoxStats:
 @dataclass(frozen=True)
 class QuartileAnalysis:
     groups: list[BoxStats]
-    pcc: float
-    pcc_defined: bool
+    pcc: float | None
 
 
-def pearson_corr(x, y):
-    """Pearson correlation; undefined (nan, False) when either side has zero
+def pearson_corr(x, y) -> float | None:
+    """Pearson correlation; undefined (None) when either side has zero
     variance."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -194,8 +193,8 @@ def pearson_corr(x, y):
     sx = np.sqrt((xc * xc).sum())
     sy = np.sqrt((yc * yc).sum())
     if sx == 0.0 or sy == 0.0:
-        return float("nan"), False
-    return float((xc * yc).sum() / (sx * sy)), True
+        return None
+    return float((xc * yc).sum() / (sx * sy))
 
 
 def _box(values: np.ndarray) -> BoxStats:
@@ -219,12 +218,11 @@ def quartile_analysis(nll_per_instance, dispersion_per_instance) -> QuartileAnal
         raise ValueError("need at least 4 instances for quartile groups")
     order = np.argsort(nll_v, kind="stable")
     groups = [_box(disp[part]) for part in np.array_split(order, 4)]
-    pcc, defined = pearson_corr(nll_v, disp)
-    return QuartileAnalysis(groups=groups, pcc=pcc, pcc_defined=defined)
+    return QuartileAnalysis(groups=groups, pcc=pearson_corr(nll_v, disp))
 
 
 # ---------------------------------------------------------------------------
-# Prediction, ensembling and per-class diagnostics
+# Prediction and ensembling
 # ---------------------------------------------------------------------------
 
 def class_probs(
@@ -261,21 +259,6 @@ def ensemble_predict(x, posterior: SwagPosterior, w, b, num_samples: int, rng, a
     return sums.probs / sums.count
 
 
-@dataclass(frozen=True)
-class PerClassDiagnostics:
-    weight_norms: np.ndarray  # (K,) classifier row norms
-    marginal: np.ndarray  # (K,) mean predicted probability per class
-
-
-def per_class_diagnostics(w: np.ndarray, probs: np.ndarray) -> PerClassDiagnostics:
-    """Classifier weight norm per class and the marginal likelihood of each
-    class under the test predictions."""
-    return PerClassDiagnostics(
-        weight_norms=np.linalg.norm(w, axis=0),
-        marginal=probs.mean(axis=0),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Report container and serialization
 # ---------------------------------------------------------------------------
@@ -297,8 +280,8 @@ class MetricsReport:
     bins: list[ReliabilityBin] = field(default_factory=list)
     pcc_repr: float | None = None
     pcc_prob: float | None = None
-    per_class_weight_norm: list[float] | None = None
-    per_class_marginal: list[float] | None = None
+    per_class_weight_norm: list[float] | None = None  # (K,) classifier column norms
+    per_class_marginal: list[float] | None = None  # (K,) mean predicted probability per class
 
     def to_json_dict(self) -> dict:
         """Stable key order; absent metrics are omitted entirely."""

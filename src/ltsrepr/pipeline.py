@@ -94,14 +94,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Inverse of `to_dict`, also after a JSON round trip (lists become
-        tuples again)."""
-        return cls(**{
-            f.name: f.default_factory(**{
-                k: tuple(v) if isinstance(v, list) else v for k, v in d.get(f.name, {}).items()
-            })
-            for f in fields(cls)
-        })
+        """Inverse of `to_dict`, also after a JSON round trip: each value is
+        read as a config file holds it, so a list reads as a tuple and
+        ``"no"`` as false."""
+        check((isinstance(d, dict), "a config must map section names to their keys"))
+        return cls._read(d)
 
     def to_text(self) -> str:
         """Canonical INI serialization (fixed section/key order)."""
@@ -121,21 +118,28 @@ class ExperimentConfig:
     def from_text(cls, text: str) -> "ExperimentConfig":
         parser = configparser.ConfigParser(interpolation=None)  # values are literal, as written
         parser.read_string(text)
-        known = {f.name: f for f in fields(cls)}
-        unknown_sections = set(parser.sections()) - set(known)
+        return cls._read({name: dict(parser.items(name)) for name in parser.sections()})
+
+    @classmethod
+    def _read(cls, sections: dict) -> "ExperimentConfig":
+        """The one reader of config files and metadata: {section: {key:
+        value}} over the defaults, rejecting unknown names."""
+        known = {f.name: f.default_factory() for f in fields(cls)}
+        unknown_sections = set(sections) - set(known)
         if unknown_sections:
             raise ValueError(f"unknown config sections: {sorted(unknown_sections)}")
-        sections = {}
-        for name, f in known.items():
-            defaults = f.default_factory()
-            raw = dict(parser.items(name)) if parser.has_section(name) else {}
+        out = {}
+        for name, defaults in known.items():
+            raw = sections.get(name, {})
+            check((isinstance(raw, dict), f"[{name}] must map keys to values"))
             unknown = set(raw) - {sf.name for sf in fields(defaults)}
             if unknown:
                 raise ValueError(f"unknown keys in [{name}]: {sorted(unknown)}")
-            sections[name] = replace(
-                defaults, **{key: _parse_value(v, getattr(defaults, key)) for key, v in raw.items()}
-            )
-        return cls(**sections)
+            out[name] = replace(defaults, **{
+                key: _parse_value(v, getattr(defaults, key), f"[{name}] {key}")
+                for key, v in raw.items()
+            })
+        return cls(**out)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -180,21 +184,31 @@ def parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.replace(",", " ").split())
 
 
-def _parse_value(text: str, default):
-    if isinstance(default, bool):
-        lowered = text.strip().lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse boolean from {text!r}")
-    if isinstance(default, int):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
-    if isinstance(default, tuple):
-        return parse_ints(text)
-    return text.strip()
+def _parse_value(value, default, where: str):
+    """``value`` as a config file spells it (a list as `to_text` writes a
+    tuple), read to the type of ``default``. Text a config file would not
+    read back as itself (a line break, or space at either end) is
+    rejected, and every error names ``where``, the ``[section] key``."""
+    text = ",".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+    try:
+        check((len(text.splitlines()) <= 1 and text == text.strip(),
+               f"{text!r} would not read back from a config file"))
+        if isinstance(default, bool):
+            lowered = text.lower()
+            if lowered in ("true", "1", "yes", "on"):
+                return True
+            if lowered in ("false", "0", "no", "off"):
+                return False
+            raise ValueError(f"cannot parse boolean from {text!r}")
+        if isinstance(default, int):
+            return int(text)
+        if isinstance(default, float):
+            return float(text)
+        if isinstance(default, tuple):
+            return parse_ints(text)
+        return text
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: dict) -> ExperimentConfig:
@@ -371,15 +385,11 @@ def run_eval(cfg: ExperimentConfig, model: Checkpoint, datasets) -> metrics_mod.
 
 @dataclass
 class AnalysisResult:
-    labels: np.ndarray
     nll_per_instance: np.ndarray
     dispersion_repr: np.ndarray
     dispersion_prob: np.ndarray
     quartiles_repr: metrics_mod.QuartileAnalysis
     quartiles_prob: metrics_mod.QuartileAnalysis
-    diagnostics: metrics_mod.PerClassDiagnostics
-    class_counts: np.ndarray
-    class_splits: list[str]
     report: metrics_mod.MetricsReport
 
 
@@ -403,24 +413,11 @@ def run_analyze(cfg: ExperimentConfig, model: Checkpoint, datasets) -> AnalysisR
     disp_p = metrics_mod.dispersion_prob(sums)
     quart_r = metrics_mod.quartile_analysis(nll_i, disp_r)
     quart_p = metrics_mod.quartile_analysis(nll_i, disp_p)
-    diagnostics = metrics_mod.per_class_diagnostics(params.w, point_probs)
     report = metrics_mod.evaluate_probs(point_probs, test.labels, train.splits, cfg.eval.ece_bins)
-    report.pcc_repr = quart_r.pcc if quart_r.pcc_defined else None
-    report.pcc_prob = quart_p.pcc if quart_p.pcc_defined else None
-    report.per_class_weight_norm = diagnostics.weight_norms.tolist()
-    report.per_class_marginal = diagnostics.marginal.tolist()
-    return AnalysisResult(
-        labels=test.labels,
-        nll_per_instance=nll_i,
-        dispersion_repr=disp_r,
-        dispersion_prob=disp_p,
-        quartiles_repr=quart_r,
-        quartiles_prob=quart_p,
-        diagnostics=diagnostics,
-        class_counts=train.class_counts,
-        class_splits=train.splits,
-        report=report,
-    )
+    report.pcc_repr, report.pcc_prob = quart_r.pcc, quart_p.pcc
+    report.per_class_weight_norm = np.linalg.norm(params.w, axis=0).tolist()
+    report.per_class_marginal = point_probs.mean(axis=0).tolist()
+    return AnalysisResult(nll_i, disp_r, disp_p, quart_r, quart_p, report)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +476,10 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     seeds = cfg.run.seeds
     if not seeds:
         raise ValueError("sweep needs at least one seed")
-    workers = int(os.environ.get("LTSREPR_THREADS", "1") or "1")
+    try:
+        workers = int(os.environ.get("LTSREPR_THREADS", "1") or "1")
+    except ValueError as exc:
+        raise ValueError(f"LTSREPR_THREADS: {exc}") from None
     per_seed = []
     failures = []
     if workers > 1:

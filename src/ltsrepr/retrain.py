@@ -160,7 +160,6 @@ def crt(
     The frozen extractor is applied once to the whole training split; only
     the classifier weights move.
     """
-    balancing.validate()
     feats = features(theta, dataset.features, activation)
     w, b = init_classifier(rng, feats.shape[1], dataset.num_classes)
 
@@ -210,7 +209,6 @@ def lws(
 
     Returns (w, b, tau) with the scaled classifier materialized.
     """
-    balancing.validate()
     w_star, b_star = phi_star
     feats = features(theta, dataset.features, activation)
     log_norms = np.log(np.linalg.norm(w_star, axis=0) + 1e-12)
@@ -682,7 +680,6 @@ def srepr_retrain(
     and only (w, b) move.
     """
     config.validate()
-    balancing.validate()
     if config.stochastic_source == "posterior" and posterior is None:
         raise ValueError("posterior required for stochastic source 'posterior'")
     w = phi_init[0].copy()

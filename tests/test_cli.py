@@ -331,6 +331,20 @@ class TestAnalyzeCommand:
         for key in ("acc_all", "acc_few", "nll", "ece"):
             assert summary[key] == report[key], key
 
+    def test_defined_keys_match_the_pccs_present(self, workdir):
+        # with a zero covariance every member predicts alike, so the
+        # prediction dispersion is constant and its PCC undefined
+        ckpt = pretrain(workdir, out="run")
+        model = load_checkpoint(ckpt)
+        model.posterior.sigma[:] = 0.0
+        save_checkpoint(workdir / "flat.ckpt", model)
+        for path, out, defined in ((ckpt, "an", True), (workdir / "flat.ckpt", "flat", False)):
+            assert run_cli("analyze", "--checkpoint", str(path), "--output-dir", out) == 0
+            summary = json.loads((workdir / out / "analysis_summary.json").read_text())
+            for key in ("pcc_repr", "pcc_prob"):
+                assert summary[f"{key}_defined"] is (key in summary), key
+            assert summary["pcc_prob_defined"] is defined
+
     def test_plain_checkpoint_rejected(self, workdir, capsys):
         ckpt = pretrain(workdir, out="sgd", swa="off")
         code = run_cli("analyze", "--checkpoint", str(ckpt), "--output-dir", "an2")
@@ -390,6 +404,17 @@ class TestSweepCommand:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not (workdir / "x").exists() and not (workdir / "sw").exists()
 
+    def test_bad_thread_count_rejected_before_any_seed(self, workdir, capsys, monkeypatch):
+        def no_seed(*_):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setenv("LTSREPR_THREADS", "two")
+        monkeypatch.setattr(pl, "run_single_seed", no_seed)
+        assert run_cli("sweep", "--config", "tiny.ini", "--output-dir", "sw") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: LTSREPR_THREADS: invalid literal for int() with base 10: 'two'"]
+        assert not (workdir / "sw").exists()
+
     def test_runs_csv_lists_seeds(self, workdir):
         assert run_cli(
             "sweep", "--config", "tiny.ini", "--output-dir", "sw2", "--seeds", "0,1",
@@ -426,6 +451,43 @@ class TestErrorPaths:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "unknown" in err
+
+    def test_config_value_error_names_the_key(self, workdir, capsys):
+        (workdir / "bad.ini").write_text("[optim]\nepochs = 8.5\n")
+        assert run_cli("pretrain", "--config", "bad.ini", "--output-dir", "x") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: [optim] epochs: invalid literal for int() with base 10: '8.5'"]
+        assert not (workdir / "x").exists()
+
+    @pytest.mark.parametrize("section, entries, message", [
+        ("dataset", {"foo": 1}, "unknown keys in [dataset]: ['foo']"),
+        ("foo", {}, "unknown config sections: ['foo']"),
+        ("optim", {"epochs": 8.5}, "[optim] epochs: invalid literal for int() with base 10: '8.5'"),
+        ("run", {"output_dir": "a\nb"},
+         "[run] output_dir: 'a\\nb' would not read back from a config file"),
+    ])
+    def test_bad_metadata_config_rejected(self, workdir, capsys, section, entries, message):
+        # the checkpoint's config is read as a config file is
+        model = load_checkpoint(pretrain(workdir, out="run"))
+        model.metadata["config"].setdefault(section, {}).update(entries)
+        save_checkpoint(workdir / "bad.ckpt", model)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", "bad.ckpt", "--output-dir", "out") == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (workdir / "out").exists()
+
+    def test_metadata_config_values_read_as_in_a_config_file(self, workdir):
+        model = load_checkpoint(pretrain(workdir, out="run"))
+        config = model.metadata["config"]
+        config["eval"]["ece_bins"] = "4"
+        config["model"]["hidden_sizes"] = 8
+        config["swa"]["enabled"] = "no"
+        save_checkpoint(workdir / "edited.ckpt", model)
+        assert run_cli("retrain", "--checkpoint", "edited.ckpt", "--output-dir", "re") == 0
+        made = load_checkpoint(workdir / "re" / "retrain.ckpt").metadata["config"]
+        assert made["eval"]["ece_bins"] == 4
+        assert made["model"]["hidden_sizes"] == [8]
+        assert made["swa"]["enabled"] is False
 
     @pytest.mark.parametrize("argv, message", [
         (("pretrain", "--epochs", "4"), "capture 1 snapshot"),

@@ -3,12 +3,14 @@ class probabilities, ensembling, and per-class diagnostics."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import stacked_dispersion_prob, stacked_dispersion_repr
+from test_pipeline import tiny_config
 
 from ltsrepr.data import FEW, MANY, MEDIUM
 from ltsrepr.metrics import (
@@ -22,12 +24,19 @@ from ltsrepr.metrics import (
     evaluate_probs,
     nll,
     pearson_corr,
-    per_class_diagnostics,
     posterior_sums,
     quartile_analysis,
     reliability_bins,
 )
-from ltsrepr.netcore import classifier_logits, cross_entropy, features, init_params, softmax
+from ltsrepr import pipeline as pl
+from ltsrepr.netcore import (
+    ModelParams,
+    classifier_logits,
+    cross_entropy,
+    features,
+    init_params,
+    softmax,
+)
 from ltsrepr.retrain import DisAlignParams, disalign_logits
 from ltsrepr.swag import freeze, new_posterior, sample_theta, update_moments
 
@@ -199,13 +208,12 @@ class TestQuartiles:
         values = np.linspace(0.1, 2.0, 40)
         qa = quartile_analysis(values, values)
         assert qa.pcc == pytest.approx(1.0)
-        assert qa.pcc_defined
 
     def test_constant_dispersion_undefined(self):
         nll_values = np.linspace(0.0, 1.0, 8)
         qa = quartile_analysis(nll_values, np.full(8, 0.5))
-        assert not qa.pcc_defined
-        assert math.isnan(qa.pcc)
+        assert qa.pcc is None
+        assert pearson_corr(np.full(8, 0.5), nll_values) is None
 
     def test_group_sizes_equal(self):
         rng = np.random.default_rng(7)
@@ -237,9 +245,7 @@ class TestQuartiles:
         rng = np.random.default_rng(9)
         x = rng.standard_normal(100)
         for a in (2.5, -0.3):
-            r, defined = pearson_corr(x, a * x + 1.7)
-            assert defined
-            assert r == pytest.approx(math.copysign(1.0, a))
+            assert pearson_corr(x, a * x + 1.7) == pytest.approx(math.copysign(1.0, a))
 
 
 class TestEnsemble:
@@ -383,22 +389,39 @@ class TestStreamedMembers:
 
 
 class TestPerClassDiagnostics:
-    def test_equal_weight_rows_equal_norms(self):
-        w = np.tile([[1.0], [2.0]], (1, 4))
-        probs = np.full((6, 4), 0.25)
-        diag = per_class_diagnostics(w, probs)
-        np.testing.assert_allclose(diag.weight_norms, diag.weight_norms[0])
+    """`run_analyze`'s per-class report fields: the classifier's column
+    norms and the mean point prediction of each class."""
 
-    def test_uniform_predictions_uniform_marginal(self):
-        probs = np.full((9, 3), 1.0 / 3)
-        diag = per_class_diagnostics(np.ones((2, 3)), probs)
-        np.testing.assert_allclose(diag.marginal, 1.0 / 3, atol=1e-12)
+    @pytest.fixture(scope="class")
+    def tiny_model(self):
+        cfg = tiny_config()
+        ds = pl.build_datasets(cfg)
+        pre, _ = pl.run_pretrain(cfg, ds)
+        return cfg, ds, pre
 
-    def test_marginal_sums_to_one(self):
+    @staticmethod
+    def report_with_classifier(tiny_model, w, b):
+        cfg, ds, pre = tiny_model
+        model = replace(pre, params=ModelParams(pre.params.layers, w, b))
+        return pl.run_analyze(cfg, model, ds).report
+
+    def test_equal_weight_rows_equal_norms(self, tiny_model):
+        w = np.tile([[1.0], [2.0], [3.0], [4.0]], (1, 3))
+        report = self.report_with_classifier(tiny_model, w, np.array([0.3, -0.1, 0.7]))
+        np.testing.assert_allclose(report.per_class_weight_norm, np.linalg.norm(w[:, 0]))
+
+    def test_uniform_predictions_uniform_marginal(self, tiny_model):
+        # equal class columns and biases score every class alike
+        w = np.tile([[1.0], [-2.0], [0.5], [3.0]], (1, 3))
+        report = self.report_with_classifier(tiny_model, w, np.full(3, 0.5))
+        np.testing.assert_allclose(report.per_class_marginal, 1.0 / 3, atol=1e-12)
+
+    def test_marginal_sums_to_one(self, tiny_model):
         rng = np.random.default_rng(10)
-        probs = rng.dirichlet(np.ones(5), size=40)
-        diag = per_class_diagnostics(rng.standard_normal((3, 5)), probs)
-        assert abs(diag.marginal.sum() - 1.0) < 1e-9
+        report = self.report_with_classifier(tiny_model, rng.standard_normal((4, 3)),
+                                             rng.standard_normal(3))
+        assert len(report.per_class_marginal) == 3
+        assert abs(sum(report.per_class_marginal) - 1.0) < 1e-9
 
 
 class TestReport:

@@ -59,6 +59,15 @@ def section_values(section_cls):
     })
 
 
+# any value a JSON metadata config could hold in place of a field's
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=2),
+    max_leaves=4,
+)
+
+
 # built from the section dataclasses' fields, so a new field is covered as it lands
 configs = st.builds(pl.ExperimentConfig, **{
     f.name: section_values(f.default_factory) for f in fields(pl.ExperimentConfig)
@@ -103,6 +112,43 @@ seeds = 1,2,3
         assert pl.ExperimentConfig.from_text(cfg.to_text()) == cfg
         assert pl.ExperimentConfig.from_dict(cfg.to_dict()) == cfg
         assert pl.ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(configs, st.sampled_from(["section", "key", "value", "drop"]), st.data())
+    def test_edited_metadata_read_or_rejected_by_name(self, cfg, edit, data):
+        # a checkpoint's config after one edit: an unknown section or key, a
+        # value of any JSON type, or a missing section. It reads as a file
+        # would, or fails with a ValueError naming the section (and key).
+        d = json.loads(json.dumps(cfg.to_dict()))
+        section = data.draw(st.sampled_from(sorted(d)))
+        names, named = st.text(min_size=1, max_size=8), []
+        if edit == "section":
+            name = data.draw(names.filter(lambda n: n not in d))
+            d[name], named = {}, [repr(name)]
+        elif edit == "drop":
+            del d[section]
+        else:
+            if edit == "key":
+                key = data.draw(names.filter(lambda n: n not in d[section]))
+                named = [f"[{section}]", repr(key)]
+            else:
+                key = data.draw(st.sampled_from(sorted(d[section])))
+                named = [f"[{section}] {key}:"]
+            d[section][key] = data.draw(json_values)
+        try:
+            read = pl.ExperimentConfig.from_dict(d)
+        except ValueError as exc:
+            assert edit != "drop"
+            for name in named:
+                assert name in str(exc)
+            return
+        assert edit in ("value", "drop")  # an unknown name is never let through
+        for f in fields(read):
+            for sf in fields(getattr(read, f.name)):
+                want = type(getattr(getattr(pl.ExperimentConfig(), f.name), sf.name))
+                assert type(getattr(getattr(read, f.name), sf.name)) is want
+        text = read.to_text()
+        assert pl.ExperimentConfig.from_text(text).to_text() == text
 
     def test_dict_roundtrip(self):
         cfg = tiny_config(seed=5)
@@ -373,7 +419,8 @@ class TestAnalyze:
         assert len(result.dispersion_repr) == n_test
         assert len(result.dispersion_prob) == n_test
         assert len(result.quartiles_prob.groups) == 4
-        assert abs(result.diagnostics.marginal.sum() - 1.0) < 1e-9
+        assert len(result.report.per_class_weight_norm) == ds[1].num_classes
+        assert abs(sum(result.report.per_class_marginal) - 1.0) < 1e-9
 
     def test_requires_posterior(self):
         cfg = tiny_config(swa=False)
@@ -410,7 +457,9 @@ class TestAnalyze:
         pre.posterior.sigma[:] = 0.0
         result = pl.run_analyze(cfg, pre, ds)
         assert np.allclose(result.dispersion_prob, 0.0)
-        assert not result.quartiles_prob.pcc_defined
+        assert result.quartiles_prob.pcc is None
+        assert result.report.pcc_prob is None
+        assert "pcc_prob" not in result.report.to_json_dict()
 
 
 class TestMemberMemory:
