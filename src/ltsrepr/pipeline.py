@@ -74,6 +74,22 @@ class RunConfig:
         check((all(v >= 0 for v in (self.seed, *self.seeds)), "run seeds must be >= 0"))
 
 
+def _syntax_error(err: configparser.Error, source: str | None) -> str:
+    """One line for INI text that configparser rejects: the file, when
+    there is one, the line and what is wrong there."""
+    line, what = getattr(err, "lineno", None), " ".join(str(err).split())
+    if isinstance(err, configparser.MissingSectionHeaderError):
+        what = f"{err.line.strip()!r} comes before any [section] header"
+    elif isinstance(err, configparser.DuplicateOptionError):
+        what = f"[{err.section}] {err.option} is set twice"
+    elif isinstance(err, configparser.DuplicateSectionError):
+        what = f"[{err.section}] appears twice"
+    elif isinstance(err, configparser.ParsingError):
+        line, what = err.errors[0][0], "not a [section] header, a key = value line or a comment"
+    where = ", ".join(filter(None, [source, line and f"line {line}"]))
+    return f"{where}: {what}" if where else what
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The experiment's config sections. Each section type lives in the
@@ -115,9 +131,14 @@ class ExperimentConfig:
         return out.getvalue()
 
     @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
+    def from_text(cls, text: str, source: str | None = None) -> "ExperimentConfig":
+        """Read INI text; ``source`` names the file it came from in errors.
+        Text that is not INI raises one ValueError naming the line at fault."""
         parser = configparser.ConfigParser(interpolation=None)  # values are literal, as written
-        parser.read_string(text)
+        try:
+            parser.read_string(text)
+        except configparser.Error as err:
+            raise ValueError(_syntax_error(err, source)) from None
         return cls._read({name: dict(parser.items(name)) for name in parser.sections()})
 
     @classmethod
@@ -144,7 +165,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as f:
-            return cls.from_text(f.read())
+            return cls.from_text(f.read(), str(path))
 
     def canonical(self) -> "ExperimentConfig":
         """The experiment identity: where artifacts land is not part of it."""

@@ -14,15 +14,28 @@ stochastic representations and a Dirichlet distillation loss. Gradients
 flow only through the student concentrations; the teacher side is
 constant.
 
-The distillation loss needs log-gamma, digamma and trigamma, which
-``_gamma_functions`` evaluates in numpy: the recurrences shift x up by 6,
-then the Stirling series in 1 / (x + 6)^2 finishes (Bernardo's AS 103
-method for digamma, carried to all three). For x in [1e-6, 1e15], log-gamma
-and digamma are within 2e-14 and 4e-15 of the exact value times
-max(1, |value|), and trigamma within 4e-15 relative. That range holds every
-concentration the loss sees with up to 93 classes (1 <= alpha <= e^30 + 1
-per class, alpha_0 their sum). Larger x stays accurate until the product
-x (x + 1) ... (x + 5) overflows, near 1e51, where log-gamma reads -inf.
+srepr's step keeps the class axis outermost in memory. It forms the M
+teachers' logits as one gemm into a (K, M, B) array and the student's
+into a (K, B) array, and hands the loss pieces their (M, B, K) and (B, K)
+transposed views: the shapes every piece takes, in class-major memory.
+K is short (10 at desk scale), so with K innermost each max, sum and
+(..., 1) broadcast over K would run M x B numpy inner loops of length K;
+class-major, each is K sweeps over contiguous rows, which at desk shapes
+more than halves the cost of a softmax. The pieces accept either layout.
+Sums over K and B then add in another order, so their float64 results
+differ in the last bits between the two layouts.
+
+The distillation loss needs digamma, trigamma and
+kappa(x) = log Gamma(x) - (x - 1) digamma(x) + x, which
+``_gamma_functions`` evaluates in numpy with log-gamma: the recurrences
+shift x up by 6, then the Stirling series in 1 / (x + 6)^2 finishes
+(Bernardo's AS 103 method for digamma, carried to all four). For x in
+[1e-6, 1e15], log-gamma and kappa are within 2e-14 and 1e-14, and digamma
+within 4e-15, of the exact value times max(1, |value|), and trigamma
+within 4e-15 relative. That range holds every concentration the loss sees
+with up to 93 classes (1 <= alpha <= e^30 + 1 per class, alpha_0 their
+sum). Larger x stays accurate until the product x (x + 1) ... (x + 5)
+overflows, near 1e51, where log-gamma and kappa read -inf.
 """
 
 from __future__ import annotations
@@ -408,22 +421,20 @@ def mean_ce_loss_and_grad(
 
     The (M, B, K) logits (``classifier_logits(w, b, reps)``, computed here
     unless the caller passes them), their CE and the per-member gradients
-    are computed in one pass, one gemm per member; the member terms are then
-    added in member order, so the sums round as a loop over members would.
+    are computed in one pass, one gemm per member. The member terms are
+    then added in member order: the gradients by sums over their outermost
+    (member) axis, the losses by a running sum, since numpy sums a 1-D
+    array pairwise. So on C-order logits every result has the bits of a
+    loop over members; on srepr's class-major logits (see the module
+    docstring) the sums over B and K round differently.
     """
     if logits is None:
         logits = classifier_logits(w, b, reps)
     losses, dz = balanced_ce_loss_and_grad(logits, labels, balancing)
-    gw_m = np.matmul(reps.transpose(0, 2, 1), dz)
-    gb_m = dz.sum(axis=1)
-    loss = 0.0
-    gw = np.zeros_like(w)
-    gb = np.zeros_like(b)
-    for j in range(len(reps)):
-        loss += losses[j]
-        gw += gw_m[j]
-        gb += gb_m[j]
     m = len(reps)
+    loss = np.add.accumulate(losses)[-1]
+    gw = np.matmul(reps.transpose(0, 2, 1), dz).sum(axis=0)
+    gb = dz.sum(axis=1).sum(axis=0)
     return loss / m, gw / m, gb / m
 
 
@@ -437,14 +448,16 @@ def teacher_probs(logits: np.ndarray, tau_kd: float):
     return probs, probs.mean(axis=0)
 
 
-def estimate_beta(probs: np.ndarray, beta_floor: float = 1e-6) -> np.ndarray:
+def estimate_beta(probs: np.ndarray, beta_floor: float = 1e-6,
+                  p_bar: np.ndarray | None = None) -> np.ndarray:
     """Fit a shared Dirichlet to M categorical vectors by the closed-form
     approximate maximum-likelihood rule, then apply the +1 shift.
 
     The concentration is the mean prediction times a scalar precision
     (K-1)/2 divided by a nonnegative teacher-disagreement statistic, which
     is floored so agreeing teachers yield a large-but-finite precision.
-    Accepts (M, K) or (M, B, K); returns (K,) or (B, K).
+    Accepts (M, K) or (M, B, K); returns (K,) or (B, K). ``p_bar``, the
+    mean of ``probs`` over M, is computed here unless the caller passes it.
     """
     probs = np.asarray(probs, dtype=np.float64)
     squeeze = probs.ndim == 2
@@ -454,7 +467,7 @@ def estimate_beta(probs: np.ndarray, beta_floor: float = 1e-6) -> np.ndarray:
     if m < 2:
         raise ValueError("need at least 2 teacher predictions")
     clipped = np.maximum(probs, PROB_FLOOR)
-    p_bar = probs.mean(axis=0)  # (B, K)
+    p_bar = probs.mean(axis=0) if p_bar is None else np.reshape(p_bar, probs.shape[1:])  # (B, K)
     p_bar_safe = np.maximum(p_bar, PROB_FLOOR)
     mean_log = np.log(clipped).mean(axis=0)  # (B, K)
     disagreement = (p_bar * (np.log(p_bar_safe) - mean_log)).sum(axis=1)  # (B,)
@@ -492,33 +505,53 @@ _STIRLING_SERIES = np.array([
      7 / 6, -3617 / 510, 43867 / 798, -174611 / 330),
 ])
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_SHIFTS = np.arange(float(_GAMMA_SHIFT))
+_HORNER = _STIRLING_SERIES[:, ::-1].T.copy()  # Horner's rule adds row i at step i
 
 
 def _gamma_functions(x):
-    """(log Gamma(x), digamma(x), trigamma(x)) of a float64 array x > 0.
+    """(log Gamma(x), digamma(x), trigamma(x), kappa(x)) of a float64 array
+    x > 0, where kappa(x) = log Gamma(x) - (x - 1) digamma(x) + x.
 
     The recurrences Gamma(x + 1) = x Gamma(x), psi(x + 1) = psi(x) + 1/x and
     psi_1(x + 1) = psi_1(x) - 1/x^2 carry x up to z = x + 6, where ten terms
-    of the Stirling series in 1/z^2 finish each function. Domain and
-    accuracy are in the module docstring; a NaN gives NaN.
+    of the Stirling series in 1/z^2 finish each function. kappa is summed
+    from the same pieces with its x log x and x terms cancelled by hand, so
+    it keeps the precision of a value of size log x. The distillation loss
+    reads digamma, trigamma and kappa; log Gamma, whose series and product
+    terms kappa shares, is the one of them scipy can check over the whole
+    domain. Domain and accuracy are in the module docstring; a NaN gives NaN.
     """
-    column = (-1,) + (1,) * x.ndim
-    y = x + np.arange(float(_GAMMA_SHIFT)).reshape(column)  # x, x + 1, ..., x + 5
+    y = np.add.outer(_SHIFTS, x)  # x, x + 1, ..., x + 5
     inv = 1.0 / y
     z = x + _GAMMA_SHIFT
     w = 1.0 / z
     w2 = w * w
-    # the three series by Horner's rule, one row each
-    series = np.zeros((3,) + x.shape)
-    for c in _STIRLING_SERIES[:, ::-1].T:
+    # the three series by Horner's rule, one row each; summing coefficient
+    # times power over a (3, 10, ...) product makes fewer calls, but on the
+    # wide profile that temporary passes malloc's 128 KB mmap threshold and
+    # its page faults cost more than the calls it saves
+    coefs = _HORNER.reshape(_HORNER.shape + (1,) * x.ndim)
+    series = coefs[0] * w2
+    for c in coefs[1:-1]:
+        series += c
         series *= w2
-        series += c.reshape(column)
+    series += coefs[-1]
     log_z = np.log(z)
+    log_prod = np.log(y.prod(axis=0))
+    w_s0 = w * series[0]
     # (z - 1/2) log z - z + log(2 pi) / 2 = (z - 1/2)(log z - 1) + log(2 pi) / 2 - 1/2
-    lgamma = (z - 0.5) * (log_z - 1.0) + (_HALF_LOG_2PI - 0.5) + w * series[0] - np.log(y.prod(axis=0))
-    digamma = log_z - 0.5 * w - w2 * series[1] - inv.sum(axis=0)
+    lgamma = (z - 0.5) * (log_z - 1.0) + (_HALF_LOG_2PI - 0.5) + w_s0 - log_prod
+    half_w = 0.5 * w
+    w2_s1 = w2 * series[1]
+    sum_inv = inv.sum(axis=0)
+    digamma = log_z - half_w - w2_s1 - sum_inv
     trigamma = w + 0.5 * w2 + w * w2 * series[2] + (inv * inv).sum(axis=0)
-    return lgamma, digamma, trigamma
+    # kappa = lgamma - (x - 1)(log z - d), with d = half_w + w2_s1 + sum_inv
+    # = (shift + 1/2) log z - shift + log(2 pi) / 2 + w_s0 - log_prod + (x - 1) d
+    kappa = ((_GAMMA_SHIFT + 0.5) * log_z - log_prod + (x - 1.0) * (half_w + w2_s1 + sum_inv)
+             + (w_s0 + (_HALF_LOG_2PI - _GAMMA_SHIFT)))
+    return lgamma, digamma, trigamma, kappa
 
 
 def kd_loss_and_alpha_grad(alpha: np.ndarray, beta: np.ndarray, p_bar: np.ndarray):
@@ -531,34 +564,36 @@ def kd_loss_and_alpha_grad(alpha: np.ndarray, beta: np.ndarray, p_bar: np.ndarra
     beta and p_bar are treated as constants. Returns the batch mean and
     d(mean)/d(alpha) of shape (B, K).
 
-    The log-gammas, digammas and trigammas of alpha and alpha_0 come from one
-    ``_gamma_functions`` call on the (B, K + 1) array [alpha | alpha_0]: a
-    numpy recurrence and Stirling series, accurate to 2e-14 (log-gamma) and
-    4e-15 (digamma, trigamma) over [1e-6, 1e15], as the module docstring
-    details. A NaN concentration gives a NaN loss.
+    The digammas, trigammas and kappas of alpha and alpha_0 come from one
+    ``_gamma_functions`` call on the class-major (K + 1, B) array
+    [alpha | alpha_0]. With kappa(x) = log Gamma(x) - (x - 1) psi(x) + x,
+    the KL is kappa(alpha_0) - sum_k kappa(alpha_k) + (K - 1) psi(alpha_0)
+    - log Gamma(K): the x terms cancel since sum_k alpha_k = alpha_0, and no
+    term is of the size alpha log alpha, so the KL keeps its precision for
+    confident students. The inputs are read as class-major arrays (a copy
+    unless they are views of class-major memory), so every sum over K adds
+    the classes in order, and C-order and class-major inputs give the same
+    bits. A NaN concentration gives a NaN loss.
     """
-    a = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
-    bb = np.atleast_2d(np.asarray(beta, dtype=np.float64))
-    t = np.atleast_2d(np.asarray(p_bar, dtype=np.float64))
-    if np.any(a <= 0.0) or np.any(bb <= 0.0):
+    a, bb, t = (np.ascontiguousarray(np.atleast_2d(np.asarray(v, dtype=np.float64)).T)
+                for v in (alpha, beta, p_bar))  # (K, B) each
+    if (a <= 0.0).any() or (bb <= 0.0).any():
         raise ValueError("concentration parameters must be positive")
-    n, k = a.shape
-    a0 = a.sum(axis=1)
-    b0 = bb.sum(axis=1)
+    k, n = a.shape
+    a0 = a.sum(axis=0)
+    b0 = bb.sum(axis=0)
 
-    lgamma, psi, tri = _gamma_functions(np.concatenate([a, a0[:, None]], axis=1))
-    dpsi = psi[:, :k] - psi[:, k:]
-    term1 = -(t * dpsi).sum(axis=1)
-    # the KL to the flat Dirichlet(1, ..., 1), from the digammas above; log Gamma(1) is 0
-    kl_flat = lgamma[:, k] - lgamma[:, :k].sum(axis=1) - math.lgamma(k) + ((a - 1.0) * dpsi).sum(axis=1)
-    loss = (term1 + kl_flat / b0).mean()
+    _, psi, tri, kappa = _gamma_functions(np.concatenate([a, a0[None]]))
+    term1 = -(t * (psi[:k] - psi[k])).sum(axis=0)
+    # the KL to the flat Dirichlet(1, ..., 1)
+    kl_flat = kappa[k] - kappa[:k].sum(axis=0) + (k - 1) * psi[k] - math.lgamma(k)
+    loss = (term1 + kl_flat / b0).sum() / n
 
-    tri_a, tri_a0 = tri[:, :k], tri[:, k]
-    t_sum = t.sum(axis=1)
-    g_term1 = -t * tri_a + (t_sum * tri_a0)[:, None]
-    g_kl = (a - 1.0) * tri_a - ((a0 - k) * tri_a0)[:, None]
-    grad = (g_term1 + g_kl / b0[:, None]) / n
-    return float(loss), grad
+    tri_a, tri_a0 = tri[:k], tri[k]
+    g_term1 = -t * tri_a + t.sum(axis=0) * tri_a0
+    g_kl = (a - 1.0) * tri_a - (a0 - k) * tri_a0
+    grad = (g_term1 + g_kl / b0) / n
+    return float(loss), grad.T
 
 
 def srepr_batch_loss_and_grad(
@@ -576,12 +611,17 @@ def srepr_batch_loss_and_grad(
     The rebalancing spec touches only the cross-entropy term; the
     distillation term always distills the unweighted teacher ensemble.
     """
-    logits = classifier_logits(w, b, reps)  # the M teachers' logits, shared by both terms
+    # the M teachers' logits, shared by both terms, and the student's, each
+    # an (..., K) view of class-major memory (see the module docstring)
+    m, n, l = reps.shape
+    logits = (w.T @ reps.reshape(m * n, l).T).reshape(-1, m, n)
+    logits += b[:, None, None]
+    logits = logits.transpose(1, 2, 0)
+    z = (w.T @ f_swa.T + b[:, None]).T
     ce, gw_ce, gb_ce = mean_ce_loss_and_grad(w, b, reps, labels, balancing, logits)
 
     probs, p_bar = teacher_probs(logits, config.kd_temp)
-    beta = estimate_beta(probs, config.beta_floor)
-    z = classifier_logits(w, b, f_swa)
+    beta = estimate_beta(probs, config.beta_floor, p_bar)
     alpha, dalpha_dz = student_alpha_from_logits(z, config.kd_temp)
     kd, dkd_dalpha = kd_loss_and_alpha_grad(alpha, beta, p_bar)
     dkd_dz = dkd_dalpha * dalpha_dz

@@ -459,6 +459,17 @@ class TestErrorPaths:
         assert err == ["error: [optim] epochs: invalid literal for int() with base 10: '8.5'"]
         assert not (workdir / "x").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("epochs = 3\n", "bad.ini, line 1: 'epochs = 3' comes before any [section] header"),
+        ("[optim]\nepochs = 3\nepochs = 4\n", "bad.ini, line 3: [optim] epochs is set twice"),
+    ])
+    def test_malformed_config_file_is_one_line_naming_file_and_line(self, workdir, capsys, text,
+                                                                    message):
+        (workdir / "bad.ini").write_text(text)
+        assert run_cli("pretrain", "--config", "bad.ini", "--output-dir", "x") == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (workdir / "x").exists()
+
     @pytest.mark.parametrize("section, entries, message", [
         ("dataset", {"foo": 1}, "unknown keys in [dataset]: ['foo']"),
         ("foo", {}, "unknown config sections: ['foo']"),

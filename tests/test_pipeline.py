@@ -162,6 +162,22 @@ seeds = 1,2,3
         with pytest.raises(ValueError, match="unknown config sections"):
             pl.ExperimentConfig.from_text("[optimizer]\nlr = 0.1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("epochs = 3\n[optim]\n", "line 1: 'epochs = 3' comes before any [section] header"),
+        ("[optim]\nepochs = 3\nepochs = 4\n", "line 3: [optim] epochs is set twice"),
+        ("[optim]\nlr = 0.1\n[optim]\n", "line 3: [optim] appears twice"),
+        ("[optim]\nlr\n", "line 2: not a [section] header, a key = value line or a comment"),
+    ])
+    def test_text_that_is_not_ini_is_one_line(self, tmp_path, text, message):
+        with pytest.raises(ValueError) as exc:
+            pl.ExperimentConfig.from_text(text)
+        assert str(exc.value) == message
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            pl.ExperimentConfig.from_file(path)
+        assert str(exc.value) == f"{path}, {message}"
+
     def test_overrides_win(self):
         cfg = pl.ExperimentConfig()
         out = pl.apply_overrides(

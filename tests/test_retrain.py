@@ -23,7 +23,13 @@ from reference import (
 from scipy import stats
 from scipy.special import digamma, gammaln, polygamma
 
-from ltsrepr.balancing import BalancingSpec, example_weights, logit_adjust
+from ltsrepr.balancing import (
+    KINDS,
+    BalancingSpec,
+    balanced_ce_loss_and_grad,
+    example_weights,
+    logit_adjust,
+)
 from ltsrepr.data import LongTailDataset, class_balanced_indices
 from ltsrepr.netcore import (
     OptimConfig,
@@ -65,6 +71,12 @@ def blob_dataset(counts, centers, noise=0.3, seed=0):
         xs.append(np.asarray(c) + noise * rng.standard_normal((n, len(c))))
         ys.append(np.full(n, k))
     return LongTailDataset.from_arrays(np.concatenate(xs), np.concatenate(ys), len(counts))
+
+
+def class_major(v):
+    """The values of ``v`` as an (..., K) view of class-major (K, ...)
+    memory, the layout srepr's step hands its loss pieces."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(v, -1, 0)), 0, -1)
 
 
 def inline_block(post, rng, m):
@@ -519,20 +531,28 @@ class TestDirichletKl:
             dirichlet_kl(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
 
+def class_sum(v):
+    """Sum over the last (class) axis, adding the classes in order."""
+    total = v[..., 0]
+    for j in range(1, v.shape[-1]):
+        total = total + v[..., j]
+    return total
+
+
 def reference_kd(alpha, beta, p_bar):
     """kd_loss_and_alpha_grad with the package's gamma functions called on
     alpha and on alpha_0 apart rather than on one [alpha | alpha_0] array,
-    which the module's version must match bit for bit."""
+    and each sum over classes a loop in class order; the module's version
+    must match it bit for bit."""
     n, k = alpha.shape
-    a0 = alpha.sum(axis=1)
-    b0 = beta.sum(axis=1)
-    lg_a, psi_a, tri_a = retrain_mod._gamma_functions(alpha)
-    lg_a0, psi_a0, tri_a0 = retrain_mod._gamma_functions(a0)
-    dpsi = psi_a - psi_a0[:, None]
-    term1 = -(p_bar * dpsi).sum(axis=1)
-    kl_flat = lg_a0 - lg_a.sum(axis=1) - math.lgamma(k) + ((alpha - 1.0) * dpsi).sum(axis=1)
+    a0 = class_sum(alpha)
+    b0 = class_sum(beta)
+    _, psi_a, tri_a, kappa_a = retrain_mod._gamma_functions(alpha)
+    _, psi_a0, tri_a0, kappa_a0 = retrain_mod._gamma_functions(a0)
+    term1 = -class_sum(p_bar * (psi_a - psi_a0[:, None]))
+    kl_flat = kappa_a0 - class_sum(kappa_a) + (k - 1) * psi_a0 - math.lgamma(k)
     loss = (term1 + kl_flat / b0).mean()
-    g_term1 = -p_bar * tri_a + (p_bar.sum(axis=1) * tri_a0)[:, None]
+    g_term1 = -p_bar * tri_a + (class_sum(p_bar) * tri_a0)[:, None]
     g_kl = (alpha - 1.0) * tri_a - ((a0 - k) * tri_a0)[:, None]
     return float(loss), (g_term1 + g_kl / b0[:, None]) / n
 
@@ -578,10 +598,31 @@ class TestKdLoss:
     @pytest.mark.parametrize("seed", range(4))
     def test_composition_matches_reference_bitwise(self, seed):
         alpha, beta, p_bar = kd_case(seed)
-        loss, grad = kd_loss_and_alpha_grad(alpha, beta, p_bar)
         ref_loss, ref_grad = reference_kd(alpha, beta, p_bar)
-        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
-        assert grad.tobytes() == ref_grad.tobytes()
+        # C-order rows and views of class-major memory give the same bits
+        for layout in (lambda v: v, class_major):
+            loss, grad = kd_loss_and_alpha_grad(*(layout(v) for v in (alpha, beta, p_bar)))
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert np.ascontiguousarray(grad).tobytes() == ref_grad.tobytes()
+
+    # KL(Dir(alpha) || Dir(1, ..., 1)) from mpmath 1.3.0 at 50 digits, for
+    # these float64 alphas; a zero mean teacher and unit teacher precision
+    # make the loss the KL itself. The first two students are confident
+    # enough that a KL summed from log Gamma(alpha_0) ~ alpha_0 log alpha_0
+    # loses 0.026 and 2e-5 to rounding.
+    @pytest.mark.parametrize("alpha, kl", [
+        ([10686474581525.463, 1.001, 2.5], 56.575905731602386232),
+        ([72004899338.38588, 1.001, 2.5], 46.575905731736915858),
+        ([22027.465794806718, 1.001, 2.5], 16.576348454079515119),
+        ([1.5, 3.0, 7.25, 1.0001], 1.8202195081403209754),
+        ([2.0, 2.0], 0.12509280256138833415),
+        ([1.0, 1.0, 1.0], 0.0),
+    ])
+    def test_kl_to_flat_matches_mpmath(self, alpha, kl):
+        k = len(alpha)
+        loss, _ = kd_loss_and_alpha_grad(np.array([alpha]), np.full((1, k), 1.0 / k),
+                                         np.zeros((1, k)))
+        assert abs(loss - kl) <= 1e-14 * max(1.0, kl)
 
     def test_nan_concentration_gives_nan_loss(self):
         alpha = np.array([[2.0, np.nan], [3.0, 1.5]])
@@ -644,7 +685,7 @@ class TestGammaFunctions:
     @given(st.lists(GAMMA_X, min_size=1, max_size=64))
     def test_matches_scipy(self, xs):
         x = np.array(xs)
-        lgamma, psi, tri = retrain_mod._gamma_functions(x)
+        lgamma, psi, tri, _ = retrain_mod._gamma_functions(x)
         want_lgamma, want_psi, want_tri = gammaln(x), digamma(x), polygamma(1, x)
         assert np.all(np.abs(lgamma - want_lgamma) <= 2e-14 * np.maximum(1.0, np.abs(want_lgamma)))
         assert np.all(np.abs(psi - want_psi) <= 4e-15 * np.maximum(1.0, np.abs(want_psi)))
@@ -663,10 +704,27 @@ class TestGammaFunctions:
             assert np.all(np.abs(f1 - (f + step)) <= 8 * np.spacing(scale))
 
     def test_closed_form_values(self):
-        lgamma, psi, tri = retrain_mod._gamma_functions(np.array([1.0, 2.0]))
+        lgamma, psi, tri, _ = retrain_mod._gamma_functions(np.array([1.0, 2.0]))
         assert np.all(np.abs(lgamma) <= 2e-14)
         assert abs(psi[0] + np.euler_gamma) <= 4e-15
         assert abs(tri[0] - math.pi ** 2 / 6) <= 4e-15 * (math.pi ** 2 / 6)
+
+    # kappa(x) = log Gamma(x) - (x - 1) psi(x) + x from mpmath 1.3.0 at 50
+    # digits; scipy's functions would lose kappa's digits for large x
+    @pytest.mark.parametrize("x, kappa", [
+        (1e-6, -999985.76170246205047),
+        (0.5, 0.090609929913988347351),
+        (1.0, 1.0),
+        (2.5, 1.7299479095050543788),
+        (10.0, 2.5360541784809796424),
+        (1234.5, 4.9778791180595560128),
+        (1e7, 9.4779863253504984692),
+        (10686474581525.463, 16.418938533204688373),
+        (1e15, 18.688326730660015039),
+    ])
+    def test_kappa_matches_mpmath(self, x, kappa):
+        got = retrain_mod._gamma_functions(np.array([x]))[3][0]
+        assert abs(got - kappa) <= 1e-14 * max(1.0, abs(kappa))
 
     @given(st.lists(GAMMA_X, min_size=1, max_size=64))
     def test_no_floating_point_exception(self, xs):
@@ -805,6 +863,100 @@ class TestSreprLoss:
         _, gw_ce, gb_ce = mean_ce_loss_and_grad(params.w, params.b, reps, y, spec)
         assert np.max(np.abs(gw - 0.5 * gw_ce)) < 1e-6
         assert np.max(np.abs(gb - 0.5 * gb_ce)) < 1e-6
+
+
+def srepr_step_c_order(w, b, reps, f_swa, labels, balancing, config):
+    """srepr_batch_loss_and_grad's loss and gradients, its pieces composed
+    over C-order logits."""
+    logits = classifier_logits(w, b, reps)
+    ce, gw_ce, gb_ce = mean_ce_loss_and_grad(w, b, reps, labels, balancing, logits)
+    probs, p_bar = teacher_probs(logits, config.kd_temp)
+    beta = estimate_beta(probs, config.beta_floor)
+    alpha, dalpha_dz = student_alpha_from_logits(classifier_logits(w, b, f_swa), config.kd_temp)
+    kd, dkd_dalpha = kd_loss_and_alpha_grad(alpha, beta, p_bar)
+    dkd_dz = dkd_dalpha * dalpha_dz
+    return (0.5 * ce + 0.5 * kd, 0.5 * gw_ce + 0.5 * (f_swa.T @ dkd_dz),
+            0.5 * gb_ce + 0.5 * dkd_dz.sum(axis=0))
+
+
+def assert_close_normwise(got, want, rtol=1e-12):
+    for g, e in zip(got, want, strict=True):
+        g, e = np.asarray(g), np.asarray(e)
+        assert g.shape == e.shape
+        assert np.max(np.abs(g - e)) <= rtol * np.max(np.abs(e))
+
+
+class TestClassMajorLayout:
+    """srepr's step forms its logits in class-major memory, so every sum
+    over K in its loss pieces runs along the outermost axis. The pieces
+    take the same shapes either way, and give the same values to rounding:
+    sums over K and B add in another order. K spans both sides of numpy's
+    8-wide pairwise-summation block."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.sampled_from(KINDS), st.integers(2, 12), st.integers(1, 20), st.integers(1, 8),
+           st.integers(2, 40), st.integers(0, 2**16))
+    def test_pieces_and_step_match_c_order(self, kind, m, n, l, k, seed):
+        rng = np.random.default_rng(seed)
+        reps = rng.standard_normal((m, n, l)) * 3.0
+        f_swa = rng.standard_normal((n, l)) * 3.0
+        y = rng.integers(0, k, size=n)
+        w, b = rng.standard_normal((l, k)), rng.standard_normal(k)
+        spec = BalancingSpec(kind, rho=1.0, frequencies=rng.dirichlet(np.ones(k)) + 1e-3)
+        config = RetrainConfig(srepr_m=m, kd_temp=float(rng.uniform(0.5, 30.0)))
+        logits = classifier_logits(w, b, reps)
+        z = classifier_logits(w, b, f_swa)
+        probs, p_bar = teacher_probs(logits, config.kd_temp)
+        alpha, _ = student_alpha_from_logits(z, config.kd_temp)
+        beta = estimate_beta(probs, config.beta_floor)
+        pieces = [
+            (balanced_ce_loss_and_grad, (logits, y, spec)),
+            (lambda lg: mean_ce_loss_and_grad(w, b, reps, y, spec, lg), (logits,)),
+            (teacher_probs, (logits, config.kd_temp)),
+            (estimate_beta, (probs, config.beta_floor)),
+            (estimate_beta, (probs, config.beta_floor, p_bar)),
+            (student_alpha_from_logits, (z, config.kd_temp)),
+            (kd_loss_and_alpha_grad, (alpha, beta, p_bar)),
+        ]
+        for piece, args in pieces:
+            moved = [class_major(a) if np.ndim(a) >= 2 else a for a in args]
+            want, got = piece(*args), piece(*moved)
+            if isinstance(want, np.ndarray):
+                want, got = (want,), (got,)
+            assert_close_normwise(got, want)
+        got = srepr_batch_loss_and_grad(w, b, reps, f_swa, y, spec, config)[:3]
+        assert_close_normwise(got, srepr_step_c_order(w, b, reps, f_swa, y, spec, config))
+
+    def test_step_hands_the_pieces_class_major_logits(self, monkeypatch):
+        # each piece runs once, and every array it receives besides the
+        # caller's w and reps is an (..., K) view of class-major memory
+        seen = []
+
+        def spy(name):
+            piece = getattr(retrain_mod, name)
+
+            def wrapped(*args, **kwargs):
+                seen.append((name, [a for a in (*args, *kwargs.values())
+                                    if isinstance(a, np.ndarray) and a.ndim >= 2]))
+                return piece(*args, **kwargs)
+            monkeypatch.setattr(retrain_mod, name, wrapped)
+
+        names = ("mean_ce_loss_and_grad", "balanced_ce_loss_and_grad", "teacher_probs",
+                 "estimate_beta", "student_alpha_from_logits", "kd_loss_and_alpha_grad")
+        for name in names:
+            spy(name)
+        rng = np.random.default_rng(5)
+        m, n, l, k = 4, 6, 5, 3
+        w, b = rng.standard_normal((l, k)), rng.standard_normal(k)
+        reps, f_swa = rng.standard_normal((m, n, l)), rng.standard_normal((n, l))
+        srepr_batch_loss_and_grad(w, b, reps, f_swa, rng.integers(0, k, size=n),
+                                  BalancingSpec("none"), RetrainConfig(srepr_m=m))
+        assert [name for name, _ in seen] == list(names)
+        for name, arrays in seen:
+            logits_like = [a for a in arrays if a is not w and a is not reps]
+            assert logits_like, name
+            for a in logits_like:
+                assert a.shape[-1] == k and np.moveaxis(a, -1, 0).flags.c_contiguous, name
 
 
 class TestSreprTraining:
