@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -65,7 +66,11 @@ FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: parsing leaves it unchanged, and building it costs more than
+    a parse. Nothing builds it at import."""
     parser = argparse.ArgumentParser(
         prog="ltsrepr",
         description="Long-tailed classification experiments: decoupled training "

@@ -34,12 +34,21 @@ Nesterov step using scratch buffers held in `OptimState`.
 `features` also runs stacked inputs: R inputs (R, B, D) give (R, B, L) in
 one call. numpy's matmul runs one gemm per member, so each member's
 representation is the same bits as its own 2-D call.
+
+At desk scale a training step costs numpy dispatch more than arithmetic,
+so `backward` keeps its calls few. Its non-finite guard tests one scalar,
+the sum of every pre-activation and logit, and scans the layers one by one
+only when that sum is non-finite (see `backward`). Reductions call the
+ufunc's ``reduce`` directly, which is what ``np.sum`` and ``.mean`` call,
+and temporaries a step owns are updated in place. Each of these keeps
+every operation, its order and its rounding, so the gradients are the same
+bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -235,9 +244,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     by at most K * 1e-30.
     """
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return np.maximum(e / e.sum(axis=-1, keepdims=True), PROB_FLOOR)
+    # the ufunc reductions are what z.max and z.sum call; exp, divide and
+    # floor then run in place on this call's own temporary
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return np.maximum(z, PROB_FLOOR, out=z)
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +259,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-example -log p[y], with the target probability floored before log.
     Probabilities (..., B, K) give (..., B)."""
-    p = np.asarray(probs, dtype=np.float64)
+    return _target_nll(np.asarray(probs, dtype=np.float64), np.arange(len(labels)), labels)
+
+
+def _target_nll(p: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
     # the fancy index lays (M, B) out column-major; C order keeps each
     # member's row contiguous, so its mean sums as a 1-D call's does
-    py = np.maximum(p[..., np.arange(len(labels)), labels], PROB_FLOOR, order="C")
-    return -np.log(py)
+    py = np.maximum(p[..., rows, labels], PROB_FLOOR, order="C")
+    np.log(py, out=py)
+    return np.negative(py, out=py)
 
 
 def softmax_ce(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray | None = None):
@@ -269,14 +285,19 @@ def softmax_ce(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray | No
     p = softmax(logits)
     n = len(targets)
     if np.ndim(targets) == 1:
-        ce = cross_entropy(p, targets)
-        p[..., np.arange(n), targets] -= 1.0
+        rows = np.arange(n)
+        ce = _target_nll(p, rows, targets)
+        p[..., rows, targets] -= 1.0
     else:
         ce = -(targets * np.log(p)).sum(axis=-1)
         p -= targets
+    # add.reduce then / n is what ce.mean does, so the same bits; the
+    # gradient scales softmax's temporary in place
     if weights is None:
-        return ce.mean(axis=-1), p / n
-    return (weights * ce).mean(axis=-1), p * (weights / n)[:, None]
+        p /= n
+        return np.add.reduce(ce, axis=-1) / n, p
+    p *= (weights / n)[:, None]
+    return np.add.reduce(weights * ce, axis=-1) / n, p
 
 
 # ---------------------------------------------------------------------------
@@ -297,34 +318,48 @@ def backward(
     into ``out`` (a ModelParams with the same layout, reused across steps)
     when given, else into a new one, in the parameters' dtype: the loss
     gradient is cast to it, so float32 parameters train in float32. Raises
-    if a forward intermediate goes non-finite, naming the offending layer.
+    FloatingPointError if a forward intermediate goes non-finite, naming
+    the offending layer.
+
+    The finiteness gate is one scalar: the sum of every layer's
+    pre-activation sum and the logits' sum. A NaN or an infinity anywhere
+    makes it non-finite, including a -inf that relu zeroes or a +inf that
+    tanh maps to 1 before the next layer sees it. Only then are the
+    layers scanned, in order, to name the first bad one, and then the
+    logits; a sum of finite values that overflowed makes that scan find
+    nothing, and the step goes on.
     """
     _, dact = ACTIVATIONS[activation]
     with np.errstate(invalid="ignore", over="ignore"):
         feats, cache = features(params.layers, np.atleast_2d(x), activation, return_cache=True)
-    for i, (_, z) in enumerate(cache):
-        if not np.all(np.isfinite(z)):
-            raise FloatingPointError(f"non-finite pre-activation in extractor layer {i}")
-    logits = classifier_logits(params.w, params.b, feats)
-    if not np.all(np.isfinite(logits)):
-        raise FloatingPointError("non-finite logits in classifier layer")
+        logits = classifier_logits(params.w, params.b, feats)
+        total = np.add.reduce(logits, axis=None)
+        for _, z in cache:
+            total += np.add.reduce(z, axis=None)
+    if not isfinite(total):
+        for i, (_, z) in enumerate(cache):
+            if not np.all(np.isfinite(z)):
+                raise FloatingPointError(f"non-finite pre-activation in extractor layer {i}")
+        if not np.all(np.isfinite(logits)):
+            raise FloatingPointError("non-finite logits in classifier layer")
     loss, dlogits = loss_and_grad(logits, targets)
     dlogits = dlogits.astype(params.flat.dtype, copy=False)
 
     grads = params.like(np.empty_like(params.flat)) if out is None else out
     np.matmul(feats.T, dlogits, out=grads.w)
-    np.sum(dlogits, axis=0, out=grads.b)
+    np.add.reduce(dlogits, axis=0, out=grads.b)
     d = dlogits @ params.w.T
 
     last = len(params.layers) - 1
     for i in range(last, -1, -1):
         a_in, z = cache[i]
-        dz = d if i == last else d * dact(z)
+        if i != last:
+            d *= dact(z)  # d is a fresh matmul result
         gw, gb = grads.layers[i]
-        np.matmul(a_in.T, dz, out=gw)
-        np.sum(dz, axis=0, out=gb)
+        np.matmul(a_in.T, d, out=gw)
+        np.add.reduce(d, axis=0, out=gb)
         if i:
-            d = dz @ params.layers[i][0].T
+            d = d @ params.layers[i][0].T
     return loss, grads
 
 

@@ -286,7 +286,10 @@ def run_pretrain(cfg: ExperimentConfig, datasets) -> tuple[Checkpoint, list[floa
     mean training loss of each epoch.
 
     The extractor trains in float32 (see `netcore`): parameters,
-    gradients, momentum and batches; the posterior's moments are float64."""
+    gradients, momentum and batches; the posterior's moments are float64.
+    Each epoch draws its spe * batch_size example indices in one call and
+    slices them per step: numpy's int64 `integers` gives the same integers,
+    and leaves the batch stream in the same state, as one draw per step."""
     cfg.validate()
     train, _ = datasets
     seed = cfg.run.seed
@@ -310,25 +313,30 @@ def run_pretrain(cfg: ExperimentConfig, datasets) -> tuple[Checkpoint, list[floa
     rng_batch = rng_stream(seed, STREAM_BATCH)
     rng_mix = rng_stream(seed, STREAM_MIXUP)
 
+    batch = optim.batch_size
     epoch_losses = []
-    running = 0.0
-    for step in range(total):
-        if swa.enabled:
-            lr = swag_mod.swa_learning_rate(step, total, optim.lr, swa)
-        else:
-            lr = net.cosine_lr(step, total, optim.lr)
-        idx = data_mod.instance_balanced_indices(train, optim.batch_size, rng_batch)
-        x, y = train_x[idx], train.labels[idx]
-        if optim.mixup_alpha > 0.0:
-            x, y = data_mod.mixup_batch(x, y, optim.mixup_alpha, train.num_classes, rng_mix)
-        loss, _ = net.backward(params, x, y, net.softmax_ce, cfg.model.activation, out=grads)
-        net.sgd_update_arrays(flat_params, flat_grads, state, lr)
-        running += loss
-        if swa.enabled and swag_mod.should_capture(step + 1, total, swa, spe):
+    for epoch in range(optim.epochs):
+        # one draw per epoch (see above); each step gathers its own rows,
+        # so memory stays flat
+        epoch_idx = data_mod.instance_balanced_indices(train, spe * batch, rng_batch)
+        running = 0.0
+        for i in range(spe):
+            step = epoch * spe + i
+            if swa.enabled:
+                lr = swag_mod.swa_learning_rate(step, total, optim.lr, swa)
+            else:
+                lr = net.cosine_lr(step, total, optim.lr)
+            idx = epoch_idx[i * batch : (i + 1) * batch]
+            x, y = train_x[idx], train.labels[idx]
+            if optim.mixup_alpha > 0.0:
+                x, y = data_mod.mixup_batch(x, y, optim.mixup_alpha, train.num_classes, rng_mix)
+            loss, _ = net.backward(params, x, y, net.softmax_ce, cfg.model.activation, out=grads)
+            net.sgd_update_arrays(flat_params, flat_grads, state, lr)
+            running += loss
+        # captures fall on epoch boundaries only
+        if swa.enabled and swag_mod.should_capture((epoch + 1) * spe, total, swa, spe):
             swag_mod.update_moments(posterior, params)
-        if (step + 1) % spe == 0:
-            epoch_losses.append(running / spe)
-            running = 0.0
+        epoch_losses.append(running / spe)
 
     if swa.enabled:
         swag_mod.freeze(posterior)

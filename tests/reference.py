@@ -3,7 +3,9 @@ closed-form Dirichlet KL, loss-only views of the srepr loss terms, the
 soft-target cross-entropy written over an unfloored log-softmax, input
 jitter as one draw and one forward per member, one posterior member's
 float32 forward, the SWA moments of float32 snapshots written out in
-float64, and both dispersions over the stack of all M members.
+float64, both dispersions over the stack of all M members, and the
+allocating softmax cross-entropy and per-layer-scan backward pass that
+netcore's in-place forms must match bit for bit.
 
 The gamma functions here are scipy's ``gammaln`` and ``digamma``. The
 package evaluates its own in numpy (``retrain._gamma_functions``: log-gamma
@@ -14,7 +16,7 @@ against scipy), so these oracles stay independent of it."""
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from ltsrepr.netcore import PROB_FLOOR, features, param_views, softmax
+from ltsrepr.netcore import ACTIVATIONS, PROB_FLOOR, features, param_views, softmax
 from ltsrepr.retrain import kd_loss_and_alpha_grad, mean_ce_loss_and_grad
 
 
@@ -107,3 +109,55 @@ def stacked_dispersion_prob(preds):
         return -(q * np.log(np.maximum(q, PROB_FLOOR))).sum(axis=-1)
 
     return np.maximum(entropy(p.mean(axis=0)) - entropy(p).mean(axis=0), 0.0)
+
+
+def allocating_softmax_ce(logits, targets, weights=None):
+    """`netcore.softmax_ce` with a fresh array for every step: the softmax
+    as max-subtract, exp and normalize, the loss as ``.mean``."""
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = np.maximum(e / e.sum(axis=-1, keepdims=True), PROB_FLOOR)
+    n = len(targets)
+    if np.ndim(targets) == 1:
+        ce = -np.log(np.maximum(p[..., np.arange(n), targets], PROB_FLOOR, order="C"))
+        p[..., np.arange(n), targets] -= 1.0
+    else:
+        ce = -(targets * np.log(p)).sum(axis=-1)
+        p -= targets
+    if weights is None:
+        return ce.mean(axis=-1), p / n
+    return (weights * ce).mean(axis=-1), p * (weights / n)[:, None]
+
+
+def per_layer_scan_backward(params, x, targets, loss_and_grad, activation="relu"):
+    """`netcore.backward` with a finiteness scan of every pre-activation, in
+    layer order, and then of the logits, raising the FloatingPointError
+    that names the first non-finite one; bias gradients by ``np.sum`` and
+    each activation mask applied out of place. Returns (loss, flat
+    gradient vector)."""
+    _, dact = ACTIVATIONS[activation]
+    with np.errstate(invalid="ignore", over="ignore"):
+        feats, cache = features(params.layers, np.atleast_2d(x), activation, return_cache=True)
+        logits = feats @ params.w + params.b
+    for i, (_, z) in enumerate(cache):
+        if not np.all(np.isfinite(z)):
+            raise FloatingPointError(f"non-finite pre-activation in extractor layer {i}")
+    if not np.all(np.isfinite(logits)):
+        raise FloatingPointError("non-finite logits in classifier layer")
+    loss, dlogits = loss_and_grad(logits, targets)
+    dlogits = dlogits.astype(params.flat.dtype, copy=False)
+    grads = params.like(np.empty_like(params.flat))
+    np.matmul(feats.T, dlogits, out=grads.w)
+    np.sum(dlogits, axis=0, out=grads.b)
+    d = dlogits @ params.w.T
+    last = len(params.layers) - 1
+    for i in range(last, -1, -1):
+        a_in, z = cache[i]
+        dz = d if i == last else d * dact(z)
+        gw, gb = grads.layers[i]
+        np.matmul(a_in.T, dz, out=gw)
+        np.sum(dz, axis=0, out=gb)
+        if i:
+            d = dz @ params.layers[i][0].T
+    return loss, grads.flat

@@ -140,6 +140,14 @@ class TestPretrainCommand:
         assert meta["config"]["dataset"]["num_classes"] == 3
         assert len(meta["config_hash"]) == 64
 
+    def test_diverging_pretrain_is_one_error_line(self, workdir, capsys):
+        # the logits overflow; no numpy warning may precede the error line
+        code = run_cli("pretrain", "--config", "tiny.ini", "--lr", "1e6", "--output-dir", "div")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite ")
+        assert not (workdir / "div").exists()
+
 
 class TestLibraryMatchesCli:
     def test_same_models_and_reports(self, workdir):
@@ -632,6 +640,26 @@ class TestErrorPaths:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: posterior covariance array 0 values are negative"]
         assert not (workdir / "out").exists()
+
+    def test_parser_built_once_parses_each_call_afresh(self):
+        assert build_parser() is build_parser()
+        first = build_parser().parse_args(["pretrain", "--lr", "0.5", "--seed", "3"])
+        second = build_parser().parse_args(["eval", "--checkpoint", "m.ckpt"])
+        third = build_parser().parse_args(["pretrain", "--config", "tiny.ini"])
+        assert (first.command, first.lr, first.seed, first.config) == ("pretrain", 0.5, 3, None)
+        assert (second.command, second.checkpoint, second.seed) == ("eval", "m.ckpt", None)
+        assert not hasattr(second, "lr")
+        assert (third.lr, third.seed, third.config) == (None, None, "tiny.ini")
+
+    def test_bad_flag_exits_2_and_no_flag_carries_over(self, workdir, capsys):
+        seeded = pretrain(workdir, out="a", extra=("--seed", "1"))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("pretrain", "--no-such-flag", "1")
+        assert exc.value.code == 2
+        assert "--no-such-flag" in capsys.readouterr().err
+        plain = pretrain(workdir, out="b")  # tiny.ini's seed
+        seeds = [load_checkpoint(path).metadata["config"]["run"]["seed"] for path in (seeded, plain)]
+        assert seeds == [1, 0]
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit):

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -177,6 +178,23 @@ class TestInstanceBalancedSampling:
         )
         with pytest.raises(ValueError, match="empty"):
             instance_balanced_indices(empty, 4, np.random.default_rng(0))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.one_of(st.integers(1, 2**12), st.integers(2**31, 2**40)), st.integers(1, 130),
+           st.integers(1, 12), st.integers(0, 2**32))
+    def test_one_draw_per_epoch_equals_one_per_step(self, n, batch, spe, seed):
+        # run_pretrain draws an epoch's indices at once and slices them per
+        # step; numpy's int64 bounded draws are per element, and PCG64 keeps
+        # a spare 32-bit half in its own state, so the call boundaries do not
+        # matter, for odd batches, for batches larger than N, and for N past
+        # 2**32 (64-bit draws) alike
+        ds = SimpleNamespace(num_examples=n)  # all the sampler reads
+        per_step, per_epoch = np.random.default_rng(seed), np.random.default_rng(seed)
+        steps = [instance_balanced_indices(ds, batch, per_step) for _ in range(spe)]
+        epoch = instance_balanced_indices(ds, spe * batch, per_epoch)
+        assert epoch.dtype == np.int64
+        assert np.array_equal(epoch, np.concatenate(steps))
+        assert per_epoch.bit_generator.state == per_step.bit_generator.state
 
 
 class TestClassBalancedSampling:

@@ -10,7 +10,7 @@ import pytest
 from gradcheck import assert_grad_close, max_grad_error, numeric_grad
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import soft_ce_loss_and_grad
+from reference import allocating_softmax_ce, per_layer_scan_backward, soft_ce_loss_and_grad
 
 from ltsrepr.netcore import (
     PROB_FLOOR,
@@ -159,6 +159,26 @@ class TestCrossEntropy:
             assert abs(loss - ref_loss) <= 1e-12 * max(abs(ref_loss), 1.0)
 
 
+    @pytest.mark.parametrize("layout", ["rows", "stacked", "class-major"])
+    @pytest.mark.parametrize("target", ["labels", "rows", "weighted"])
+    def test_in_place_form_matches_allocating_bitwise(self, layout, target):
+        rng = np.random.default_rng(17)
+        m, n, k = 3, 13, 10
+        logits = {"rows": rng.standard_normal((n, k)) * 4.0,
+                  "stacked": rng.standard_normal((m, n, k)) * 4.0,
+                  "class-major": (rng.standard_normal((k, m, n)) * 4.0).transpose(1, 2, 0),
+                  }[layout]
+        labels = rng.integers(0, k, size=n)
+        targets = rng.dirichlet(np.ones(k), size=n) if target == "rows" else labels
+        weights = rng.uniform(0.1, 2.0, size=n) if target == "weighted" else None
+        logits_before = logits.copy()
+        loss, grad = softmax_ce(logits, targets, weights)
+        want_loss, want_grad = allocating_softmax_ce(logits, targets, weights)
+        assert np.array_equal(logits, logits_before)  # the caller's logits are not touched
+        assert np.array_equal(loss, want_loss) and type(loss) is type(want_loss)
+        assert np.array_equal(grad, want_grad) and grad.strides == want_grad.strides
+
+
 class TestBackward:
     def test_zero_network_bias_gradient(self):
         # all-zero parameters: softmax is uniform, so the classifier bias
@@ -244,6 +264,66 @@ class TestBackward:
         params.layers[0][0][0, 0] = np.inf
         with pytest.raises(FloatingPointError, match="layer 0"):
             backward(params, np.ones((2, 3)), np.array([0, 1]))
+
+
+class TestFinitenessGate:
+    """backward tests one scalar, the sum of every pre-activation and logit,
+    and scans the layers only when it is non-finite. The per-layer scan it
+    replaced (reference.py) is the oracle: every case that scan catches
+    must raise its message, naming the same layer."""
+
+    @staticmethod
+    def problem(dtype, seed=40):
+        rng = np.random.default_rng(seed)
+        # extractor layers 0 and 1 feed the activation; layer 2 is linear
+        params = init_params(rng, 5, (7, 6), 4, 3)
+        params = params.like(params.flat.astype(dtype))
+        return params, rng.standard_normal((9, 5)), rng.integers(0, 3, size=9)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("layer", [0, 1, 2, "logits"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_raises_the_per_layer_scans_error(self, dtype, activation, layer, value):
+        # relu zeroes a -inf and tanh maps a +inf to 1, so in those cases
+        # the layers after the injected one, and the logits, stay finite
+        params, x, y = self.problem(dtype)
+        bias = params.b if layer == "logits" else params.layers[layer][1]
+        bias[2] = value
+        with pytest.raises(FloatingPointError) as want:
+            per_layer_scan_backward(params, x, y, softmax_ce, activation)
+        with pytest.raises(FloatingPointError) as got:
+            backward(params, x, y, activation=activation)
+        assert str(got.value) == str(want.value)
+        named = ("non-finite logits in classifier layer" if layer == "logits"
+                 else f"non-finite pre-activation in extractor layer {layer}")
+        assert str(got.value) == named
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_overflowing_sum_of_finite_values_does_not_raise(self, activation):
+        # -1e38 pre-activations are finite float32 values that relu zeroes
+        # and tanh maps to -1, but 63 of them sum past float32's range
+        params, x, y = self.problem(np.float32)
+        params.layers[0][1][:] = -1e38
+        z0 = features(params.layers[:1], x, activation)
+        with np.errstate(over="ignore"):
+            assert np.all(np.isfinite(z0)) and not np.isfinite(np.add.reduce(z0, axis=None))
+        loss, grads = backward(params, x, y, activation=activation)
+        want_loss, want_grads = per_layer_scan_backward(params, x, y, softmax_ce, activation)
+        assert loss == want_loss
+        assert np.array_equal(grads.flat, want_grads) and np.all(np.isfinite(grads.flat))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("soft", [False, True])
+    def test_gradients_match_the_per_layer_scan_form_bitwise(self, dtype, activation, soft):
+        for seed in range(5):
+            params, x, y = self.problem(dtype, seed)
+            targets = np.eye(3)[y] * 0.8 + 0.2 / 3 if soft else y
+            loss, grads = backward(params, x, targets, activation=activation)
+            want_loss, want_grads = per_layer_scan_backward(params, x, targets, softmax_ce,
+                                                            activation)
+            assert loss == want_loss and np.array_equal(grads.flat, want_grads)
 
 
 class TestCosineSchedule:
