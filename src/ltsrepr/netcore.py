@@ -47,7 +47,7 @@ bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite, prod
 
 import numpy as np
@@ -400,38 +400,38 @@ class OptimConfig:
             (self.epochs >= 1, "optim.epochs must be >= 1"),
             (self.batch_size >= 1, "optim.batch_size must be >= 1"),
             (self.mixup_alpha >= 0.0, "optim.mixup_alpha must be >= 0 (0 disables mixup)"),
+            (self.mixup_alpha == 0.0 or self.batch_size >= 2,
+             "optim.mixup_alpha > 0 needs optim.batch_size >= 2 (mixup pairs a batch's examples)"),
         )
 
 
 @dataclass
 class OptimState:
-    """Step counter plus, per parameter array, a Nesterov momentum buffer
-    and two scratch buffers the update writes its temporaries into."""
+    """Per parameter array, a Nesterov momentum buffer and two scratch
+    buffers the update writes its temporaries into. The learning rate is
+    not state: every step passes its own (see `sgd_update_arrays`)."""
 
     hyper: OptimConfig
-    total_steps: int
-    t: int = 0
-    buffers: list[np.ndarray] = field(default_factory=list)
-    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    buffers: list[np.ndarray]
+    scratch: list[tuple[np.ndarray, np.ndarray]]
 
     @classmethod
-    def for_arrays(cls, arrays, hyper: OptimConfig, total_steps: int) -> "OptimState":
-        return cls(hyper, total_steps, 0, [np.zeros_like(a) for a in arrays],
+    def for_arrays(cls, arrays, hyper: OptimConfig) -> "OptimState":
+        return cls(hyper, [np.zeros_like(a) for a in arrays],
                    [(np.empty_like(a), np.empty_like(a)) for a in arrays])
 
 
-def sgd_update_arrays(arrays, grads, state: OptimState, lr: float | None = None) -> float:
-    """One in-place Nesterov step over a list of arrays.
+def sgd_update_arrays(arrays, grads, state: OptimState, lr: float) -> None:
+    """One in-place Nesterov step over a list of arrays at the learning
+    rate ``lr`` of the caller's schedule (`run_pretrain`, `fit_head`).
 
     The effective gradient adds the L2 penalty term 2 * wd * param; with
     momentum mu the buffer update is v <- mu v + g' and the parameter moves
     along g' + mu v. Temporaries go to the state's scratch buffers, with the
     same operations in the same order as the allocating expressions, so the
     result is the same bits. Pass a ModelParams as ``[params.flat]`` to move
-    it in one step. Returns the learning rate actually used.
+    it in one step.
     """
-    if lr is None:
-        lr = cosine_lr(state.t, state.total_steps, state.hyper.lr)
     mu = state.hyper.momentum
     wd = state.hyper.weight_decay
     for p, g, v, (g_eff, step) in zip(arrays, grads, state.buffers, state.scratch, strict=True):
@@ -447,5 +447,3 @@ def sgd_update_arrays(arrays, grads, state: OptimState, lr: float | None = None)
         else:
             g_eff *= lr
             p -= g_eff
-    state.t += 1
-    return lr

@@ -309,7 +309,7 @@ def run_pretrain(cfg: ExperimentConfig, datasets) -> tuple[Checkpoint, list[floa
     # backward writes into one reused gradient vector; SGD moves the whole model at once
     grads = params.like(np.empty_like(params.flat))
     flat_params, flat_grads = [params.flat], [grads.flat]
-    state = net.OptimState.for_arrays(flat_params, optim, total)
+    state = net.OptimState.for_arrays(flat_params, optim)
     rng_batch = rng_stream(seed, STREAM_BATCH)
     rng_mix = rng_stream(seed, STREAM_MIXUP)
 
@@ -356,7 +356,9 @@ def retrain_epochs(cfg: ExperimentConfig) -> int:
 def run_retrain(cfg: ExperimentConfig, model: Checkpoint, datasets) -> Checkpoint:
     """Stage 2 from ``model``: a new model with the same extractor and
     posterior, whose metadata records the method, lws's τ and disalign's
-    calibration, rounded through float32 as a checkpoint stores it."""
+    calibration, rounded through float32 as a checkpoint stores it. Every
+    method trains on one forward of the training split through the frozen
+    extractor, with the model's activation."""
     cfg.validate()
     train, _ = datasets
     params, posterior = model.params, model.posterior
@@ -365,25 +367,24 @@ def run_retrain(cfg: ExperimentConfig, model: Checkpoint, datasets) -> Checkpoin
     act = cfg.model.activation
     spec = bal.BalancingSpec(cfg.retrain.balance, cfg.retrain.balance_rho, train.frequencies)
     optim = replace(cfg.optim, lr=cfg.retrain.lr, epochs=retrain_epochs(cfg))
-    theta = params.layers
+    theta, phi_star = params.layers, (params.w, params.b)
+    feats = net.features(theta, train.features, act)
     rng = rng_stream(seed, STREAM_RETRAIN_BATCH)
     meta = _metadata(cfg, "retrain", method=method, balance=cfg.retrain.balance,
                      balance_rho=cfg.retrain.balance_rho)
 
     if method == "crt":
-        w, b = retrain_mod.crt(theta, train, spec, optim, rng, act)
+        w, b = retrain_mod.crt(feats, train, spec, optim, rng)
     elif method == "lws":
-        w, b, meta["lws_tau"] = retrain_mod.lws(
-            theta, (params.w, params.b), train, spec, optim, rng, act
-        )
+        w, b, meta["lws_tau"] = retrain_mod.lws(feats, phi_star, train, spec, optim, rng)
     elif method == "disalign":
         meta["disalign"] = retrain_mod.disalign(
-            theta, (params.w, params.b), train, optim, rng, act, rho=cfg.retrain.balance_rho
+            feats, phi_star, train, optim, rng, rho=cfg.retrain.balance_rho
         ).to_dict()
-        w, b = params.w, params.b
+        w, b = phi_star
     else:  # srepr
         w, b = retrain_mod.srepr_retrain(
-            theta, posterior, (params.w, params.b), train, spec, cfg.retrain, optim, rng, act
+            feats, theta, posterior, phi_star, train, spec, cfg.retrain, optim, rng, act
         )
     return Checkpoint(net.ModelParams(theta, w, b), posterior, meta).rounded()
 

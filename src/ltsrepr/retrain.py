@@ -62,6 +62,7 @@ from .netcore import (
     OptimConfig,
     OptimState,
     classifier_logits,
+    cosine_lr,
     features,
     init_classifier,
     sgd_update_arrays,
@@ -139,11 +140,13 @@ def fit_head(method: str, arrays, loss_and_grads, batches, dataset: LongTailData
 
     Each item of ``batches`` is one step: ``loss_and_grads(item)`` returns
     the batch loss and one gradient per array, and ``arrays`` move in
-    place. The learning-rate schedule spans the epochs ``optim`` sets over
+    place. Step k runs at ``cosine_lr(k, total, optim.lr)``, a cosine
+    schedule over the ``total`` steps of the epochs ``optim`` sets over
     ``dataset``. Raises FloatingPointError naming the method and step when
     the loss, or any array after the last step, is non-finite.
     """
-    state = OptimState.for_arrays(arrays, optim, max(stage2_steps(dataset, optim), 1))
+    state = OptimState.for_arrays(arrays, optim)
+    total = stage2_steps(dataset, optim)
     step = -1
     # overflow is detected below and reported once, not warned about per op
     with np.errstate(over="ignore", invalid="ignore"):
@@ -151,7 +154,7 @@ def fit_head(method: str, arrays, loss_and_grads, batches, dataset: LongTailData
             loss, grads = loss_and_grads(batch)
             if not np.isfinite(loss):
                 raise FloatingPointError(f"{method} diverged: non-finite loss at step {step}")
-            sgd_update_arrays(arrays, grads, state)
+            sgd_update_arrays(arrays, grads, state, cosine_lr(step, total, optim.lr))
     if not all(np.isfinite(a).all() for a in arrays):
         raise FloatingPointError(f"{method} diverged: non-finite parameters after step {step}")
 
@@ -160,20 +163,11 @@ def fit_head(method: str, arrays, loss_and_grads, batches, dataset: LongTailData
 # Baseline re-training methods
 # ---------------------------------------------------------------------------
 
-def crt(
-    theta,
-    dataset: LongTailDataset,
-    balancing: BalancingSpec,
-    optim: OptimConfig,
-    rng: np.random.Generator,
-    activation: str = "relu",
-):
-    """Re-train the classifier from a fresh random initialization.
-
-    The frozen extractor is applied once to the whole training split; only
-    the classifier weights move.
-    """
-    feats = features(theta, dataset.features, activation)
+def crt(feats: np.ndarray, dataset: LongTailDataset, balancing: BalancingSpec,
+        optim: OptimConfig, rng: np.random.Generator):
+    """Re-train the classifier from a fresh random initialization on
+    ``feats``, the frozen extractor's (N, L) representations of the
+    training split; only the classifier weights move."""
     w, b = init_classifier(rng, feats.shape[1], dataset.num_classes)
 
     def loss_and_grads(idx):
@@ -209,21 +203,14 @@ def lws_classifier(w_star: np.ndarray, b_star: np.ndarray, tau: float):
     return w_star / power, b_star.copy()
 
 
-def lws(
-    theta,
-    phi_star,
-    dataset: LongTailDataset,
-    balancing: BalancingSpec,
-    optim: OptimConfig,
-    rng: np.random.Generator,
-    activation: str = "relu",
-):
-    """Learn the single weight-norm exponent tau by SGD (init 0 = identity).
+def lws(feats: np.ndarray, phi_star, dataset: LongTailDataset, balancing: BalancingSpec,
+        optim: OptimConfig, rng: np.random.Generator):
+    """Learn the single weight-norm exponent tau of the classifier
+    ``phi_star`` by SGD on ``feats`` (see `crt`), init 0 = identity.
 
     Returns (w, b, tau) with the scaled classifier materialized.
     """
     w_star, b_star = phi_star
-    feats = features(theta, dataset.features, activation)
     log_norms = np.log(np.linalg.norm(w_star, axis=0) + 1e-12)
     base = feats @ w_star  # (N, K); logits(tau) = base * norms^-tau + b
     tau = np.zeros(1)
@@ -313,17 +300,11 @@ def disalign_loss_and_grads(
     return loss, (g_scale, g_shift, g_gate_w, g_gate_b)
 
 
-def disalign(
-    theta,
-    phi_star,
-    dataset: LongTailDataset,
-    optim: OptimConfig,
-    rng: np.random.Generator,
-    activation: str = "relu",
-    rho: float = 1.0,
-) -> DisAlignParams:
-    """Train the calibration module with generalized re-weighting over the
-    instance-balanced training stream; extractor and classifier stay frozen.
+def disalign(feats: np.ndarray, phi_star, dataset: LongTailDataset, optim: OptimConfig,
+             rng: np.random.Generator, rho: float = 1.0) -> DisAlignParams:
+    """Train the calibration module of the classifier ``phi_star`` with
+    generalized re-weighting over the instance-balanced stream of ``feats``
+    (see `crt`); the classifier stays frozen.
 
     Raises FloatingPointError when, after training, the gate is saturated
     on any training example: sigma(|u|) of its gate input u rounds to 1.
@@ -331,7 +312,6 @@ def disalign(
     gate_w and scale run off to huge values.
     """
     w_star, b_star = phi_star
-    feats = features(theta, dataset.features, activation)
     z_all = classifier_logits(w_star, b_star, feats)
     params = DisAlignParams.identity(dataset.num_classes)
     class_weights = grw_weights(dataset.frequencies, rho)
@@ -700,6 +680,7 @@ def srepr_batches(
 
 
 def srepr_retrain(
+    feats: np.ndarray,
     theta_swa,
     posterior: SwagPosterior | None,
     phi_init,
@@ -708,28 +689,29 @@ def srepr_retrain(
     config: RetrainConfig,
     optim: OptimConfig,
     rng: np.random.Generator,
-    activation: str = "relu",
+    activation: str,
 ):
-    """Stochastic-representation re-training of the classifier.
+    """Stochastic-representation re-training of a copy of the classifier
+    ``phi_init``, whose student reads ``feats``, the (N, L) representations
+    of the training split under the SWA extractor ``theta_swa``.
 
     Each stage-2 epoch draws M fresh extractor samples and looks its
     batches' representations up in a table of the epoch's distinct rows
-    under each sample (input jitter is drawn and forwarded per step
-    instead), see `srepr_batches`; every batch re-fits the teacher
-    Dirichlet from its M representations under the current classifier,
-    and only (w, b) move.
+    under each sample (input jitter perturbs ``theta_swa``'s inputs per
+    step instead), all forwarded with ``activation``, see `srepr_batches`;
+    every batch re-fits the teacher Dirichlet from its M representations
+    under the current classifier, and only (w, b) move.
     """
     config.validate()
     if config.stochastic_source == "posterior" and posterior is None:
         raise ValueError("posterior required for stochastic source 'posterior'")
     w = phi_init[0].copy()
     b = phi_init[1].copy()
-    f_swa_all = features(theta_swa, dataset.features, activation)
 
     def loss_and_grads(batch_and_reps):
         idx, reps = batch_and_reps
         loss, gw, gb, _ = srepr_batch_loss_and_grad(
-            w, b, reps, f_swa_all[idx], dataset.labels[idx], balancing, config
+            w, b, reps, feats[idx], dataset.labels[idx], balancing, config
         )
         return loss, [gw, gb]
 

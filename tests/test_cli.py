@@ -149,6 +149,18 @@ class TestPretrainCommand:
         assert not (workdir / "div").exists()
 
 
+    def test_mixup_with_batch_size_one_is_rejected_before_any_work(self, workdir, capsys):
+        # mixup pairs a batch's examples, so the config is rejected before
+        # the datasets are built or the cache and output directory made
+        code = run_cli("pretrain", "--config", "tiny.ini", "--batch-size", "1",
+                       "--mixup-alpha", "0.2", "--dataset-cache", "c/ds.bin",
+                       "--output-dir", "mix")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: optim.mixup_alpha > 0 needs optim.batch_size >= 2 "
+                       "(mixup pairs a batch's examples)"]
+        assert not (workdir / "mix").exists() and not (workdir / "c").exists()
+
 class TestLibraryMatchesCli:
     def test_same_models_and_reports(self, workdir):
         # the stage drivers hand on what a checkpoint stores, so the library

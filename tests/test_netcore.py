@@ -353,7 +353,7 @@ class TestSgd:
             np.zeros_like(params.b),
         )
         hyper = OptimConfig(lr=0.1, momentum=0.0, weight_decay=0.0)
-        state = OptimState.for_arrays([params.flat], hyper, 10)
+        state = OptimState.for_arrays([params.flat], hyper)
         sgd_update_arrays([params.flat], [zero.flat], state, lr=0.1)
         np.testing.assert_array_equal(params.flat, before)
 
@@ -361,7 +361,7 @@ class TestSgd:
         # scalar 1.0, zero gradient, wd 5e-4, lr 0.1: 1 - 0.1*(2*5e-4*1) = 0.9999
         p = [np.array([1.0])]
         hyper = OptimConfig(lr=0.1, momentum=0.0, weight_decay=0.0005)
-        state = OptimState.for_arrays(p, hyper, 1)
+        state = OptimState.for_arrays(p, hyper)
         sgd_update_arrays(p, [np.array([0.0])], state, lr=0.1)
         np.testing.assert_allclose(p[0], [0.9999], atol=1e-15)
 
@@ -371,7 +371,7 @@ class TestSgd:
         p = [rng.standard_normal(4)]
         start = p[0].copy()
         hyper = OptimConfig(lr=0.05, momentum=0.0, weight_decay=0.0)
-        state = OptimState.for_arrays(p, hyper, 2)
+        state = OptimState.for_arrays(p, hyper)
         sgd_update_arrays(p, [g1], state, lr=0.05)
         sgd_update_arrays(p, [g2], state, lr=0.05)
         np.testing.assert_allclose(p[0], start - 0.05 * (g1 + g2), atol=1e-12)
@@ -382,7 +382,7 @@ class TestSgd:
         grads = [rng.standard_normal(3) for _ in range(4)]
         p = [np.zeros(3)]
         hyper = OptimConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
-        state = OptimState.for_arrays(p, hyper, 4)
+        state = OptimState.for_arrays(p, hyper)
         for g in grads:
             sgd_update_arrays(p, [g], state, lr=0.1)
         expected = np.zeros(3)
@@ -391,14 +391,6 @@ class TestSgd:
             v = 0.9 * v + g
             expected = expected - 0.1 * (g + 0.9 * v)
         np.testing.assert_allclose(p[0], expected, atol=1e-12)
-
-    def test_scheduled_lr_from_state(self):
-        p = [np.array([1.0])]
-        hyper = OptimConfig(lr=0.2, momentum=0.0, weight_decay=0.0)
-        state = OptimState.for_arrays(p, hyper, 4)
-        sgd_update_arrays(p, [np.array([1.0])], state)  # t=0: lr = base
-        np.testing.assert_allclose(p[0], [1.0 - 0.2], atol=1e-15)
-        assert state.t == 1
 
 
 def reference_sgd(arrays, grads, buffers, lr, mu, wd):
@@ -427,7 +419,7 @@ class TestFusedSgd:
         arrays = [rng.standard_normal(shape) for shape in layout]
         flat = np.concatenate([a.ravel() for a in arrays])
         buffers = [np.zeros_like(a) for a in arrays]
-        state = OptimState.for_arrays([flat], OptimConfig(momentum=mu, weight_decay=wd), steps)
+        state = OptimState.for_arrays([flat], OptimConfig(momentum=mu, weight_decay=wd))
         for _ in range(steps):
             grads = [rng.standard_normal(shape) for shape in layout]
             lr = float(rng.uniform(0.01, 0.5))
@@ -443,7 +435,7 @@ class TestFusedSgd:
         buffers = [np.zeros_like(a) for a in reference]
         hyper = OptimConfig(momentum=0.9, weight_decay=5e-4)
         grads = params.like(np.empty_like(params.flat))
-        state = OptimState.for_arrays([params.flat], hyper, 2)
+        state = OptimState.for_arrays([params.flat], hyper)
         for _ in range(2):
             x, y = rng.standard_normal((5, 3)), rng.integers(0, 3, size=5)
             backward(params, x, y, out=grads)
@@ -454,7 +446,7 @@ class TestFusedSgd:
 
     def test_mismatched_state_rejected(self):
         params = small_params(np.random.default_rng(23))
-        state = OptimState.for_arrays(params.arrays(), OptimConfig(), 1)
+        state = OptimState.for_arrays(params.arrays(), OptimConfig())
         with pytest.raises(ValueError):
             sgd_update_arrays([params.flat], [np.zeros_like(params.flat)], state, 0.1)
 
@@ -503,11 +495,12 @@ class TestFloat32:
         reference = [a.copy() for a in params.arrays()]
         buffers = [np.zeros_like(a) for a in reference]
         grads = params.like(np.empty_like(params.flat))
-        state = OptimState.for_arrays([params.flat], OptimConfig(momentum=0.9, weight_decay=5e-4), 3)
-        for _ in range(3):
+        state = OptimState.for_arrays([params.flat], OptimConfig(momentum=0.9, weight_decay=5e-4))
+        for step in range(3):
             backward(params, rng.standard_normal((5, 3)), rng.integers(0, 3, size=5), out=grads)
-            lr = sgd_update_arrays([params.flat], [grads.flat], state)  # the cosine schedule
+            lr = cosine_lr(step, 3, 0.1)
             assert type(lr) is float
+            sgd_update_arrays([params.flat], [grads.flat], state, lr)
             reference_sgd(reference, grads.arrays(), buffers, lr, 0.9, 5e-4)
         for a in (params.flat, grads.flat, *state.buffers, *state.scratch[0]):
             assert a.dtype == np.float32

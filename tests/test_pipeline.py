@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 import ltsrepr.metrics as metrics_mod
 import ltsrepr.netcore as net
 import ltsrepr.pipeline as pl
+import ltsrepr.retrain as retrain_mod
+from ltsrepr.balancing import BalancingSpec
+from ltsrepr.util import STREAM_RETRAIN_BATCH, rng_stream
 
 
 def tiny_config(seed=0, swa=True, epochs=8, method="crt"):
@@ -285,10 +288,9 @@ class TestPretrain:
         steps = []
         sgd = pl.net.sgd_update_arrays
 
-        def recording(arrays, grads, state, lr=None):
-            used = sgd(arrays, grads, state, lr)
+        def recording(arrays, grads, state, lr):
+            sgd(arrays, grads, state, lr)
             steps.append(arrays[0].copy())
-            return used
 
         monkeypatch.setattr(pl.net, "sgd_update_arrays", recording)
         model, _ = pretrain(tiny_config(swa=False))
@@ -350,6 +352,50 @@ class TestRetrain:
         before = pre.params.flat[:td].copy()
         model = pl.run_retrain(cfg, pre, ds)
         np.testing.assert_array_equal(model.params.flat[:td], before)
+
+    @pytest.mark.parametrize("method", ["crt", "lws", "disalign", "srepr"])
+    def test_tanh_model_retrains_on_its_tanh_forward(self, method):
+        # run_retrain forwards the training split with the model's
+        # activation: on a tanh extractor the head is the method's own on
+        # features(theta, x, "tanh"), bit for bit, and differs from the head
+        # trained on the relu forward (srepr's members are tanh either way)
+        cfg = tiny_config(method=method)
+        cfg = replace(cfg, model=replace(cfg.model, activation="tanh"))
+        ds = pl.build_datasets(cfg)
+        pre, _ = pl.run_pretrain(cfg, ds)
+        model = pl.run_retrain(cfg, pre, ds)
+        train, theta, phi = ds[0], pre.params.layers, (pre.params.w, pre.params.b)
+        spec = BalancingSpec(cfg.retrain.balance, cfg.retrain.balance_rho, train.frequencies)
+        optim = replace(cfg.optim, lr=cfg.retrain.lr, epochs=pl.retrain_epochs(cfg))
+
+        def stored(w, b):  # the classifier as the checkpoint holds it
+            return [np.asarray(a, np.float32).astype(np.float64) for a in (w, b)]
+
+        def head(activation):
+            feats = net.features(theta, train.features, activation)
+            rng = rng_stream(cfg.run.seed, STREAM_RETRAIN_BATCH)
+            if method == "crt":
+                return stored(*retrain_mod.crt(feats, train, spec, optim, rng))
+            if method == "lws":
+                w, b, tau = retrain_mod.lws(feats, phi, train, spec, optim, rng)
+                return [*stored(w, b), np.array(tau)]
+            if method == "disalign":
+                calib = retrain_mod.disalign(feats, phi, train, optim, rng,
+                                             rho=cfg.retrain.balance_rho)
+                return [calib.scale, calib.shift, calib.gate_w, np.array(calib.gate_b)]
+            return stored(*retrain_mod.srepr_retrain(feats, theta, pre.posterior, phi, train,
+                                                     spec, cfg.retrain, optim, rng, "tanh"))
+
+        if method == "lws":
+            got = [model.params.w, model.params.b, np.array(model.metadata["lws_tau"])]
+        elif method == "disalign":
+            calib = model.calibration()
+            got = [calib.scale, calib.shift, calib.gate_w, np.array(calib.gate_b)]
+        else:
+            got = [model.params.w, model.params.b]
+        want, relu = head("tanh"), head("relu")
+        assert all(g.tobytes() == t.tobytes() for g, t in zip(got, want, strict=True))
+        assert any(g.tobytes() != r.tobytes() for g, r in zip(got, relu, strict=True))
 
     def test_srepr_without_posterior_rejected(self):
         cfg = tiny_config(method="srepr", swa=False)

@@ -32,8 +32,10 @@ from ltsrepr.balancing import (
 )
 from ltsrepr.data import LongTailDataset, class_balanced_indices
 from ltsrepr.netcore import (
+    PROB_FLOOR,
     OptimConfig,
     classifier_logits,
+    cosine_lr,
     features,
     init_classifier,
     init_params,
@@ -79,6 +81,12 @@ def class_major(v):
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(v, -1, 0)), 0, -1)
 
 
+def swa_features(params, ds, activation="relu"):
+    """The training split's representations under the SWA extractor, the
+    ``feats`` a stage-2 method trains on."""
+    return features(params.layers, ds.features, activation)
+
+
 def inline_block(post, rng, m):
     """M extractor draws mean + sqrt(sigma) * eps, the rows of one
     (M, theta_dim) block of normals."""
@@ -97,11 +105,34 @@ def frozen_posterior(params, spread=0.05, rng_seed=0):
     return post
 
 
+class TestFitHead:
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_step_k_moves_by_the_cosine_rate_times_the_gradient(self, epochs):
+        # momentum 0 and weight decay 0: step k of the stage-2 loop moves a
+        # bare parameter by exactly cosine_lr(k, total, lr) * grad, where
+        # total counts the steps of every epoch (7 examples, batches of 3)
+        ds = blob_dataset([5, 2], [[-1, 0], [1, 0]])
+        optim = OptimConfig(lr=0.3, momentum=0.0, weight_decay=0.0, epochs=epochs, batch_size=3)
+        total = 3 * epochs
+        grads = np.random.default_rng(0).standard_normal(total)
+        p, seen = np.array([1.5]), []
+
+        def loss_and_grads(k):
+            seen.append(p[0])
+            return 0.0, [grads[k : k + 1]]
+
+        fit_head("crt", [p], loss_and_grads, range(total), ds, optim)
+        seen.append(p[0])
+        assert len(seen) == total + 1
+        for k in range(total):
+            assert seen[k + 1] == seen[k] - cosine_lr(k, total, 0.3) * grads[k]
+
+
 class TestCrt:
     def test_zero_epochs_returns_initialization(self):
         ds = blob_dataset([10, 10], [[-1, 0], [1, 0]])
         hyper = OptimConfig(epochs=0, batch_size=8, weight_decay=0.0005)
-        w, b = crt([], ds, BalancingSpec("cbs"), hyper, np.random.default_rng(5))
+        w, b = crt(ds.features, ds, BalancingSpec("cbs"), hyper, np.random.default_rng(5))
         w0, b0 = init_classifier(np.random.default_rng(5), 2, 2)
         np.testing.assert_array_equal(w, w0)
         np.testing.assert_array_equal(b, b0)
@@ -109,27 +140,27 @@ class TestCrt:
     def test_separable_toy_reaches_full_accuracy(self):
         ds = blob_dataset([30, 30], [[-5, -5], [5, 5]], noise=0.5, seed=1)
         hyper = OptimConfig(lr=0.5, momentum=0.9, weight_decay=0.0, epochs=50, batch_size=16)
-        w, b = crt([], ds, BalancingSpec("cbs"), hyper, np.random.default_rng(2))
+        w, b = crt(ds.features, ds, BalancingSpec("cbs"), hyper, np.random.default_rng(2))
         preds = classifier_logits(w, b, ds.features).argmax(axis=1)
         assert (preds == ds.labels).mean() == 1.0
 
     def test_backbone_untouched(self):
+        # crt moves only its head: the frozen representations it trains on
+        # keep their bits
         rng = np.random.default_rng(3)
         params = init_params(rng, 2, (5,), 3, 2)
-        theta = params.layers
-        snapshot = [(w.copy(), b.copy()) for w, b in theta]
         ds = blob_dataset([20, 8], [[-1, 0], [1, 0]], seed=4)
+        feats = swa_features(params, ds)
+        snapshot = feats.copy()
         optim = OptimConfig(epochs=3, batch_size=8, weight_decay=0.0005)
-        crt(theta, ds, BalancingSpec("cbs"), optim, rng)
-        for (w0, b0), (w1, b1) in zip(snapshot, theta):
-            np.testing.assert_array_equal(w0, w1)
-            np.testing.assert_array_equal(b0, b1)
+        crt(feats, ds, BalancingSpec("cbs"), optim, rng)
+        np.testing.assert_array_equal(feats, snapshot)
 
     def test_divergence_raises(self):
         ds = blob_dataset([20, 8], [[-1, 0], [1, 0]], seed=4)
         hyper = OptimConfig(lr=1e6, epochs=100, batch_size=8, weight_decay=0.0005)
         with pytest.raises(FloatingPointError, match="crt diverged"):
-            crt([], ds, BalancingSpec("cbs"), hyper, np.random.default_rng(5))
+            crt(ds.features, ds, BalancingSpec("cbs"), hyper, np.random.default_rng(5))
 
 
 class TestLws:
@@ -162,7 +193,7 @@ class TestLws:
         rng = np.random.default_rng(10)
         w_star, b_star = rng.standard_normal((2, 2)) * 3.0, np.zeros(2)
         hyper = OptimConfig(lr=0.5, momentum=0.0, weight_decay=0.0, epochs=5, batch_size=8)
-        w, b, tau = lws([], (w_star, b_star), ds, BalancingSpec("cbs"), hyper, rng)
+        w, b, tau = lws(ds.features, (w_star, b_star), ds, BalancingSpec("cbs"), hyper, rng)
         assert tau != 0.0
         np.testing.assert_allclose(w, lws_classifier(w_star, b_star, tau)[0], atol=1e-12)
 
@@ -182,7 +213,7 @@ class TestLws:
         w_star, b_star = rng.standard_normal((2, 2)) * 3.0, np.zeros(2)
         optim = OptimConfig(lr=1e3, momentum=0.9, weight_decay=0.0005, epochs=5, batch_size=8)
         with pytest.raises(FloatingPointError, match="lws diverged: "):
-            lws([], (w_star, b_star), ds, BalancingSpec("cbs"), optim, rng)
+            lws(ds.features, (w_star, b_star), ds, BalancingSpec("cbs"), optim, rng)
 
 
 class TestDisAlign:
@@ -240,7 +271,7 @@ class TestDisAlign:
         w_star, b_star = params.w.copy(), params.b.copy()
         ds = blob_dataset([30, 6], [[-1, 0], [1, 0]], seed=17)
         result = disalign(
-            params.layers, (params.w, params.b), ds,
+            swa_features(params, ds), (params.w, params.b), ds,
             OptimConfig(epochs=3, batch_size=8, weight_decay=0.0005), rng
         )
         np.testing.assert_array_equal(params.w, w_star)
@@ -252,7 +283,7 @@ class TestDisAlign:
         params = init_params(rng, 2, (4,), 3, 2)
         ds = blob_dataset([30, 6], [[-1, 0], [1, 0]], seed=17)
         with pytest.raises(FloatingPointError, match="disalign diverged: gate saturated on "):
-            disalign(params.layers, (params.w, params.b), ds,
+            disalign(swa_features(params, ds), (params.w, params.b), ds,
                      OptimConfig(lr=1e6, epochs=3, batch_size=8, weight_decay=0.0005), rng)
 
 
@@ -886,6 +917,23 @@ def assert_close_normwise(got, want, rtol=1e-12):
         assert np.max(np.abs(g - e)) <= rtol * np.max(np.abs(e))
 
 
+def beta_rtol(probs, beta_floor):
+    """The normwise bound on `estimate_beta`'s rounding between two orders
+    of summation, and kappa: (max(1e-12, 64 eps kappa), kappa). Its
+    disagreement sum d = sum_k pbar_k (log pbar_k - mean_log_k) cancels
+    when the teachers agree, so its error relative to the divisor
+    max(d, beta_floor) grows with kappa, the largest row value of
+    sum_k pbar_k (|log pbar_k| + |mean_log_k|) / max(|d|, beta_floor).
+    On random draws the error stayed below 9 eps kappa."""
+    p_bar = probs.mean(axis=0)
+    log_p_bar = np.log(np.maximum(p_bar, PROB_FLOOR))
+    mean_log = np.log(np.maximum(probs, PROB_FLOOR)).mean(axis=0)
+    d = (p_bar * (log_p_bar - mean_log)).sum(axis=-1)
+    scale = (p_bar * (np.abs(log_p_bar) + np.abs(mean_log))).sum(axis=-1)
+    kappa = np.max(scale / np.maximum(np.abs(d), beta_floor))
+    return max(1e-12, 64 * np.finfo(np.float64).eps * kappa), kappa
+
+
 class TestClassMajorLayout:
     """srepr's step forms its logits in class-major memory, so every sum
     over K in its loss pieces runs along the outermost axis. The pieces
@@ -909,23 +957,37 @@ class TestClassMajorLayout:
         probs, p_bar = teacher_probs(logits, config.kd_temp)
         alpha, _ = student_alpha_from_logits(z, config.kd_temp)
         beta = estimate_beta(probs, config.beta_floor)
+        # beta's bound follows the conditioning of its disagreement sum;
+        # every other piece, and the whole step, keeps 1e-12
+        rtol, _ = beta_rtol(probs, config.beta_floor)
         pieces = [
-            (balanced_ce_loss_and_grad, (logits, y, spec)),
-            (lambda lg: mean_ce_loss_and_grad(w, b, reps, y, spec, lg), (logits,)),
-            (teacher_probs, (logits, config.kd_temp)),
-            (estimate_beta, (probs, config.beta_floor)),
-            (estimate_beta, (probs, config.beta_floor, p_bar)),
-            (student_alpha_from_logits, (z, config.kd_temp)),
-            (kd_loss_and_alpha_grad, (alpha, beta, p_bar)),
+            (balanced_ce_loss_and_grad, (logits, y, spec), 1e-12),
+            (lambda lg: mean_ce_loss_and_grad(w, b, reps, y, spec, lg), (logits,), 1e-12),
+            (teacher_probs, (logits, config.kd_temp), 1e-12),
+            (estimate_beta, (probs, config.beta_floor), rtol),
+            (estimate_beta, (probs, config.beta_floor, p_bar), rtol),
+            (student_alpha_from_logits, (z, config.kd_temp), 1e-12),
+            (kd_loss_and_alpha_grad, (alpha, beta, p_bar), 1e-12),
         ]
-        for piece, args in pieces:
+        for piece, args, bound in pieces:
             moved = [class_major(a) if np.ndim(a) >= 2 else a for a in args]
             want, got = piece(*args), piece(*moved)
             if isinstance(want, np.ndarray):
                 want, got = (want,), (got,)
-            assert_close_normwise(got, want)
+            assert_close_normwise(got, want, bound)
         got = srepr_batch_loss_and_grad(w, b, reps, f_swa, y, spec, config)[:3]
         assert_close_normwise(got, srepr_step_c_order(w, b, reps, f_swa, y, spec, config))
+
+    def test_beta_bound_rejects_a_1e9_relative_error_when_well_conditioned(self):
+        # the bound loosens only with kappa: on teachers that disagree it
+        # stays 1e-12, which a beta off by 1e-9 (relative) fails
+        probs = softmax(np.random.default_rng(0).standard_normal((4, 3, 5)) * 3.0)
+        rtol, kappa = beta_rtol(probs, 1e-6)
+        assert kappa < 10 and rtol == 1e-12
+        beta = estimate_beta(probs, 1e-6)
+        assert_close_normwise([estimate_beta(class_major(probs), 1e-6)], [beta], rtol)
+        with pytest.raises(AssertionError):
+            assert_close_normwise([beta * (1.0 + 1e-9)], [beta], rtol)
 
     def test_step_hands_the_pieces_class_major_logits(self, monkeypatch):
         # each piece runs once, and every array it receives besides the
@@ -971,8 +1033,8 @@ class TestSreprTraining:
         ds, params, post = self.make_problem()
         hyper = OptimConfig(epochs=0, batch_size=16, weight_decay=0.0005)
         w, b = srepr_retrain(
-            params.layers, post, (params.w, params.b), ds, BalancingSpec("cbs"),
-            RetrainConfig(srepr_m=3), hyper, np.random.default_rng(1),
+            swa_features(params, ds), params.layers, post, (params.w, params.b), ds,
+            BalancingSpec("cbs"), RetrainConfig(srepr_m=3), hyper, np.random.default_rng(1), "relu",
         )
         np.testing.assert_array_equal(w, params.w)
         np.testing.assert_array_equal(b, params.b)
@@ -981,18 +1043,19 @@ class TestSreprTraining:
         ds, params, _ = self.make_problem()
         with pytest.raises(ValueError, match="posterior required"):
             srepr_retrain(
-                params.layers, None, (params.w, params.b), ds, BalancingSpec("cbs"),
-                RetrainConfig(srepr_m=3), OptimConfig(epochs=1, batch_size=16, weight_decay=0.0005),
-                np.random.default_rng(2),
+                swa_features(params, ds), params.layers, None, (params.w, params.b), ds,
+                BalancingSpec("cbs"), RetrainConfig(srepr_m=3),
+                OptimConfig(epochs=1, batch_size=16, weight_decay=0.0005),
+                np.random.default_rng(2), "relu",
             )
 
     def test_jitter_source_runs_without_posterior(self):
         ds, params, _ = self.make_problem()
         cfg = RetrainConfig(srepr_m=3, stochastic_source="input_jitter", jitter_std=0.1)
         w, b = srepr_retrain(
-            params.layers, None, (params.w, params.b), ds, BalancingSpec("cbs"),
-            cfg, OptimConfig(epochs=1, batch_size=16, weight_decay=0.0005),
-            np.random.default_rng(3),
+            swa_features(params, ds), params.layers, None, (params.w, params.b), ds,
+            BalancingSpec("cbs"), cfg, OptimConfig(epochs=1, batch_size=16, weight_decay=0.0005),
+            np.random.default_rng(3), "relu",
         )
         assert np.all(np.isfinite(w)) and np.all(np.isfinite(b))
 
@@ -1000,9 +1063,10 @@ class TestSreprTraining:
         ds, params, post = self.make_problem(seed=4)
         snapshot = [(w.copy(), b.copy()) for w, b in params.layers]
         srepr_retrain(
-            params.layers, post, (params.w, params.b), ds, BalancingSpec("cbs"),
-            RetrainConfig(srepr_m=3), OptimConfig(epochs=2, batch_size=16, weight_decay=0.0005),
-            np.random.default_rng(5),
+            swa_features(params, ds), params.layers, post, (params.w, params.b), ds,
+            BalancingSpec("cbs"), RetrainConfig(srepr_m=3),
+            OptimConfig(epochs=2, batch_size=16, weight_decay=0.0005),
+            np.random.default_rng(5), "relu",
         )
         for (w0, b0), (w1, b1) in zip(snapshot, params.layers):
             np.testing.assert_array_equal(w0, w1)
@@ -1015,9 +1079,9 @@ class TestSreprTraining:
         assert spe * epochs >= 200
         spec, config = BalancingSpec("cbs"), RetrainConfig(srepr_m=3)
         w, b = srepr_retrain(
-            params.layers, post, (params.w, params.b), ds, spec, config,
+            swa_features(params, ds), params.layers, post, (params.w, params.b), ds, spec, config,
             OptimConfig(lr=0.2, epochs=epochs, batch_size=16, weight_decay=0.0005),
-            np.random.default_rng(7),
+            np.random.default_rng(7), "relu",
         )
         # the combined loss on the whole training set, under one fixed set of
         # posterior draws, is lower after training than at the initialization
@@ -1041,9 +1105,10 @@ class TestDrawAhead:
 
     def run_srepr(self, ds, params, post, config=RetrainConfig(srepr_m=3), lr=0.1, epochs=2):
         return srepr_retrain(
-            params.layers, post, (params.w, params.b), ds, BalancingSpec("cbs"), config,
+            swa_features(params, ds), params.layers, post, (params.w, params.b), ds,
+            BalancingSpec("cbs"), config,
             OptimConfig(lr=lr, epochs=epochs, batch_size=16, weight_decay=0.0005),
-            np.random.default_rng(9),
+            np.random.default_rng(9), "relu",
         )
 
     @staticmethod
@@ -1120,8 +1185,9 @@ class TestDrawAhead:
         try:
             if switch_interval is not None:
                 sys.setswitchinterval(switch_interval)
-            w, b = srepr_retrain(params.layers, post, (params.w, params.b), ds, spec, config,
-                                 optim, np.random.default_rng(4))
+            w, b = srepr_retrain(swa_features(params, ds), params.layers, post,
+                                 (params.w, params.b), ds, spec, config, optim,
+                                 np.random.default_rng(4), "relu")
         finally:
             sys.setswitchinterval(saved)
 
@@ -1150,8 +1216,8 @@ class TestDrawAhead:
         monkeypatch.setattr(retrain_mod, "srepr_batch_loss_and_grad",
                             lambda w, b, reps, *a: seen.append(reps.copy()) or step(w, b, reps, *a))
         ds, params, post = self.make_problem(seed=2)
-        srepr_retrain(params.layers, post, (params.w, params.b), ds, BalancingSpec("cbs"),
-                      RetrainConfig(srepr_m=3),
+        srepr_retrain(swa_features(params, ds, activation), params.layers, post,
+                      (params.w, params.b), ds, BalancingSpec("cbs"), RetrainConfig(srepr_m=3),
                       OptimConfig(epochs=2, batch_size=16, weight_decay=0.0005),
                       np.random.default_rng(9), activation)
         assert len(seen) == 2 * -(-ds.num_examples // 16)
