@@ -46,7 +46,7 @@ beta = estimate_beta(probs, scfg.beta_floor)
 print("teacher concentration (precision per example):", np.round(beta.sum(axis=1), 1))
 print("  agreeing teachers -> high precision; disagreeing -> low")
 
-f_swa = features(pre.params.layers, x)
+f_swa = features(pre.params.layers, x, "relu")
 z = classifier_logits(pre.params.w, pre.params.b, f_swa)
 alpha, _ = student_alpha_from_logits(z, scfg.kd_temp)
 print("student precision:", np.round(alpha.sum(axis=1), 2))

@@ -33,16 +33,20 @@ Nesterov step using scratch buffers held in `OptimState`.
 
 `features` also runs stacked inputs: R inputs (R, B, D) give (R, B, L) in
 one call. numpy's matmul runs one gemm per member, so each member's
-representation is the same bits as its own 2-D call.
+representation is the same bits as its own 2-D call. A ModelParams over
+an (S, P) block is a stack of S models, which `features` and `backward`
+run the same way, one member per leading index: stage 1 trains a group of
+seeds in lock-step so (`pipeline.run_pretrain_group`).
 
 At desk scale a training step costs numpy dispatch more than arithmetic,
 so `backward` keeps its calls few. Its non-finite guard tests one scalar,
-the sum of every pre-activation and logit, and scans the layers one by one
-only when that sum is non-finite (see `backward`). Reductions call the
-ufunc's ``reduce`` directly, which is what ``np.sum`` and ``.mean`` call,
-and temporaries a step owns are updated in place. Each of these keeps
-every operation, its order and its rounding, so the gradients are the same
-bits.
+the sum of squares of every pre-activation and logit (one BLAS dot per
+array), and scans the layers one by one only when it is non-finite (see
+`backward`). Reductions call the ufunc's ``reduce`` directly, which is
+what ``np.sum`` and ``.mean`` call, temporaries a step owns are updated in
+place, and a training loop hands `backward` a ``scratch`` dict that keeps
+the step's large buffers for the next step. Each of these keeps every
+operation, its order and its rounding, so the gradients are the same bits.
 """
 
 from __future__ import annotations
@@ -61,34 +65,38 @@ def _relu(z, out=None):
     return np.maximum(z, 0.0, out=out)
 
 
-def _drelu(z):
-    # a bool mask: multiplying by it gives the same bits as by its float cast
-    return z > 0.0
+def _drelu(a, out=None):
+    # from the output a = max(z, 0): 1 where a > 0, exactly where z > 0, else 0
+    return np.greater(a, 0.0, out=out)
 
 
 def _tanh(z, out=None):
     return np.tanh(z, out=out)
 
 
-def _dtanh(z):
-    t = np.tanh(z)
-    return 1.0 - t * t
+def _dtanh(a, out=None):
+    # from the output a = tanh(z): 1 - a^2
+    t = np.multiply(a, a, out=out)
+    return np.subtract(1.0, t, out=t)
 
 
+# each activation with its slope, written in terms of the activation's output
 ACTIVATIONS = {"relu": (_relu, _drelu), "tanh": (_tanh, _dtanh)}
 
 
 def param_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     """Consecutive views of the vector ``flat`` with the given shapes,
-    which must account for every entry."""
+    which must account for every entry. The rows of an (S, P) block give
+    stacked (S, *shape) views."""
     views = []
     offset = 0
+    lead = flat.shape[:-1]
     for shape in shapes:
         n = prod(shape)
-        views.append(flat[offset : offset + n].reshape(shape))
+        views.append(flat[..., offset : offset + n].reshape(lead + tuple(shape)))
         offset += n
-    if offset != flat.size:
-        raise ValueError(f"flat vector has {flat.size} entries, expected {offset}")
+    if offset != flat.shape[-1]:
+        raise ValueError(f"flat vector has {flat.shape[-1]} entries, expected {offset}")
     return views
 
 
@@ -102,6 +110,12 @@ class ModelParams:
     extractor first, so the extractor is ``flat[:theta_dim]``. The
     constructor packs its inputs into a new float64 vector; `from_flat` and
     `like` wrap an existing one, so stage 1 binds a float32 vector.
+
+    A stack of S models is the same layout over the rows of one C-contiguous
+    (S, P) block: every array gains a leading member axis, (S, fan_in,
+    fan_out) and (S, fan_out), and `features` and `backward` run it member
+    by member in one call. Stage 1 trains a group of seeds this way, with
+    one ModelParams per seed over its row (`pipeline.run_pretrain_group`).
     """
 
     def __init__(self, layers, w, b):
@@ -118,10 +132,11 @@ class ModelParams:
         return params
 
     def _bind(self, flat: np.ndarray, shapes) -> None:
-        if flat.dtype not in (np.float32, np.float64) or flat.ndim != 1 or not flat.flags.c_contiguous:
+        if (flat.dtype not in (np.float32, np.float64) or flat.ndim not in (1, 2)
+                or not flat.flags.c_contiguous):
             layout = "" if flat.flags.c_contiguous else "non-contiguous "
-            raise ValueError("parameters must be one C-contiguous float32 or float64 vector, "
-                             f"got a {layout}{flat.ndim}-D {flat.dtype} array")
+            raise ValueError("parameters must be one C-contiguous float32 or float64 vector "
+                             f"or (S, P) block, got a {layout}{flat.ndim}-D {flat.dtype} array")
         if len(shapes) < 2 or len(shapes) % 2:
             raise ValueError(f"{len(shapes)} parameter arrays; expected an even count >= 2")
         views = param_views(flat, shapes)
@@ -144,16 +159,16 @@ class ModelParams:
 
     @property
     def theta_dim(self) -> int:
-        """Size of the feature-extractor prefix of ``flat``."""
-        return self.flat.size - self.w.size - self.b.size
+        """Size of the feature-extractor prefix of ``flat`` (of each row)."""
+        return self.flat.shape[-1] - prod(self.shapes[-2]) - prod(self.shapes[-1])
 
     @property
     def repr_dim(self) -> int:
-        return self.layers[-1][0].shape[1] if self.layers else self.w.shape[0]
+        return self.shapes[-2][0]
 
     @property
     def num_classes(self) -> int:
-        return self.w.shape[1]
+        return self.shapes[-1][0]
 
 
 def init_params(
@@ -192,7 +207,7 @@ def init_classifier(rng: np.random.Generator, repr_dim: int, num_classes: int):
 def features(
     layers: list[tuple[np.ndarray, np.ndarray]],
     x: np.ndarray,
-    activation: str = "relu",
+    activation: str,
     return_cache: bool = False,
     out=None,
 ):
@@ -201,12 +216,17 @@ def features(
 
     Leading axes broadcast through ``a @ w + b``: stacked inputs (R, B, D),
     such as srepr's input-jitter copies, give (R, B, L), one gemm per
-    member (stacked weights broadcast the same way, though nothing in the
-    package passes them). ``out``, when given, holds one array per layer
+    member. Stacked layers, weights (S, fan_in, fan_out) and biases
+    (S, fan_out) as a stacked `ModelParams` holds them, run S models at
+    once: inputs (S, B, D) give (S, B, L), each member's rows through its
+    own weights. ``out``, when given, holds one array per layer
     that receives that layer's output (None for a fresh array), so a loop
     that repeats the same shapes allocates nothing large; the result is
     then its last entry. The arithmetic runs in the first weight's dtype,
-    to which ``x`` is cast."""
+    to which ``x`` is cast. With ``return_cache`` it also returns, per
+    layer, the layer's input and the sum of squares of its pre-activation,
+    which `backward` needs; a hidden layer's output is the next layer's
+    input."""
     act, _ = ACTIVATIONS[activation]
     a = np.asarray(x, dtype=layers[0][0].dtype if layers else np.float64)
     single = a.ndim == 1
@@ -220,20 +240,24 @@ def features(
                 f"layer {i}: input width {a.shape[-1]} != weight fan-in {w.shape[-2]}"
             )
         z = np.matmul(a, w, out=None if out is None else out[i])
-        z += b
+        z += _rows(b)
         if return_cache:
-            cache.append((a, z))
-            a = z if i == last else act(z)
-        else:
-            # nothing keeps the pre-activation, so it is overwritten
-            a = z if i == last else act(z, out=z)
+            cache.append((a, np.vdot(z, z)))
+        # nothing keeps the pre-activation, so it is overwritten
+        a = z if i == last else act(z, out=z)
     if single:
         a = a[0]
     return (a, cache) if return_cache else a
 
 
+def _rows(b: np.ndarray) -> np.ndarray:
+    # a bias as it adds to every row: stacked biases (S, fan_out) gain a
+    # row axis; a single one broadcasts as it is, which costs less
+    return b if b.ndim == 1 else b[:, None, :]
+
+
 def classifier_logits(w: np.ndarray, b: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    return feats @ w + b
+    return feats @ w + _rows(b)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -259,13 +283,23 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-example -log p[y], with the target probability floored before log.
     Probabilities (..., B, K) give (..., B)."""
-    return _target_nll(np.asarray(probs, dtype=np.float64), np.arange(len(labels)), labels)
+    return _target_nll(np.asarray(probs, dtype=np.float64), _label_index(labels))
 
 
-def _target_nll(p: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _label_index(labels: np.ndarray) -> tuple:
+    """The index of each row's label entry in (..., B, K) probabilities:
+    labels (B,) pick the same entries of every leading member, and labels
+    (S, B) pick each member's own."""
+    rows = np.arange(labels.shape[-1])
+    if labels.ndim == 1:
+        return ..., rows, labels
+    return np.arange(len(labels))[:, None], rows, labels
+
+
+def _target_nll(p: np.ndarray, index: tuple) -> np.ndarray:
     # the fancy index lays (M, B) out column-major; C order keeps each
     # member's row contiguous, so its mean sums as a 1-D call's does
-    py = np.maximum(p[..., rows, labels], PROB_FLOOR, order="C")
+    py = np.maximum(p[index], PROB_FLOOR, order="C")
     np.log(py, out=py)
     return np.negative(py, out=py)
 
@@ -273,21 +307,22 @@ def _target_nll(p: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarr
 def softmax_ce(logits: np.ndarray, targets: np.ndarray, weights: np.ndarray | None = None):
     """Batch-mean softmax cross-entropy and its gradient wrt the logits.
 
-    ``targets`` holds hard labels (B,) or soft target rows (B, K), such as
-    mixup's; a label y is the one-hot row t. Unweighted: loss mean(ce),
-    gradient (p - t) / B, where ce is -log p[y] for a label and
-    -sum(t * log p) for a row, both over the floored `softmax`. With
+    ``targets`` holds hard labels (an integer array) or soft target rows
+    (floats), such as mixup's; a label y is the one-hot row t. Unweighted:
+    loss mean(ce), gradient (p - t) / B, where ce is -log p[y] for a label
+    and -sum(t * log p) for a row, both over the floored `softmax`. With
     per-example weights w: loss mean(w * ce), gradient (p - t) * w / B,
     with no renormalization by the batch's total weight. Logits (M, B, K)
-    for M stacked members of one batch give M losses, each the same bits
-    as that member's own (B, K) call.
+    give M losses, each the same bits as that member's own (B, K) call:
+    labels (B,) are one batch every member scores, and labels (M, B) or
+    rows (M, B, K) give each member its own batch.
     """
     p = softmax(logits)
-    n = len(targets)
-    if np.ndim(targets) == 1:
-        rows = np.arange(n)
-        ce = _target_nll(p, rows, targets)
-        p[..., rows, targets] -= 1.0
+    n = p.shape[-2]
+    if targets.dtype.kind in "iu":
+        index = _label_index(targets)
+        ce = _target_nll(p, index)
+        p[index] -= 1.0
     else:
         ce = -(targets * np.log(p)).sum(axis=-1)
         p -= targets
@@ -309,57 +344,86 @@ def backward(
     x: np.ndarray,
     targets,
     loss_and_grad=softmax_ce,
-    activation: str = "relu",
+    *,
+    activation: str,
     out: ModelParams | None = None,
+    scratch: dict | None = None,
 ):
     """Exact batch-mean gradients for every parameter.
 
     Returns (loss, ModelParams-shaped gradients). The gradients are written
     into ``out`` (a ModelParams with the same layout, reused across steps)
     when given, else into a new one, in the parameters' dtype: the loss
-    gradient is cast to it, so float32 parameters train in float32. Raises
+    gradient is cast to it, so float32 parameters train in float32. The
+    step's activations, slopes and back-propagated errors go to buffers
+    kept in ``scratch``, a dict the caller keeps across steps, so a training
+    loop allocates none of them after its first step (at desk shapes a
+    stack of 8 makes them 128 KB each, the size from which malloc may map
+    fresh pages for every allocation). Raises
     FloatingPointError if a forward intermediate goes non-finite, naming
     the offending layer.
 
+    Stacked parameters (an (S, P) block, see `ModelParams`) train S models
+    in one call: inputs (S, B, D), targets (S, B) or (S, B, K), and a loss
+    of S batch means. Every operation runs per member (bias sums over each
+    member's rows, transposes of each member's matrices), so each member's
+    loss and gradients are the same bits as its own call.
+
     The finiteness gate is one scalar: the sum of every layer's
-    pre-activation sum and the logits' sum. A NaN or an infinity anywhere
-    makes it non-finite, including a -inf that relu zeroes or a +inf that
-    tanh maps to 1 before the next layer sees it. Only then are the
-    layers scanned, in order, to name the first bad one, and then the
-    logits; a sum of finite values that overflowed makes that scan find
-    nothing, and the step goes on.
+    pre-activation sum of squares and the logits' (`np.vdot` of each
+    array with itself). A NaN or an infinity anywhere makes it non-finite,
+    including a -inf that relu zeroes or a +inf that tanh maps to 1 before
+    the next layer sees it. Only then are the layers scanned, in order, to
+    name the first bad one, and then the logits; finite values whose
+    squares overflowed make that scan find nothing, and the step goes on.
+    A stack has one gate for all its members, so its error names the
+    layer but not the member.
     """
     _, dact = ACTIVATIONS[activation]
+    x = np.atleast_2d(x)
+    layers = params.layers
+    key = (x.shape, params.flat.dtype)
+    buffers = None if scratch is None else scratch.get(key)
+    if buffers is None:
+        # per layer, (..., B, fan_out) buffers for its output, its slope
+        # and the error back-propagated into it
+        buffers = [[np.empty(x.shape[:-1] + w.shape[-1:], params.flat.dtype) for w, _ in layers]
+                   for _ in range(3)]
+        if scratch is not None:
+            scratch[key] = buffers
+    outputs, slopes, errors = buffers
+
     with np.errstate(invalid="ignore", over="ignore"):
-        feats, cache = features(params.layers, np.atleast_2d(x), activation, return_cache=True)
+        feats, cache = features(layers, x, activation, return_cache=True, out=outputs)
         logits = classifier_logits(params.w, params.b, feats)
-        total = np.add.reduce(logits, axis=None)
-        for _, z in cache:
-            total += np.add.reduce(z, axis=None)
-    if not isfinite(total):
-        for i, (_, z) in enumerate(cache):
-            if not np.all(np.isfinite(z)):
-                raise FloatingPointError(f"non-finite pre-activation in extractor layer {i}")
-        if not np.all(np.isfinite(logits)):
-            raise FloatingPointError("non-finite logits in classifier layer")
+        total = np.vdot(logits, logits)
+        for _, square_sum in cache:
+            total += square_sum
+        if not isfinite(total):
+            # layer i's pre-activation is the output of the extractor cut after it
+            for i in range(len(layers)):
+                if not np.all(np.isfinite(features(layers[: i + 1], x, activation))):
+                    raise FloatingPointError(f"non-finite pre-activation in extractor layer {i}")
+            if not np.all(np.isfinite(logits)):
+                raise FloatingPointError("non-finite logits in classifier layer")
     loss, dlogits = loss_and_grad(logits, targets)
     dlogits = dlogits.astype(params.flat.dtype, copy=False)
 
     grads = params.like(np.empty_like(params.flat)) if out is None else out
-    np.matmul(feats.T, dlogits, out=grads.w)
-    np.add.reduce(dlogits, axis=0, out=grads.b)
-    d = dlogits @ params.w.T
+    np.matmul(feats.swapaxes(-1, -2), dlogits, out=grads.w)
+    np.add.reduce(dlogits, axis=-2, out=grads.b)
+    last = len(layers) - 1
+    d = np.matmul(dlogits, params.w.swapaxes(-1, -2), out=errors[last])
 
-    last = len(params.layers) - 1
     for i in range(last, -1, -1):
-        a_in, z = cache[i]
+        a_in, _ = cache[i]
         if i != last:
-            d *= dact(z)  # d is a fresh matmul result
+            d *= dact(outputs[i], out=slopes[i])
         gw, gb = grads.layers[i]
-        np.matmul(a_in.T, d, out=gw)
-        np.add.reduce(d, axis=0, out=gb)
+        np.matmul(a_in.swapaxes(-1, -2), d, out=gw)
+        np.add.reduce(d, axis=-2, out=gb)
         if i:
-            d = d @ params.layers[i][0].T
+            d = np.matmul(d, layers[i][0].swapaxes(-1, -2), out=errors[i - 1])
     return loss, grads
 
 

@@ -12,7 +12,9 @@ import configparser
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -283,66 +285,140 @@ def run_pretrain(cfg: ExperimentConfig, datasets) -> tuple[Checkpoint, list[floa
     """Stage 1 on ``datasets`` (train, test): the model (the averaged
     weights and their posterior with averaging on, else the last SGD
     weights), rounded through float32 as a checkpoint stores it, and the
-    mean training loss of each epoch.
+    mean training loss of each epoch. It is `run_pretrain_group`'s group of
+    one, and raises what that group's seed fails with."""
+    (result,) = run_pretrain_group([cfg], [datasets])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def run_pretrain_group(cfgs: list[ExperimentConfig], datasets: list) -> list:
+    """Stage 1 for configs that differ only in ``run.seed`` (anything else
+    raises ValueError), each on its (train, test) ``datasets``, in
+    lock-step: the seeds' parameters are the rows of one (S, P) float32
+    block, and each batch takes one `backward` over the stack and one SGD
+    step over the block. Returns, per config, what `run_pretrain` returns
+    for it alone, or the exception that run raises.
+
+    Each seed keeps its own init, batch and mixup streams, SWA captures
+    and posterior, and the stack runs each member's arithmetic as its own
+    run would, so every seed's result is the same bits. Each epoch draws a
+    seed's spe * batch_size example indices in one call and slices them
+    per step: numpy's int64 `integers` gives the same integers, and leaves
+    the batch stream in the same state, as one draw per step. When the
+    stack's finiteness gate fires, each member runs the step on its own: a
+    member that raises fails with its own run's error and leaves the
+    group, and the others keep that step's loss and gradients (nothing
+    has moved yet) and go on.
 
     The extractor trains in float32 (see `netcore`): parameters,
-    gradients, momentum and batches; the posterior's moments are float64.
-    Each epoch draws its spe * batch_size example indices in one call and
-    slices them per step: numpy's int64 `integers` gives the same integers,
-    and leaves the batch stream in the same state, as one draw per step."""
-    cfg.validate()
-    train, _ = datasets
-    seed = cfg.run.seed
-    optim, swa = cfg.optim, cfg.swa
-    params = net.init_params(
-        rng_stream(seed, STREAM_INIT),
-        train.input_dim,
-        cfg.model.hidden_sizes,
-        cfg.model.repr_dim,
-        train.num_classes,
-    )
-    params = params.like(params.flat.astype(np.float32))
-    train_x = train.features.astype(np.float32)  # one copy; every batch indexes it
-    spe = data_mod.steps_per_epoch(train.num_examples, optim.batch_size)
+    gradients, momentum and batches; the posterior's moments are float64."""
+    first = cfgs[0]
+    for cfg in cfgs:
+        cfg.validate()
+        check((_seed_config(cfg, first.run.seed) == first,
+               "a stage-1 group's configs may differ only in run.seed"))
+    trains = [train for train, _ in datasets]
+    check((len({(t.num_examples, t.input_dim, t.num_classes) for t in trains}) == 1,
+           "a stage-1 group's training splits must have the same shape"))
+    seeds = [cfg.run.seed for cfg in cfgs]
+    optim, swa, act = first.optim, first.swa, first.model.activation
+    k = trains[0].num_classes
+    init = [net.init_params(rng_stream(seed, STREAM_INIT), trains[0].input_dim,
+                            first.model.hidden_sizes, first.model.repr_dim, k) for seed in seeds]
+    shapes = init[0].shapes
+    block = np.stack([p.flat for p in init], dtype=np.float32)
+    # every seed's float32 rows in one table, so one gather per step fills the stacked batch
+    table_x = np.concatenate([t.features for t in trains], dtype=np.float32)
+    table_y = np.concatenate([t.labels for t in trains])
+    n = trains[0].num_examples
+    spe = data_mod.steps_per_epoch(n, optim.batch_size)
     total = spe * optim.epochs
-    posterior = swag_mod.new_posterior(params) if swa.enabled else None
-    # backward writes into one reused gradient vector; SGD moves the whole model at once
-    grads = params.like(np.empty_like(params.flat))
-    flat_params, flat_grads = [params.flat], [grads.flat]
-    state = net.OptimState.for_arrays(flat_params, optim)
-    rng_batch = rng_stream(seed, STREAM_BATCH)
-    rng_mix = rng_stream(seed, STREAM_MIXUP)
+    posteriors = [swag_mod.new_posterior(p) if swa.enabled else None for p in init]
+    rng_batch = [rng_stream(seed, STREAM_BATCH) for seed in seeds]
+    rng_mix = [rng_stream(seed, STREAM_MIXUP) for seed in seeds]
+    results: list = [None] * len(cfgs)
+    epoch_losses = [[] for _ in cfgs]
+    live = list(range(len(cfgs)))  # the group's members, by index into cfgs
 
+    def bind(block, momentum):
+        # one ModelParams per seed over its row, and the model backward
+        # trains, into one reused gradient block: the stack, or a group of
+        # one's row, since numpy's 2-D calls cost less. SGD moves it whole.
+        members = [net.ModelParams.from_flat(row, shapes) for row in block]
+        stack = members[0] if len(members) == 1 else net.ModelParams.from_flat(block, shapes)
+        grads = stack.like(np.empty_like(stack.flat))
+        state = net.OptimState.for_arrays([stack.flat], optim)
+        state.buffers[0][...] = momentum
+        return stack, grads, ([stack.flat], [grads.flat], state), members
+
+    stack, grads, sgd, members = bind(block, 0.0)
+    scratch: dict = {}  # backward's temporaries, reused by every step
     batch = optim.batch_size
-    epoch_losses = []
     for epoch in range(optim.epochs):
-        # one draw per epoch (see above); each step gathers its own rows,
-        # so memory stays flat
-        epoch_idx = data_mod.instance_balanced_indices(train, spe * batch, rng_batch)
-        running = 0.0
+        epoch_idx = np.stack([
+            data_mod.instance_balanced_indices(trains[j], spe * batch, rng_batch[j]) for j in live
+        ])
+        epoch_idx += np.array(live)[:, None] * n  # each seed's rows in the table
+        step_idx = epoch_idx.reshape(len(live), spe, batch).swapaxes(0, 1)
+        # row i + 1 holds step i's losses; summed in step order after row 0's zeros
+        losses = np.zeros((spe + 1, len(live)))
         for i in range(spe):
             step = epoch * spe + i
             if swa.enabled:
                 lr = swag_mod.swa_learning_rate(step, total, optim.lr, swa)
             else:
                 lr = net.cosine_lr(step, total, optim.lr)
-            idx = epoch_idx[i * batch : (i + 1) * batch]
-            x, y = train_x[idx], train.labels[idx]
+            x, y = table_x[step_idx[i]], table_y[step_idx[i]]
             if optim.mixup_alpha > 0.0:
-                x, y = data_mod.mixup_batch(x, y, optim.mixup_alpha, train.num_classes, rng_mix)
-            loss, _ = net.backward(params, x, y, net.softmax_ce, cfg.model.activation, out=grads)
-            net.sgd_update_arrays(flat_params, flat_grads, state, lr)
-            running += loss
+                mixed = [data_mod.mixup_batch(x[m], y[m], optim.mixup_alpha, k, rng_mix[j])
+                         for m, j in enumerate(live)]
+                x, y = np.stack([mx for mx, _ in mixed]), np.stack([mt for _, mt in mixed])
+            one = len(live) == 1  # a group of one trains its row (see bind)
+            try:
+                loss, _ = net.backward(stack, x[0] if one else x, y[0] if one else y,
+                                       activation=act, out=grads, scratch=scratch)
+            except FloatingPointError:
+                # each member's own step: its own run's error, or its loss and gradients
+                kept, loss, keep = [], [], []
+                for m, j in enumerate(live):
+                    try:
+                        loss_m, grads_m = net.backward(members[m], x[m], y[m], activation=act)
+                        kept.append(grads_m.flat)
+                        loss.append(loss_m)
+                        keep.append(m)
+                    except FloatingPointError as exc:
+                        results[j] = exc
+                if not keep:
+                    return results
+                live, loss = [live[m] for m in keep], np.array(loss)
+                momentum = sgd[2].buffers[0].reshape(len(members), -1)[keep]
+                stack, grads, sgd, members = bind(np.stack([members[m].flat for m in keep]),
+                                                  momentum)
+                grads.flat[...] = np.stack(kept).reshape(grads.flat.shape)
+                step_idx, losses = step_idx[:, keep], losses[:, keep]
+            net.sgd_update_arrays(*sgd, lr)
+            losses[i + 1] = loss
         # captures fall on epoch boundaries only
         if swa.enabled and swag_mod.should_capture((epoch + 1) * spe, total, swa, spe):
-            swag_mod.update_moments(posterior, params)
-        epoch_losses.append(running / spe)
+            for m, j in enumerate(live):
+                swag_mod.update_moments(posteriors[j], members[m])
+        running = np.add.accumulate(losses)[-1]
+        for m, j in enumerate(live):
+            epoch_losses[j].append(running[m] / spe)
 
-    if swa.enabled:
-        swag_mod.freeze(posterior)
-        params = swag_mod.swa_params(posterior)
-    model = Checkpoint(params, posterior, _metadata(cfg, "pretrain", swa=swa.enabled))
-    return model.rounded(), epoch_losses
+    for m, j in enumerate(live):
+        params, posterior = members[m], posteriors[j]
+        try:
+            if swa.enabled:
+                swag_mod.freeze(posterior)
+                params = swag_mod.swa_params(posterior)
+            model = Checkpoint(params, posterior, _metadata(cfgs[j], "pretrain", swa=swa.enabled))
+            results[j] = model.rounded(), epoch_losses[j]
+        except ValueError as exc:  # a value float32 cannot hold, as its own run raises
+            results[j] = exc
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -458,26 +534,29 @@ def _seed_config(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
     return replace(cfg, run=replace(cfg.run, seed=seed))
 
 
-def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict:
-    """Full pipeline for one seed: pretrain, eval, retrain, eval."""
-    scfg = _seed_config(cfg, seed)
-    datasets = build_datasets(scfg)
-    pre, _ = run_pretrain(scfg, datasets)
-    pre_report = run_eval(scfg, pre, datasets)
-    ret_report = run_eval(scfg, run_retrain(scfg, pre, datasets), datasets)
-    repr_name = "swa" if scfg.swa.enabled else "sgd"
-    return {
-        "seed": seed,
-        "rows": {
-            repr_name: pre_report,
-            f"{repr_name}+{scfg.retrain.method}": ret_report,
-        },
-    }
-
-
-def _sweep_worker(cfg: ExperimentConfig, seed: int) -> dict:
-    """One seed of `run_sweep` as a process-pool task."""
-    return run_single_seed(cfg, seed)
+def _sweep_worker(cfg: ExperimentConfig, seeds) -> tuple[list[dict], list[tuple[int, str]]]:
+    """One group of `run_sweep`'s seeds, as one process-pool task: stage 1
+    for the whole group in lock-step (`run_pretrain_group`), then per seed
+    an eval, a retrain and its eval. Returns the completed seeds' reports
+    and the failed seeds' errors, each in seed order."""
+    cfgs = [_seed_config(cfg, seed) for seed in seeds]
+    datasets = [build_datasets(scfg) for scfg in cfgs]
+    repr_name = "swa" if cfg.swa.enabled else "sgd"
+    per_seed, failures = [], []
+    for scfg, ds, pre in zip(cfgs, datasets, run_pretrain_group(cfgs, datasets)):
+        seed = scfg.run.seed
+        if isinstance(pre, Exception):
+            failures.append((seed, str(pre)))
+            continue
+        model = pre[0]
+        try:
+            pre_report = run_eval(scfg, model, ds)
+            ret_report = run_eval(scfg, run_retrain(scfg, model, ds), ds)
+            per_seed.append({"seed": seed, "rows": {
+                repr_name: pre_report, f"{repr_name}+{cfg.retrain.method}": ret_report}})
+        except Exception as exc:  # noqa: BLE001 - partial sweeps must report
+            failures.append((seed, str(exc)))
+    return per_seed, failures
 
 
 @dataclass
@@ -502,6 +581,10 @@ class SweepResult:
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
+    """Every seed of ``run.seeds`` through pretrain, eval, retrain and eval.
+    The seeds split into min(LTSREPR_THREADS, seeds) contiguous groups, one
+    `_sweep_worker` task each, in a forked process pool when there is more
+    than one group. Reports and failures come back in seed order."""
     cfg.validate()
     seeds = cfg.run.seeds
     if not seeds:
@@ -510,22 +593,22 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         workers = int(os.environ.get("LTSREPR_THREADS", "1") or "1")
     except ValueError as exc:
         raise ValueError(f"LTSREPR_THREADS: {exc}") from None
-    per_seed = []
-    failures = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
-            futures = [(s, pool.submit(_sweep_worker, cfg, s)) for s in seeds]
-            for seed, future in futures:
-                try:
-                    per_seed.append(future.result())
-                except Exception as exc:  # noqa: BLE001 - partial sweeps must report
-                    failures.append((seed, str(exc)))
-    else:
-        for seed in seeds:
+    check((workers >= 1, f"LTSREPR_THREADS: must be at least 1, got {workers}"))
+    n = min(workers, len(seeds))
+    q, r = divmod(len(seeds), n)  # the first r groups take one seed more
+    bounds = [g * q + min(g, r) for g in range(n + 1)]
+    groups = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
+    per_seed, failures = [], []
+    with ProcessPoolExecutor(max_workers=n) if n > 1 else nullcontext() as pool:
+        tasks = [pool.submit(_sweep_worker, cfg, group).result if pool
+                 else partial(_sweep_worker, cfg, group) for group in groups]
+        for group, task in zip(groups, tasks):
             try:
-                per_seed.append(run_single_seed(cfg, seed))
+                done, failed = task()
             except Exception as exc:  # noqa: BLE001 - partial sweeps must report
-                failures.append((seed, str(exc)))
+                done, failed = [], [(seed, str(exc)) for seed in group]
+            per_seed += done
+            failures += failed
     repr_name = "swa" if cfg.swa.enabled else "sgd"
     methods = [repr_name, f"{repr_name}+{cfg.retrain.method}"]
     return SweepResult(per_seed=per_seed, failures=failures, methods=methods)

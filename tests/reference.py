@@ -5,7 +5,9 @@ jitter as one draw and one forward per member, one posterior member's
 float32 forward, the SWA moments of float32 snapshots written out in
 float64, both dispersions over the stack of all M members, and the
 allocating softmax cross-entropy and per-layer-scan backward pass that
-netcore's in-place forms must match bit for bit.
+netcore's in-place forms must match bit for bit, and stage 1 for one seed
+on its own (P,) parameter vector, which every member of a lock-step group
+must match bit for bit.
 
 The gamma functions here are scipy's ``gammaln`` and ``digamma``. The
 package evaluates its own in numpy (``retrain._gamma_functions``: log-gamma
@@ -16,8 +18,14 @@ against scipy), so these oracles stay independent of it."""
 import numpy as np
 from scipy.special import digamma, gammaln
 
+import ltsrepr.data as data_mod
+import ltsrepr.netcore as net
+import ltsrepr.pipeline as pl
+import ltsrepr.swag as swag_mod
+from ltsrepr.checkpoint import Checkpoint
 from ltsrepr.netcore import ACTIVATIONS, PROB_FLOOR, features, param_views, softmax
 from ltsrepr.retrain import kd_loss_and_alpha_grad, mean_ce_loss_and_grad
+from ltsrepr.util import STREAM_BATCH, STREAM_INIT, STREAM_MIXUP, rng_stream
 
 
 def dirichlet_kl(alpha, beta):
@@ -134,11 +142,18 @@ def per_layer_scan_backward(params, x, targets, loss_and_grad, activation="relu"
     """`netcore.backward` with a finiteness scan of every pre-activation, in
     layer order, and then of the logits, raising the FloatingPointError
     that names the first non-finite one; bias gradients by ``np.sum`` and
-    each activation mask applied out of place. Returns (loss, flat
-    gradient vector)."""
-    _, dact = ACTIVATIONS[activation]
+    each activation's slope computed from its pre-activation and applied
+    out of place. Returns (loss, flat gradient vector)."""
+    act, _ = ACTIVATIONS[activation]
+    slope = {"relu": lambda z: z > 0.0, "tanh": lambda z: 1.0 - np.tanh(z) * np.tanh(z)}[activation]
+    a = np.atleast_2d(x).astype(params.flat.dtype)
+    cache = []
     with np.errstate(invalid="ignore", over="ignore"):
-        feats, cache = features(params.layers, np.atleast_2d(x), activation, return_cache=True)
+        for i, (w, b) in enumerate(params.layers):
+            z = a @ w + b
+            cache.append((a, z))
+            a = z if i == len(params.layers) - 1 else act(z)
+        feats = a
         logits = feats @ params.w + params.b
     for i, (_, z) in enumerate(cache):
         if not np.all(np.isfinite(z)):
@@ -154,10 +169,51 @@ def per_layer_scan_backward(params, x, targets, loss_and_grad, activation="relu"
     last = len(params.layers) - 1
     for i in range(last, -1, -1):
         a_in, z = cache[i]
-        dz = d if i == last else d * dact(z)
+        dz = d if i == last else d * slope(z)
         gw, gb = grads.layers[i]
         np.matmul(a_in.T, dz, out=gw)
         np.sum(dz, axis=0, out=gb)
         if i:
             d = dz @ params.layers[i][0].T
     return loss, grads.flat
+
+
+def solo_pretrain(cfg, datasets):
+    """Stage 1 for one seed on its own (P,) float32 vector: one 2-D
+    `backward` and one SGD step per batch, each batch drawn by its own
+    call. Returns what `pipeline.run_pretrain` returns."""
+    train, _ = datasets
+    seed, optim, swa = cfg.run.seed, cfg.optim, cfg.swa
+    params = net.init_params(rng_stream(seed, STREAM_INIT), train.input_dim,
+                             cfg.model.hidden_sizes, cfg.model.repr_dim, train.num_classes)
+    params = params.like(params.flat.astype(np.float32))
+    train_x = train.features.astype(np.float32)
+    spe = data_mod.steps_per_epoch(train.num_examples, optim.batch_size)
+    total = spe * optim.epochs
+    posterior = swag_mod.new_posterior(params) if swa.enabled else None
+    state = net.OptimState.for_arrays([params.flat], optim)
+    rng_batch, rng_mix = rng_stream(seed, STREAM_BATCH), rng_stream(seed, STREAM_MIXUP)
+    epoch_losses = []
+    for epoch in range(optim.epochs):
+        running = 0.0
+        for i in range(spe):
+            step = epoch * spe + i
+            if swa.enabled:
+                lr = swag_mod.swa_learning_rate(step, total, optim.lr, swa)
+            else:
+                lr = net.cosine_lr(step, total, optim.lr)
+            idx = data_mod.instance_balanced_indices(train, optim.batch_size, rng_batch)
+            x, y = train_x[idx], train.labels[idx]
+            if optim.mixup_alpha > 0.0:
+                x, y = data_mod.mixup_batch(x, y, optim.mixup_alpha, train.num_classes, rng_mix)
+            loss, grads = net.backward(params, x, y, activation=cfg.model.activation)
+            net.sgd_update_arrays([params.flat], [grads.flat], state, lr)
+            running += loss
+        if swa.enabled and swag_mod.should_capture((epoch + 1) * spe, total, swa, spe):
+            swag_mod.update_moments(posterior, params)
+        epoch_losses.append(running / spe)
+    if swa.enabled:
+        swag_mod.freeze(posterior)
+        params = swag_mod.swa_params(posterior)
+    model = Checkpoint(params, posterior, pl._metadata(cfg, "pretrain", swa=swa.enabled))
+    return model.rounded(), epoch_losses

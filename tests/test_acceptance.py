@@ -72,7 +72,7 @@ def test_criterion_01_gradient_correctness():
             err = fd_check(
                 grads.flat,
                 lambda flat: backward(
-                    params.like(flat), x, y, softmax_ce, "tanh"
+                    params.like(flat), x, y, softmax_ce, activation="tanh"
                 )[0],
                 params.flat,
             )
@@ -83,7 +83,7 @@ def test_criterion_01_gradient_correctness():
             err = fd_check(
                 grads.flat,
                 lambda flat: backward(
-                    params.like(flat), x, y, loss_fn, "tanh"
+                    params.like(flat), x, y, loss_fn, activation="tanh"
                 )[0],
                 params.flat,
             )

@@ -429,10 +429,23 @@ class TestSweepCommand:
             raise AssertionError("a seed ran")
 
         monkeypatch.setenv("LTSREPR_THREADS", "two")
-        monkeypatch.setattr(pl, "run_single_seed", no_seed)
+        monkeypatch.setattr(pl, "_sweep_worker", no_seed)
         assert run_cli("sweep", "--config", "tiny.ini", "--output-dir", "sw") == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: LTSREPR_THREADS: invalid literal for int() with base 10: 'two'"]
+        assert not (workdir / "sw").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one_rejected_before_any_seed(self, workdir, capsys, monkeypatch,
+                                                             threads):
+        def no_seed(*_):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setenv("LTSREPR_THREADS", threads)
+        monkeypatch.setattr(pl, "_sweep_worker", no_seed)
+        assert run_cli("sweep", "--config", "tiny.ini", "--output-dir", "sw", "--seeds", "0,1") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: LTSREPR_THREADS: must be at least 1, got {threads}"]
         assert not (workdir / "sw").exists()
 
     def test_runs_csv_lists_seeds(self, workdir):

@@ -264,12 +264,12 @@ class TestEnsemble:
         params, post, x = self.build(spread=0.3)
         p1 = ensemble_predict(x, post, params.w, params.b, 1, np.random.default_rng(1))
         theta = sample_theta(post, np.random.default_rng(1))
-        expected = softmax(classifier_logits(params.w, params.b, features(theta, x)))
+        expected = softmax(classifier_logits(params.w, params.b, features(theta, x, "relu")))
         np.testing.assert_allclose(p1, expected, atol=1e-12)
 
     def test_zero_variance_matches_point_prediction(self):
         params, post, x = self.build(spread=0.0)
-        point = softmax(classifier_logits(params.w, params.b, features(params.layers, x)))
+        point = softmax(classifier_logits(params.w, params.b, features(params.layers, x, "relu")))
         for m in (1, 4):
             p = ensemble_predict(x, post, params.w, params.b, m, np.random.default_rng(2))
             np.testing.assert_allclose(p, point, atol=1e-12)
@@ -282,7 +282,7 @@ class TestEnsemble:
         acc = np.zeros_like(p)
         for _ in range(m):
             theta = sample_theta(post, rng)
-            acc += softmax(classifier_logits(params.w, params.b, features(theta, x)))
+            acc += softmax(classifier_logits(params.w, params.b, features(theta, x, "relu")))
         np.testing.assert_allclose(p, acc / m, atol=1e-12)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
@@ -313,7 +313,7 @@ class TestClassProbs:
         rng = np.random.default_rng(6)
         acc = np.zeros_like(p)
         for _ in range(3):
-            z = classifier_logits(params.w, params.b, features(sample_theta(post, rng), x))
+            z = classifier_logits(params.w, params.b, features(sample_theta(post, rng), x, "relu"))
             acc += softmax(disalign_logits(z, calib))
         np.testing.assert_allclose(p, acc / 3, atol=1e-12)
         assert not np.allclose(p, ensemble_predict(x, post, params.w, params.b, 3,
@@ -340,7 +340,7 @@ class TestStreamedMembers:
             gate_w=rng.standard_normal(k), gate_b=0.2,
         ) if calibrated else None
         loop_rng = np.random.default_rng(seed + 1)
-        stack = np.stack([features(sample_theta(post, loop_rng), x) for _ in range(m)])
+        stack = np.stack([features(sample_theta(post, loop_rng), x, "relu") for _ in range(m)])
         probs = class_probs(stack, params.w, params.b, calib)
 
         mean_rng, sums_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)

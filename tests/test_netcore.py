@@ -37,38 +37,38 @@ class TestFeatures:
     def test_identity_network(self):
         layers = [(np.eye(4), np.zeros(4))]
         x = np.random.default_rng(0).standard_normal((5, 4))
-        np.testing.assert_array_equal(features(layers, x), x)
+        np.testing.assert_array_equal(features(layers, x, "relu"), x)
 
     def test_zero_network(self):
         layers = [(np.zeros((3, 4)), np.zeros(4)), (np.zeros((4, 2)), np.zeros(2))]
         x = np.ones((6, 3))
-        np.testing.assert_array_equal(features(layers, x), np.zeros((6, 2)))
+        np.testing.assert_array_equal(features(layers, x, "relu"), np.zeros((6, 2)))
 
     def test_bitwise_deterministic(self):
         params = small_params(np.random.default_rng(1))
         x = np.random.default_rng(2).standard_normal((7, 3))
-        a = features(params.layers, x)
-        b = features(params.layers, x)
+        a = features(params.layers, x, "relu")
+        b = features(params.layers, x, "relu")
         assert np.array_equal(a, b)
 
     def test_shape_mismatch(self):
         layers = [(np.zeros((3, 4)), np.zeros(4))]
         with pytest.raises(ValueError, match="layer 0"):
-            features(layers, np.zeros((2, 5)))
+            features(layers, np.zeros((2, 5)), "relu")
 
     def test_stacked_shape_mismatch_names_layer(self):
-        stacked = [(np.zeros((2, 3, 4)), np.zeros((2, 1, 4))),
-                   (np.zeros((2, 5, 2)), np.zeros((2, 1, 2)))]
+        stacked = [(np.zeros((2, 3, 4)), np.zeros((2, 4))),
+                   (np.zeros((2, 5, 2)), np.zeros((2, 2)))]
         with pytest.raises(ValueError, match="layer 1: input width 4 != weight fan-in 5"):
-            features(stacked, np.zeros((6, 3)))
+            features(stacked, np.zeros((6, 3)), "relu")
         with pytest.raises(ValueError, match="layer 0: input width 5 != weight fan-in 3"):
-            features([(np.zeros((3, 4)), np.zeros(4))], np.zeros((2, 6, 5)))
+            features([(np.zeros((3, 4)), np.zeros(4))], np.zeros((2, 6, 5)), "relu")
 
     def test_single_vector_input(self):
         params = small_params(np.random.default_rng(3))
         x = np.random.default_rng(4).standard_normal(3)
-        single = features(params.layers, x)
-        batched = features(params.layers, x[None, :])
+        single = features(params.layers, x, "relu")
+        batched = features(params.layers, x[None, :], "relu")
         np.testing.assert_array_equal(single, batched[0])
 
 
@@ -186,7 +186,7 @@ class TestBackward:
         layers = [(np.zeros((3, 4)), np.zeros(4))]
         params = ModelParams(layers, np.zeros((4, 3)), np.zeros(3))
         y = np.array([0, 0, 2, 1, 0])
-        _, grads = backward(params, np.ones((5, 3)), y)
+        _, grads = backward(params, np.ones((5, 3)), y, activation="relu")
         label_freq = np.bincount(y, minlength=3) / 5
         np.testing.assert_allclose(grads.b, 1.0 / 3 - label_freq, atol=1e-12)
 
@@ -226,10 +226,10 @@ class TestBackward:
         params = small_params(rng)
         x = rng.standard_normal((6, 3))
         y = rng.integers(0, 3, size=6)
-        _, batch_grads = backward(params, x, y)
+        _, batch_grads = backward(params, x, y, activation="relu")
         acc = np.zeros_like(params.flat)
         for i in range(6):
-            _, g = backward(params, x[i : i + 1], y[i : i + 1])
+            _, g = backward(params, x[i : i + 1], y[i : i + 1], activation="relu")
             acc += g.flat
         np.testing.assert_allclose(batch_grads.flat, acc / 6, atol=1e-10)
 
@@ -263,12 +263,12 @@ class TestBackward:
         params = small_params(np.random.default_rng(13))
         params.layers[0][0][0, 0] = np.inf
         with pytest.raises(FloatingPointError, match="layer 0"):
-            backward(params, np.ones((2, 3)), np.array([0, 1]))
+            backward(params, np.ones((2, 3)), np.array([0, 1]), activation="relu")
 
 
 class TestFinitenessGate:
-    """backward tests one scalar, the sum of every pre-activation and logit,
-    and scans the layers only when it is non-finite. The per-layer scan it
+    """backward tests one scalar, the sum of squares of every pre-activation
+    and logit, and scans the layers only when it is non-finite. The per-layer scan it
     replaced (reference.py) is the oracle: every case that scan catches
     must raise its message, naming the same layer."""
 
@@ -438,7 +438,7 @@ class TestFusedSgd:
         state = OptimState.for_arrays([params.flat], hyper)
         for _ in range(2):
             x, y = rng.standard_normal((5, 3)), rng.integers(0, 3, size=5)
-            backward(params, x, y, out=grads)
+            backward(params, x, y, activation="relu", out=grads)
             reference_sgd(reference, grads.arrays(), buffers, 0.1, 0.9, 5e-4)
             sgd_update_arrays([params.flat], [grads.flat], state, 0.1)
         for a, b in zip(params.arrays(), reference):
@@ -462,7 +462,7 @@ class TestFloat32:
     def test_forward_runs_in_the_weights_dtype(self):
         params = as_float32(small_params(np.random.default_rng(30)))
         x = np.random.default_rng(31).standard_normal((5, 3))
-        assert features(params.layers, x).dtype == np.float32
+        assert features(params.layers, x, "relu").dtype == np.float32
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_backward_agrees_with_float64(self, activation):
@@ -482,11 +482,12 @@ class TestFloat32:
         (np.zeros(22, dtype=np.float16), "1-D float16"),
         (np.zeros(22, dtype=np.int64), "1-D int64"),
         (np.zeros(44)[::2], "non-contiguous 1-D float64"),
-        (np.zeros((2, 11), dtype=np.float32), "2-D float32"),
+        (np.zeros((2, 1, 22), dtype=np.float32), "3-D float32"),
     ])
     def test_params_reject_other_vectors(self, flat, message):
         shapes = small_params(np.random.default_rng(33)).shapes  # 22 entries
-        with pytest.raises(ValueError, match=f"float32 or float64 vector, got a {message} array"):
+        block = r"float32 or float64 vector or \(S, P\) block"
+        with pytest.raises(ValueError, match=rf"{block}, got a {message} array"):
             ModelParams.from_flat(flat, shapes)
 
     def test_sgd_step_keeps_every_buffer_float32(self):
@@ -497,7 +498,8 @@ class TestFloat32:
         grads = params.like(np.empty_like(params.flat))
         state = OptimState.for_arrays([params.flat], OptimConfig(momentum=0.9, weight_decay=5e-4))
         for step in range(3):
-            backward(params, rng.standard_normal((5, 3)), rng.integers(0, 3, size=5), out=grads)
+            backward(params, rng.standard_normal((5, 3)), rng.integers(0, 3, size=5),
+                     activation="relu", out=grads)
             lr = cosine_lr(step, 3, 0.1)
             assert type(lr) is float
             sgd_update_arrays([params.flat], [grads.flat], state, lr)
@@ -536,6 +538,76 @@ class TestFlatLayout:
             params.like(np.zeros(params.flat.size + 1))
 
 
+class TestStack:
+    """S models over the rows of one (S, P) block: `features` and
+    `backward` run them in one call, and each member's outputs are the
+    same bits as its own call on its own (P,) vector."""
+
+    @staticmethod
+    def stack(seed, members, d, hidden, l, k, dtype=np.float32):
+        rng = np.random.default_rng(seed)
+        solo = [init_params(rng, d, hidden, l, k) for _ in range(members)]
+        block = np.stack([p.flat for p in solo]).astype(dtype)
+        return ModelParams.from_flat(block, solo[0].shapes), rng
+
+    def test_views_are_rows_of_the_block(self):
+        stack, _ = self.stack(50, 3, 5, (7, 6), 4, 3)
+        row = stack.like(stack.flat[1])
+        for a, b in zip(stack.arrays(), row.arrays()):
+            assert a.shape == (3, *b.shape) and np.shares_memory(a, stack.flat)
+            assert np.shares_memory(a[1], b) and np.array_equal(a[1], b)
+        for name in ("theta_dim", "repr_dim", "num_classes"):
+            assert getattr(stack, name) == getattr(row, name)
+        assert stack.theta_dim == 5 * 7 + 7 + 7 * 6 + 6 + 6 * 4 + 4
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.integers(1, 4), st.integers(2, 6), st.lists(st.integers(1, 9), max_size=2),
+           st.integers(1, 5), st.integers(2, 5), st.integers(1, 20),
+           st.sampled_from(["relu", "tanh"]), st.booleans(),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**16))
+    def test_members_match_their_own_calls_bitwise(self, members, d, hidden, l, k, batch,
+                                                   activation, soft, dtype, seed):
+        stack, rng = self.stack(seed, members, d, tuple(hidden), l, k, dtype)
+        x = rng.standard_normal((members, batch, d)).astype(dtype)
+        if soft:
+            targets = rng.random((members, batch, k))
+            targets /= targets.sum(axis=-1, keepdims=True)
+        else:
+            targets = rng.integers(0, k, size=(members, batch))
+        reps = features(stack.layers, x, activation)
+        scratch = {}
+        loss, grads = backward(stack, x, targets, activation=activation, scratch=scratch)
+        assert loss.shape == (members,) and grads.flat.shape == stack.flat.shape
+        # a second step over the kept buffers computes the same bits
+        again, regrads = backward(stack, x, targets, activation=activation, scratch=scratch)
+        assert np.array_equal(again, loss) and np.array_equal(regrads.flat, grads.flat)
+        for m in range(members):
+            own = stack.like(stack.flat[m].copy())
+            assert np.array_equal(features(own.layers, x[m], activation), reps[m])
+            own_loss, own_grads = backward(own, x[m], targets[m], activation=activation)
+            assert own_loss == loss[m]
+            assert np.array_equal(own_grads.flat, grads.flat[m])
+
+    def test_labels_per_member_match_each_members_call(self):
+        rng = np.random.default_rng(51)
+        logits = rng.standard_normal((3, 7, 4)) * 5
+        labels = rng.integers(0, 4, size=(3, 7))
+        loss, grad = softmax_ce(logits, labels)
+        for m in range(3):
+            own_loss, own_grad = softmax_ce(logits[m], labels[m])
+            assert own_loss == loss[m] and np.array_equal(own_grad, grad[m])
+        # a batch of shared labels still scores every member on the same rows
+        shared_loss, _ = softmax_ce(logits, labels[0])
+        assert [softmax_ce(row, labels[0])[0] for row in logits] == list(shared_loss)
+
+    def test_gate_covers_every_member(self):
+        stack, rng = self.stack(52, 3, 5, (7,), 4, 3)
+        stack.layers[0][1][2, 1] = np.nan  # the last member's first bias
+        x = rng.standard_normal((3, 6, 5)).astype(np.float32)
+        with pytest.raises(FloatingPointError, match="extractor layer 0"):
+            backward(stack, x, rng.integers(0, 3, size=(3, 6)), activation="relu")
+
+
 class TestInit:
     def test_shapes_chain(self):
         params = init_params(np.random.default_rng(17), 20, (64, 64), 32, 10)
@@ -563,5 +635,5 @@ class TestInit:
 
     def test_logits_shape(self):
         params = small_params(np.random.default_rng(20))
-        z = classifier_logits(params.w, params.b, features(params.layers, np.zeros((6, 3))))
+        z = classifier_logits(params.w, params.b, features(params.layers, np.zeros((6, 3)), "relu"))
         assert z.shape == (6, 3)

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import string
+import tempfile
 import threading
 import tracemalloc
 from dataclasses import fields, replace
@@ -13,12 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import solo_pretrain
 
 import ltsrepr.metrics as metrics_mod
 import ltsrepr.netcore as net
 import ltsrepr.pipeline as pl
 import ltsrepr.retrain as retrain_mod
 from ltsrepr.balancing import BalancingSpec
+from ltsrepr.checkpoint import save_checkpoint
 from ltsrepr.util import STREAM_RETRAIN_BATCH, rng_stream
 
 
@@ -330,6 +333,77 @@ class TestPretrain:
         assert np.all(np.isfinite(model.params.flat))
 
 
+def with_nan(datasets, row=5, col=2):
+    """``datasets`` with one NaN in the training features."""
+    train, test = datasets
+    features = train.features.copy()
+    features[row, col] = np.nan
+    return replace(train, features=features), test
+
+
+def saved_bytes(model, tmp_dir):
+    path = Path(tmp_dir) / "model.ckpt"
+    save_checkpoint(path, model)
+    return path.read_bytes()
+
+
+class TestPretrainGroup:
+    """Seeds trained in lock-step: every member's checkpoint and epoch
+    losses are the same bits as its own run on its own parameter vector
+    (`reference.solo_pretrain`)."""
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=4),
+           st.sampled_from(["relu", "tanh"]), st.sampled_from([0.0, 0.4]), st.booleans())
+    def test_every_member_is_its_solo_run(self, seeds, activation, mixup, swa):
+        base = tiny_config(swa=swa, epochs=6)
+        base = replace(base, model=replace(base.model, activation=activation),
+                       optim=replace(base.optim, mixup_alpha=mixup))
+        cfgs = [replace(base, run=replace(base.run, seed=seed)) for seed in seeds]
+        datasets = [pl.build_datasets(cfg) for cfg in cfgs]
+        results = pl.run_pretrain_group(cfgs, datasets)
+        with tempfile.TemporaryDirectory() as tmp:
+            for cfg, ds, (model, losses) in zip(cfgs, datasets, results):
+                want_model, want_losses = solo_pretrain(cfg, ds)
+                assert saved_bytes(model, tmp) == saved_bytes(want_model, tmp)
+                assert losses == want_losses
+
+    # the middle of three fails, or the first of two, and the last trains on alone
+    @pytest.mark.parametrize("seeds, bad", [((0, 1, 2), 1), ((1, 5), 0)])
+    def test_member_with_a_nan_fails_alone(self, tmp_path, seeds, bad):
+        cfgs = [tiny_config(seed=seed) for seed in seeds]
+        datasets = [pl.build_datasets(cfg) for cfg in cfgs]
+        datasets[bad] = with_nan(datasets[bad])
+        with pytest.raises(FloatingPointError) as solo:
+            solo_pretrain(cfgs[bad], datasets[bad])
+        assert str(solo.value) == "non-finite pre-activation in extractor layer 0"
+        with pytest.raises(FloatingPointError) as alone:
+            pl.run_pretrain(cfgs[bad], datasets[bad])
+        assert str(alone.value) == str(solo.value)
+        results = pl.run_pretrain_group(cfgs, datasets)
+        failed = results.pop(bad)
+        assert isinstance(failed, FloatingPointError) and str(failed) == str(solo.value)
+        del cfgs[bad], datasets[bad]
+        for cfg, ds, (model, losses) in zip(cfgs, datasets, results):
+            want_model, want_losses = solo_pretrain(cfg, ds)
+            assert saved_bytes(model, tmp_path) == saved_bytes(want_model, tmp_path)
+            assert losses == want_losses
+
+    def test_every_member_failing_returns_every_error(self):
+        cfgs = [tiny_config(seed=seed) for seed in (3, 4)]
+        results = pl.run_pretrain_group(cfgs, [with_nan(pl.build_datasets(cfg)) for cfg in cfgs])
+        assert [type(r) for r in results] == [FloatingPointError] * 2
+
+    @pytest.mark.parametrize("other", [
+        replace(tiny_config(seed=1), optim=replace(tiny_config().optim, lr=0.05)),
+        replace(tiny_config(seed=1), run=replace(tiny_config().run, seed=1, output_dir="x")),
+    ])
+    def test_configs_differing_beyond_the_seed_rejected(self, other):
+        cfgs = [tiny_config(seed=0), other]
+        with pytest.raises(ValueError, match="may differ only in run.seed"):
+            pl.run_pretrain_group(cfgs, [pl.build_datasets(cfg) for cfg in cfgs])
+
+
 class TestRetrain:
     @pytest.mark.parametrize("method", ["crt", "lws", "disalign", "srepr"])
     def test_methods_produce_usable_classifiers(self, method):
@@ -457,7 +531,7 @@ class TestEval:
         pre.posterior.sigma[:] = 0.0
         params, test = pre.params, ds[1]
         point = metrics_mod.class_probs(
-            net.features(params.layers, test.features), params.w, params.b
+            net.features(params.layers, test.features, "relu"), params.w, params.b
         )
         for m in (1, 2, 3):
             ens = metrics_mod.ensemble_predict(test.features, pre.posterior, params.w, params.b,
@@ -619,6 +693,38 @@ class TestSweepWorkers:
             for key in row_s:
                 np.testing.assert_equal(row_s[key], row_p[key])  # nan-aware
 
+    @staticmethod
+    def reports(result):
+        return [(e["seed"], {m: r.to_json_dict() for m, r in e["rows"].items()})
+                for e in result.per_seed]
+
+    def test_groups_give_every_seed_its_report_in_seed_order(self, monkeypatch):
+        # 5 seeds: one group, then groups of 3 and 2, then 2, 2 and 1
+        cfg = replace(tiny_config(epochs=6), run=replace(tiny_config().run, seeds=(4, 0, 3, 1, 2)))
+        monkeypatch.delenv("LTSREPR_THREADS", raising=False)
+        serial = pl.run_sweep(cfg)
+        assert [seed for seed, _ in self.reports(serial)] == [4, 0, 3, 1, 2]
+        assert not serial.failures
+        for threads in ("2", "3"):
+            monkeypatch.setenv("LTSREPR_THREADS", threads)
+            result = pl.run_sweep(cfg)
+            assert not result.failures and self.reports(result) == self.reports(serial)
+
+    def test_failed_seed_reported_in_its_place(self, monkeypatch):
+        cfg = replace(tiny_config(epochs=6), run=replace(tiny_config().run, seeds=(0, 1, 2)))
+        clean = self.reports(pl.run_sweep(cfg))
+        build = pl.build_datasets
+
+        def nan_for_seed_1(scfg, cache_path=None):
+            datasets = build(scfg, cache_path)
+            return with_nan(datasets) if scfg.run.seed == 1 else datasets
+
+        monkeypatch.setattr(pl, "build_datasets", nan_for_seed_1)
+        for threads in ("1", "2"):  # groups (0, 1, 2), then (0, 1) and (2,)
+            monkeypatch.setenv("LTSREPR_THREADS", threads)
+            result = pl.run_sweep(cfg)
+            assert result.failures == [(1, "non-finite pre-activation in extractor layer 0")]
+            assert self.reports(result) == [clean[0], clean[2]]
 
     def test_srepr_leaves_no_thread_before_the_pool_forks(self, monkeypatch):
         cfg = replace(tiny_config(epochs=6, method="srepr"),

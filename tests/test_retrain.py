@@ -297,7 +297,7 @@ class TestStochasticRepresentations:
         post = frozen_posterior(self.params, spread=0.0)
         cfg = RetrainConfig(srepr_m=4)
         reps = stochastic_representations(self.x, "posterior", post, cfg, np.random.default_rng(0))
-        point = features(self.params.layers, self.x)
+        point = features(self.params.layers, self.x, "relu")
         for m in range(4):
             np.testing.assert_allclose(reps[m], point, atol=1e-12)
 
@@ -885,7 +885,7 @@ class TestSreprLoss:
         rng = np.random.default_rng(31)
         params = init_params(rng, 3, (4,), 4, 3)
         x = rng.standard_normal((5, 3))
-        f_swa = features(params.layers, x)
+        f_swa = features(params.layers, x, "relu")
         reps = np.stack([f_swa, f_swa])  # zero-spread stochastic reps
         y = rng.integers(0, 3, size=5)
         config = RetrainConfig(srepr_m=2, kd_temp=1e9)
@@ -1087,7 +1087,7 @@ class TestSreprTraining:
         # posterior draws, is lower after training than at the initialization
         reps = stochastic_representations(ds.features, "posterior", post, config,
                                           np.random.default_rng(8))
-        f_swa = features(params.layers, ds.features)
+        f_swa = features(params.layers, ds.features, "relu")
 
         def loss(w, b):
             return srepr_batch_loss_and_grad(w, b, reps, f_swa, ds.labels, spec, config)[0]
@@ -1191,7 +1191,7 @@ class TestDrawAhead:
         finally:
             sys.setswitchinterval(saved)
 
-        f_swa = features(params.layers, ds.features)
+        f_swa = features(params.layers, ds.features, "relu")
         w0, b0 = params.w.copy(), params.b.copy()
 
         def loss_and_grads(item):
