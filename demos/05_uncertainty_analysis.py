@@ -31,7 +31,8 @@ print("\nensemble sweep on the re-trained classifier:")
 print("  M | acc    | nll    | ece")
 rng = rng_stream(cfg.run.seed, STREAM_ENSEMBLE)
 for m in (1, 2, 4, 8):
-    probs = ensemble_predict(test.features, ret.posterior, ret.params.w, ret.params.b, m, rng)
+    probs = ensemble_predict(test.features, ret.posterior, ret.params.w, ret.params.b, m, rng,
+                             "relu")
     acc = (probs.argmax(axis=1) == test.labels).mean()
     e, _ = ece(probs, test.labels)
     print(f"  {m} | {acc:.4f} | {nll(probs, test.labels):.4f} | {e:.4f}")

@@ -13,13 +13,14 @@ prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
 from .data import FEW, MANY, MEDIUM
-from .netcore import PROB_FLOOR, classifier_logits, cross_entropy, softmax
+from .netcore import PROB_FLOOR, ModelParams, classifier_logits, cross_entropy, softmax
 from .retrain import DisAlignParams, disalign_logits
-from .swag import SwagPosterior, member_features, sample_theta
+from .swag import SwagPosterior, extractor_layers, member_features, sample_theta
 from .util import check
 
 
@@ -237,24 +238,69 @@ def class_probs(
     return softmax(logits)
 
 
-def posterior_sums(x, posterior: SwagPosterior, w, b, num_samples: int, rng, activation="relu",
+def _float32_reps(members, x, repr_dim: int, activation: str, what: str):
+    """Yield, in member order, the (N, L) float64 representations of the
+    rows ``x`` under each float32 extractor in ``members``: one float32
+    copy of ``x`` runs through `member_features` into one float32 (N, L)
+    buffer, which is widened into one float64 buffer every member
+    overwrites. Raises FloatingPointError naming ``what`` (formatted with
+    the member's index) at the first member whose representations are not
+    all finite, such as a float32 overflow."""
+    x32 = np.atleast_2d(np.asarray(x, dtype=np.float32))
+    rep = np.empty((len(x32), repr_dim))
+    reps32 = member_features(members, x32, np.empty(rep.shape, np.float32), activation)
+    for i, rep32 in enumerate(reps32):
+        np.copyto(rep, rep32)
+        # a float64 sum of float32 values cannot overflow, so it is finite
+        # exactly when every value is (inf - inf gives NaN, quietly)
+        with np.errstate(invalid="ignore"):
+            finite = isfinite(np.add.reduce(rep, axis=None))
+        if not finite:
+            raise FloatingPointError(
+                f"non-finite representation in the float32 forward of {what.format(i)}")
+        yield rep
+
+
+def point_probs(x, params: ModelParams, activation: str,
+                disalign: DisAlignParams | None = None) -> np.ndarray:
+    """`class_probs` of the point model (calibrated by ``disalign``), its
+    extractor rounded to float32, which is exact for a checkpoint's, and
+    forwarded as a posterior member is, so a member that equals the point
+    model gives the point predictions' bits."""
+    member = params.like(params.flat.astype(np.float32)).layers
+    (rep,) = _float32_reps([member], x, params.repr_dim, activation, "the point model")
+    return class_probs(rep, params.w, params.b, disalign)
+
+
+def posterior_sums(x, posterior: SwagPosterior, w, b, num_samples: int, rng, activation: str,
                    disalign: DisAlignParams | None = None, reps: bool = False) -> MemberSums:
     """`MemberSums` of num_samples members' `class_probs` (calibrated by
-    ``disalign``) and, with ``reps``, representations, each member drawn just
-    before its forward; all share one draw buffer and one (N, L) output."""
+    ``disalign``) and, with ``reps``, representations. Each member is drawn
+    into one float64 row just before its forward, rounded into one float32
+    row and forwarded in float32 (`_float32_reps`); the head and the sums
+    stay float64. Raises FloatingPointError when a member's forward is not
+    finite."""
     check((num_samples >= 1, "num_samples must be >= 1"))
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    draw, sums = np.empty(posterior.theta_dim), MemberSums()
-    members = (sample_theta(posterior, rng, draw) for _ in range(num_samples))
-    for rep in member_features(members, x, np.empty((len(x), posterior.repr_dim)), activation):
+    draw, row = np.empty(posterior.theta_dim), np.empty(posterior.theta_dim, np.float32)
+    member = extractor_layers(posterior, row)
+
+    def members():
+        for _ in range(num_samples):
+            sample_theta(posterior, rng, draw)
+            np.copyto(row, draw)
+            yield member
+
+    sums = MemberSums()
+    for rep in _float32_reps(members(), x, posterior.repr_dim, activation, "posterior member {}"):
         sums.add(rep if reps else None, class_probs(rep, w, b, disalign))
     return sums
 
 
-def ensemble_predict(x, posterior: SwagPosterior, w, b, num_samples: int, rng, activation="relu",
+def ensemble_predict(x, posterior: SwagPosterior, w, b, num_samples: int, rng, activation: str,
                      disalign: DisAlignParams | None = None) -> np.ndarray:
     """The mean `class_probs` of num_samples posterior draws (calibrated by
-    ``disalign``), summed as they arrive: the bits of their stack's mean."""
+    ``disalign``), each forwarded in float32 as in `posterior_sums`, summed
+    as they arrive: the bits of their stack's mean."""
     sums = posterior_sums(x, posterior, w, b, num_samples, rng, activation, disalign)
     return sums.probs / sums.count
 

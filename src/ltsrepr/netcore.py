@@ -15,11 +15,15 @@ gemm and the elementwise SGD passes run about twice as fast on half the
 bytes. `features` runs in the dtype of its first weight and `backward`
 writes gradients in the parameters' dtype. The softmax/CE head works in
 float64 on the (B, K) logits (`softmax` casts), and its gradient is cast
-back to the parameters' dtype. srepr's posterior members also forward
-in float32 (`retrain.srepr_batches`). Everything else stays float64: the
-posterior draws, the SWA moments (``sq_mean - mean**2`` cancels, so
-snapshots are squared in float64), stage 2's heads and losses,
-evaluation, analysis and the Dirichlet fit. At every
+back to the parameters' dtype. Every other forward of an extractor that
+a stage reduces member by member runs in float32 too: srepr's posterior
+members (`retrain.srepr_batches`), and eval's and analyze's members and
+point model (`metrics.posterior_sums`, `metrics.point_probs`), each
+widened once into the float64 head's input. Everything else stays
+float64: the posterior draws, the SWA moments (``sq_mean - mean**2``
+cancels, so snapshots are squared in float64), the training split's
+forward that stage 2 trains on, stage 2's heads and losses, every
+softmax and metric, and the Dirichlet fit. At every
 stage boundary the arrays are float32 values held in float64, the values
 a checkpoint stores, so a model handed on in memory and one read back
 from disk are the same bits.
@@ -29,7 +33,8 @@ laid out in checkpoint order (W0, b0, ..., W, b); its per-layer arrays are
 views into it, so the feature extractor is the prefix ``flat[:theta_dim]``.
 The pretraining loop hands ``backward`` one gradient ModelParams to write
 into, and `sgd_update_arrays` moves the whole vector with one fused
-Nesterov step using scratch buffers held in `OptimState`.
+Nesterov step: seven in-place passes over the parameters, the gradient,
+the momentum (held as mu * v) and one scratch buffer held in `OptimState`.
 
 `features` also runs stacked inputs: R inputs (R, B, D) give (R, B, L) in
 one call. numpy's matmul runs one gemm per member, so each member's
@@ -471,18 +476,19 @@ class OptimConfig:
 
 @dataclass
 class OptimState:
-    """Per parameter array, a Nesterov momentum buffer and two scratch
-    buffers the update writes its temporaries into. The learning rate is
-    not state: every step passes its own (see `sgd_update_arrays`)."""
+    """Per parameter array, a Nesterov momentum buffer, held as mu * v
+    (the product both the step that makes v and the next step use), and
+    one scratch buffer the update writes its temporaries into. The
+    learning rate is not state: every step passes its own (see
+    `sgd_update_arrays`)."""
 
     hyper: OptimConfig
     buffers: list[np.ndarray]
-    scratch: list[tuple[np.ndarray, np.ndarray]]
+    scratch: list[np.ndarray]
 
     @classmethod
     def for_arrays(cls, arrays, hyper: OptimConfig) -> "OptimState":
-        return cls(hyper, [np.zeros_like(a) for a in arrays],
-                   [(np.empty_like(a), np.empty_like(a)) for a in arrays])
+        return cls(hyper, [np.zeros_like(a) for a in arrays], [np.empty_like(a) for a in arrays])
 
 
 def sgd_update_arrays(arrays, grads, state: OptimState, lr: float) -> None:
@@ -491,23 +497,21 @@ def sgd_update_arrays(arrays, grads, state: OptimState, lr: float) -> None:
 
     The effective gradient adds the L2 penalty term 2 * wd * param; with
     momentum mu the buffer update is v <- mu v + g' and the parameter moves
-    along g' + mu v. Temporaries go to the state's scratch buffers, with the
-    same operations in the same order as the allocating expressions, so the
-    result is the same bits. Pass a ModelParams as ``[params.flat]`` to move
-    it in one step.
+    along g' + mu v. The state holds mu v rather than v, so a step is seven
+    in-place passes over the parameter, the gradient, the buffer and one
+    scratch buffer. Each pass rounds as the allocating expressions
+    ``v = mu * v + g'`` and ``p -= lr * (g' + mu * v)`` do, so the result
+    is the same bits. Pass a ModelParams as ``[params.flat]`` to move it in
+    one step.
     """
     mu = state.hyper.momentum
     wd = state.hyper.weight_decay
-    for p, g, v, (g_eff, step) in zip(arrays, grads, state.buffers, state.scratch, strict=True):
+    for p, g, u, g_eff in zip(arrays, grads, state.buffers, state.scratch, strict=True):
         np.multiply(p, 2.0 * wd, out=g_eff)
         g_eff += g
         if mu != 0.0:
-            v *= mu
-            v += g_eff
-            np.multiply(v, mu, out=step)
-            step += g_eff
-            step *= lr
-            p -= step
-        else:
-            g_eff *= lr
-            p -= g_eff
+            u += g_eff  # v
+            u *= mu  # mu v, which the next step needs as well
+            g_eff += u
+        g_eff *= lr
+        p -= g_eff

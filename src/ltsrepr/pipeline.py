@@ -472,7 +472,8 @@ def run_retrain(cfg: ExperimentConfig, model: Checkpoint, datasets) -> Checkpoin
 def run_eval(cfg: ExperimentConfig, model: Checkpoint, datasets) -> metrics_mod.MetricsReport:
     """Metrics of the model on the test split: point predictions, or the
     mean over ``eval.ensemble_m`` posterior members, calibrated by the
-    model's disalign calibration when it has one."""
+    model's disalign calibration when it has one. Every extractor forward
+    runs in float32 (`metrics.point_probs`, `metrics.posterior_sums`)."""
     cfg.validate()
     train, test = datasets
     params, calibration = model.params, model.calibration()
@@ -484,8 +485,7 @@ def run_eval(cfg: ExperimentConfig, model: Checkpoint, datasets) -> metrics_mod.
         probs = metrics_mod.ensemble_predict(test.features, model.posterior, params.w, params.b,
                                              cfg.eval.ensemble_m, rng, act, calibration)
     else:
-        probs = metrics_mod.class_probs(net.features(params.layers, test.features, act),
-                                        params.w, params.b, calibration)
+        probs = metrics_mod.point_probs(test.features, params, act, calibration)
     return metrics_mod.evaluate_probs(probs, test.labels, train.splits, cfg.eval.ece_bins)
 
 
@@ -511,8 +511,7 @@ def run_analyze(cfg: ExperimentConfig, model: Checkpoint, datasets) -> AnalysisR
     rng = rng_stream(cfg.eval.analysis_seed, STREAM_ANALYSIS)
     sums = metrics_mod.posterior_sums(test.features, model.posterior, params.w, params.b,
                                       cfg.swa.swag_samples, rng, act, calibration, reps=True)
-    point_probs = metrics_mod.class_probs(net.features(params.layers, test.features, act),
-                                          params.w, params.b, calibration)
+    point_probs = metrics_mod.point_probs(test.features, params, act, calibration)
 
     nll_i = net.cross_entropy(point_probs, test.labels)
     disp_r = metrics_mod.dispersion_repr(sums)

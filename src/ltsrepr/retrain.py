@@ -370,7 +370,7 @@ def stochastic_representations(
 
 
 def jittered_features(layers, x: np.ndarray, std: float, rng: np.random.Generator,
-                      noisy: np.ndarray, activation: str = "relu", out=None) -> np.ndarray:
+                      noisy: np.ndarray, activation: str, out=None) -> np.ndarray:
     """``features(layers, x + std * eps)`` for M copies of ``x`` at once:
     the (M, B, D) standard normals eps are drawn into ``noisy`` in one
     C-order stream, then run as one stacked forward (into ``out``, see
@@ -622,7 +622,7 @@ def srepr_batches(
     config: RetrainConfig,
     optim: OptimConfig,
     rng: np.random.Generator,
-    activation: str = "relu",
+    activation: str,
 ):
     """srepr's stage-2 stream: ``(idx, reps)`` for every step, reps the
     (M, B, L) stochastic representations of the batch ``idx``.

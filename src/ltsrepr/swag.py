@@ -138,8 +138,9 @@ def sample_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.nda
     The draw fills ``out`` (a (theta_dim,) float64 buffer, which a caller
     may reuse for every member; allocated when omitted), and the returned
     (weight, bias) layer pairs are views into it. The normals and the draw
-    are always float64; a caller that forwards members in float32 (srepr)
-    rounds each draw into its row of a float32 block. M draws in a row
+    are always float64; srepr, eval and analyze forward members in
+    float32, so each rounds every draw into a float32 row (srepr's block,
+    eval's and analyze's one reused row). M draws in a row
     consume ``rng`` exactly as filling an (M, theta_dim) block in one
     C-order call would.
     """
@@ -153,7 +154,7 @@ def sample_theta(posterior: SwagPosterior, rng: np.random.Generator, out: np.nda
     return extractor_layers(posterior, out)
 
 
-def member_features(members, x: np.ndarray, out: np.ndarray, activation: str = "relu"):
+def member_features(members, x: np.ndarray, out: np.ndarray, activation: str):
     """The one posterior forward: yields, in member order, the (N, L)
     representations of the rows ``x`` (N, D) under each extractor in
     ``members`` (layer-pair lists; may be drawn lazily, each before its
@@ -161,12 +162,16 @@ def member_features(members, x: np.ndarray, out: np.ndarray, activation: str = "
     one (N, L) buffer every member overwrites (eval and analyze reduce a
     member before the next), or an (M, N, L) table, a slice per member.
     Hidden layers go to buffers all members share, in ``out``'s dtype, so
-    float32 members, ``x`` and ``out`` run wholly in float32 (srepr)."""
+    float32 members, ``x`` and ``out`` run wholly in float32 (srepr, eval
+    and analyze). A forward that overflows gives infinities or NaNs and
+    no warning: the caller checks what it reduces."""
     hidden = None
     for layers, rep in zip(members, out if out.ndim == 3 else repeat(out)):
         if hidden is None:
             hidden = [np.empty((len(x), w.shape[1]), dtype=out.dtype) for w, _ in layers[:-1]]
-        yield features(layers, x, activation, out=hidden + [rep])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = features(layers, x, activation, out=hidden + [rep])
+        yield rep
 
 
 def should_capture(step: int, total_steps: int, swa: SwaConfig, steps_per_epoch: int) -> bool:

@@ -285,10 +285,10 @@ def trend_bundle():
                 test = datasets[1]
                 rng = rng_stream(seed, STREAM_ENSEMBLE)
                 p1 = ensemble_predict(
-                    test.features, ret.posterior, ret.params.w, ret.params.b, 1, rng
+                    test.features, ret.posterior, ret.params.w, ret.params.b, 1, rng, "relu"
                 )
                 p8 = ensemble_predict(
-                    test.features, ret.posterior, ret.params.w, ret.params.b, 8, rng
+                    test.features, ret.posterior, ret.params.w, ret.params.b, 8, rng, "relu"
                 )
                 bundle["ens_nll_1"].append(nll(p1, test.labels))
                 bundle["ens_nll_8"].append(nll(p8, test.labels))

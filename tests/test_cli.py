@@ -306,6 +306,21 @@ class TestEvalCommand:
             "eval", "--checkpoint", str(ckpt), "--output-dir", "e4", "--ensemble-m", "2"
         ) == 0
 
+    @pytest.mark.parametrize("command", [("eval", "--ensemble-m", "4"), ("analyze",)])
+    def test_float32_overflow_is_one_error_line(self, workdir, capsys, command):
+        # posterior means of 1e20 hold in float32, but the second layer's
+        # sums of their products (~1e40) do not: the members' float32
+        # forward overflows, with no numpy warning before the error line
+        model = load_checkpoint(pretrain(workdir, out="run"))
+        model.posterior.mean[: model.posterior.theta_dim] *= 1e20
+        save_checkpoint(workdir / "big.ckpt", model)
+        code = run_cli(*command, "--checkpoint", "big.ckpt", "--output-dir", "big")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: non-finite representation in the float32 forward of "
+                       "posterior member 0"]
+        assert not (workdir / "big").exists()
+
     def test_missing_checkpoint_errors(self, workdir, capsys):
         code = run_cli("eval", "--checkpoint", "nope.ckpt", "--output-dir", "e5")
         assert code != 0

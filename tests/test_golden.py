@@ -17,35 +17,35 @@ from ltsrepr.cli import main
 
 GOLDEN = {
     "pretrain.ckpt": "7a4688dc98bfef52",
-    "pretrain_metrics.json": "11b39ab018462057",
+    "pretrain_metrics.json": "4bcc4a208ba395ad",
     "crt/retrain.ckpt": "3701edee150d629d",
     "lws/retrain.ckpt": "3b66c219b23ed0f6",
     "disalign/retrain.ckpt": "c744004973309c9b",
     "srepr/retrain.ckpt": "8cb629bff7d0e676",
-    "crt/eval_report.json": "10cbc7cfc1e85012",
-    "lws/eval_report.json": "2296b9b464eb957f",
-    "disalign/eval_report.json": "43e42425aaadde54",
-    "srepr/eval_report.json": "7c6b4fc6517adcb7",
-    "crt/eval_report.csv": "0c588c4653aa2faf",
-    "lws/eval_report.csv": "46b27ca613d30250",
-    "disalign/eval_report.csv": "aec5339b5c91ab98",
-    "srepr/eval_report.csv": "50ca37c176769d81",
-    "crt/eval_bins.csv": "62088b65a9ed3b98",
-    "lws/eval_bins.csv": "d1ed6cb30151767b",
-    "disalign/eval_bins.csv": "7a9be55165db7db2",
-    "srepr/eval_bins.csv": "66edc6fe197178bc",
-    "srepr/analyze/analysis_summary.json": "697ac8ff34e727d8",
-    "srepr/analyze/instance_metrics.csv": "c8b9e4c15c3cd55c",
-    "srepr/analyze/per_class.csv": "a1c94ad26fbc27c8",
-    "srepr/analyze/quartiles_prob.csv": "d4cadce465359891",
-    "srepr/analyze/quartiles_repr.csv": "27a2a5f43f3f51f5",
-    "srepr/analyze/reliability_bins.csv": "d967b2078fbaada9",
+    "crt/eval_report.json": "dddaecd45dbc805d",
+    "lws/eval_report.json": "90bc6ad7d06d9d3c",
+    "disalign/eval_report.json": "1a065e9c07e38600",
+    "srepr/eval_report.json": "5c19227c93f6d642",
+    "crt/eval_report.csv": "ea11d5195d3aefbd",
+    "lws/eval_report.csv": "9c654522066cc47b",
+    "disalign/eval_report.csv": "a7c692bdd08ff4b2",
+    "srepr/eval_report.csv": "ef8d9664f2f74667",
+    "crt/eval_bins.csv": "7d2307db2ffbdf9f",
+    "lws/eval_bins.csv": "7df30b74b6e0bed3",
+    "disalign/eval_bins.csv": "ae890e2769d8820a",
+    "srepr/eval_bins.csv": "ea67da55a260d52e",
+    "srepr/analyze/analysis_summary.json": "b4ef7175797922cb",
+    "srepr/analyze/instance_metrics.csv": "97f1e7cc504436c2",
+    "srepr/analyze/per_class.csv": "d34aa1f98b0b2580",
+    "srepr/analyze/quartiles_prob.csv": "c3f0186e09c8259b",
+    "srepr/analyze/quartiles_repr.csv": "dcf1825619a71692",
+    "srepr/analyze/reliability_bins.csv": "60c69b0e79a39789",
     # mixup's pretrain_metrics.json is not pinned: its epoch losses are sums
     # of soft-target cross-entropies, whose last bit depends on how the
     # log-probabilities are formed
     "mixup/pretrain.ckpt": "111ca8513883fc5c",
-    "sweep/sweep_table.csv": "d2e02f90af420bb8",
-    "sweep/sweep_runs.csv": "e4028f26d7a1b3a8",
+    "sweep/sweep_table.csv": "6e68f62718f0c29d",
+    "sweep/sweep_runs.csv": "8203030b84768066",
 }
 
 METHODS = ("crt", "lws", "disalign", "srepr")

@@ -38,7 +38,7 @@ from ltsrepr.netcore import (
     softmax,
 )
 from ltsrepr.retrain import DisAlignParams, disalign_logits
-from ltsrepr.swag import freeze, new_posterior, sample_theta, update_moments
+from ltsrepr.swag import extractor_layers, freeze, new_posterior, sample_theta, update_moments
 
 
 class TestAccuracy:
@@ -262,7 +262,7 @@ class TestEnsemble:
 
     def test_single_member_equals_one_sample(self):
         params, post, x = self.build(spread=0.3)
-        p1 = ensemble_predict(x, post, params.w, params.b, 1, np.random.default_rng(1))
+        p1 = ensemble_predict(x, post, params.w, params.b, 1, np.random.default_rng(1), "relu")
         theta = sample_theta(post, np.random.default_rng(1))
         expected = softmax(classifier_logits(params.w, params.b, features(theta, x, "relu")))
         np.testing.assert_allclose(p1, expected, atol=1e-12)
@@ -271,13 +271,13 @@ class TestEnsemble:
         params, post, x = self.build(spread=0.0)
         point = softmax(classifier_logits(params.w, params.b, features(params.layers, x, "relu")))
         for m in (1, 4):
-            p = ensemble_predict(x, post, params.w, params.b, m, np.random.default_rng(2))
+            p = ensemble_predict(x, post, params.w, params.b, m, np.random.default_rng(2), "relu")
             np.testing.assert_allclose(p, point, atol=1e-12)
 
     def test_exact_mean_of_members(self):
         params, post, x = self.build(spread=0.2, seed=3)
         m = 5
-        p = ensemble_predict(x, post, params.w, params.b, m, np.random.default_rng(4))
+        p = ensemble_predict(x, post, params.w, params.b, m, np.random.default_rng(4), "relu")
         rng = np.random.default_rng(4)
         acc = np.zeros_like(p)
         for _ in range(m):
@@ -289,7 +289,7 @@ class TestEnsemble:
     def test_rejects_zero_members(self):
         params, post, x = self.build(spread=0.1)
         with pytest.raises(ValueError):
-            ensemble_predict(x, post, params.w, params.b, 0, np.random.default_rng(0))
+            ensemble_predict(x, post, params.w, params.b, 0, np.random.default_rng(0), "relu")
 
 
 class TestClassProbs:
@@ -308,7 +308,7 @@ class TestClassProbs:
             scale=np.array([1.5, 0.5]), shift=np.array([0.2, -0.1]),
             gate_w=np.array([0.3, -0.2]), gate_b=0.1,
         )
-        p = ensemble_predict(x, post, params.w, params.b, 3, np.random.default_rng(6),
+        p = ensemble_predict(x, post, params.w, params.b, 3, np.random.default_rng(6), "relu",
                              disalign=calib)
         rng = np.random.default_rng(6)
         acc = np.zeros_like(p)
@@ -317,7 +317,7 @@ class TestClassProbs:
             acc += softmax(disalign_logits(z, calib))
         np.testing.assert_allclose(p, acc / 3, atol=1e-12)
         assert not np.allclose(p, ensemble_predict(x, post, params.w, params.b, 3,
-                                                   np.random.default_rng(6)))
+                                                   np.random.default_rng(6), "relu"))
 
 
 class TestStreamedMembers:
@@ -339,13 +339,20 @@ class TestStreamedMembers:
             scale=rng.uniform(0.5, 1.5, k), shift=rng.standard_normal(k),
             gate_w=rng.standard_normal(k), gate_b=0.2,
         ) if calibrated else None
-        loop_rng = np.random.default_rng(seed + 1)
-        stack = np.stack([features(sample_theta(post, loop_rng), x, "relu") for _ in range(m)])
+        loop_rng, draw = np.random.default_rng(seed + 1), np.empty(post.theta_dim)
+
+        def member():
+            # as eval and analyze forward a member: its float64 draw rounded to float32
+            sample_theta(post, loop_rng, draw)
+            return features(extractor_layers(post, draw.astype(np.float32)), x, "relu")
+
+        stack = np.stack([member() for _ in range(m)]).astype(np.float64)
         probs = class_probs(stack, params.w, params.b, calib)
 
         mean_rng, sums_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        mean = ensemble_predict(x, post, params.w, params.b, m, mean_rng, disalign=calib)
-        sums = posterior_sums(x, post, params.w, params.b, m, sums_rng, disalign=calib, reps=True)
+        mean = ensemble_predict(x, post, params.w, params.b, m, mean_rng, "relu", disalign=calib)
+        sums = posterior_sums(x, post, params.w, params.b, m, sums_rng, "relu", disalign=calib,
+                              reps=True)
         assert mean.tobytes() == probs.mean(axis=0).tobytes()
         assert sums.count == m
         for used in (mean_rng, sums_rng):

@@ -426,7 +426,8 @@ class TestFusedSgd:
             reference_sgd(arrays, grads, buffers, lr, mu, wd)
             sgd_update_arrays([flat], [np.concatenate([g.ravel() for g in grads])], state, lr)
         assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
-        assert np.array_equal(state.buffers[0], np.concatenate([v.ravel() for v in buffers]))
+        # the state holds mu * v, the reference's v scaled as its next step scales it
+        assert np.array_equal(state.buffers[0], np.concatenate([(mu * v).ravel() for v in buffers]))
 
     def test_pretrain_step_moves_params_in_place(self):
         rng = np.random.default_rng(22)
@@ -504,7 +505,7 @@ class TestFloat32:
             assert type(lr) is float
             sgd_update_arrays([params.flat], [grads.flat], state, lr)
             reference_sgd(reference, grads.arrays(), buffers, lr, 0.9, 5e-4)
-        for a in (params.flat, grads.flat, *state.buffers, *state.scratch[0]):
+        for a in (params.flat, grads.flat, *state.buffers, *state.scratch):
             assert a.dtype == np.float32
         # the float32 step is the allocating loop's float32 arithmetic, bit for bit
         for a, b in zip(params.arrays(), reference):

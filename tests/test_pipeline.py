@@ -20,9 +20,10 @@ import ltsrepr.metrics as metrics_mod
 import ltsrepr.netcore as net
 import ltsrepr.pipeline as pl
 import ltsrepr.retrain as retrain_mod
+import ltsrepr.swag as swag_mod
 from ltsrepr.balancing import BalancingSpec
 from ltsrepr.checkpoint import save_checkpoint
-from ltsrepr.util import STREAM_RETRAIN_BATCH, rng_stream
+from ltsrepr.util import STREAM_ANALYSIS, STREAM_ENSEMBLE, STREAM_RETRAIN_BATCH, rng_stream
 
 
 def tiny_config(seed=0, swa=True, epochs=8, method="crt"):
@@ -521,27 +522,74 @@ class TestEval:
             pl.run_eval(cfg, pre, ds)
 
     def test_ensemble_point_limit(self):
-        # zero posterior spread: every member is the point model, so the
-        # ensemble is the mean of M copies of the point probabilities. That
-        # mean is not always the point value itself (the mean of three
-        # equal doubles can round away from them), so compare with it.
+        # zero posterior spread: every member is the point model, forwarded
+        # in float32 as the point predictions are, so the ensemble is the
+        # mean of M copies of the point probabilities. That mean is not
+        # always the point value itself (the mean of three equal doubles
+        # can round away from them), so compare with it.
         cfg = tiny_config(swa=True)
         ds = pl.build_datasets(cfg)
         pre, _ = pl.run_pretrain(cfg, ds)
         pre.posterior.sigma[:] = 0.0
         params, test = pre.params, ds[1]
-        point = metrics_mod.class_probs(
-            net.features(params.layers, test.features, "relu"), params.w, params.b
-        )
+        point = metrics_mod.point_probs(test.features, params, "relu")
         for m in (1, 2, 3):
             ens = metrics_mod.ensemble_predict(test.features, pre.posterior, params.w, params.b,
-                                               m, np.random.default_rng(m))
+                                               m, np.random.default_rng(m), "relu")
             assert ens.tobytes() == np.stack([point] * m).mean(axis=0).tobytes()
         # and run_eval reports that mean
         expected = metrics_mod.evaluate_probs(np.stack([point] * 3).mean(axis=0), test.labels,
                                               ds[0].splits, cfg.eval.ece_bins)
         cfg_e = replace(cfg, eval=replace(cfg.eval, ensemble_m=3))
         assert pl.run_eval(cfg_e, pre, ds).to_json_dict() == expected.to_json_dict()
+
+
+class TestFloat32Forward:
+    """eval and analyze forward every extractor, each posterior member and
+    the point model, in float32, and widen its representations into the
+    float64 head's input."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_representations_are_float32_forwards(self, activation, monkeypatch):
+        cfg = tiny_config()
+        cfg = replace(cfg, model=replace(cfg.model, activation=activation),
+                      eval=replace(cfg.eval, ensemble_m=3))
+        ds = pl.build_datasets(cfg)
+        model, _ = pl.run_pretrain(cfg, ds)
+        post, params = model.posterior, model.params
+        x32 = ds[1].features.astype(np.float32)
+
+        def forward(theta):
+            # the extractor ``theta``, rounded to float32, on float32 inputs
+            layers = swag_mod.extractor_layers(post, theta.astype(np.float32))
+            return net.features(layers, x32, activation).astype(np.float64).tobytes()
+
+        def members(rng, m):
+            draw, reps = np.empty(post.theta_dim), []
+            for _ in range(m):
+                swag_mod.sample_theta(post, rng, draw)
+                reps.append(forward(draw))
+            return reps
+
+        point = forward(params.flat[: params.theta_dim])
+        seen = []  # every representation the head scores, in order
+        class_probs = metrics_mod.class_probs
+
+        def spy(reps, *args):
+            assert reps.dtype == np.float64
+            seen.append(reps.tobytes())
+            return class_probs(reps, *args)
+
+        monkeypatch.setattr(metrics_mod, "class_probs", spy)
+        pl.run_eval(cfg, model, ds)
+        assert seen == members(rng_stream(cfg.run.seed, STREAM_ENSEMBLE), 3)
+        seen.clear()
+        pl.run_eval(replace(cfg, eval=replace(cfg.eval, ensemble_m=0)), model, ds)
+        assert seen == [point]
+        seen.clear()
+        pl.run_analyze(cfg, model, ds)
+        analysis_rng = rng_stream(cfg.eval.analysis_seed, STREAM_ANALYSIS)
+        assert seen == members(analysis_rng, cfg.swa.swag_samples) + [point]
 
 
 class TestAnalyze:

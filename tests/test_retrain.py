@@ -1147,7 +1147,7 @@ class TestDrawAhead:
         before = threading.active_count()
         got = []
         for idx, reps in srepr_batches(params.layers, post, ds, BalancingSpec("cbs"), config,
-                                       optim, got_rng):
+                                       optim, got_rng, "relu"):
             assert threading.active_count() == before
             got.append((idx, reps.copy()))
         assert len(got) == len(expected) == epochs * per_epoch
@@ -1281,7 +1281,8 @@ class TestDrawAhead:
             else:
                 next(srepr_batches(params.layers, unfrozen, ds, BalancingSpec("cbs"),
                                    RetrainConfig(srepr_m=3),
-                                   OptimConfig(epochs=2, batch_size=16, weight_decay=0.0005), rng))
+                                   OptimConfig(epochs=2, batch_size=16, weight_decay=0.0005), rng,
+                                   "relu"))
         if not retrain:
             assert rng.bit_generator.state == fresh
         assert threading.active_count() == before
@@ -1295,7 +1296,8 @@ class TestDrawAhead:
         per_epoch = -(-ds.num_examples // optim.batch_size)
         rng, hand_rng = np.random.default_rng(0), np.random.default_rng(0)
         before = threading.active_count()
-        draws = srepr_batches(params.layers, post, ds, BalancingSpec("cbs"), config, optim, rng)
+        draws = srepr_batches(params.layers, post, ds, BalancingSpec("cbs"), config, optim, rng,
+                              "relu")
         hand = self.hand_stream(ds, params, post, config, optim, hand_rng)
         for step, ((idx, reps), (hand_idx, hand_reps)) in enumerate(zip(draws, hand)):
             np.testing.assert_array_equal(idx, hand_idx)
@@ -1356,7 +1358,7 @@ class TestDrawAhead:
                          for row in block]).repeat(16, axis=1)
         steps = 0
         for idx, reps in srepr_batches(params.layers, post, ds, BalancingSpec("cbs"), config,
-                                       optim, np.random.default_rng(5)):
+                                       optim, np.random.default_rng(5), "relu"):
             np.testing.assert_array_equal(idx, np.full(16, 7))
             assert reps.tobytes() == want.tobytes()
             steps += 1
